@@ -101,9 +101,6 @@ def _build_and_draw(args, config, updates, seed):
     if name == "gsampler":
         measure = make_measure(args)
         s = GSampler(measure, n, m, args.delta, seed, p=args.p if args.measure == "lp" else None)
-        if measure.zeta is None:
-            from .heavyhitters import MGSummary, mg_budget
-            s.mg = MGSummary(mg_budget(args.p, n))
         s.process(updates)
         return s.draw()
     if name == "lp":

@@ -13,7 +13,7 @@ turning uniform-over-support into G(f_i)/F_G exactly.
 """
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from fractions import Fraction
 
 from .core import SampleResult
@@ -31,7 +31,7 @@ class F0State:
         self.T = OrderedDict()  # coord -> last-seen time (insertion/LRU order)
         self.t = 0
         # Window bookkeeping: ring of recent updates + active frequency map.
-        self._ring = [] if window is not None else None
+        self._ring = deque() if window is not None else None
         self._freq = {}
 
     def update(self, coord, time=None):
@@ -41,7 +41,7 @@ class F0State:
         if self.window is not None:
             self._ring.append(coord)
             if len(self._ring) > self.window:
-                old = self._ring.pop(0)
+                old = self._ring.popleft()
                 left = self._freq[old] - 1
                 if left:
                     self._freq[old] = left

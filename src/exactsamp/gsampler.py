@@ -8,8 +8,8 @@ conditioned on success.  Acceptance draws are exact (rational or
 interval-refined), never float comparisons.
 
 For L_p with p in (1,2] the increment bound is zeta = 2 Z^{p-1} with Z the
-deterministic Misra-Gries bound on the max frequency; a summary with
-k = ceil(n^{1-1/p}) counters rides along with the bank.
+deterministic Misra-Gries bound on the max frequency; the sampler builds a
+summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
 """
 
 import math
@@ -69,6 +69,11 @@ class GSampler:
         elif measure.zeta is not None:
             zeta = measure.zeta
         self.zeta = zeta  # None means Z-derived at draw time
+        if zeta is None:
+            if self.p is None:
+                raise ValueError("%s has no static zeta: pass p so that zeta = 2 Z^{p-1} "
+                                 "can be derived from a Misra-Gries summary" % measure.name)
+            self.mg = MGSummary(mg_budget(self.p, n))
 
         if repetitions is None:
             repetitions = self._default_repetitions()
@@ -145,8 +150,4 @@ def lp_sampler(p, n, m, delta=0.1, seed=0, repetitions=None):
         # Plain reservoir sampling: acceptance is identically 1.
         return GSampler(measure, n, m, delta, seed, zeta=Fraction(1),
                         repetitions=repetitions or 1, p=p)
-    if p < 1:
-        return GSampler(measure, n, m, delta, seed, repetitions=repetitions, p=p)
-    sampler = GSampler(measure, n, m, delta, seed, repetitions=repetitions, p=p)
-    sampler.mg = MGSummary(mg_budget(p, n))
-    return sampler
+    return GSampler(measure, n, m, delta, seed, repetitions=repetitions, p=p)

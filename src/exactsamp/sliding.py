@@ -6,17 +6,25 @@ before the window start and within 2W of it.  A repetition succeeds only if
 its reservoir sample is still active (t_s > t - W); conditioned on success
 the law telescopes to G(f_i)/F_G over the active window.
 
-SlidingLpSampler: the augmented histogram pairs each suffix F_p estimator
-row with a SamplerBank over the same suffix.  A draw uses the bracketing
-row's bank with acceptance ((c+1)^p - c^p)/(p F^{p-1}), F = L_p of that
-suffix, which the histogram invariant places in [L_p(window), 2 L_p(window)].
+SlidingLpSampler: the smooth histogram keeps suffix F_p estimator rows, and
+one shared SuffixMinima structure gives every row a sampler over its suffix.
+Each of the R units assigns every position an exact uniform priority; the
+minimum-priority position of the suffix [t_j, now] is uniform over it for
+every t_j at once, because one uniformly random order of the positions
+restricts to a uniformly random order of each suffix.  So the bracketing
+row's sample in each unit is distributed exactly as a reservoir sample of
+that row's suffix, independently across units.  A draw accepts it with
+probability ((c+1)^p - c^p)/(p F^{p-1}), c the strictly-after count and
+F = L_p of that suffix, which the histogram invariant places in
+[L_p(window), 2 L_p(window)].
 """
 
-import math
 from fractions import Fraction
 
-from .core import SampleResult
-from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_bounds, pow_exact, substream
+import numpy as np
+
+from .core import SampleResult, lp_measure
+from .exactrand import np_substream, pow_bounds, substream
 from .gsampler import accept_increment, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
@@ -94,12 +102,117 @@ class CheckpointedSampler:
         return SampleResult.of(s, repetition=rep)
 
 
+_EMPTY = np.uint64(2 ** 64 - 1)  # priority of an unused stack slot
+
+
+class SuffixMinima:
+    """R independent uniform priority orders over the stream positions, kept
+    as one stack of suffix minima per unit.
+
+    Position t gets, in each unit, 64 random bits from rng.random_raw; two
+    priorities of one unit that share all their bits are extended by further
+    64-bit words until they differ, so each unit's order is an exact uniform
+    permutation.  Column i of (prio, pos) lists, oldest and lowest first, the
+    positions whose priority is below that of every later position, with an
+    unused slot above the top; the first one at or after t_j is the minimum
+    of suffix [t_j, now].  Entries before the front are skipped by lookups and
+    dropped when a stack fills.  The coordinate and its running count at each
+    position are shared by all units: position q's strictly-after count is
+    counts[coord] - the count at q.
+    """
+
+    def __init__(self, R, rng):
+        self.R, self.rng = R, rng
+        self.t = 0
+        self.front = 1  # lookups start at or after it
+        self.prio = np.full((4, R), _EMPTY)
+        self.pos = np.zeros((4, R), np.int64)
+        self.size = np.zeros(R, np.int64)
+        self.info = {}  # position >= front -> (coord, count of coord up to it)
+        self.counts = {}  # coord -> running count, while it occurs at or after front
+        self.ext = {}  # (unit, position) -> extension words, drawn on ties only
+        self._units = np.arange(R)
+
+    def push(self, coord):
+        t = self.t = self.t + 1
+        self.counts[coord] = self.counts.get(coord, 0) + 1
+        self.info[t] = (coord, self.counts[coord])
+        if self.size.max() + 2 > len(self.prio):
+            self._compact()
+        x = self.rng.random_raw(self.R)
+        prio, units = self.prio, self._units
+        keep = (prio < x).argmin(0)  # entries below x; the slot above the top stops it
+        for i in np.flatnonzero((prio[keep, units] == x) & (keep < self.size)).tolist():
+            keep[i] = self._settle_tie(i, int(keep[i]), x[i], t)
+        prio[keep, units] = x
+        prio[keep + 1, units] = _EMPTY
+        self.pos[keep, units] = t
+        self.size = keep + 1
+
+    def _settle_tie(self, i, j, x, t):
+        """Unit i's entries that stay below new position t, given that the
+        first j do and entry j has t's first 64 bits x."""
+        while j < self.size[i] and self.prio[j, i] == x and self._below(i, int(self.pos[j, i]), t):
+            j += 1
+        return j
+
+    def _below(self, i, q, t):
+        """Whether unit i's priority of q is below that of t, their first 64
+        bits being equal."""
+        a, b = self.ext.setdefault((i, q), []), self.ext.setdefault((i, t), [])
+        k = 0
+        while True:
+            for words in (a, b):
+                if len(words) == k:
+                    words.append(int(self.rng.random_raw()))
+            if a[k] != b[k]:
+                return a[k] < b[k]
+            k += 1
+
+    def _compact(self):
+        """Drop the entries before the front; double the stacks' depth if
+        they stay over half full."""
+        K = len(self.prio)
+        cols = np.arange(K)[:, None]
+        d = ((self.pos < self.front) & (cols < self.size)).sum(0)
+        idx = np.minimum(cols + d, K - 1)
+        self.prio = np.take_along_axis(self.prio, idx, 0)
+        self.pos = np.take_along_axis(self.pos, idx, 0)
+        self.size -= d
+        if self.size.max() + 2 > K // 2:
+            self.prio = np.concatenate([self.prio, np.full_like(self.prio, _EMPTY)])
+            self.pos = np.concatenate([self.pos, np.zeros_like(self.pos)])
+            cols = np.arange(2 * K)[:, None]
+        self.prio[cols >= self.size] = _EMPTY
+        self.ext = {k: v for k, v in self.ext.items() if k[1] >= self.front}
+
+    def drop_before(self, front):
+        """Forget positions before `front`; lookups must start at or after it."""
+        for q in range(self.front, front):
+            coord, seen = self.info.pop(q)
+            if self.counts[coord] == seen:  # q was its last occurrence
+                del self.counts[coord]
+        self.front = max(self.front, front)
+
+    def first_at(self, t_start):
+        """Per unit, the minimum-priority position of [t_start, now]."""
+        # Entries before t_start fail the test, the top entry (now) passes,
+        # and unused slots lie above it.
+        return self.pos[(self.pos >= t_start).argmax(0), self._units]
+
+    def entry(self, q):
+        """(coordinate, strictly-after count) of position q."""
+        coord, seen = self.info[q]
+        return coord, self.counts[coord] - seen
+
+
 class SlidingLpSampler:
     def __init__(self, p, W, n=None, delta=0.1, seed=0, repetitions=None,
                  estimator_factory=None):
         self.p = Fraction(p)
         if self.p < 1:
             raise ValueError("sliding L_p sampling needs p >= 1")
+        self.measure = lp_measure(self.p)
         self.W = W
         self.seed = seed
         if repetitions is None:
@@ -107,71 +220,53 @@ class SlidingLpSampler:
             bound = pf * 2.0 ** (pf - 1.0) * W ** (1.0 - 1.0 / pf)
             repetitions = repetitions_for(2 * bound, delta)
         self.R = repetitions
-
-        def make_bank(t_start):
-            seed = substream(self.seed, "bank", t_start).getrandbits(64)
-            return SamplerBank(self.R, seed, start_time=t_start)
-
-        self.hist = SmoothHistogram(self.p, W, seed=seed,
-                                    payload_factory=make_bank,
-                                    estimator_factory=estimator_factory)
+        self.hist = SmoothHistogram(self.p, W, seed=seed, estimator_factory=estimator_factory)
+        self.minima = SuffixMinima(self.R, np_substream(seed, "priority").bit_generator)
 
     def update(self, coord):
         self.hist.update(coord)
+        self.minima.push(coord)
+        self.minima.drop_before(self.hist.rows[0].t_start)
 
     def process(self, updates):
         for u in updates:
             self.update(u.coord if hasattr(u, "coord") else u)
 
-    def _acceptance(self, c, est, rng):
-        """Accept with probability ((c+1)^p - c^p) / (p * F^{p-1}),
-        F = L_p of the bracketing suffix = (F_p)^{1/p}."""
-        p = self.p
-        num = pow_exact(Fraction(c + 1), p)
-        fp = est.fp_exact()
-        if num is not None and fp is not None:
-            den_pow = pow_exact(fp, (p - 1) / p)
-            if den_pow is not None:
-                prob = (num - pow_exact(Fraction(c), p)) / (p * den_pow)
-                if prob > 1:
-                    raise DegradedEstimate("acceptance above 1: F below L_p")
-                return bernoulli_fraction(prob, rng)
+    def _zeta_bounds(self, est, c_max):
+        """bounds(prec) on the normalizer p F^{p-1}, F = L_p of the bracketing
+        suffix = (F_p)^{1/p}, computed once per precision per draw (exact
+        bounds when it is rational).  Raises DegradedEstimate when F is not
+        certified above the window's L_p, i.e. the largest increment would
+        exceed it."""
+        p, q = self.p, (self.p - 1) / self.p
+        memo = {}
 
-        def refine(prec):
-            nlo, nhi = pow_bounds(Fraction(c + 1), p, prec)
-            clo, chi = pow_bounds(Fraction(c), p, prec)
-            flo, fhi = est.fp_bounds(prec)
-            dlo = p * pow_bounds(flo, (p - 1) / p, prec)[0]
-            dhi = p * pow_bounds(fhi, (p - 1) / p, prec)[1]
-            lo = nlo - chi
-            if lo < 0:
-                lo = Fraction(0)
-            if dlo <= 0:
-                raise DegradedEstimate("nonpositive F estimate")
-            return lo / dhi, (nhi - clo) / dlo
+        def bounds(prec):
+            if prec not in memo:
+                flo, fhi = est.fp_bounds(prec)
+                memo[prec] = p * pow_bounds(flo, q, prec)[0], p * pow_bounds(fhi, q, prec)[1]
+                if memo[prec][0] <= 0:
+                    raise DegradedEstimate("nonpositive F estimate")
+            return memo[prec]
 
-        lo, hi = refine(16)
-        if lo > 1:
+        if self.measure.increment_bounds(c_max, 16)[0] > bounds(16)[1]:
             raise DegradedEstimate("acceptance above 1: F below L_p")
-        return bernoulli_bounds(refine, rng)
+        return bounds
 
     def draw(self):
         t = self.hist.t
         if t == 0:
             return SampleResult.bottom()
         row = self.hist.bracket()
-        bank = row.payload
-        est = row.est
+        live = [(i, *self.minima.entry(q))
+                for i, q in enumerate(self.minima.first_at(row.t_start).tolist()) if q > t - self.W]
         rng = substream(self.seed, "draw")
-        cutoff = t - self.W
         accepted = []
         try:
-            for i in range(self.R):
-                s, t_s, c = bank.effective(i)
-                if s is None or t_s <= cutoff:
-                    continue
-                if self._acceptance(c, est, rng):
-                    accepted.append((i, s))
+            bounds = self._zeta_bounds(row.est, max((c for _, _, c in live), default=0))
+            for i, coord, c in live:
+                if accept_increment(self.measure, c, None, bounds, rng):
+                    accepted.append((i, coord))
         except DegradedEstimate:
             return SampleResult.fail()
         if not accepted:

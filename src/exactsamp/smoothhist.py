@@ -1,22 +1,25 @@
 """Smooth histogram of suffix F_p estimators for sliding windows.
 
-Rows are timestamped suffix estimators; row j has ingested exactly the
-updates from time t_j to now.  Middle rows are pruned once the next-but-one
-row's value reaches (1 - beta) of the previous one, with beta = (1/2)^p / p^p
-(the smoothness parameter for F_p at epsilon = 1/2); the front row is dropped
-when the second row already covers the window.  The invariant that survives
-is t_1 <= window start < t_2, with F_p(suffix 1) <= 2^p * F_p(window), i.e.
-L_p(window) <= L_p(suffix 1) <= 2 L_p(window).
+Rows are timestamped suffix estimators and nothing else; row j has ingested
+exactly the updates from time t_j to now.  Middle rows are pruned once the
+next-but-one row's value reaches (1 - beta) of the previous one, with
+beta = (1/2)^p / p^p (the smoothness parameter for F_p at epsilon = 1/2);
+the front row is dropped when the second row already covers the window.  The
+invariant that survives is t_1 <= window start < t_2, with
+F_p(suffix 1) <= 2^p * F_p(window), i.e.
+L_p(window) <= L_p(suffix 1) <= 2 L_p(window).  A sampler that needs a
+sample of a row's suffix keeps it outside the histogram, keyed by t_j (see
+sliding.SuffixMinima).
 
 The suffix estimator is exact by default (frequency counts; deterministic and
-strictly inside the factor-2 contract).  A randomized AMS backend for p = 2
-exists behind the same interface to exercise the degraded-estimate path.
+strictly inside the factor-2 contract).  estimator_factory(p, seed) swaps in
+another one; an estimator that cannot certify its value raises
+DegradedEstimate, which samplers turn into a Fail outcome.
 """
 
-import math
 from fractions import Fraction
 
-from .exactrand import pow_bounds, pow_exact, substream
+from .exactrand import pow_bounds, substream
 
 
 class DegradedEstimate(Exception):
@@ -27,11 +30,10 @@ class DegradedEstimate(Exception):
 class ExactSuffixFp:
     """Exact F_p = sum_i f_i^p of everything ingested."""
 
-    randomized = False
-
     def __init__(self, p, seed=0):
         self.p = Fraction(p)
         self.int_p = self.p.denominator == 1
+        self._pf, self._k = float(self.p), int(self.p)
         self.counts = {}
         self._fp_int = 0  # exact, integer p only
         self._fp_float = 0.0
@@ -39,11 +41,9 @@ class ExactSuffixFp:
     def update(self, coord):
         f = self.counts.get(coord, 0)
         self.counts[coord] = f + 1
-        pf = float(self.p)
-        self._fp_float += (f + 1) ** pf - f ** pf
+        self._fp_float += (f + 1) ** self._pf - f ** self._pf
         if self.int_p:
-            k = int(self.p)
-            self._fp_int += (f + 1) ** k - f ** k
+            self._fp_int += (f + 1) ** self._k - f ** self._k
 
     def fp_float(self):
         return self._fp_float
@@ -70,77 +70,21 @@ class ExactSuffixFp:
         return max(self.counts.values(), default=0)
 
 
-class AmsSuffixF2:
-    """Random-sign F2 sketch, median of means, p = 2 only."""
-
-    randomized = True
-
-    def __init__(self, p, seed=0, groups=5, per_group=8):
-        if Fraction(p) != 2:
-            raise ValueError("AMS backend handles p = 2 only")
-        self.p = Fraction(2)
-        self.seed = seed
-        self.groups = groups
-        self.per_group = per_group
-        self.acc = [[0] * per_group for _ in range(groups)]
-        self._signs = {}
-
-    def _sign_row(self, coord):
-        row = self._signs.get(coord)
-        if row is None:
-            rng = substream(self.seed, "sign", coord)
-            row = [[1 if rng.getrandbits(1) else -1 for _ in range(self.per_group)]
-                   for _ in range(self.groups)]
-            self._signs[coord] = row
-        return row
-
-    def update(self, coord):
-        signs = self._sign_row(coord)
-        for g in range(self.groups):
-            acc = self.acc[g]
-            srow = signs[g]
-            for j in range(self.per_group):
-                acc[j] += srow[j]
-
-    def fp_float(self):
-        means = [sum(x * x for x in row) / self.per_group for row in self.acc]
-        means.sort()
-        est = means[len(means) // 2]
-        if est <= 0:
-            raise DegradedEstimate("AMS estimate collapsed to zero")
-        return est
-
-    def fp_exact(self):
-        return None
-
-    def fp_bounds(self, prec):
-        # Randomized: no certified bounds; report the point estimate and let
-        # the caller treat it as exact (degraded-path semantics).
-        v = Fraction(self.fp_float()).limit_denominator(1 << 30)
-        return v, v
-
-    def max_frequency(self):
-        raise DegradedEstimate("AMS backend cannot certify a max frequency")
-
-
 class _Row:
-    __slots__ = ("t_start", "est", "payload")
+    __slots__ = ("t_start", "est")
 
-    def __init__(self, t_start, est, payload):
+    def __init__(self, t_start, est):
         self.t_start = t_start
         self.est = est
-        self.payload = payload
 
 
 class SmoothHistogram:
-    def __init__(self, p, W, seed=0, beta=None, payload_factory=None,
-                 estimator_factory=None):
+    def __init__(self, p, W, seed=0, beta=None, estimator_factory=None):
         self.p = Fraction(p)
         self.W = W
         self.seed = seed
         pf = float(self.p)
         self.beta = beta if beta is not None else (0.5 ** pf) / (pf ** pf)
-        self.payload_factory = payload_factory
         self.estimator_factory = estimator_factory or ExactSuffixFp
         self.rows = []
         self.t = 0
@@ -149,12 +93,9 @@ class SmoothHistogram:
         self.t += 1
         t = self.t
         est = self.estimator_factory(self.p, substream(self.seed, "est", t).getrandbits(64))
-        payload = self.payload_factory(t) if self.payload_factory else None
-        self.rows.append(_Row(t, est, payload))
+        self.rows.append(_Row(t, est))
         for row in self.rows:
             row.est.update(coord)
-            if row.payload is not None:
-                row.payload.update(coord, t)
         self._prune()
 
     def _prune(self):

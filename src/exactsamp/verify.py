@@ -7,6 +7,7 @@ total-variation test.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -82,7 +83,7 @@ def default_battery(seed=0, trials=200000):
     # L2 (zeta = 2 * max f), and Huber; irrational measures are covered by
     # the symbolic coefficient checks in the test suite.
     for sid, coords in streams.items():
-        freqs = frequencies_of(coords)
+        freqs = Counter(coords)
         zmax = max(freqs.values())
         for name, meas, zeta in (("l1", l1, l1.zeta),
                                  ("l2", l2, 2 * zmax),
@@ -94,7 +95,7 @@ def default_battery(seed=0, trials=200000):
     for sid, coords in streams.items():
         for W in (2, 4):
             law = oracle.sw_gsampler_law(_ups(coords), W, l1, l1.zeta)
-            freqs = frequencies_of(coords[max(0, len(coords) - W):])
+            freqs = Counter(coords[max(0, len(coords) - W):])
             target = oracle.target_distribution(freqs, l1)
             reports.append(verify_exact("sw-gsampler/l1", "%s/W=%d" % (sid, W),
                                         law, target))
@@ -119,13 +120,6 @@ def default_battery(seed=0, trials=200000):
         reports.append(verify_exact("multipass-l1", "g=%s" % gamma, law, target))
 
     return reports
-
-
-def frequencies_of(coords):
-    out = {}
-    for c in coords:
-        out[c] = out.get(c, 0) + 1
-    return out
 
 
 def run_battery(reports=None, seed=0, trials=200000):

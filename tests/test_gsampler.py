@@ -6,6 +6,7 @@ import pytest
 
 from exactsamp.core import Update, huber_measure, l1l2_measure, lp_measure
 from exactsamp.gsampler import GSampler, lp_sampler, repetitions_for
+from exactsamp.heavyhitters import mg_budget
 from exactsamp import oracle
 
 
@@ -110,3 +111,19 @@ def test_z_derived_zeta_attached():
     s.process([1] * 10 + [2] * 10)
     z_exact, _ = s._zeta_at_draw()
     assert z_exact is not None and z_exact >= 2 * 10  # 2 Z with Z >= max f
+
+
+def test_z_derived_gsampler_builds_its_own_summary():
+    # Built directly, without lp_sampler: the Misra-Gries summary behind the
+    # Z-derived zeta must exist, or the draw fails on a missing summary.
+    p = Fraction(3, 2)
+    s = GSampler(lp_measure(p), 50, 100, p=p)
+    assert s.mg is not None and s.mg.k == mg_budget(p, 50)
+    s.process([1, 2, 2, 3, 3, 3] * 10)
+    assert s.draw().outcome in ("index", "fail")
+    assert s.mg.m_seen == 60
+
+
+def test_z_derived_gsampler_without_p_is_rejected():
+    with pytest.raises(ValueError, match="pass p"):
+        GSampler(lp_measure(Fraction(3, 2)), 50, 100)

@@ -1,18 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactsamp.exactrand import substream
-from exactsamp.smoothhist import (
-    AmsSuffixF2,
-    DegradedEstimate,
-    ExactSuffixFp,
-    SmoothHistogram,
-    estimate_lp,
-)
+from exactsamp.smoothhist import ExactSuffixFp, SmoothHistogram, estimate_lp
 
 
 def test_exact_estimator_integer_p():
@@ -78,42 +72,13 @@ def test_histogram_stays_small():
     assert len(hist.rows) <= 80  # far below one row per update
 
 
-def test_ams_backend_p2_only():
-    with pytest.raises(ValueError):
-        AmsSuffixF2(3)
-
-
-def test_ams_estimates_roughly():
-    est = AmsSuffixF2(2, seed=7)
-    for c in [1] * 10 + [2] * 10:
-        est.update(c)
-    v = est.fp_float()
-    assert 0 < v < 2000  # true F2 = 200; sketch is coarse but positive
-
-
-def test_ams_degraded_max_frequency():
-    est = AmsSuffixF2(2, seed=0)
-    with pytest.raises(DegradedEstimate):
-        est.max_frequency()
-
-
-def test_payload_rows_track_suffix():
-    created = []
-
-    def factory(t):
-        created.append(t)
-
-        class P:
-            def __init__(self):
-                self.seen = []
-
-            def update(self, coord, time):
-                self.seen.append(coord)
-        return P()
-
-    hist = SmoothHistogram(1, W=3, payload_factory=factory)
-    for c in [5, 6, 7]:
+def test_bracket_row_counts_track_suffix():
+    # Row j's estimator has ingested exactly the suffix from t_j: its counts
+    # equal a recount of that suffix, for the bracketing row and every other.
+    coords = [substream(4, "s").randrange(4) + 1 for _ in range(120)]
+    hist = SmoothHistogram(2, W=7, seed=1)
+    for t, c in enumerate(coords, 1):
         hist.update(c)
-    row = hist.bracket()
-    # The bracketing row's payload saw exactly the suffix from its start.
-    assert row.payload.seen == [5, 6, 7][row.t_start - 1:]
+        assert hist.bracket() is hist.rows[0]
+        for row in hist.rows:
+            assert row.est.counts == Counter(coords[row.t_start - 1:t]), (t, row.t_start)
