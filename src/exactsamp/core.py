@@ -57,7 +57,7 @@ class SampleResult:
     outcome: str  # INDEX / BOTTOM / FAIL
     index: Optional[int] = None
     frequency: Optional[int] = None
-    repetition: Optional[int] = None
+    repetition: Optional[int] = None  # the first accepting repetition, where set
 
     @classmethod
     def of(cls, index, frequency=None, repetition=None):

@@ -16,8 +16,9 @@ import math
 from collections import OrderedDict, deque
 from fractions import Fraction
 
-from .core import SampleResult
+from .core import INDEX, SampleResult
 from .exactrand import bernoulli_fraction, substream
+from .gsampler import first_accepted
 
 
 class F0State:
@@ -75,7 +76,9 @@ class F0State:
             support = sorted(freq)
             i = support[rng.randrange(len(support))]
             return SampleResult.of(i, frequency=freq[i])
-        members = sorted(c for c in freq if c in self.S)
+        # The members are S & support; scan the smaller of the two.
+        few, many = (self.S, freq) if len(self.S) < len(freq) else (freq, self.S)
+        members = sorted(c for c in few if c in many)
         if not members:
             return SampleResult.fail()
         i = members[rng.randrange(len(members))]
@@ -83,8 +86,9 @@ class F0State:
 
 
 class F0Sampler:
-    """delta-boosted F0 sampler: R independent instances, first success wins
-    a uniform pick among successes."""
+    """delta-boosted F0 sampler over R independent instances.  A draw returns
+    the first instance that hits: each hit is uniform over the support
+    whatever the other instances do, so the first one is too."""
 
     def __init__(self, n, delta=0.1, seed=0, window=None, repetitions=None):
         if repetitions is None:
@@ -103,14 +107,13 @@ class F0Sampler:
             self.update(u.coord if hasattr(u, "coord") else u)
 
     def draw(self):
-        rng = substream(self.seed, "draw")
-        results = [st.draw(rng) for st in self.states]
-        hits = [r for r in results if r.outcome == "index"]
-        if hits:
-            return hits[rng.randrange(len(hits))]
-        if all(r.outcome == "bottom" for r in results):
+        # Every instance ingests the same stream: all are empty or none is.
+        if not self.states[0]._freq:
             return SampleResult.bottom()
-        return SampleResult.fail()
+        rng = substream(self.seed, "draw")
+        draws = (st.draw(rng) for st in self.states)
+        return first_accepted(((res, res.outcome) for res in draws),
+                              lambda outcome: outcome == INDEX) or SampleResult.fail()
 
 
 class TukeySampler:
@@ -137,20 +140,12 @@ class TukeySampler:
             self.update(u.coord if hasattr(u, "coord") else u)
 
     def draw(self):
+        if not self.states[0]._freq:
+            return SampleResult.bottom()
         rng = substream(self.seed, "draw")
         g_cap = self.measure.tau * self.measure.tau / 6
-        accepted = []
-        saw_nonempty = False
-        for st in self.states:
-            res = st.draw(rng)
-            if res.outcome == "bottom":
-                continue
-            saw_nonempty = True
-            if res.outcome != "index":
-                continue
-            q = Fraction(self.measure.g_exact(res.frequency)) / g_cap
-            if bernoulli_fraction(q, rng):
-                accepted.append(res)
-        if accepted:
-            return accepted[rng.randrange(len(accepted))]
-        return SampleResult.fail() if saw_nonempty else SampleResult.bottom()
+        draws = (st.draw(rng) for st in self.states)
+        return first_accepted(
+            ((res, res.frequency) for res in draws if res.outcome == INDEX),
+            lambda f: bernoulli_fraction(Fraction(self.measure.g_exact(f)) / g_cap, rng)
+        ) or SampleResult.fail()

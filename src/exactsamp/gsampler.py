@@ -7,6 +7,15 @@ probability G(f_i)/(zeta m) per repetition, i.e. exactly G(f_i)/F_G
 conditioned on success.  Acceptance draws are exact (rational or
 interval-refined), never float comparisons.
 
+A draw walks the repetitions in index order and returns the first one that
+accepts, so it runs about 1/s acceptance tests instead of R, with s the
+per-repetition success probability.  That is the same law as a uniform pick
+among all accepting repetitions: the repetitions are i.i.d. given the stream
+(each unit has its own substream and each test draws fresh exact bits), so
+either way Pr[out = j] = Pr[accept, sample = j] (1 - (1 - s)^R) / s, and FAIL
+has probability (1 - s)^R.  SampleResult.repetition names the first accepting
+repetition.
+
 For L_p with p in (1,2] the increment bound is zeta = 2 Z^{p-1} with Z the
 deterministic Misra-Gries bound on the max frequency; the sampler builds a
 summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
@@ -49,6 +58,22 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
         return ilo / zhi, ihi / zlo
 
     return bernoulli_bounds(refine, rng)
+
+
+def first_accepted(candidates, accept):
+    """The result of the first candidate whose acceptance test passes, or
+    None when none does.
+
+    candidates lazily yields (result, *args), one per live repetition in
+    index order, and accept(*args) runs that repetition's exact test; later
+    repetitions are neither built nor tested.  For i.i.d. repetitions this is
+    the law of a uniform pick among all accepting ones (see the module
+    docstring).
+    """
+    for result, *args in candidates:
+        if accept(*args):
+            return result
+    return None
 
 
 class GSampler:
@@ -125,17 +150,12 @@ class GSampler:
             return SampleResult.bottom()
         rng = substream(self.seed, "draw")
         zeta_exact, zeta_bounds = self._zeta_at_draw()
-        accepted = []
-        for i in range(self.R):
-            s, _, c = self.bank.effective(i)
-            if s is None:
-                continue
-            if accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng):
-                accepted.append((i, s))
-        if not accepted:
-            return SampleResult.fail()
-        rep, s = accepted[rng.randrange(len(accepted))]
-        return SampleResult.of(s, repetition=rep)
+        live = ((SampleResult.of(s, repetition=i), c)
+                for i, (s, _, c) in enumerate(map(self.bank.effective, range(self.R)))
+                if s is not None)
+        return first_accepted(
+            live, lambda c: accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng)
+        ) or SampleResult.fail()
 
 
 def lp_sampler(p, n, m, delta=0.1, seed=0, repetitions=None):

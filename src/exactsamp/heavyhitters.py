@@ -4,13 +4,17 @@ The summary keeps at most k counters.  Instead of decrementing every counter
 when a new item arrives at a full table, a global offset is incremented;
 entries whose stored count falls to the offset are dead and are evicted
 lazily via a min-heap, keeping updates O(log k) amortized even for weighted
-updates.  Estimates satisfy f_i - m/k <= estimate(i) <= f_i with
+updates.  The heap keeps stale entries until they surface, and is rebuilt
+from the counters whenever it holds more than HEAP_SLACK entries per counter,
+so it stays O(k).  Estimates satisfy f_i - m/k <= estimate(i) <= f_i with
 probability 1.
 """
 
 import heapq
 import math
 from fractions import Fraction
+
+HEAP_SLACK = 4  # the heap holds at most this many entries per counter
 
 
 class MGSummary:
@@ -57,22 +61,27 @@ class MGSummary:
             v = counts[coord] + weight
             counts[coord] = v
             heapq.heappush(self._heap, (v, coord))
-            return
-        if len(counts) < self.k:
+        elif len(counts) < self.k:
             v = self.offset + weight
             counts[coord] = v
             heapq.heappush(self._heap, (v, coord))
-            return
-        # Table full: play the new weight against the global decrement.
-        low = self._min_effective()
-        if weight <= low:
-            self.offset += weight
         else:
-            self.offset += low
-            v = self.offset + (weight - low)
-            counts[coord] = v
-            heapq.heappush(self._heap, (v, coord))
-        self._evict_dead()
+            # Table full: play the new weight against the global decrement.
+            low = self._min_effective()
+            if weight <= low:
+                self.offset += weight
+            else:
+                self.offset += low
+                v = self.offset + (weight - low)
+                counts[coord] = v
+                heapq.heappush(self._heap, (v, coord))
+            self._evict_dead()
+        if len(self._heap) > HEAP_SLACK * len(counts):
+            # Mostly stale: rebuild from the live entries.  Each rebuild drops
+            # over (HEAP_SLACK - 1) stale entries per live one, so its cost is
+            # amortized over the pushes that made them.
+            self._heap = [(v, c) for c, v in counts.items()]
+            heapq.heapify(self._heap)
 
     def estimate(self, coord):
         v = self.counts.get(coord)

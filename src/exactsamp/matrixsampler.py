@@ -3,7 +3,8 @@
 Each repetition reservoir-samples one matrix update (r, c) and tracks the
 vector v of updates to row r arriving strictly after the sampled one.  At
 draw time it accepts with probability (G(v + e_c) - G(v)) / zeta, which
-telescopes along each row to G(m_i)/(zeta m).
+telescopes along each row to G(m_i)/(zeta m).  A draw returns the first
+accepting repetition (gsampler.first_accepted).
 """
 
 import math
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from .core import SampleResult
 from .exactrand import bernoulli_bounds, bernoulli_fraction, root_bounds, substream
-from .gsampler import repetitions_for
+from .gsampler import first_accepted, repetitions_for
 from .reservoir import _next_jump
 
 
@@ -146,14 +147,8 @@ class MatrixSampler:
         if self.r_seen == 0:
             return SampleResult.bottom()
         rng = substream(self.seed, "draw")
-        accepted = []
-        for i in range(self.R):
-            row = self.unit_row[i]
-            if row is None:
-                continue
-            if _accept_row(self.measure, self.unit_v[i], self.unit_col[i], rng):
-                accepted.append((i, row))
-        if not accepted:
-            return SampleResult.fail()
-        rep, row = accepted[rng.randrange(len(accepted))]
-        return SampleResult.of(row, repetition=rep)
+        live = ((SampleResult.of(row, repetition=i), self.unit_v[i], self.unit_col[i])
+                for i, row in enumerate(self.unit_row) if row is not None)
+        return first_accepted(
+            live, lambda v, col: _accept_row(self.measure, v, col, rng)
+        ) or SampleResult.fail()

@@ -11,7 +11,8 @@ chains, a further ceil(1/gamma) passes narrow the universe to the chunks of
 mass >= m/ceil(n^{1-1/p}) yielding a deterministic Z with
 max f <= Z <= max f + m/ceil(n^{1-1/p}), and each chain's sample (i, f_i)
 passes the usual acceptance ((c+1)^p - c^p) / (2 Z^{p-1}) with c a uniform
-strictly-after occurrence count.
+strictly-after occurrence count.  The chains are i.i.d., so the draw returns
+the first accepting one (gsampler.first_accepted).
 """
 
 import math
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from .core import SampleResult, parse_stream
 from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_bounds, pow_exact, substream
+from .gsampler import first_accepted
 
 
 class ReplayableStream:
@@ -194,30 +196,24 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
     if zeta_exact is not None:
         zeta_exact = 2 * zeta_exact
     rng = substream(seed, "accept")
-    accepted = []
-    for idx, chain in enumerate(chains):
-        if chain is None:
-            continue
-        coord, f = chain
+
+    def accept(f):
         j = rng.randrange(f) + 1
         c = f - j
         num = pow_exact(Fraction(c + 1), p)
         if num is not None and zeta_exact is not None:
-            prob = (num - pow_exact(Fraction(c), p)) / zeta_exact
-            ok = bernoulli_fraction(prob, rng)
-        else:
-            def refine(prec, c=c):
-                nlo, nhi = pow_bounds(Fraction(c + 1), p, prec)
-                clo, chi = pow_bounds(Fraction(c), p, prec)
-                zlo, zhi = pow_bounds(Z, p - 1, prec)
-                lo = nlo - chi
-                if lo < 0:
-                    lo = Fraction(0)
-                return lo / (2 * zhi), (nhi - clo) / (2 * zlo)
-            ok = bernoulli_bounds(refine, rng)
-        if ok:
-            accepted.append((idx, coord))
-    if not accepted:
-        return SampleResult.fail()
-    rep, coord = accepted[rng.randrange(len(accepted))]
-    return SampleResult.of(coord, repetition=rep)
+            return bernoulli_fraction((num - pow_exact(Fraction(c), p)) / zeta_exact, rng)
+
+        def refine(prec):
+            nlo, nhi = pow_bounds(Fraction(c + 1), p, prec)
+            clo, chi = pow_bounds(Fraction(c), p, prec)
+            zlo, zhi = pow_bounds(Z, p - 1, prec)
+            lo = nlo - chi
+            if lo < 0:
+                lo = Fraction(0)
+            return lo / (2 * zhi), (nhi - clo) / (2 * zlo)
+        return bernoulli_bounds(refine, rng)
+
+    live = ((SampleResult.of(chain[0], repetition=idx), chain[1])
+            for idx, chain in enumerate(chains) if chain is not None)
+    return first_accepted(live, accept) or SampleResult.fail()

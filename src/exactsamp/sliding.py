@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import SampleResult, lp_measure
 from .exactrand import np_substream, pow_bounds, substream
-from .gsampler import accept_increment, repetitions_for
+from .gsampler import accept_increment, first_accepted, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
 
@@ -89,17 +89,12 @@ class CheckpointedSampler:
         bank = self._draw_bank()
         rng = substream(self.seed, "draw")
         cutoff = self.t - self.W
-        accepted = []
-        for i in range(self.R):
-            s, t_s, c = bank.effective(i)
-            if s is None or t_s <= cutoff:
-                continue
-            if accept_increment(self.measure, c, self.zeta, None, rng):
-                accepted.append((i, s))
-        if not accepted:
-            return SampleResult.fail()
-        rep, s = accepted[rng.randrange(len(accepted))]
-        return SampleResult.of(s, repetition=rep)
+        live = ((SampleResult.of(s, repetition=i), c)
+                for i, (s, t_s, c) in enumerate(map(bank.effective, range(self.R)))
+                if s is not None and t_s > cutoff)
+        return first_accepted(
+            live, lambda c: accept_increment(self.measure, c, self.zeta, None, rng)
+        ) or SampleResult.fail()
 
 
 _EMPTY = np.uint64(2 ** 64 - 1)  # priority of an unused stack slot
@@ -261,15 +256,11 @@ class SlidingLpSampler:
         live = [(i, *self.minima.entry(q))
                 for i, q in enumerate(self.minima.first_at(row.t_start).tolist()) if q > t - self.W]
         rng = substream(self.seed, "draw")
-        accepted = []
         try:
             bounds = self._zeta_bounds(row.est, max((c for _, _, c in live), default=0))
-            for i, coord, c in live:
-                if accept_increment(self.measure, c, None, bounds, rng):
-                    accepted.append((i, coord))
+            return first_accepted(
+                ((SampleResult.of(coord, repetition=i), c) for i, coord, c in live),
+                lambda c: accept_increment(self.measure, c, None, bounds, rng)
+            ) or SampleResult.fail()
         except DegradedEstimate:
             return SampleResult.fail()
-        if not accepted:
-            return SampleResult.fail()
-        rep, s = accepted[rng.randrange(len(accepted))]
-        return SampleResult.of(s, repetition=rep)

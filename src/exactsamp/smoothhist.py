@@ -86,13 +86,14 @@ class SmoothHistogram:
         pf = float(self.p)
         self.beta = beta if beta is not None else (0.5 ** pf) / (pf ** pf)
         self.estimator_factory = estimator_factory or ExactSuffixFp
+        self._est_seeds = substream(seed, "est")  # row t's estimator gets its t-th draw
         self.rows = []
         self.t = 0
 
     def update(self, coord):
         self.t += 1
         t = self.t
-        est = self.estimator_factory(self.p, substream(self.seed, "est", t).getrandbits(64))
+        est = self.estimator_factory(self.p, self._est_seeds.getrandbits(64))
         self.rows.append(_Row(t, est))
         for row in self.rows:
             row.est.update(coord)

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,17 @@ from exactsamp.core import (
     validate_stream,
     write_stream,
 )
+
+
+def test_package_import_skips_scipy():
+    # scipy is loaded only by the goodness-of-fit test that needs it.
+    import exactsamp
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactsamp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import exactsamp, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=120)
 
 
 def test_huber_value():

@@ -2,7 +2,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from exactsamp.core import tukey_measure
+from exactsamp.core import SampleResult, tukey_measure
+from exactsamp.exactrand import substream
 from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
 from exactsamp import oracle
 
@@ -59,6 +60,39 @@ def test_sliding_window_never_expired():
         res = st.draw(__import__("random").Random(t))
         if res.outcome == "index":
             assert res.index in stream[-W:]
+
+
+def _draw_scanning_support(st, rng):
+    """F0State.draw as it was written with S & support taken by scanning the
+    whole support."""
+    freq = st.active_frequencies()
+    if not freq:
+        return SampleResult.bottom()
+    small = len(freq) < st.cap if st.window is not None else len(st.T) < st.cap
+    if small:
+        support = sorted(freq)
+        i = support[rng.randrange(len(support))]
+        return SampleResult.of(i, frequency=freq[i])
+    members = sorted(c for c in freq if c in st.S)
+    if not members:
+        return SampleResult.fail()
+    i = members[rng.randrange(len(members))]
+    return SampleResult.of(i, frequency=freq[i])
+
+
+def test_draw_matches_support_scan_fuzzed():
+    rng = substream(0, "f0-fuzz")
+    scanned = Counter()
+    for t in range(400):
+        n = rng.randrange(4, 120)
+        window = rng.choice([None, rng.randrange(1, 3 * n)])
+        st = F0State(n, seed=t, window=window)
+        for _ in range(rng.randrange(0, 4 * n)):
+            st.update(rng.randrange(n) + 1)
+        mode = "window" if window else "insertion-only"
+        scanned[mode, len(st.S) < len(st.active_frequencies())] += 1
+        assert st.draw(substream(t, "d")) == _draw_scanning_support(st, substream(t, "d"))
+    assert len(scanned) == 4 and min(scanned.values()) > 20, scanned
 
 
 def test_sliding_window_frequencies_active_only():

@@ -1,11 +1,14 @@
+import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from exactsamp import gsampler
 from exactsamp.core import Update, huber_measure, l1l2_measure, lp_measure
-from exactsamp.gsampler import GSampler, lp_sampler, repetitions_for
+from exactsamp.gsampler import GSampler, first_accepted, lp_sampler, repetitions_for
 from exactsamp.heavyhitters import mg_budget
 from exactsamp import oracle
 
@@ -127,3 +130,86 @@ def test_z_derived_gsampler_builds_its_own_summary():
 def test_z_derived_gsampler_without_p_is_rejected():
     with pytest.raises(ValueError, match="pass p"):
         GSampler(lp_measure(Fraction(3, 2)), 50, 100)
+
+
+# Per-unit laws over (sample, accepted); sample None is a unit without a
+# sample, which draw sites leave out of the candidates.
+UNIT_LAWS = [
+    {(1, True): Fraction(1, 3), (2, True): Fraction(1, 6),
+     (1, False): Fraction(1, 4), (2, False): Fraction(1, 4)},
+    {(None, False): Fraction(1, 5), (1, True): Fraction(1, 5),
+     (2, False): Fraction(2, 5), (3, True): Fraction(1, 5)},
+    {(1, True): Fraction(1, 2), (2, True): Fraction(1, 2)},
+    {(1, False): Fraction(2, 3), (None, False): Fraction(1, 3)},
+]
+
+
+def test_first_accepted_law_equals_uniform_pick_exactly():
+    # R i.i.d. units, every joint outcome scripted: the first accepting unit
+    # has exactly the law of a uniform pick among all accepting units,
+    # FAIL mass included, and no unit after it is tested.
+    for law, R in itertools.product(UNIT_LAWS, (1, 2, 3)):
+        first, uniform = Counter(), Counter()
+        for joint in itertools.product(law.items(), repeat=R):
+            prob = math.prod(pr for _, pr in joint)
+            units = [unit for unit, _ in joint]
+            tested = []
+
+            def accept(i, ok):
+                tested.append(i)
+                return ok
+
+            live = ((s, i, ok) for i, (s, ok) in enumerate(units) if s is not None)
+            out = first_accepted(live, accept)
+            first[out] += prob
+            accepted = [s for s, ok in units if s is not None and ok]
+            for s in accepted:
+                uniform[s] += prob / len(accepted)
+            if not accepted:
+                uniform[None] += prob
+            stop = next((i for i, (s, ok) in enumerate(units) if s is not None and ok), R)
+            assert tested == [i for i, (s, _) in enumerate(units[:stop + 1]) if s is not None]
+        assert first == uniform, (law, R)
+        s_acc = sum(pr for (s, ok), pr in law.items() if s is not None and ok)
+        assert first[None] == (1 - s_acc) ** R
+
+
+def test_draw_stops_at_first_accepted_repetition(monkeypatch):
+    # L_1 with zeta = 1 accepts every repetition, so a draw tests one.
+    calls = Counter()
+    real = gsampler.accept_increment
+
+    def counting(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gsampler, "accept_increment", counting)
+    s = GSampler(lp_measure(1), n=10, m=50, zeta=1, repetitions=1000, seed=4)
+    for k in range(5):
+        s.process([k % 10 + 1, (3 * k) % 10 + 1] * 5)
+        calls.clear()
+        res = s.draw()
+        assert res.outcome == "index" and res.repetition == 0
+        assert calls["n"] == 1
+
+
+def test_draw_time_flat_in_repetitions():
+    # Every coordinate occurs twice, so a repetition accepts with
+    # probability F_{1/2}/m = sqrt(2)/2; draws should not scale with R.
+    coords = [i // 2 + 1 for i in range(2000)]
+
+    def best_draw_time(R):
+        s = lp_sampler(Fraction(1, 2), n=1000, m=len(coords), seed=9, repetitions=R)
+        s.process(coords)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for _ in range(20):
+                s.draw()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    t64 = best_draw_time(64)
+    t4096 = best_draw_time(4096)
+    print("draw time: R=64 %.2e s, R=4096 %.2e s (ratio %.2f)" % (t64, t4096, t4096 / t64))
+    assert t4096 <= 3.0 * t64, (t64, t4096)

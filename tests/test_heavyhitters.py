@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactsamp.exactrand import substream
-from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
+from exactsamp.heavyhitters import HEAP_SLACK, MGSummary, mg_budget, z_bound
 
 
 def test_hand_example_k2():
@@ -95,3 +95,49 @@ def test_weighted_matches_unit_updates():
     # Weighted and unit-by-unit runs need not agree exactly, but both must
     # satisfy the error bound against the same frequencies; compare totals.
     assert a.m_seen == b.m_seen
+
+
+class HeapFreeMG:
+    """Misra-Gries with the global offset and no heap: the minimum and the
+    dead entries are found by scanning every counter."""
+
+    def __init__(self, k):
+        self.k, self.counts, self.offset, self.m_seen = k, {}, 0, 0
+
+    def update(self, coord, weight=1):
+        self.m_seen += weight
+        counts = self.counts
+        if coord in counts:
+            counts[coord] += weight
+        elif len(counts) < self.k:
+            counts[coord] = self.offset + weight
+        else:
+            low = min(counts.values()) - self.offset
+            self.offset += min(weight, low)
+            if weight > low:
+                counts[coord] = self.offset + weight - low
+            self.counts = {c: v for c, v in counts.items() if v > self.offset}
+
+
+def test_mg_matches_heap_free_reference_and_heap_stays_small():
+    rng = substream(0, "mg-fuzz")
+    rebuilds = 0
+    for _ in range(300):
+        k = rng.randrange(1, 7)
+        n = rng.randrange(k, 2 * k + 3)
+        s, ref = MGSummary(k), HeapFreeMG(k)
+        for _ in range(rng.randrange(1, 400)):
+            coord, w = rng.randrange(n) + 1, rng.randrange(1, 5)
+            before = len(s._heap)
+            s.update(coord, w)
+            ref.update(coord, w)
+            rebuilds += len(s._heap) < before
+            assert len(s._heap) <= HEAP_SLACK * len(s.counts)
+            assert set(s._heap) >= {(v, c) for c, v in s.counts.items()}
+            assert s.items() == {c: v - ref.offset for c, v in ref.counts.items()}
+        for coord in range(1, n + 1):
+            assert s.estimate(coord) == max(ref.counts.get(coord, 0) - ref.offset, 0)
+        for universe in (1, 4, 12):
+            assert z_bound(s, 2, universe) == z_bound(ref, 2, universe)
+    assert rebuilds > 1000
+

@@ -126,7 +126,7 @@ def test_lp_empirical_law_p2():
 
 
 def test_lp_law_fractional_p():
-    # Chains are i.i.d., so the uniform merge over accepted chains keeps the
+    # Chains are i.i.d., so returning the first accepted chain keeps the
     # single-chain conditional f^p / F_p (no multi-harvest bias here).
     freqs = {1: 3, 2: 1, 3: 1}
     p = Fraction(3, 2)

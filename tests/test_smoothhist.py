@@ -82,3 +82,21 @@ def test_bracket_row_counts_track_suffix():
         assert hist.bracket() is hist.rows[0]
         for row in hist.rows:
             assert row.est.counts == Counter(coords[row.t_start - 1:t]), (t, row.t_start)
+
+
+def test_estimator_seeds_distinct_and_deterministic():
+    def seeds(seed):
+        got = []
+
+        def factory(p, s):
+            got.append(s)
+            return ExactSuffixFp(p, s)
+
+        hist = SmoothHistogram(2, W=8, seed=seed, estimator_factory=factory)
+        for c in [1, 2, 1, 3] * 10:
+            hist.update(c)
+        return got
+
+    a = seeds(5)
+    assert len(a) == 40 and len(set(a)) == 40
+    assert a == seeds(5) and a != seeds(6)
