@@ -170,7 +170,11 @@ def cmd_sample(args):
     hist = {}
     t0 = time.perf_counter()
     for k in range(args.trials):
-        res = _build_and_draw(args, config, updates, args.seed + k)
+        try:
+            res = _build_and_draw(args, config, updates, args.seed + k)
+        except ValueError as e:  # e.g. a deletion fed to an insertion-only sampler
+            print("error: %s" % e, file=sys.stderr)
+            return 2
         outcomes[res.outcome] += 1
         if res.outcome == "index":
             hist[res.index] = hist.get(res.index, 0) + 1

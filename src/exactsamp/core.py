@@ -47,6 +47,24 @@ class StreamConfig:
             raise ValueError("matrix model needs d >= 1")
 
 
+class UnitUpdates:
+    """process() for the samplers of unit-delta streams, which take one
+    coordinate at a time through update(coord)."""
+
+    def process(self, updates):
+        """Feed updates (Update objects or bare coordinates) in order.  An
+        Update with delta != 1 is rejected: these samplers count every update
+        as one insertion, so they cannot take a deletion."""
+        update = self.update
+        for u in updates:
+            if hasattr(u, "coord"):
+                if u.delta != 1:
+                    raise ValueError("%s takes unit insertions, got delta %d"
+                                     % (type(self).__name__, u.delta))
+                u = u.coord
+            update(u)
+
+
 INDEX = "index"
 BOTTOM = "bottom"
 FAIL = "fail"
@@ -99,16 +117,23 @@ class MeasureFunction:
         """Deterministic rational lower bound on F_G given total mass m."""
         raise NotImplementedError
 
+    def step(self, c):
+        """The arguments of G before and after one more occurrence, given the
+        strictly-after state c."""
+        return c, c + 1
+
     def increment_exact(self, c):
-        a = self.g_exact(c + 1)
-        b = self.g_exact(c)
+        before, after = self.step(c)
+        a = self.g_exact(after)
+        b = self.g_exact(before)
         if a is None or b is None:
             return None
         return a - b
 
     def increment_bounds(self, c, prec):
-        alo, ahi = self.g_bounds(c + 1, prec)
-        blo, bhi = self.g_bounds(c, prec)
+        before, after = self.step(c)
+        alo, ahi = self.g_bounds(after, prec)
+        blo, bhi = self.g_bounds(before, prec)
         return alo - bhi, ahi - blo
 
     def __repr__(self):

@@ -8,6 +8,10 @@ T is the whole support and the draw is uniform over it; otherwise the draw is
 uniform over U, failing when U is empty.  Either branch is exactly uniform
 over the support, and the sampled frequency f_i is reported with the index.
 
+T, the window ring and the active frequencies depend on the stream alone, so
+the R instances of a sampler share one F0State, updated once per update, and
+each instance is only its subset S, passed to F0State.draw.
+
 The Tukey sampler accepts an F0 draw (i, f_i) with probability G(f_i)/G(tau),
 turning uniform-over-support into G(f_i)/F_G exactly.
 """
@@ -16,19 +20,19 @@ import math
 from collections import OrderedDict, deque
 from fractions import Fraction
 
-from .core import INDEX, SampleResult
+from .core import INDEX, SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, substream
 from .gsampler import first_accepted
 
 
 class F0State:
-    def __init__(self, n, seed, window=None):
+    """The stream state of an F0 instance: T, the window ring and the active
+    frequencies.  The instance's subset S comes from subset(seed)."""
+
+    def __init__(self, n, window=None):
         self.n = n
-        self.seed = seed
         self.window = window
         self.cap = math.isqrt(n) + (0 if math.isqrt(n) ** 2 == n else 1)
-        rng = substream(seed, "subset")
-        self.S = frozenset(rng.sample(range(1, n + 1), min(2 * self.cap, n)))
         self.T = OrderedDict()  # coord -> last-seen time (insertion/LRU order)
         self.t = 0
         # Window bookkeeping: ring of recent updates + active frequency map.
@@ -63,7 +67,13 @@ class F0State:
     def active_frequencies(self):
         return dict(self._freq)
 
-    def draw(self, rng):
+    def subset(self, seed):
+        """An instance's random subset S of [n], of size min(2 cap, n)."""
+        rng = substream(seed, "subset")
+        return frozenset(rng.sample(range(1, self.n + 1), min(2 * self.cap, self.n)))
+
+    def draw(self, S, rng):
+        """One draw of the instance with subset S."""
         freq = self._freq
         if not freq:
             return SampleResult.bottom()
@@ -77,7 +87,7 @@ class F0State:
             i = support[rng.randrange(len(support))]
             return SampleResult.of(i, frequency=freq[i])
         # The members are S & support; scan the smaller of the two.
-        few, many = (self.S, freq) if len(self.S) < len(freq) else (freq, self.S)
+        few, many = (S, freq) if len(S) < len(freq) else (freq, S)
         members = sorted(c for c in few if c in many)
         if not members:
             return SampleResult.fail()
@@ -85,7 +95,7 @@ class F0State:
         return SampleResult.of(i, frequency=freq[i])
 
 
-class F0Sampler:
+class F0Sampler(UnitUpdates):
     """delta-boosted F0 sampler over R independent instances.  A draw returns
     the first instance that hits: each hit is uniform over the support
     whatever the other instances do, so the first one is too."""
@@ -95,57 +105,40 @@ class F0Sampler:
             repetitions = max(1, math.ceil(2 * math.log(1.0 / delta)))
         self.R = repetitions
         self.seed = seed
-        self.states = [F0State(n, substream(seed, "rep", i).getrandbits(64), window)
-                       for i in range(self.R)]
+        self.state = F0State(n, window)
+        self.subsets = [self.state.subset(substream(seed, "rep", i).getrandbits(64))
+                        for i in range(self.R)]
 
     def update(self, coord):
-        for st in self.states:
-            st.update(coord)
+        self.state.update(coord)
 
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
+    def accept(self, f, rng):
+        """Whether a hit of frequency f is kept: always, for uniform support
+        sampling."""
+        return True
 
     def draw(self):
-        # Every instance ingests the same stream: all are empty or none is.
-        if not self.states[0]._freq:
+        # The instances share one stream state: all are empty or none is.
+        if not self.state._freq:
             return SampleResult.bottom()
         rng = substream(self.seed, "draw")
-        draws = (st.draw(rng) for st in self.states)
-        return first_accepted(((res, res.outcome) for res in draws),
-                              lambda outcome: outcome == INDEX) or SampleResult.fail()
+        draws = (self.state.draw(S, rng) for S in self.subsets)
+        return first_accepted(((res, res.frequency) for res in draws if res.outcome == INDEX),
+                              lambda f: self.accept(f, rng)) or SampleResult.fail()
 
 
-class TukeySampler:
+class TukeySampler(F0Sampler):
     """F0 draws filtered through the Tukey acceptance G(f_i)/G(tau)."""
 
     def __init__(self, measure, n, delta=0.1, seed=0, window=None, repetitions=None):
         self.measure = measure
-        self.seed = seed
         if repetitions is None:
             g1 = measure.g_exact(1)
             gtau = measure.tau * measure.tau / 6  # the saturation value G(tau)
             boost = float(gtau / g1)
             repetitions = max(1, math.ceil(4 * boost * math.log(1.0 / delta)))
-        self.R = repetitions
-        self.states = [F0State(n, substream(seed, "rep", i).getrandbits(64), window)
-                       for i in range(self.R)]
+        super().__init__(n, delta, seed, window, repetitions)
 
-    def update(self, coord):
-        for st in self.states:
-            st.update(coord)
-
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
-
-    def draw(self):
-        if not self.states[0]._freq:
-            return SampleResult.bottom()
-        rng = substream(self.seed, "draw")
+    def accept(self, f, rng):
         g_cap = self.measure.tau * self.measure.tau / 6
-        draws = (st.draw(rng) for st in self.states)
-        return first_accepted(
-            ((res, res.frequency) for res in draws if res.outcome == INDEX),
-            lambda f: bernoulli_fraction(Fraction(self.measure.g_exact(f)) / g_cap, rng)
-        ) or SampleResult.fail()
+        return bernoulli_fraction(Fraction(self.measure.g_exact(f)) / g_cap, rng)

@@ -24,7 +24,7 @@ summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
 import math
 from fractions import Fraction
 
-from .core import SampleResult
+from .core import SampleResult, UnitUpdates
 from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_bounds, pow_exact, substream
 from .heavyhitters import MGSummary, mg_budget, z_bound
 from .reservoir import SamplerBank
@@ -60,6 +60,21 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
     return bernoulli_bounds(refine, rng)
 
 
+def lp_zeta(Z, p):
+    """zeta = 2 Z^{p-1} for L_p, p in (1,2], as (zeta_exact, None) when it is
+    rational and (None, zeta_bounds) otherwise, the arguments that
+    accept_increment takes."""
+    exact = pow_exact(Z, p - 1)
+    if exact is not None:
+        return 2 * exact, None
+
+    def bounds(prec):
+        lo, hi = pow_bounds(Z, p - 1, prec)
+        return 2 * lo, 2 * hi
+
+    return None, bounds
+
+
 def first_accepted(candidates, accept):
     """The result of the first candidate whose acceptance test passes, or
     None when none does.
@@ -76,7 +91,7 @@ def first_accepted(candidates, accept):
     return None
 
 
-class GSampler:
+class GSampler(UnitUpdates):
     """measure + SamplerBank; zeta static, or Z-derived when p in (1,2]."""
 
     def __init__(self, measure, n, m, delta=0.1, seed=0, zeta=None,
@@ -126,24 +141,11 @@ class GSampler:
         if self.mg is not None:
             self.mg.update(coord)
 
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
-
     def _zeta_at_draw(self):
         """(zeta_exact or None, zeta_bounds or None)."""
         if self.zeta is not None:
             return self.zeta, None
-        Z = z_bound(self.mg, self.p, self.n)
-        exact = pow_exact(Z, self.p - 1)
-        if exact is not None:
-            return 2 * exact, None
-
-        def bounds(prec):
-            lo, hi = pow_bounds(Z, self.p - 1, prec)
-            return 2 * lo, 2 * hi
-
-        return None, bounds
+        return lp_zeta(z_bound(self.mg, self.p, self.n), self.p)
 
     def draw(self):
         if self.bank.r_seen == 0:

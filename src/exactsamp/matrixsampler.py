@@ -1,42 +1,38 @@
 """Truly perfect row sampling for matrices under entrywise insertion streams.
 
 Each repetition reservoir-samples one matrix update (r, c) and tracks the
-vector v of updates to row r arriving strictly after the sampled one.  At
-draw time it accepts with probability (G(v + e_c) - G(v)) / zeta, which
-telescopes along each row to G(m_i)/(zeta m).  A draw returns the first
-accepting repetition (gsampler.first_accepted).
+vector v of updates to row r arriving strictly after the sampled one.  The
+repetitions are the units of one SamplerBank keyed by row.  Beside it the
+sampler keeps the column counts of each row the bank tracks and, per unit, the
+sampled column and a snapshot of its row's counts at that time, so v is the
+counts minus the snapshot: the bank's offset trick, one column at a time.  An
+update costs O(d) per unit that samples it and O(1) otherwise, whatever R is.
+At draw time a repetition accepts with probability (G(v + e_c) - G(v)) / zeta
+(gsampler.accept_increment), which telescopes along each row to
+G(m_i)/(zeta m).  A draw returns the first accepting repetition
+(gsampler.first_accepted).
 """
 
 import math
 from fractions import Fraction
 
-from .core import SampleResult
-from .exactrand import bernoulli_bounds, bernoulli_fraction, root_bounds, substream
-from .gsampler import first_accepted, repetitions_for
-from .reservoir import _next_jump
+from .core import MeasureFunction, SampleResult
+from .exactrand import root_bounds, substream
+from .gsampler import accept_increment, first_accepted, repetitions_for
+from .reservoir import SamplerBank
 
 
-class RowMeasure:
-    """G over nonnegative integer vectors, with G(x) - G(x - e_i) <= zeta."""
+class RowMeasure(MeasureFunction):
+    """G over nonnegative integer vectors, with G(x) - G(x - e_i) <= zeta.
 
-    name = "abstract"
-    zeta = None
+    One more update (row, col) steps the row's vector v to v + e_col, so the
+    increment state is c = (v, col)."""
 
-    def g_exact(self, vec):
-        raise NotImplementedError
-
-    def g_bounds(self, vec, prec):
-        exact = self.g_exact(vec)
-        if exact is None:
-            raise NotImplementedError
-        return exact, exact
-
-    def g_float(self, vec):
-        lo, hi = self.g_bounds(vec, 40)
-        return float((lo + hi) / 2)
-
-    def fg_lower_bound(self, m):
-        raise NotImplementedError
+    def step(self, c):
+        v, col = c
+        plus = list(v)
+        plus[col - 1] += 1
+        return v, plus
 
 
 class L1RowMeasure(RowMeasure):
@@ -77,27 +73,6 @@ class L2RowMeasure(RowMeasure):
 ROW_MEASURES = {"l1_row": L1RowMeasure, "l2_row": L2RowMeasure}
 
 
-def _accept_row(measure, v_after, col, rng):
-    """Accept with probability (G(v + e_col) - G(v)) / zeta, exactly."""
-    plus = list(v_after)
-    plus[col - 1] += 1
-    zeta = measure.zeta
-    a = measure.g_exact(plus)
-    b = measure.g_exact(v_after)
-    if a is not None and b is not None:
-        return bernoulli_fraction((a - b) / zeta, rng)
-
-    def refine(prec):
-        alo, ahi = measure.g_bounds(plus, prec)
-        blo, bhi = measure.g_bounds(v_after, prec)
-        lo = alo - bhi
-        if lo < 0:
-            lo = Fraction(0)
-        return lo / zeta, (ahi - blo) / zeta
-
-    return bernoulli_bounds(refine, rng)
-
-
 class MatrixSampler:
     """R independent row-reservoir repetitions over an entrywise stream."""
 
@@ -113,42 +88,47 @@ class MatrixSampler:
             ratio = measure.zeta * max(m, 1) / fg
             repetitions = repetitions_for(ratio, delta)
         self.R = repetitions
-        self.r_seen = 0
-        self.unit_row = [None] * self.R
-        self.unit_col = [0] * self.R
-        self.unit_v = [None] * self.R  # list of d counters, strictly-after
-        self.unit_next = [1] * self.R
-        self.unit_rng = [substream(seed, "unit", i) for i in range(self.R)]
-        self.row_holders = {}  # row -> set of unit ids
+        # Unit i draws from substream(seed, "unit", i).
+        self.bank = SamplerBank(repetitions, seed)
+        self.counts = {}  # row -> column counts, kept while the bank tracks the row
+        self.unit_col = [0] * repetitions
+        self.unit_snap = [None] * repetitions  # the row's counts at the unit's sample
 
     def update(self, row, col):
-        r = self.r_seen + 1
-        self.r_seen = r
-        holders = self.row_holders.get(row)
-        if holders:
-            for i in holders:
-                self.unit_v[i][col - 1] += 1
-        for i in range(self.R):
-            if self.unit_next[i] == r:
-                old = self.unit_row[i]
-                if old is not None:
-                    self.row_holders[old].discard(i)
-                self.unit_row[i] = row
+        counts = self.counts.get(row)
+        if counts is not None:
+            counts[col - 1] += 1
+        picked = self.bank.update(row)
+        if picked:
+            if counts is None:
+                counts = self.counts[row] = [0] * self.d
+            snap = tuple(counts)
+            for i in picked:
                 self.unit_col[i] = col
-                self.unit_v[i] = [0] * self.d
-                self.row_holders.setdefault(row, set()).add(i)
-                self.unit_next[i] = _next_jump(r, self.unit_rng[i])
+                self.unit_snap[i] = snap
+            # Drop the rows the bank no longer tracks once they outnumber the
+            # tracked ones, at O(1) amortized cost.  Counting a stale row
+            # until then is harmless: only differences from a snapshot are read.
+            if len(self.counts) > 2 * len(self.bank.counters):
+                self.counts = {r: self.counts[r] for r in self.bank.counters}
 
     def process(self, updates):
         for u in updates:
+            if u.delta != 1:
+                raise ValueError("MatrixSampler takes unit insertions, got delta %d" % u.delta)
             self.update(u.coord, u.col)
 
+    def after(self, i):
+        """Unit i's vector of updates to its row strictly after its sample."""
+        row = self.bank.unit_s[i]
+        return [a - b for a, b in zip(self.counts[row], self.unit_snap[i])]
+
     def draw(self):
-        if self.r_seen == 0:
+        if self.bank.r_seen == 0:
             return SampleResult.bottom()
         rng = substream(self.seed, "draw")
-        live = ((SampleResult.of(row, repetition=i), self.unit_v[i], self.unit_col[i])
-                for i, row in enumerate(self.unit_row) if row is not None)
+        live = ((SampleResult.of(row, repetition=i), (self.after(i), self.unit_col[i]))
+                for i, row in enumerate(self.bank.unit_s) if row is not None)
         return first_accepted(
-            live, lambda v, col: _accept_row(self.measure, v, col, rng)
+            live, lambda c: accept_increment(self.measure, c, self.measure.zeta, None, rng)
         ) or SampleResult.fail()

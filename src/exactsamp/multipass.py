@@ -11,16 +11,18 @@ chains, a further ceil(1/gamma) passes narrow the universe to the chunks of
 mass >= m/ceil(n^{1-1/p}) yielding a deterministic Z with
 max f <= Z <= max f + m/ceil(n^{1-1/p}), and each chain's sample (i, f_i)
 passes the usual acceptance ((c+1)^p - c^p) / (2 Z^{p-1}) with c a uniform
-strictly-after occurrence count.  The chains are i.i.d., so the draw returns
-the first accepting one (gsampler.first_accepted).
+strictly-after occurrence count: the insertion-only samplers' exact test
+(gsampler.accept_increment with the L_p measure and gsampler.lp_zeta).  The
+chains are i.i.d., so the draw returns the first accepting one
+(gsampler.first_accepted).
 """
 
 import math
 from fractions import Fraction
 
-from .core import SampleResult, parse_stream
-from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_bounds, pow_exact, substream
-from .gsampler import first_accepted
+from .core import SampleResult, lp_measure, parse_stream
+from .exactrand import substream
+from .gsampler import accept_increment, first_accepted, lp_zeta
 
 
 class ReplayableStream:
@@ -191,28 +193,13 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
     chains, m = _parallel_l1_chains(stream, gamma, n, repetitions, seed)
     if m == 0:
         return SampleResult.bottom()
-    Z = narrow_z(stream, gamma, p, n)
-    zeta_exact = pow_exact(Z, p - 1)
-    if zeta_exact is not None:
-        zeta_exact = 2 * zeta_exact
+    zeta_exact, zeta_bounds = lp_zeta(narrow_z(stream, gamma, p, n), p)
+    measure = lp_measure(p)
     rng = substream(seed, "accept")
 
     def accept(f):
-        j = rng.randrange(f) + 1
-        c = f - j
-        num = pow_exact(Fraction(c + 1), p)
-        if num is not None and zeta_exact is not None:
-            return bernoulli_fraction((num - pow_exact(Fraction(c), p)) / zeta_exact, rng)
-
-        def refine(prec):
-            nlo, nhi = pow_bounds(Fraction(c + 1), p, prec)
-            clo, chi = pow_bounds(Fraction(c), p, prec)
-            zlo, zhi = pow_bounds(Z, p - 1, prec)
-            lo = nlo - chi
-            if lo < 0:
-                lo = Fraction(0)
-            return lo / (2 * zhi), (nhi - clo) / (2 * zlo)
-        return bernoulli_bounds(refine, rng)
+        c = f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f
+        return accept_increment(measure, c, zeta_exact, zeta_bounds, rng)
 
     live = ((SampleResult.of(chain[0], repetition=idx), chain[1])
             for idx, chain in enumerate(chains) if chain is not None)

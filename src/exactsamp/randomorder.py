@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SampleResult
+from .core import SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, np_substream, substream
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
@@ -62,7 +62,7 @@ def check_cap_config(n, W, C=CAP_CONSTANT):
                          % (n, W, C))
 
 
-class PairL2Sampler:
+class PairL2Sampler(UnitUpdates):
     """Adjacent-pair L2 sampler for random-order streams of length W."""
 
     def __init__(self, n, W, seed=0, C=CAP_CONSTANT):
@@ -96,10 +96,6 @@ class PairL2Sampler:
             for _ in range(self.downsample):
                 self.S.pop(self.rng.randrange(len(self.S)))
 
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
-
     def expire(self, now=None):
         now = self.t if now is None else now
         cutoff = now - self.W
@@ -115,7 +111,7 @@ class PairL2Sampler:
         return SampleResult.of(coord)
 
 
-class BlockLpSampler:
+class BlockLpSampler(UnitUpdates):
     """Block p-tuple sampler for random-order streams, integer p >= 3."""
 
     def __init__(self, n, W, p, seed=0, C=CAP_CONSTANT):
@@ -143,10 +139,6 @@ class BlockLpSampler:
         self._block_len += 1
         if self._block_len == self.B:
             self._close_block()
-
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
 
     def _close_block(self):
         B, p = self.B, self.p

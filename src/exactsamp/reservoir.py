@@ -78,13 +78,17 @@ class SamplerBank:
         self.heap = [(1, i) for i in range(R)]
 
     def update(self, coord, time=None):
+        """Feed one occurrence; returns the units that sampled it, or an
+        empty tuple when none did."""
         r = self.r_seen + 1
         self.r_seen = r
         counters = self.counters
         if coord in counters:
             counters[coord] += 1
         heap = self.heap
+        picked = ()
         if heap and heap[0][0] == r:
+            picked = []
             when = time if time is not None else self.start_time + r - 1
             while heap and heap[0][0] == r:
                 _, i = heapq.heappop(heap)
@@ -103,6 +107,8 @@ class SamplerBank:
                 self.unit_t[i] = when
                 self.unit_offset[i] = counters[coord]
                 heapq.heappush(heap, (_next_jump(r, self.unit_rng[i]), i))
+                picked.append(i)
+        return picked
 
     def effective(self, i):
         """(sampled coordinate, its timestamp, strictly-after count) of unit i."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SampleResult, lp_measure
+from .core import SampleResult, UnitUpdates, lp_measure
 from .exactrand import np_substream, pow_bounds, substream
 from .gsampler import accept_increment, first_accepted, repetitions_for
 from .reservoir import SamplerBank
@@ -41,7 +41,7 @@ def active_bank_start(t, W):
     return best
 
 
-class CheckpointedSampler:
+class CheckpointedSampler(UnitUpdates):
     def __init__(self, measure, W, n=None, delta=0.1, seed=0, zeta=None,
                  repetitions=None):
         self.measure = measure
@@ -71,10 +71,6 @@ class CheckpointedSampler:
                 self.banks.pop(0)
         for _, bank in self.banks:
             bank.update(coord, t)
-
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
 
     def _draw_bank(self):
         want = active_bank_start(self.t, self.W)
@@ -201,7 +197,7 @@ class SuffixMinima:
         return coord, self.counts[coord] - seen
 
 
-class SlidingLpSampler:
+class SlidingLpSampler(UnitUpdates):
     def __init__(self, p, W, n=None, delta=0.1, seed=0, repetitions=None,
                  estimator_factory=None):
         self.p = Fraction(p)
@@ -222,10 +218,6 @@ class SlidingLpSampler:
         self.hist.update(coord)
         self.minima.push(coord)
         self.minima.drop_before(self.hist.rows[0].t_start)
-
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
 
     def _zeta_bounds(self, est, c_max):
         """bounds(prec) on the normalizer p F^{p-1}, F = L_p of the bracketing

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import SampleResult
+from .core import SampleResult, UnitUpdates
 from .exactrand import np_substream
 from .heavyhitters import MGSummary
 
@@ -26,7 +26,7 @@ PRECISION = 1 << 20
 MG_EPSILON = 0.01  # k = 1/(2 eps) = 50 counters
 
 
-class DuplicatedExpState:
+class DuplicatedExpState(UnitUpdates):
     def __init__(self, p, D=256, seed=0):
         if not (0 < p < 1):
             raise ValueError("this sampler is for p in (0, 1)")
@@ -58,10 +58,6 @@ class DuplicatedExpState:
             wj = w[j]
             if wj > 0:
                 mg.update((coord, j), wj)
-
-    def process(self, updates):
-        for u in updates:
-            self.update(u.coord if hasattr(u, "coord") else u)
 
     def draw(self):
         if self.mg.m_seen == 0:

@@ -412,10 +412,11 @@ def test_f0_fail_rate_all_distinct():
     # All-distinct stream: the support contains every tracked subset member,
     # so a draw can never fail regardless of the subset choice.
     n = 10000
-    st = F0State(n, seed=41)
+    st = F0State(n)
+    S = st.subset(41)
     for c in range(1, n + 1):
         st.update(c)
-    fails = sum(st.draw(substream(t, "d")).outcome == "fail"
+    fails = sum(st.draw(S, substream(t, "d")).outcome == "fail"
                 for t in range(10000))
     assert fails == 0
 
@@ -428,10 +429,10 @@ def test_f0_fail_rate_sqrt_support():
     fails = 0
     trials = 10000
     for t in range(trials):
-        st = F0State(n, seed=100000 + t)
+        st = F0State(n)
         for c in support:
             st.update(c)
-        if st.draw(substream(t, "d2")).outcome == "fail":
+        if st.draw(st.subset(100000 + t), substream(t, "d2")).outcome == "fail":
             fails += 1
     rate = fails / trials
     assert rate <= 0.4, rate

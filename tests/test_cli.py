@@ -117,3 +117,15 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["sample", "--sampler", "lp"])  # missing --stream
     assert e.value.code == 2
+
+
+def test_sample_deletion_to_insertion_only_sampler_exit_2(tmp_path, capsys):
+    from exactsamp.core import StreamConfig, Update, write_stream
+
+    stream = tmp_path / "turnstile.jsonl"
+    write_stream(str(stream), StreamConfig(n=3, model="strict_turnstile"),
+                 [Update(1, time=1), Update(2, time=2), Update(1, delta=-1, time=3)])
+    code, _, err = run(capsys, ["sample", "--stream", str(stream), "--sampler", "gsampler",
+                                "--measure", "huber", "--tau", "2"])
+    assert code == 2
+    assert "delta -1" in err

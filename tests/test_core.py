@@ -158,3 +158,28 @@ def test_parse_rejects_garbage(tmp_path):
         fh.write("nonsense header\n")
     with pytest.raises(ValueError):
         parse_stream(path)
+
+
+def _unit_delta_samplers():
+    import exactsamp as es
+
+    return {
+        "gsampler": lambda: es.GSampler(huber_measure(2), 5, 5),
+        "f0": lambda: es.F0Sampler(5),
+        "tukey": lambda: es.TukeySampler(tukey_measure(2), 5),
+        "checkpointed": lambda: es.CheckpointedSampler(huber_measure(2), 4, 5),
+        "sliding_lp": lambda: es.SlidingLpSampler(2, 4, 5),
+        "pair": lambda: es.PairL2Sampler(5, 4),
+        "block": lambda: es.BlockLpSampler(5, 8, 3),
+        "smallp": lambda: es.DuplicatedExpState(0.5, 16),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(_unit_delta_samplers()))
+def test_process_rejects_deletions(family):
+    # A deletion is not an insertion: samplers of unit-delta streams refuse it
+    # instead of counting it as one more occurrence.
+    s = _unit_delta_samplers()[family]()
+    s.process([Update(1), 2])
+    with pytest.raises(ValueError, match="delta -1"):
+        s.process([Update(1, delta=-1)])

@@ -2,8 +2,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from exactsamp.core import SampleResult, tukey_measure
-from exactsamp.exactrand import substream
+from exactsamp.exactrand import bernoulli_fraction, substream
 from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
 from exactsamp import oracle
 
@@ -54,15 +57,15 @@ def test_sliding_window_never_expired():
     W = 4
     stream = [1, 2, 3, 4, 5, 6, 7, 8]
     for t in range(200):
-        st = F0State(16, seed=t, window=W)
+        st = F0State(16, window=W)
         for c in stream:
             st.update(c)
-        res = st.draw(__import__("random").Random(t))
+        res = st.draw(st.subset(t), __import__("random").Random(t))
         if res.outcome == "index":
             assert res.index in stream[-W:]
 
 
-def _draw_scanning_support(st, rng):
+def _draw_scanning_support(st, S, rng):
     """F0State.draw as it was written with S & support taken by scanning the
     whole support."""
     freq = st.active_frequencies()
@@ -73,7 +76,7 @@ def _draw_scanning_support(st, rng):
         support = sorted(freq)
         i = support[rng.randrange(len(support))]
         return SampleResult.of(i, frequency=freq[i])
-    members = sorted(c for c in freq if c in st.S)
+    members = sorted(c for c in freq if c in S)
     if not members:
         return SampleResult.fail()
     i = members[rng.randrange(len(members))]
@@ -86,17 +89,18 @@ def test_draw_matches_support_scan_fuzzed():
     for t in range(400):
         n = rng.randrange(4, 120)
         window = rng.choice([None, rng.randrange(1, 3 * n)])
-        st = F0State(n, seed=t, window=window)
+        st = F0State(n, window=window)
+        S = st.subset(t)
         for _ in range(rng.randrange(0, 4 * n)):
             st.update(rng.randrange(n) + 1)
         mode = "window" if window else "insertion-only"
-        scanned[mode, len(st.S) < len(st.active_frequencies())] += 1
-        assert st.draw(substream(t, "d")) == _draw_scanning_support(st, substream(t, "d"))
+        scanned[mode, len(S) < len(st.active_frequencies())] += 1
+        assert st.draw(S, substream(t, "d")) == _draw_scanning_support(st, S, substream(t, "d"))
     assert len(scanned) == 4 and min(scanned.values()) > 20, scanned
 
 
 def test_sliding_window_frequencies_active_only():
-    st = F0State(9, seed=1, window=2)
+    st = F0State(9, window=2)
     for c in [1, 1, 2]:
         st.update(c)
     assert st.active_frequencies() == {1: 1, 2: 1}
@@ -140,3 +144,43 @@ def test_tukey_single_support():
     assert res.outcome in ("index", "fail")
     if res.outcome == "index":
         assert res.index == 3
+
+
+def _independent_draw(states, subsets, seed, keep):
+    """A draw over R separately built and separately fed instances: the first
+    one that hits and passes keep(f, rng)."""
+    if not states[0].active_frequencies():
+        return SampleResult.bottom()
+    rng = substream(seed, "draw")
+    for state, S in zip(states, subsets):
+        res = state.draw(S, rng)
+        if res.outcome == "index" and keep(res.frequency, rng):
+            return res
+    return SampleResult.fail()
+
+
+@given(st.integers(1, 200), st.lists(st.integers(1, 200), max_size=80),
+       st.one_of(st.none(), st.integers(1, 30)), st.integers(1, 8),
+       st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_shared_state_draws_equal_independent_instances(n, coords, window, R, seed, tukey):
+    # One shared stream state plus R subsets returns, draw for draw, what R
+    # independently built single instances return.
+    coords = [(c - 1) % n + 1 for c in coords]
+    meas = tukey_measure(2)
+    if tukey:
+        s = TukeySampler(meas, n, seed=seed, window=window, repetitions=R)
+        keep = lambda f, rng: bernoulli_fraction(meas.g_exact(f) / Fraction(4, 6), rng)
+    else:
+        s = F0Sampler(n, seed=seed, window=window, repetitions=R)
+        keep = lambda f, rng: True
+    states = [F0State(n, window) for _ in range(R)]
+    subsets = [state.subset(substream(seed, "rep", i).getrandbits(64))
+               for i, state in enumerate(states)]
+    for k in range(0, len(coords) + 1, 20):
+        chunk = coords[k:k + 20]
+        s.process(chunk)
+        for state in states:
+            for c in chunk:
+                state.update(c)
+        assert s.draw() == _independent_draw(states, subsets, seed, keep)

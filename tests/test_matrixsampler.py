@@ -1,8 +1,14 @@
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from exactsamp.core import Update
+from exactsamp.exactrand import substream
 from exactsamp.matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from exactsamp import oracle
 
@@ -96,3 +102,53 @@ def test_fail_rate_bounded():
     pairs = [(1, 1), (2, 2), (3, 1)] * 2
     _, outcomes = run_hist(L2RowMeasure(), 3, 2, pairs, 400)
     assert outcomes["fail"] <= 400 * 0.1 + 4 * math.sqrt(400 * 0.1)
+
+
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3)), max_size=60),
+       st.integers(1, 8), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_unit_vectors_match_recount(pairs, R, seed):
+    # Unit i's strictly-after vector is a recount of its row's updates after
+    # its sampled time, at every step, and sums to the bank's scalar count.
+    s = MatrixSampler(L2RowMeasure(), 8, 3, len(pairs), seed=seed, repetitions=R)
+    for t, (row, col) in enumerate(pairs, start=1):
+        s.update(row, col)
+        for i in range(R):
+            r, t_s, c = s.bank.effective(i)
+            want = [0, 0, 0]
+            for rr, cc in pairs[t_s:t]:
+                if rr == r:
+                    want[cc - 1] += 1
+            assert s.after(i) == want
+            assert sum(want) == c
+        # Every tracked row has counts, and untracked ones are pruned.
+        assert set(s.bank.counters) <= set(s.counts)
+        assert len(s.counts) <= 2 * len(s.bank.counters)
+
+
+def test_deletion_rejected():
+    s = MatrixSampler(L1RowMeasure(), 2, 2, 2)
+    with pytest.raises(ValueError):
+        s.process([Update(1, col=1), Update(1, col=1, delta=-1)])
+
+
+def test_ingest_flat_in_repetitions():
+    # d = 8 columns, Zipf-like rows: an update must not cost O(R).
+    rng = substream(3, "matrix-flat")
+    pairs = [(min(int(1 / (1 - rng.random())), 1000), rng.randrange(8) + 1)
+             for _ in range(100000)]
+    ups_ = ups(pairs)
+
+    def best_ingest(R):
+        best = float("inf")
+        for k in range(3):
+            s = MatrixSampler(L2RowMeasure(), 1000, 8, len(pairs), seed=k, repetitions=R)
+            t0 = time.perf_counter()
+            s.process(ups_)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    t16 = best_ingest(16)
+    t2048 = best_ingest(2048)
+    print("matrix ingest: R=16 %.2e s, R=2048 %.2e s (ratio %.2f)" % (t16, t2048, t2048 / t16))
+    assert t2048 <= 3.0 * t16, (t16, t2048)

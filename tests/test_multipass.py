@@ -158,3 +158,15 @@ def test_replayable_stream_from_file(tmp_path):
     assert stream.passes == 1
     assert res.index in (1, 3)
     assert f == {1: 2, 3: 1}[res.index]
+
+
+def test_lp_fractional_p_rational_step_from_irrational():
+    # f = 4, p = 3/2: c + 1 = 4 gives (c+1)^p = 8 while c = 3 gives an
+    # irrational 3^{3/2}; that mix must go to the interval test, not crash.
+    outcomes = Counter()
+    for seed in range(40):
+        res = multipass_lp_draw(ReplayableStream([Update(1)] * 4), Fraction(1, 2),
+                                Fraction(3, 2), 4, 0.1, seed)
+        outcomes[res.outcome] += 1
+        assert res.outcome == "fail" or res.index == 1
+    assert outcomes["index"] > 0

@@ -1,0 +1,52 @@
+"""One implementation per mechanism, checked on the package's syntax trees.
+
+The reservoir skip lives in reservoir.py alone, interval-refined Bernoulli
+draws are run only by the exact increment test (gsampler.accept_increment)
+and by exactrand itself, and every sampler of a unit-delta stream shares one
+process(), with MatrixSampler's (row, col) form the only other one.
+"""
+
+import ast
+import pathlib
+
+import exactsamp
+
+PACKAGE = pathlib.Path(exactsamp.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _names(tree):
+    """Every identifier the module refers to: names, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def _called(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            yield f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def test_reservoir_skip_only_in_reservoir():
+    users = [name for name, tree in _trees().items() if "_next_jump" in set(_names(tree))]
+    assert users == ["reservoir.py"]
+
+
+def test_interval_bernoulli_only_in_the_exact_increment_test():
+    callers = {name for name, tree in _trees().items() if "bernoulli_bounds" in set(_called(tree))}
+    assert callers <= {"exactrand.py", "gsampler.py"}, callers
+
+
+def test_one_shared_process():
+    defs = [name for name, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "process"]
+    assert len(defs) <= 2, defs
