@@ -36,6 +36,17 @@ def np_substream(seed, *ids):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def weighted_index(weights, rng):
+    """Index i with probability exactly weights[i] / sum(weights), for
+    nonnegative integer weights with a positive sum: one randrange over the
+    total, then a scan."""
+    pick = rng.randrange(sum(weights))
+    for i, w in enumerate(weights):
+        if pick < w:
+            return i
+        pick -= w
+
+
 def bernoulli_fraction(q, rng):
     """Return True with probability exactly q (a Fraction in [0,1]).
 

@@ -6,22 +6,29 @@ proportionally to its sum; after exactly ceil(1/gamma) passes the interval is
 a single coordinate and the chunk-selection probabilities telescope to
 f_i / F_1.
 
-For p in (1,2] the same machinery drives R parallel frequency-proportional
-chains, a further ceil(1/gamma) passes narrow the universe to the chunks of
-mass >= m/ceil(n^{1-1/p}) yielding a deterministic Z with
-max f <= Z <= max f + m/ceil(n^{1-1/p}), and each chain's sample (i, f_i)
-passes the usual acceptance ((c+1)^p - c^p) / (2 Z^{p-1}) with c a uniform
-strictly-after occurrence count: the insertion-only samplers' exact test
-(gsampler.accept_increment with the L_p measure and gsampler.lp_zeta).  The
-chains are i.i.d., so the draw returns the first accepting one
-(gsampler.first_accepted).
+For p in (1,2] the same passes drive R parallel frequency-proportional chains
+and, beside them, narrow the universe to the chunks of mass >= m/ceil(n^{1-1/p}),
+yielding a deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}).  Each
+chain's sample (i, f_i) passes the usual acceptance ((c+1)^p - c^p) / (2 Z^{p-1})
+with c a uniform strictly-after occurrence count: the insertion-only samplers'
+exact test (gsampler.accept_increment with the L_p measure and
+gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the first
+accepting one (gsampler.first_accepted).
+
+Every pass is one scan of the stream (_chunk_sums), shared by all chains and
+the Z narrowing: an update finds its cell by bisection and its chunk by
+arithmetic, so a pass over L distinct cells costs O(m log L + (R + L) q).
+The scan rejects a stream outside the strict turnstile model on [1, n] with
+ValueError: a coordinate outside [1, n], or a chunk whose net sum is
+negative.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .core import SampleResult, lp_measure, parse_stream
-from .exactrand import substream
+from .exactrand import substream, weighted_index
 from .gsampler import accept_increment, first_accepted, lp_zeta
 
 
@@ -49,17 +56,15 @@ def chunk_count(n, gamma):
     return max(2, math.ceil(n ** float(gamma) - 1e-9)) if float(gamma) < 1 else n
 
 
+def _step(lo, hi, q):
+    """Width of the chunks when [lo, hi] is split into at most q of them."""
+    return -(-(hi - lo + 1) // q)
+
+
 def _chunks(lo, hi, q):
     """Split [lo, hi] into at most q equal intervals (last ragged)."""
-    size = hi - lo + 1
-    step = -(-size // q)
-    out = []
-    a = lo
-    while a <= hi:
-        b = min(a + step - 1, hi)
-        out.append((a, b))
-        a = b + 1
-    return out
+    step = _step(lo, hi, q)
+    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
 
 
 def passes_for(gamma):
@@ -67,122 +72,92 @@ def passes_for(gamma):
     return int(-(-1 // g))  # ceil(1/gamma) exactly for rational gamma
 
 
-def multipass_l1_draw(stream, gamma, n, seed=0, rng=None):
-    """(SampleResult, frequency). Exactly ceil(1/gamma) passes."""
-    rng = rng or substream(seed, "l1")
-    K = passes_for(gamma)
+def _chunk_sums(stream, cells, n, q):
+    """One pass: the net mass m and, per cell, the sums of its chunks.
+
+    cells are intervals of the chunk hierarchy at one depth, so any two are
+    equal or disjoint.  Raises ValueError on a coordinate outside [1, n] or a
+    negative chunk sum (not a strict turnstile stream).
+    """
+    cells = sorted(cells)
+    los = [lo for lo, _ in cells]
+    his = [hi for _, hi in cells]
+    steps = [_step(lo, hi, q) for lo, hi in cells]
+    sums = [[0] * len(range(lo, hi + 1, step)) for (lo, hi), step in zip(cells, steps)]
+    m = 0
+    for u in stream.updates():
+        c, d = u.coord, u.delta
+        if not 1 <= c <= n:
+            raise ValueError("coordinate %d outside [1, %d]" % (c, n))
+        m += d
+        j = bisect_right(los, c) - 1
+        if j >= 0 and c <= his[j]:
+            sums[j][(c - los[j]) // steps[j]] += d
+    if any(s < 0 for row in sums for s in row):
+        raise ValueError("negative net frequency: not a strict turnstile stream")
+    return m, dict(zip(cells, sums))
+
+
+def _narrow(stream, gamma, n, rngs, k=None):
+    """ceil(1/gamma) passes of chunk narrowing, one _chunk_sums scan each.
+
+    Each rng drives one chain that picks a chunk of its cell with probability
+    proportional to the chunk's sum.  With k given, the passes also follow
+    the heavy chunks (mass >= m/k) down to single coordinates.  Returns the
+    chains' (coord, f) (empty when m = 0), m, and Z = max(m/k, heaviest
+    single coordinate reached) when k is given, else None.
+    """
     q = chunk_count(n, gamma)
-    lo, hi = 1, n
-    mass = None
-    for _ in range(K):
-        parts = _chunks(lo, hi, q)
-        sums = [0] * len(parts)
-        for u in stream.updates():
-            c = u.coord
-            if lo <= c <= hi:
-                # chunk index by interval arithmetic
-                idx = (c - lo) // (parts[0][1] - parts[0][0] + 1)
-                sums[idx] += u.delta
-        total = sum(sums)
-        if mass is None:
-            mass = total
-        if total == 0:
-            return SampleResult.bottom(), 0
-        pick = rng.randrange(total)
-        for (a, b), s in zip(parts, sums):
-            if pick < s:
-                lo, hi = a, b
+    cells = [(1, n)] * len(rngs)
+    f = [None] * len(rngs)
+    heavy = [(1, n)] if k else []
+    m, thr, best = None, Fraction(0), 0
+    for _ in range(passes_for(gamma)):
+        live = set(cells) | set(heavy)
+        if not live:
+            break
+        mass, sums = _chunk_sums(stream, live, n, q)
+        if m is None:
+            m = mass
+            if m == 0:
                 break
-            pick -= s
-        last_sum = s
-    assert lo == hi
-    return SampleResult.of(lo, frequency=last_sum), last_sum
+            if k:
+                thr = Fraction(m, k)
+        parts = {cell: _chunks(*cell, q) for cell in live}
+        for i, rng in enumerate(rngs):
+            j = weighted_index(sums[cells[i]], rng)
+            f[i] = sums[cells[i]][j]
+            cells[i] = parts[cells[i]][j]
+        heavy_sums = [(iv, s) for cell in heavy for iv, s in zip(parts[cell], sums[cell])
+                      if s >= thr]
+        heavy = [iv for iv, _ in heavy_sums]
+        best = max([best] + [s for (a, b), s in heavy_sums if a == b])
+    chains = [(lo, fi) for (lo, _), fi in zip(cells, f)] if m else []
+    return chains, m, (max(Fraction(best), thr) if k else None)
 
 
-def _parallel_l1_chains(stream, gamma, n, R, seed):
-    """R frequency-proportional samples sharing ceil(1/gamma) passes.
-    Returns list of (coord, f) or None per chain, plus total mass m."""
-    K = passes_for(gamma)
-    q = chunk_count(n, gamma)
-    rngs = [substream(seed, "chain", i) for i in range(R)]
-    bounds = [(1, n)] * R
-    mass = None
-    results = [None] * R
-    for _ in range(K):
-        parts_per = [_chunks(lo, hi, q) if lo <= hi else [] for lo, hi in bounds]
-        sums_per = [[0] * len(parts) for parts in parts_per]
-        steps = [parts[0][1] - parts[0][0] + 1 if parts else 1 for parts in parts_per]
-        total_mass = 0
-        for u in stream.updates():
-            c, d = u.coord, u.delta
-            total_mass += d
-            for i in range(R):
-                lo, hi = bounds[i]
-                if lo <= c <= hi:
-                    sums_per[i][(c - lo) // steps[i]] += d
-        if mass is None:
-            mass = total_mass
-        for i in range(R):
-            total = sum(sums_per[i])
-            if total == 0:
-                results[i] = None
-                bounds[i] = (0, -1)  # dead chain
-                continue
-            pick = rngs[i].randrange(total)
-            for (a, b), s in zip(parts_per[i], sums_per[i]):
-                if pick < s:
-                    bounds[i] = (a, b)
-                    results[i] = (a, s)
-                    break
-                pick -= s
-    out = []
-    for i in range(R):
-        if results[i] is None:
-            out.append(None)
-        else:
-            a, s = results[i]
-            assert bounds[i][0] == bounds[i][1]
-            out.append((bounds[i][0], s))
-    return out, (mass or 0)
+def multipass_l1_draw(stream, gamma, n, seed=0):
+    """(SampleResult, frequency). Exactly ceil(1/gamma) passes."""
+    chains, m, _ = _narrow(stream, gamma, n, [substream(seed, "l1")])
+    if m == 0:
+        return SampleResult.bottom(), 0
+    coord, f = chains[0]
+    return SampleResult.of(coord, frequency=f), f
+
+
+def _heavy_count(n, p):
+    return max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
 
 
 def narrow_z(stream, gamma, p, n):
     """Deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}),
     in ceil(1/gamma) passes of heavy-chunk narrowing."""
-    K = passes_for(gamma)
-    q = chunk_count(n, gamma)
-    candidates = [(1, n)]
-    thr = None
-    best = 0
-    for _ in range(K):
-        parts = []
-        for lo, hi in candidates:
-            parts.extend(_chunks(lo, hi, q))
-        sums = {iv: 0 for iv in parts}
-        total = 0
-        for u in stream.updates():
-            c, d = u.coord, u.delta
-            total += d
-            for iv in parts:
-                if iv[0] <= c <= iv[1]:
-                    sums[iv] += d
-                    break
-        if thr is None:
-            k = max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
-            thr = Fraction(total, k) if total else Fraction(0)
-        if thr == 0:
-            return Fraction(0)
-        candidates = [iv for iv in parts if sums[iv] >= thr]
-        for iv in candidates:
-            if iv[0] == iv[1]:
-                best = max(best, sums[iv])
-        if not candidates:
-            break
-    return max(Fraction(best), thr)
+    return _narrow(stream, gamma, n, [], _heavy_count(n, p))[2]
 
 
 def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
-    """Truly perfect L_p sample, p in (1,2], over a strict turnstile stream."""
+    """Truly perfect L_p sample, p in (1,2], over a strict turnstile stream,
+    in ceil(1/gamma) passes."""
     p = Fraction(p)
     if not (1 < p <= 2):
         raise ValueError("multipass L_p sampling needs p in (1, 2]")
@@ -190,10 +165,11 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
         pf = float(p)
         repetitions = max(1, math.ceil(
             4 * n ** (1.0 - 1.0 / pf) * math.log(1.0 / delta)))
-    chains, m = _parallel_l1_chains(stream, gamma, n, repetitions, seed)
+    rngs = [substream(seed, "chain", i) for i in range(repetitions)]
+    chains, m, Z = _narrow(stream, gamma, n, rngs, _heavy_count(n, p))
     if m == 0:
         return SampleResult.bottom()
-    zeta_exact, zeta_bounds = lp_zeta(narrow_z(stream, gamma, p, n), p)
+    zeta_exact, zeta_bounds = lp_zeta(Z, p)
     measure = lp_measure(p)
     rng = substream(seed, "accept")
 
@@ -201,6 +177,6 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
         c = f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f
         return accept_increment(measure, c, zeta_exact, zeta_bounds, rng)
 
-    live = ((SampleResult.of(chain[0], repetition=idx), chain[1])
-            for idx, chain in enumerate(chains) if chain is not None)
+    live = ((SampleResult.of(coord, repetition=idx), f)
+            for idx, (coord, f) in enumerate(chains))
     return first_accepted(live, accept) or SampleResult.fail()

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import SampleResult, UnitUpdates
-from .exactrand import bernoulli_fraction, np_substream, substream
+from .exactrand import bernoulli_fraction, np_substream, substream, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
 
@@ -185,9 +185,4 @@ class BlockLpSampler(UnitUpdates):
             return SampleResult.fail()
         keys = sorted(self.S)
         weights = [self.S[k] for k in keys]
-        pick = self.rng.randrange(sum(weights))
-        for k, w in zip(keys, weights):
-            if pick < w:
-                return SampleResult.of(k[1])
-            pick -= w
-        raise AssertionError("unreachable")
+        return SampleResult.of(keys[weighted_index(weights, self.rng)][1])

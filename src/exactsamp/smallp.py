@@ -67,7 +67,3 @@ class DuplicatedExpState(UnitUpdates):
             if est >= half:
                 return SampleResult.of(coord)
         return SampleResult.fail()
-
-
-def smallp_draw(state):
-    return state.draw()

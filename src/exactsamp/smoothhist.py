@@ -120,10 +120,3 @@ class SmoothHistogram:
         if not self.rows:
             raise ValueError("empty histogram")
         return self.rows[0]
-
-
-def estimate_lp(hist, p=None):
-    """Window L_p estimate F with F <= L_p(window) <= 2F (float convenience)."""
-    p = float(p if p is not None else hist.p)
-    fp = hist.bracket().est.fp_float()
-    return 0.5 * fp ** (1.0 / p)

@@ -37,7 +37,7 @@ from exactsamp.core import (
 from exactsamp.exactrand import np_substream, substream
 from exactsamp.f0sampler import F0State
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
-from exactsamp.multipass import ReplayableStream, multipass_l1_draw, passes_for
+from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
 from exactsamp.randomorder import alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
 from exactsamp.smallp import DuplicatedExpState
@@ -547,9 +547,11 @@ def test_multipass_pass_counts():
     for gamma in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
         want = math.ceil(1 / gamma)
         assert passes_for(gamma) == want
-        stream = ReplayableStream(ups)
-        multipass_l1_draw(stream, gamma, 4, seed=0)
-        assert stream.passes == want, gamma
+        for draw in (lambda s: multipass_l1_draw(s, gamma, 4, seed=0),
+                     lambda s: multipass_lp_draw(s, gamma, 2, 4, seed=0)):
+            stream = ReplayableStream(ups)
+            draw(stream)
+            assert stream.passes == want, gamma
 
 
 # ---------------------------------------------------------------------------

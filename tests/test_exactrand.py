@@ -16,6 +16,7 @@ from exactsamp.exactrand import (
     pow_exact,
     root_bounds,
     substream,
+    weighted_index,
 )
 
 
@@ -25,6 +26,20 @@ def test_substream_deterministic_and_distinct():
     c = substream(7, "x", 2).random()
     assert a == b
     assert a != c
+
+
+def test_weighted_index_consumes_one_randrange():
+    # Weights (0, 3, 0, 1): the four values of randrange(4) land on
+    # indices 1, 1, 1, 3, and a zero weight is never picked.
+    class Fixed:
+        def __init__(self, value):
+            self.value = value
+
+        def randrange(self, total):
+            assert total == 4
+            return self.value
+
+    assert [weighted_index([0, 3, 0, 1], Fixed(v)) for v in range(4)] == [1, 1, 1, 3]
 
 
 def test_np_substream_deterministic():

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -7,12 +9,14 @@ import pytest
 from exactsamp.core import Update
 from exactsamp.multipass import (
     ReplayableStream,
+    _narrow,
     chunk_count,
     multipass_l1_draw,
     multipass_lp_draw,
     narrow_z,
     passes_for,
 )
+from exactsamp.exactrand import substream
 from exactsamp import oracle
 
 
@@ -37,10 +41,14 @@ def test_chunk_count():
 
 
 def test_exact_pass_count_l1():
-    for gamma, expected in [(1, 1), (Fraction(1, 2), 2), (Fraction(1, 3), 3)]:
-        stream = ReplayableStream(ups({1: 1, 2: 2, 3: 3, 4: 4}))
-        multipass_l1_draw(stream, gamma, 4, seed=0)
-        assert stream.passes == expected
+    # The L_p draw's chains and its Z narrowing share the same passes.
+    draws = [lambda stream, gamma: multipass_l1_draw(stream, gamma, 4, seed=0),
+             lambda stream, gamma: multipass_lp_draw(stream, gamma, 2, 4, seed=0)]
+    for draw in draws:
+        for gamma, expected in [(1, 1), (Fraction(1, 2), 2), (Fraction(1, 3), 3)]:
+            stream = ReplayableStream(ups({1: 1, 2: 2, 3: 3, 4: 4}))
+            draw(stream, gamma)
+            assert stream.passes == expected
 
 
 def test_l1_draw_reports_frequency():
@@ -83,6 +91,21 @@ def test_zero_mass_bottom():
     assert res.outcome == "bottom"
 
 
+def fuzzed_turnstile(rng, n, m):
+    """A strict turnstile stream over [1, n] with deletions, and its net
+    frequencies."""
+    freqs, out = Counter(), []
+    for _ in range(m):
+        live = sorted(i for i in freqs if freqs[i])
+        if live and rng.random() < 0.35:
+            c, d = rng.choice(live), -1
+        else:
+            c, d = rng.randrange(n) + 1, 1
+        out.append(Update(c, delta=d))
+        freqs[c] += d
+    return out, freqs
+
+
 def test_narrow_z_bounds():
     # max f <= Z <= max f + m / ceil(n^{1 - 1/p}).
     for freqs, n in [({1: 5, 2: 1, 3: 1, 4: 1}, 4),
@@ -95,6 +118,43 @@ def test_narrow_z_bounds():
             z = narrow_z(ReplayableStream(ups(freqs)), Fraction(1, 2), p, n)
             assert fmax <= z <= fmax + Fraction(m, k)
             assert z == oracle.multipass_z(freqs, n, Fraction(1, 2), p)
+    # Fuzzed strict turnstile streams with deletions: the chains and the Z
+    # narrowing share their passes, every chain ends on a coordinate with its
+    # net frequency, and Z is the one narrow_z and the oracle give.
+    rng = random.Random(5)
+    for case in range(200):
+        n = rng.choice([1, 2, 5, 8, 9, 30, 100])
+        stream, freqs = fuzzed_turnstile(rng, n, rng.randrange(60))
+        gamma = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1][case % 4]
+        p = [Fraction(3, 2), 2][case % 2]
+        k = max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
+        rngs = [substream(case, "chain", i) for i in range(rng.randrange(1, 8))]
+        chains, m, z = _narrow(ReplayableStream(stream), gamma, n, rngs, k)
+        assert m == sum(freqs.values())
+        assert len(chains) == (len(rngs) if m else 0)
+        assert all(f == freqs[i] > 0 for i, f in chains)
+        assert z == narrow_z(ReplayableStream(stream), gamma, p, n)
+        assert z == oracle.multipass_z(dict(freqs), n, gamma, p)
+        fmax = max(freqs.values(), default=0)
+        assert fmax <= z <= fmax + Fraction(m, k)
+
+
+def test_rejects_coordinate_outside_universe():
+    stream = [Update(5), Update(5)]
+    with pytest.raises(ValueError, match="outside"):
+        multipass_l1_draw(ReplayableStream(stream), Fraction(1, 2), 4, seed=0)
+    with pytest.raises(ValueError, match="outside"):
+        multipass_lp_draw(ReplayableStream(stream), Fraction(1, 2), 2, 4, seed=0)
+
+
+def test_rejects_negative_net_frequency():
+    # f = (1, -1) sums to 0: without the check the draws report BOTTOM
+    # although f_1 = 1.
+    stream = [Update(1), Update(2, delta=-1)]
+    with pytest.raises(ValueError, match="strict turnstile"):
+        multipass_l1_draw(ReplayableStream(stream), Fraction(1, 2), 2, seed=0)
+    with pytest.raises(ValueError, match="strict turnstile"):
+        multipass_lp_draw(ReplayableStream(stream), Fraction(1, 2), 2, 2, seed=0)
 
 
 def test_lp_rejects_bad_p():
@@ -170,3 +230,22 @@ def test_lp_fractional_p_rational_step_from_irrational():
         outcomes[res.outcome] += 1
         assert res.outcome == "fail" or res.index == 1
     assert outcomes["index"] > 0
+
+
+def test_lp_passes_flat_in_repetitions():
+    # One scan per pass serves every chain: R = 1024 chains cost within 4x of
+    # R = 16 on 10^5 updates (best of 3; testing every update against every
+    # chain reads ~10x).
+    rng = random.Random(11)
+    stream = ReplayableStream([Update(rng.randrange(1000) + 1) for _ in range(10 ** 5)])
+
+    def best(R):
+        times = []
+        for seed in range(3):
+            t0 = time.perf_counter()
+            multipass_lp_draw(stream, Fraction(1, 2), 2, 1000, seed=seed, repetitions=R)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    t16, t1024 = best(16), best(1024)
+    assert t1024 <= 4 * t16, (t16, t1024)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from exactsamp.smallp import DuplicatedExpState, smallp_draw
+from exactsamp.smallp import DuplicatedExpState
 from exactsamp import montecarlo
 
 
@@ -23,7 +23,7 @@ def test_rejects_small_duplication():
 
 def test_empty_bottom():
     st = DuplicatedExpState(0.5, D=16, seed=0)
-    assert smallp_draw(st).outcome == "bottom"
+    assert st.draw().outcome == "bottom"
 
 
 def test_weights_fixed_per_run():
@@ -39,7 +39,7 @@ def test_single_coordinate_always_reported():
     for t in range(50):
         st = DuplicatedExpState(0.5, D=32, seed=t)
         st.process([4, 4, 4])
-        res = smallp_draw(st)
+        res = st.draw()
         assert res.outcome in ("index", "fail")
         if res.outcome == "index":
             assert res.index == 4
@@ -65,7 +65,7 @@ def test_two_coordinate_law_moderate():
     for t in range(trials):
         st = DuplicatedExpState(0.5, D=64, seed=t)
         st.process([1, 2])
-        res = smallp_draw(st)
+        res = st.draw()
         if res.outcome == "index":
             hist[res.index] += 1
         else:
@@ -83,7 +83,7 @@ def test_skewed_law_prefers_heavy():
     for t in range(trials):
         st = DuplicatedExpState(0.5, D=64, seed=1000 + t)
         st.process([1, 1, 1, 1, 2])
-        res = smallp_draw(st)
+        res = st.draw()
         if res.outcome == "index":
             hist[res.index] += 1
     n_idx = hist[1] + hist[2]

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactsamp.exactrand import substream
-from exactsamp.smoothhist import ExactSuffixFp, SmoothHistogram, estimate_lp
+from exactsamp.smoothhist import ExactSuffixFp, SmoothHistogram
 
 
 def test_exact_estimator_integer_p():
@@ -51,17 +50,13 @@ def test_bracketing_invariant():
        st.integers(2, 8))
 @settings(max_examples=60, deadline=None)
 def test_factor_two_window_estimate(coords, W):
+    # The bracket row's suffix covers the window within the factor-2 contract
+    # on L_2: F_2(window) <= F_2(bracket suffix) <= 4 F_2(window).
     hist = SmoothHistogram(2, W=W, seed=0)
     for c in coords:
         hist.update(c)
-    window = coords[-W:]
-    freq = {}
-    for c in window:
-        freq[c] = freq.get(c, 0) + 1
-    l2 = math.sqrt(sum(f * f for f in freq.values()))
-    est = estimate_lp(hist)
-    assert est <= l2 * (1 + 1e-9)
-    assert 2 * est >= l2 * (1 - 1e-9)
+    f2_window = sum(f * f for f in Counter(coords[-W:]).values())
+    assert f2_window <= hist.bracket().est.fp_exact() <= 4 * f2_window
 
 
 def test_histogram_stays_small():

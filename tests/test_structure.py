@@ -3,7 +3,9 @@
 The reservoir skip lives in reservoir.py alone, interval-refined Bernoulli
 draws are run only by the exact increment test (gsampler.accept_increment)
 and by exactrand itself, and every sampler of a unit-delta stream shares one
-process(), with MatrixSampler's (row, col) form the only other one.
+process(), with MatrixSampler's (row, col) form the only other one.  The
+multipass samplers read the stream at one site, the scan that every chain
+and the Z narrowing share.
 """
 
 import ast
@@ -50,3 +52,11 @@ def test_one_shared_process():
     defs = [name for name, tree in _trees().items() for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == "process"]
     assert len(defs) <= 2, defs
+
+
+def test_multipass_reads_the_stream_at_one_site():
+    trees = _trees()
+    assert list(_called(trees["multipass.py"])).count("updates") == 1
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert "_parallel_l1_chains" not in defined
