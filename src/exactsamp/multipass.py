@@ -18,9 +18,11 @@ accepting one (gsampler.first_accepted).
 Every pass is one scan of the stream (_chunk_sums), shared by all chains and
 the Z narrowing: an update finds its cell by bisection and its chunk by
 arithmetic, so a pass over L distinct cells costs O(m log L + (R + L) q).
-The scan rejects a stream outside the strict turnstile model on [1, n] with
-ValueError: a coordinate outside [1, n], or a chunk whose net sum is
-negative.
+The scan raises ValueError on a coordinate outside [1, n] and on a negative
+net sum among the chunks it scans.  The second check is best-effort: a pass
+sees only the chunks of its live cells, so whether a stream with a negative
+frequency is caught depends on the cells the chains enter; a complete check
+needs the whole frequency vector.
 """
 
 import math
@@ -52,8 +54,20 @@ class ReplayableStream:
         return self._updates
 
 
+def passes_for(gamma):
+    g = Fraction(gamma)
+    return int(-(-1 // g))  # ceil(1/gamma) exactly for rational gamma
+
+
 def chunk_count(n, gamma):
-    return max(2, math.ceil(n ** float(gamma) - 1e-9)) if float(gamma) < 1 else n
+    """ceil(n^gamma) chunks per cell (at least 2), raised where float rounding
+    falls short so that ceil(1/gamma) passes always end on single coordinates."""
+    if float(gamma) >= 1:
+        return n
+    q = max(2, math.ceil(n ** float(gamma) - 1e-9))
+    while q ** passes_for(gamma) < n:
+        q += 1
+    return q
 
 
 def _step(lo, hi, q):
@@ -61,38 +75,37 @@ def _step(lo, hi, q):
     return -(-(hi - lo + 1) // q)
 
 
-def _chunks(lo, hi, q):
-    """Split [lo, hi] into at most q equal intervals (last ragged)."""
+def _chunk(cell, j, q):
+    """The j-th chunk of cell when it is split into at most q equal
+    intervals (last ragged)."""
+    lo, hi = cell
     step = _step(lo, hi, q)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def passes_for(gamma):
-    g = Fraction(gamma)
-    return int(-(-1 // g))  # ceil(1/gamma) exactly for rational gamma
+    return lo + j * step, min(lo + (j + 1) * step - 1, hi)
 
 
 def _chunk_sums(stream, cells, n, q):
     """One pass: the net mass m and, per cell, the sums of its chunks.
 
     cells are intervals of the chunk hierarchy at one depth, so any two are
-    equal or disjoint.  Raises ValueError on a coordinate outside [1, n] or a
-    negative chunk sum (not a strict turnstile stream).
+    equal or disjoint; the j-th sum of a cell is that of _chunk(cell, j, q).
+    Raises ValueError on a coordinate outside [1, n] or a negative sum among
+    these chunks (not a strict turnstile stream).
     """
     cells = sorted(cells)
     los = [lo for lo, _ in cells]
     his = [hi for _, hi in cells]
     steps = [_step(lo, hi, q) for lo, hi in cells]
     sums = [[0] * len(range(lo, hi + 1, step)) for (lo, hi), step in zip(cells, steps)]
-    m = 0
+    m, first, last = 0, los[0], his[-1]
     for u in stream.updates():
         c, d = u.coord, u.delta
-        if not 1 <= c <= n:
-            raise ValueError("coordinate %d outside [1, %d]" % (c, n))
         m += d
-        j = bisect_right(los, c) - 1
-        if j >= 0 and c <= his[j]:
-            sums[j][(c - los[j]) // steps[j]] += d
+        if first <= c <= last:
+            j = bisect_right(los, c) - 1
+            if c <= his[j]:
+                sums[j][(c - los[j]) // steps[j]] += d
+        elif not 1 <= c <= n:
+            raise ValueError("coordinate %d outside [1, %d]" % (c, n))
     if any(s < 0 for row in sums for s in row):
         raise ValueError("negative net frequency: not a strict turnstile stream")
     return m, dict(zip(cells, sums))
@@ -123,15 +136,15 @@ def _narrow(stream, gamma, n, rngs, k=None):
                 break
             if k:
                 thr = Fraction(m, k)
-        parts = {cell: _chunks(*cell, q) for cell in live}
         for i, rng in enumerate(rngs):
             j = weighted_index(sums[cells[i]], rng)
             f[i] = sums[cells[i]][j]
-            cells[i] = parts[cells[i]][j]
-        heavy_sums = [(iv, s) for cell in heavy for iv, s in zip(parts[cell], sums[cell])
-                      if s >= thr]
+            cells[i] = _chunk(cells[i], j, q)
+        heavy_sums = [(_chunk(cell, j, q), s) for cell in heavy
+                      for j, s in enumerate(sums[cell]) if s >= thr]
         heavy = [iv for iv, _ in heavy_sums]
         best = max([best] + [s for (a, b), s in heavy_sums if a == b])
+    assert not m or all(lo == hi for lo, hi in cells)
     chains = [(lo, fi) for (lo, _), fi in zip(cells, f)] if m else []
     return chains, m, (max(Fraction(best), thr) if k else None)
 

@@ -308,6 +308,17 @@ def block_lp_law(freqs, W, p):
     return dist
 
 
+def _chunk_q(n, g, K):
+    """Chunks per cell: ceil(n^g), at least 2, raised until q^K >= n."""
+    import math
+    if g >= 1:
+        return n
+    q = max(2, math.ceil(n ** g - 1e-9))
+    while q ** K < n:
+        q += 1
+    return q
+
+
 def _chunk_intervals(lo, hi, q):
     size = hi - lo + 1
     step = -(-size // q)
@@ -328,7 +339,7 @@ def multipass_chain_prob(freqs, n, gamma, coord):
     import math
     g = float(gamma)
     K = math.ceil(1.0 / g - 1e-12)
-    q = n if g >= 1 else max(2, math.ceil(n ** g - 1e-9))
+    q = _chunk_q(n, g, K)
     lo, hi = 1, n
     prob = Fraction(1)
     for _ in range(K):
@@ -350,7 +361,7 @@ def multipass_z(freqs, n, gamma, p):
     import math
     g = float(gamma)
     K = math.ceil(1.0 / g - 1e-12)
-    q = n if g >= 1 else max(2, math.ceil(n ** g - 1e-9))
+    q = _chunk_q(n, g, K)
     m = sum(freqs.values())
     k = max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
     thr = Fraction(m, k) if m else Fraction(0)

@@ -157,6 +157,39 @@ def test_rejects_negative_net_frequency():
         multipass_lp_draw(ReplayableStream(stream), Fraction(1, 2), 2, 2, seed=0)
 
 
+def test_negative_frequency_detection_is_partial():
+    # f = (2, -1, 1, 1), n = 4, gamma = 1/2: the first pass sees chunk sums
+    # (1, 2), both non-negative.  A chain that enters (1, 2) finds the -1 and
+    # raises; one that enters (3, 4) returns 3 or 4.  The check sees only the
+    # chunks a pass scans, so which happens depends on the seed.
+    stream = [Update(1), Update(1), Update(2, delta=-1), Update(3), Update(4)]
+    outcomes = Counter()
+    for seed in range(60):
+        try:
+            res, _ = multipass_l1_draw(ReplayableStream(stream), Fraction(1, 2), 4, seed=seed)
+            outcomes[res.index] += 1
+        except ValueError as e:
+            assert "strict turnstile" in str(e)
+            outcomes["raised"] += 1
+    assert set(outcomes) == {"raised", 3, 4}
+
+
+def test_chunks_reach_single_coordinates_despite_float_rounding():
+    # n = 20000^3 + 1, gamma = 1/3: float ceil(n^gamma) is 20000 and
+    # 20000^3 < n, which would leave every chain on a cell of two coordinates
+    # after three passes.
+    n, gamma = 20000 ** 3 + 1, Fraction(1, 3)
+    assert chunk_count(n, gamma) ** passes_for(gamma) >= n
+    res, f = multipass_l1_draw(ReplayableStream([Update(2)]), gamma, n, seed=0)
+    assert (res.index, f) == (2, 1)
+    stream = [Update(2), Update(2), Update(n)]
+    z = narrow_z(ReplayableStream(stream), gamma, 2, n)
+    assert z == 2 == oracle.multipass_z({2: 2, n: 1}, n, gamma, 2)
+    chains, m, _ = _narrow(ReplayableStream(stream), gamma, n,
+                           [substream(s, "chain", 0) for s in range(8)])
+    assert m == 3 and all(f == {2: 2, n: 1}[i] for i, f in chains)
+
+
 def test_lp_rejects_bad_p():
     with pytest.raises(ValueError):
         multipass_lp_draw(ReplayableStream(ups({1: 1})), Fraction(1, 2), 1, 2)
