@@ -6,8 +6,13 @@ measure carries an increment bound zeta and a deterministic lower bound on
 F_G = sum_i G(f_i) used to size repetition counts.
 
 G is evaluated three ways: exact rationals where the value is rational
-(`g_exact`), certified rational bounds otherwise (`g_bounds`), and plain
-floats for the bulk harnesses (`g_float`).
+(`g_exact`), certified brackets otherwise (`g_bounds`), and plain floats for
+the bulk harnesses (`g_float`).  A bracket is in scaled integers, the one
+contract of every irrational acceptance test (see exactrand): g_bounds(x, k)
+returns integers (lo, hi) with lo <= G(x) 2^k <= hi and hi - lo bounded by a
+constant of the measure, and increment_bounds(c, k) does the same for
+G(c+1) - G(c).  L_p and L1-L2 take one integer root at that scale and Fair
+one fixed-point logarithm (exactrand.root_scaled, pow_scaled, log_scaled).
 """
 
 import math
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactrand import log_bounds, pow_bounds, pow_exact, root_bounds
+from .exactrand import log_scaled, pow_bounds, pow_exact, pow_scaled, root_scaled, scaled
 
 MODELS = ("insertion_only", "sliding_window", "strict_turnstile", "random_order", "matrix")
 
@@ -103,15 +108,16 @@ class MeasureFunction:
     def g_exact(self, x):
         raise NotImplementedError
 
-    def g_bounds(self, x, prec):
+    def g_bounds(self, x, k):
+        """Integers (lo, hi) with lo <= G(x) 2^k <= hi."""
         exact = self.g_exact(x)
         if exact is None:
             raise NotImplementedError
-        return exact, exact
+        return scaled(exact, exact, k)
 
     def g_float(self, x):
         lo, hi = self.g_bounds(x, 40)
-        return float((lo + hi) / 2)
+        return (lo + hi) / 2 ** 41
 
     def fg_lower_bound(self, m):
         """Deterministic rational lower bound on F_G given total mass m."""
@@ -130,10 +136,11 @@ class MeasureFunction:
             return None
         return a - b
 
-    def increment_bounds(self, c, prec):
+    def increment_bounds(self, c, k):
+        """Integers (lo, hi) with lo <= (G(after) - G(before)) 2^k <= hi."""
         before, after = self.step(c)
-        alo, ahi = self.g_bounds(after, prec)
-        blo, bhi = self.g_bounds(before, prec)
+        alo, ahi = self.g_bounds(after, k)
+        blo, bhi = self.g_bounds(before, k)
         return alo - bhi, ahi - blo
 
     def __repr__(self):
@@ -155,10 +162,10 @@ class LpMeasure(MeasureFunction):
             self.zeta = None  # 2 Z^{p-1}, from the heavy-hitters Z
 
     def g_exact(self, x):
-        return pow_exact(Fraction(x), self.p)
+        return pow_exact(x, self.p)
 
-    def g_bounds(self, x, prec):
-        return pow_bounds(Fraction(x), self.p, prec)
+    def g_bounds(self, x, k):
+        return pow_scaled(x, self.p, k)
 
     def g_float(self, x):
         return float(x) ** float(self.p)
@@ -178,7 +185,7 @@ class MEstimatorMeasure(MeasureFunction):
     G(x) >= G(1) * x, hence F_G >= G(1) * m."""
 
     def _g1_lower(self):
-        return self.g_bounds(1, 32)[0]
+        return Fraction(self.g_bounds(1, 32)[0], 1 << 32)
 
     def fg_lower_bound(self, m):
         return self._g1_lower() * m
@@ -197,9 +204,9 @@ class L1L2Measure(MEstimatorMeasure):
             return Fraction(r - 2)
         return None
 
-    def g_bounds(self, x, prec):
-        lo, hi = root_bounds(Fraction(4 + 2 * x * x), 2, prec)
-        return lo - 2, hi - 2
+    def g_bounds(self, x, k):
+        lo, hi = root_scaled(4 + 2 * x * x, 2, k)
+        return lo - (2 << k), hi - (2 << k)
 
     def g_float(self, x):
         return math.sqrt(4.0 + 2.0 * x * x) - 2.0
@@ -219,12 +226,16 @@ class FairMeasure(MEstimatorMeasure):
     def g_exact(self, x):
         return Fraction(0) if x == 0 else None
 
-    def g_bounds(self, x, prec):
+    def g_bounds(self, x, k):
         if x == 0:
-            return Fraction(0), Fraction(0)
-        tau = self.tau
-        llo, lhi = log_bounds(1 + Fraction(x) / tau, prec)
-        return tau * x - tau * tau * lhi, tau * x - tau * tau * llo
+            return 0, 0
+        a, b = self.tau.numerator, self.tau.denominator
+        # G 2^k = (a b x 2^j - a^2 ln(1 + x/tau) 2^j) / (b^2 2^g), j = k + g,
+        # with 2^g > a^2 so that tau^2 does not widen the bracket.
+        g = 2 * a.bit_length()
+        llo, lhi = log_scaled(Fraction(a + b * x, a), k + g)
+        lin, den = a * b * x << (k + g), b * b << g
+        return (lin - a * a * lhi) // den, -((a * a * llo - lin) // den)
 
     def g_float(self, x):
         tau = float(self.tau)
@@ -243,10 +254,10 @@ class HuberMeasure(MEstimatorMeasure):
         self.zeta = Fraction(1)
 
     def g_exact(self, x):
-        x = Fraction(x)
-        if x <= self.tau:
-            return x * x / (2 * self.tau)
-        return x - self.tau / 2
+        a, b = self.tau.numerator, self.tau.denominator
+        if x * b <= a:
+            return Fraction(x * x * b, 2 * a)
+        return Fraction(2 * b * x - a, 2 * b)
 
     def fg_lower_bound(self, m):
         return self.g_exact(1) * m

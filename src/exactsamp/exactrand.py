@@ -7,8 +7,15 @@ Two things live here:
 * Bernoulli draws whose success probability is honored exactly: the
   probability is compared bit-by-bit against a lazily extended uniform
   bitstream, so no float rounding ever enters an output distribution.
-  Irrational probabilities are supported through nested rational bounds
-  refined until the comparison is decidable.
+  An irrational probability q is given by refine(k) -> integers (lo, hi)
+  with lo <= q 2^k <= hi, and bernoulli_bounds compares them against the
+  integer prefix of the uniform, doubling k until the comparison is
+  decidable; no Fraction enters that loop.
+
+The scaled-integer cores give such brackets: root_scaled and pow_scaled for
+x**(1/n) and base**exp with one integer root, log_scaled for ln(y) by a
+fixed-point series.  root_bounds and pow_bounds are the rational forms of the
+first two, for callers off the draw path.
 """
 
 import hashlib
@@ -53,11 +60,11 @@ def bernoulli_fraction(q, rng):
     Compares the binary expansion of q against fresh uniform bits; expected
     number of bits consumed is 2.
     """
-    if q <= 0:
-        return False
-    if q >= 1:
-        return True
     num, den = q.numerator, q.denominator
+    if num <= 0:
+        return False
+    if num >= den:
+        return True
     while True:
         num *= 2
         bit_q, num = divmod(num, den)
@@ -74,28 +81,29 @@ def bernoulli_fraction(q, rng):
 
 def bernoulli_bounds(refine, rng, start_prec=16):
     """True with probability exactly q, where q is only available through
-    refine(prec) -> (lo, hi) with lo <= q <= hi and hi - lo -> 0.
+    refine(k) -> integers (lo, hi) with lo <= q 2^k <= hi and hi - lo bounded
+    as k grows.
+
+    u is the integer prefix U of its first j bits, u in [U, U+1) 2^-j; at
+    scale 2^k that is [U << (k-j), (U+1) << (k-j)).  The draw is decided once
+    that interval lies on one side of [lo, hi], takes another bit while it is
+    wider than [lo, hi], and doubles k otherwise.
     """
-    lo, hi = refine(start_prec)
-    if hi <= 0:
-        return False
-    if lo >= 1:
-        return True
-    u_lo = Fraction(0)
-    width = Fraction(1)
-    prec = start_prec
+    k = start_prec
+    lo, hi = refine(k)
+    U = j = 0
     while True:
-        if u_lo + width <= lo:
+        s = k - j
+        if (U + 1) << s <= lo:
             return True
-        if u_lo >= hi:
+        if U << s >= hi:
             return False
-        if width > hi - lo:
-            width /= 2
-            if rng.getrandbits(1):
-                u_lo += width
+        if hi - lo < 1 << s:
+            U = U << 1 | rng.getrandbits(1)
+            j += 1
         else:
-            prec *= 2
-            lo, hi = refine(prec)
+            k *= 2
+            lo, hi = refine(k)
 
 
 def integer_nthroot(x, n):
@@ -119,93 +127,101 @@ def integer_nthroot(x, n):
     return r, r ** n == x
 
 
-def root_bounds(x, n, prec):
-    """Rational (lo, hi) with lo <= x**(1/n) <= hi and hi - lo <= 2**-prec.
-
-    x is a nonnegative Fraction, n a positive integer.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
+def root_scaled(x, n, k):
+    """(floor, ceil) of x**(1/n) 2^k for a nonnegative int or Fraction x and
+    an integer n >= 1."""
     p, q = x.numerator, x.denominator
-    # x**(1/n) = (p * q**(n-1))**(1/n) / q
-    m = p * q ** (n - 1)
-    scale = 1 << prec
-    r, exact = integer_nthroot(m * scale ** n, n)
-    lo = Fraction(r, scale * q)
-    if exact:
-        return lo, lo
-    return lo, Fraction(r + 1, scale * q)
+    # x**(1/n) 2^k = (p q**(n-1) 2^(nk))**(1/n) / q
+    r, exact = integer_nthroot(p * q ** (n - 1) << n * k, n)
+    lo = r // q
+    return lo, lo if exact and lo * q == r else lo + 1
+
+
+def pow_scaled(base, exp, k):
+    """(floor, ceil) of base**exp 2^k for a nonnegative int or Fraction base
+    and a nonnegative rational exp."""
+    a = exp.numerator
+    if a < 0 or base.numerator < 0:
+        raise ValueError("pow_scaled needs nonnegative base and exponent")
+    return root_scaled(base ** a, exp.denominator, k)
+
+
+def scaled(lo, hi, k):
+    """(floor(lo 2^k), ceil(hi 2^k)) for rationals lo <= hi."""
+    return (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator)
+
+
+def _rational(bounds, k):
+    lo, hi = bounds
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+
+
+def root_bounds(x, n, prec):
+    """Rational (lo, hi) with lo <= x**(1/n) <= hi and hi - lo <= 2**-prec,
+    for a nonnegative rational x and a positive integer n."""
+    return _rational(root_scaled(Fraction(x), n, prec), prec)
 
 
 def pow_bounds(base, exp, prec):
-    """Rational bounds on base**exp for Fraction base >= 0, Fraction exp >= 0."""
-    base = Fraction(base)
-    exp = Fraction(exp)
-    if base < 0 or exp < 0:
-        raise ValueError("pow_bounds needs nonnegative base and exponent")
-    if base == 0:
-        one = Fraction(1)
-        return (one, one) if exp == 0 else (Fraction(0), Fraction(0))
-    a, b = exp.numerator, exp.denominator
-    powed = base ** a
-    if b == 1:
-        return powed, powed
-    return root_bounds(powed, b, prec)
+    """Rational bounds on base**exp for Fraction base >= 0, Fraction exp >= 0,
+    with hi - lo <= 2**-prec."""
+    return _rational(pow_scaled(Fraction(base), Fraction(exp), prec), prec)
 
 
 def pow_exact(base, exp):
-    """base**exp as a Fraction, or None when irrational."""
-    base = Fraction(base)
-    exp = Fraction(exp)
-    if base == 0:
-        return Fraction(1) if exp == 0 else Fraction(0)
+    """base**exp as a Fraction, or None when irrational, for a nonnegative
+    int or Fraction base and a nonnegative rational exp."""
     a, b = exp.numerator, exp.denominator
-    powed = base ** a
-    if b == 1:
-        return powed
-    pr, p_exact = integer_nthroot(powed.numerator, b)
-    qr, q_exact = integer_nthroot(powed.denominator, b)
+    pr, p_exact = integer_nthroot(base.numerator ** a, b)
+    qr, q_exact = integer_nthroot(base.denominator ** a, b)
     if p_exact and q_exact:
         return Fraction(pr, qr)
     return None
 
 
-def log_bounds(y, prec):
-    """Rational bounds on ln(y) for Fraction y > 0, width <= 2**-prec.
+def _atanh_scaled(a, b, P):
+    """(S, E) with S <= atanh(a/b) 2^P <= S + E, for integers 0 <= a/b <= 1/3.
 
-    Uses ln(y) = 2*atanh(z), z = (y-1)/(y+1), whose tail after the k-th term
-    is bounded by z**(2k+3)/((2k+3)(1-z**2)) * 2.
+    Term i of the series sum t^(2i+1)/(2i+1) is truncated from below; X_i
+    falls short of t^(2i+1) 2^P by less than 1/(1 - t^2) <= 9/8, so each term
+    loses less than 1.375 and the tail after X_i = 0 less than 1.
     """
-    y = Fraction(y)
-    if y <= 0:
+    if a == 0:
+        return 0, 0
+    x = (a << P) // b
+    a2, b2 = a * a, b * b
+    total, i = x, 1
+    while x:
+        x = x * a2 // b2
+        total += x // (2 * i + 1)
+        i += 1
+    return total, 2 * i + 2
+
+
+def log_scaled(y, k):
+    """Integers (lo, hi) with lo <= ln(y) 2^k <= hi and hi - lo <= 3, for a
+    rational (int or Fraction) y > 0.
+
+    ln y = e ln 2 + 2 atanh((z - 1)/(z + 1)) with z = y / 2^e in [1, 2) and
+    ln 2 = 2 atanh(1/3), both summed in fixed point at 2^(k+g), then rounded
+    out to 2^k.
+    """
+    p, q = y.numerator, y.denominator
+    if p <= 0:
         raise ValueError("log of nonpositive value")
-    if y == 1:
-        return Fraction(0), Fraction(0)
-    if y < 1:
-        lo, hi = log_bounds(1 / y, prec)
-        return -hi, -lo
-    if y > 2:
-        # Range-reduce by powers of two; the series below converges slowly
-        # for large arguments.
-        k = 0
-        while y > 2:
-            y /= 2
-            k += 1
-        l2lo, l2hi = log_bounds(Fraction(2), prec + k.bit_length() + 1)
-        ylo, yhi = log_bounds(y, prec + 1)
-        return k * l2lo + ylo, k * l2hi + yhi
-    z = (y - 1) / (y + 1)
-    z2 = z * z
-    tol = Fraction(1, 1 << (prec + 1))
-    total = Fraction(0)
-    term = z
-    k = 0
-    while True:
-        total += term / (2 * k + 1)
-        term *= z2
-        k += 1
-        tail = term / ((2 * k + 1) * (1 - z2))
-        if 2 * tail <= tol:
-            lo = 2 * total
-            return lo, lo + 2 * tail
+    e = p.bit_length() - q.bit_length()
+    if e >= 0:
+        q <<= e
+    else:
+        p <<= -e
+    if p < q:
+        p <<= 1
+        e -= 1
+    g = ((k + 64) * (abs(e) + 1)).bit_length() + 2
+    s, err = _atanh_scaled(p - q, p + q, k + g)
+    lo, hi = 2 * s, 2 * (s + err)
+    if e:
+        s2, err2 = _atanh_scaled(1, 3, k + g)
+        lo2, hi2 = 2 * e * s2, 2 * e * (s2 + err2)
+        lo, hi = lo + min(lo2, hi2), hi + max(lo2, hi2)
+    return lo >> g, -(-hi >> g)

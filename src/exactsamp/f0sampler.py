@@ -105,6 +105,7 @@ class F0Sampler(UnitUpdates):
             repetitions = max(1, math.ceil(2 * math.log(1.0 / delta)))
         self.R = repetitions
         self.seed = seed
+        self.draws = 0
         self.state = F0State(n, window)
         self.subsets = [self.state.subset(substream(seed, "rep", i).getrandbits(64))
                         for i in range(self.R)]
@@ -121,7 +122,8 @@ class F0Sampler(UnitUpdates):
         # The instances share one stream state: all are empty or none is.
         if not self.state._freq:
             return SampleResult.bottom()
-        rng = substream(self.seed, "draw")
+        self.draws += 1
+        rng = substream(self.seed, "draw", self.draws)
         draws = (self.state.draw(S, rng) for S in self.subsets)
         return first_accepted(((res, res.frequency) for res in draws if res.outcome == INDEX),
                               lambda f: self.accept(f, rng)) or SampleResult.fail()

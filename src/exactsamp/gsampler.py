@@ -4,8 +4,9 @@ Each of R repetitions keeps a reservoir sample s with its strictly-after
 counter c; at draw time repetition accepts with probability
 (G(c+1) - G(c)) / zeta, which telescopes so that index i is output with
 probability G(f_i)/(zeta m) per repetition, i.e. exactly G(f_i)/F_G
-conditioned on success.  Acceptance draws are exact (rational or
-interval-refined), never float comparisons.
+conditioned on success.  Acceptance draws are exact (rational, or on
+scaled-integer brackets when G or zeta is irrational), never float
+comparisons.  Draw number k of a sampler takes substream(seed, "draw", k).
 
 A draw walks the repetitions in index order and returns the first one that
 accepts, so it runs about 1/s acceptance tests instead of R, with s the
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .core import SampleResult, UnitUpdates
-from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_bounds, pow_exact, substream
+from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, substream
 from .heavyhitters import MGSummary, mg_budget, z_bound
 from .reservoir import SamplerBank
 
@@ -40,22 +41,32 @@ def repetitions_for(ratio, delta):
 def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
     """Accept with probability exactly (G(c+1) - G(c)) / zeta.
 
-    zeta_exact is a Fraction or None; zeta_bounds(prec) supplies rational
-    bounds when zeta is irrational.
+    zeta_exact is a Fraction or None; zeta_bounds(k) supplies integers
+    (lo, hi) with 0 < lo <= zeta 2^k <= hi when zeta is irrational.  The
+    increment is the exact rational a/b when the measure has one and its
+    scaled bracket over b = 2^k otherwise; zeta likewise.  Dividing the two
+    with integer floor and ceil brackets the acceptance probability at 2^k.
     """
     inc = measure.increment_exact(c)
     if inc is not None and zeta_exact is not None:
         return bernoulli_fraction(inc / zeta_exact, rng)
 
-    def refine(prec):
-        ilo, ihi = measure.increment_bounds(c, prec)
-        if ilo < 0:
-            ilo = Fraction(0)
-        if zeta_exact is not None:
-            zlo = zhi = zeta_exact
+    def refine(k):
+        # increment in [ilo, ihi] / iden and zeta in [zlo, zhi] / zden
+        if inc is None:
+            ilo, ihi = measure.increment_bounds(c, k)
+            iden = 1 << k
         else:
-            zlo, zhi = zeta_bounds(prec)
-        return ilo / zhi, ihi / zlo
+            ilo = ihi = inc.numerator
+            iden = inc.denominator
+        if zeta_exact is None:
+            zlo, zhi = zeta_bounds(k)
+            zden = 1 << k
+        else:
+            zlo = zhi = zeta_exact.numerator
+            zden = zeta_exact.denominator
+        num = zden << k
+        return ilo * num // (iden * zhi), -(-ihi * num // (iden * zlo))
 
     return bernoulli_bounds(refine, rng)
 
@@ -63,13 +74,13 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
 def lp_zeta(Z, p):
     """zeta = 2 Z^{p-1} for L_p, p in (1,2], as (zeta_exact, None) when it is
     rational and (None, zeta_bounds) otherwise, the arguments that
-    accept_increment takes."""
+    accept_increment takes; zeta_bounds(k) is the scaled-integer bracket."""
     exact = pow_exact(Z, p - 1)
     if exact is not None:
         return 2 * exact, None
 
-    def bounds(prec):
-        lo, hi = pow_bounds(Z, p - 1, prec)
+    def bounds(k):
+        lo, hi = pow_scaled(Z, p - 1, k)
         return 2 * lo, 2 * hi
 
     return None, bounds
@@ -103,6 +114,7 @@ class GSampler(UnitUpdates):
         self.seed = seed
         self.p = Fraction(p) if p is not None else None
         self.mg = None
+        self.draws = 0
 
         if zeta is not None:
             zeta = Fraction(zeta)
@@ -150,7 +162,8 @@ class GSampler(UnitUpdates):
     def draw(self):
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
-        rng = substream(self.seed, "draw")
+        self.draws += 1
+        rng = substream(self.seed, "draw", self.draws)
         zeta_exact, zeta_bounds = self._zeta_at_draw()
         live = ((SampleResult.of(s, repetition=i), c)
                 for i, (s, _, c) in enumerate(map(self.bank.effective, range(self.R)))

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .core import MeasureFunction, SampleResult
-from .exactrand import root_bounds, substream
+from .exactrand import root_bounds, root_scaled, substream
 from .gsampler import accept_increment, first_accepted, repetitions_for
 from .reservoir import SamplerBank
 
@@ -57,8 +57,8 @@ class L2RowMeasure(RowMeasure):
         r = math.isqrt(s)
         return Fraction(r) if r * r == s else None
 
-    def g_bounds(self, vec, prec):
-        return root_bounds(Fraction(sum(x * x for x in vec)), 2, prec)
+    def g_bounds(self, vec, k):
+        return root_scaled(sum(x * x for x in vec), 2, k)
 
     def g_float(self, vec):
         return math.sqrt(float(sum(x * x for x in vec)))
@@ -88,6 +88,7 @@ class MatrixSampler:
             ratio = measure.zeta * max(m, 1) / fg
             repetitions = repetitions_for(ratio, delta)
         self.R = repetitions
+        self.draws = 0
         # Unit i draws from substream(seed, "unit", i).
         self.bank = SamplerBank(repetitions, seed)
         self.counts = {}  # row -> column counts, kept while the bank tracks the row
@@ -126,7 +127,8 @@ class MatrixSampler:
     def draw(self):
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
-        rng = substream(self.seed, "draw")
+        self.draws += 1
+        rng = substream(self.seed, "draw", self.draws)
         live = ((SampleResult.of(row, repetition=i), (self.after(i), self.unit_col[i]))
                 for i, row in enumerate(self.bank.unit_s) if row is not None)
         return first_accepted(

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import SampleResult, UnitUpdates, lp_measure
-from .exactrand import np_substream, pow_bounds, substream
+from .exactrand import np_substream, pow_scaled, substream
 from .gsampler import accept_increment, first_accepted, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
@@ -59,6 +59,7 @@ class CheckpointedSampler(UnitUpdates):
             repetitions = repetitions_for(2 * self.zeta * W / fg, delta)
         self.R = repetitions
         self.t = 0
+        self.draws = 0
         self.banks = []  # (start_time, SamplerBank), two most recent
 
     def update(self, coord):
@@ -83,7 +84,8 @@ class CheckpointedSampler(UnitUpdates):
         if self.t == 0:
             return SampleResult.bottom()
         bank = self._draw_bank()
-        rng = substream(self.seed, "draw")
+        self.draws += 1
+        rng = substream(self.seed, "draw", self.draws)
         cutoff = self.t - self.W
         live = ((SampleResult.of(s, repetition=i), c)
                 for i, (s, t_s, c) in enumerate(map(bank.effective, range(self.R)))
@@ -211,6 +213,7 @@ class SlidingLpSampler(UnitUpdates):
             bound = pf * 2.0 ** (pf - 1.0) * W ** (1.0 - 1.0 / pf)
             repetitions = repetitions_for(2 * bound, delta)
         self.R = repetitions
+        self.draws = 0
         self.hist = SmoothHistogram(self.p, W, seed=seed, estimator_factory=estimator_factory)
         self.minima = SuffixMinima(self.R, np_substream(seed, "priority").bit_generator)
 
@@ -220,21 +223,23 @@ class SlidingLpSampler(UnitUpdates):
         self.minima.drop_before(self.hist.rows[0].t_start)
 
     def _zeta_bounds(self, est, c_max):
-        """bounds(prec) on the normalizer p F^{p-1}, F = L_p of the bracketing
-        suffix = (F_p)^{1/p}, computed once per precision per draw (exact
-        bounds when it is rational).  Raises DegradedEstimate when F is not
-        certified above the window's L_p, i.e. the largest increment would
-        exceed it."""
-        p, q = self.p, (self.p - 1) / self.p
+        """bounds(k) on the normalizer p F^{p-1}, F = L_p of the bracketing
+        suffix = (F_p)^{1/p}, as integers (lo, hi) with lo <= p F^{p-1} 2^k
+        <= hi, computed once per precision per draw.  Raises DegradedEstimate
+        when F is not certified above the window's L_p, i.e. the largest
+        increment would exceed it."""
+        a, b = self.p.numerator, self.p.denominator
+        q = (self.p - 1) / self.p
         memo = {}
 
-        def bounds(prec):
-            if prec not in memo:
-                flo, fhi = est.fp_bounds(prec)
-                memo[prec] = p * pow_bounds(flo, q, prec)[0], p * pow_bounds(fhi, q, prec)[1]
-                if memo[prec][0] <= 0:
+        def bounds(k):
+            if k not in memo:
+                flo, fhi = est.fp_bounds(k)
+                lo, hi = pow_scaled(flo, q, k)[0], pow_scaled(fhi, q, k)[1]
+                memo[k] = a * lo // b, -(-a * hi // b)
+                if memo[k][0] <= 0:
                     raise DegradedEstimate("nonpositive F estimate")
-            return memo[prec]
+            return memo[k]
 
         if self.measure.increment_bounds(c_max, 16)[0] > bounds(16)[1]:
             raise DegradedEstimate("acceptance above 1: F below L_p")
@@ -245,14 +250,19 @@ class SlidingLpSampler(UnitUpdates):
         if t == 0:
             return SampleResult.bottom()
         row = self.hist.bracket()
-        live = [(i, *self.minima.entry(q))
-                for i, q in enumerate(self.minima.first_at(row.t_start).tolist()) if q > t - self.W]
-        rng = substream(self.seed, "draw")
+        cutoff = t - self.W
+        entry = self.minima.entry
+        first = self.minima.first_at(row.t_start).tolist()
+        c_max = max((entry(q)[1] for q in set(first) if q > cutoff), default=0)
+        self.draws += 1
+        rng = substream(self.seed, "draw", self.draws)
         try:
-            bounds = self._zeta_bounds(row.est, max((c for _, _, c in live), default=0))
+            bounds = self._zeta_bounds(row.est, c_max)
+            live = ((SampleResult.of(coord, repetition=i), c)
+                    for i, q in enumerate(first) if q > cutoff
+                    for coord, c in (entry(q),))
             return first_accepted(
-                ((SampleResult.of(coord, repetition=i), c) for i, coord, c in live),
-                lambda c: accept_increment(self.measure, c, None, bounds, rng)
+                live, lambda c: accept_increment(self.measure, c, None, bounds, rng)
             ) or SampleResult.fail()
         except DegradedEstimate:
             return SampleResult.fail()

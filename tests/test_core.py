@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -23,6 +24,11 @@ from exactsamp.core import (
     validate_stream,
     write_stream,
 )
+from exactsamp.exactrand import log_scaled, scaled
+from exactsamp import gsampler
+from exactsamp.gsampler import lp_zeta
+from exactsamp.matrixsampler import L2RowMeasure
+from exactsamp.sliding import SlidingLpSampler
 
 
 def test_package_import_skips_scipy():
@@ -61,6 +67,7 @@ def test_increments_within_zeta(meas):
     xs = list(range(1, 50)) + [10 ** 3, 10 ** 6]
     for x in xs:
         lo, hi = meas.increment_bounds(x - 1, 30)
+        hi = Fraction(hi, 1 << 30)
         assert hi >= -slack  # G non-decreasing
         if zeta is not None:
             assert hi <= zeta + slack
@@ -89,7 +96,7 @@ def test_fg_lower_bound_never_exceeds_true_fg(coords):
         freq[c] = freq.get(c, 0) + 1
     m = len(coords)
     for meas in builtin_measures():
-        fg = sum(Fraction(meas.g_bounds(f, 40)[1]) for f in freq.values())
+        fg = sum(Fraction(meas.g_bounds(f, 40)[1], 1 << 40) for f in freq.values())
         assert meas.fg_lower_bound(m) <= fg + Fraction(1, 1 << 20)
 
 
@@ -183,3 +190,113 @@ def test_process_rejects_deletions(family):
     s.process([Update(1), 2])
     with pytest.raises(ValueError, match="delta -1"):
         s.process([Update(1, delta=-1)])
+
+
+def _dec(x):
+    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def _lp_ref(p):
+    return lambda x: _dec(Fraction(x)) ** _dec(Fraction(p))
+
+
+def _l1l2_ref(x):
+    return (decimal.Decimal(4 + 2 * x * x)).sqrt() - 2
+
+
+def _fair_ref(tau):
+    t = _dec(Fraction(tau))
+    return lambda x: t * x - t * t * (1 + decimal.Decimal(x) / t).ln()
+
+
+def _bracket_cases():
+    """(name, bounds(k), reference value as a Decimal) for every shipped
+    producer of scaled-integer bounds."""
+    xs = [0, 1, 2, 3, 7, 10 ** 6 + 3]
+    for p in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+        meas, ref = lp_measure(p), _lp_ref(p)
+        for x in xs:
+            yield "lp(%s) G(%d)" % (p, x), lambda k, m=meas, x=x: m.g_bounds(x, k), ref(x)
+            yield ("lp(%s) inc(%d)" % (p, x), lambda k, m=meas, x=x: m.increment_bounds(x, k),
+                   ref(x + 1) - ref(x))
+    l1l2 = l1l2_measure()
+    for x in xs:
+        yield "l1l2 G(%d)" % x, lambda k, x=x: l1l2.g_bounds(x, k), _l1l2_ref(x)
+        yield ("l1l2 inc(%d)" % x, lambda k, x=x: l1l2.increment_bounds(x, k),
+               _l1l2_ref(x + 1) - _l1l2_ref(x))
+    for tau in (Fraction(2), Fraction(1, 3)):
+        fair, ref = fair_measure(tau), _fair_ref(tau)
+        for x in xs[1:5]:
+            yield "fair(%s) G(%d)" % (tau, x), lambda k, m=fair, x=x: m.g_bounds(x, k), ref(x)
+            yield ("fair(%s) inc(%d)" % (tau, x), lambda k, m=fair, x=x: m.increment_bounds(x, k),
+                   ref(x + 1) - ref(x))
+    for y in (Fraction(3, 2), Fraction(1, 40), Fraction(10 ** 9 + 7), Fraction(7, 10 ** 6)):
+        yield "log(%s)" % y, lambda k, y=y: log_scaled(y, k), _dec(y).ln()
+    row = L2RowMeasure()
+    for v, col in (([0, 0], 1), ([1, 0], 2), ([3, 5, 2], 3), ([1000, 1, 0], 1)):
+        norm = lambda u: decimal.Decimal(sum(a * a for a in u)).sqrt()
+        plus = [a + (i == col - 1) for i, a in enumerate(v)]
+        yield "l2_row G(%s)" % v, lambda k, v=v: row.g_bounds(v, k), norm(v)
+        yield ("l2_row inc(%s, %d)" % (v, col), lambda k, c=(v, col): row.increment_bounds(c, k),
+               norm(plus) - norm(v))
+    for Z in (Fraction(10 ** 6 + 3), Fraction(7, 3), Fraction(4)):
+        for p in (Fraction(3, 2), Fraction(5, 4)):
+            exact, bounds = lp_zeta(Z, p)
+            ref = 2 * _dec(Z) ** _dec(p - 1)
+            if bounds is None:
+                yield "lp_zeta(%s, %s)" % (Z, p), lambda k, e=exact: scaled(e, e, k), ref
+            else:
+                yield "lp_zeta(%s, %s)" % (Z, p), bounds, ref
+    for p in (Fraction(2), Fraction(3, 2)):
+        s = SlidingLpSampler(p, W=20, seed=1, repetitions=4)
+        s.process([1, 2, 2, 3, 3, 3, 4, 1, 2, 2] * 3)
+        est = s.hist.bracket().est
+        fp = sum(decimal.Decimal(f) ** _dec(p) for f in est.counts.values())
+        yield ("sliding zeta p=%s" % p, s._zeta_bounds(est, 0),
+               _dec(p) * fp ** _dec((p - 1) / p))
+
+
+def _accept_refine(measure, c, zeta_exact, zeta_bounds):
+    """The refine(k) that accept_increment hands to bernoulli_bounds."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gsampler, "bernoulli_bounds", lambda refine, rng: seen.append(refine))
+        gsampler.accept_increment(measure, c, zeta_exact, zeta_bounds, None)
+    return seen[0]
+
+
+def _accept_cases():
+    """(name, refine(k), reference acceptance probability) of accept_increment
+    with an irrational increment, an irrational zeta, or both."""
+    d = decimal.Decimal
+    F2 = 10 ** 6 + 3
+    yield ("accept lp(1/2)", _accept_refine(lp_measure(Fraction(1, 2)), 5, Fraction(1), None),
+           d(6).sqrt() - d(5).sqrt())
+    yield ("accept lp(2), zeta 2 sqrt(F2)",
+           _accept_refine(lp_measure(2), 500, *lp_zeta(Fraction(F2), Fraction(3, 2))),
+           d(1001) / (2 * d(F2).sqrt()))
+    yield ("accept lp(3/2), zeta 2 sqrt(7/3)",
+           _accept_refine(lp_measure(Fraction(3, 2)), 7, *lp_zeta(Fraction(7, 3), Fraction(3, 2))),
+           (d(8) ** d(1.5) - d(7) ** d(1.5)) / (2 * (d(7) / d(3)).sqrt()))
+    yield ("accept l1l2", _accept_refine(l1l2_measure(), 4, Fraction(3), None),
+           (_l1l2_ref(5) - _l1l2_ref(4)) / 3)
+    yield ("accept fair(2)", _accept_refine(fair_measure(2), 3, Fraction(2), None),
+           (_fair_ref(2)(4) - _fair_ref(2)(3)) / 2)
+    yield ("accept l2_row", _accept_refine(L2RowMeasure(), ([3, 5, 2], 3), Fraction(1), None),
+           d(43).sqrt() - d(38).sqrt())
+
+
+def test_scaled_brackets_hold_for_every_producer():
+    # lo <= value 2^k <= hi against a 80-digit reference, with hi - lo at
+    # most a small constant at every precision.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        cases = list(_bracket_cases()) + list(_accept_cases())
+        tol = decimal.Decimal(10) ** -30
+        for name, bounds, ref in cases:
+            for k in (16, 32, 64, 128):
+                lo, hi = bounds(k)
+                assert isinstance(lo, int) and isinstance(hi, int), name
+                v = ref * (1 << k)
+                assert lo <= v + tol and v - tol <= hi, (name, k, lo, hi, v)
+                assert hi - lo <= 8, (name, k, hi - lo)

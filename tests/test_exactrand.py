@@ -10,11 +10,14 @@ from exactsamp.exactrand import (
     bernoulli_bounds,
     bernoulli_fraction,
     integer_nthroot,
-    log_bounds,
+    log_scaled,
     np_substream,
     pow_bounds,
     pow_exact,
+    pow_scaled,
     root_bounds,
+    root_scaled,
+    scaled,
     substream,
     weighted_index,
 )
@@ -64,18 +67,84 @@ def test_bernoulli_fraction_empirical():
 
 
 def test_bernoulli_bounds_matches_fraction():
-    # Same q presented through bounds must give the same acceptance rate.
+    # Same q presented through scaled-integer bounds, one unit loose on each
+    # side, must give the same acceptance rate.
     q = Fraction(2, 5)
 
-    def refine(prec):
-        eps = Fraction(1, 1 << prec)
-        return q - eps, q + eps
+    def refine(k):
+        lo, hi = scaled(q, q, k)
+        return lo - 1, hi + 1
 
     rng = random.Random(9)
     n = 100000
     hits = sum(bernoulli_bounds(refine, rng) for _ in range(n))
     sigma = math.sqrt(n * 0.4 * 0.6)
     assert abs(hits - n * 0.4) < 4 * sigma
+
+
+class ScriptedBits:
+    """getrandbits(1) from a fixed bit string; running out raises Exhausted."""
+
+    class Exhausted(Exception):
+        pass
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.used = 0
+
+    def getrandbits(self, k):
+        assert k == 1
+        if self.used == len(self.bits):
+            raise self.Exhausted
+        self.used += 1
+        return self.bits[self.used - 1]
+
+
+def _sqrt3_minus_1_over_2(k):
+    lo, hi = root_scaled(3, 2, k)
+    one = 1 << k
+    return (lo - one) // 2, -(-(hi - one) // 2)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("refine, vs_q", [
+    # refine(k) brackets q 2^k; vs_q(x) is the sign of x - q for dyadic x >= 0.
+    (lambda k: scaled(Fraction(2, 5), Fraction(2, 5), k), lambda x: _sign(x - Fraction(2, 5))),
+    (lambda k: scaled(Fraction(3, 8), Fraction(3, 8), k), lambda x: _sign(x - Fraction(3, 8))),
+    (lambda k: root_scaled(Fraction(1, 2), 2, k), lambda x: _sign(2 * x * x - 1)),
+    (_sqrt3_minus_1_over_2, lambda x: _sign((2 * x + 1) ** 2 - 3)),
+], ids=["2/5", "3/8", "sqrt2/2", "(sqrt3-1)/2"])
+@pytest.mark.parametrize("start_prec", [1, 16])
+def test_bernoulli_bounds_exact_enumeration(refine, vs_q, start_prec):
+    # Every bit string up to depth 12 through the real loop: the mass decided
+    # True stays at or below q, the mass decided False at or below 1 - q, and
+    # the undecided mass is at most two prefixes of each depth.  Starting at
+    # 2^-1 makes the loop refine while bits are drawn.
+    depth = 12
+    decided = {True: [Fraction(0)] * (depth + 1), False: [Fraction(0)] * (depth + 1)}
+    undecided = [Fraction(0)] * (depth + 1)
+    stack = [()]
+    while stack:
+        bits = stack.pop()
+        rng = ScriptedBits(bits)
+        try:
+            out = bernoulli_bounds(refine, rng, start_prec)
+        except ScriptedBits.Exhausted:
+            undecided[len(bits)] += Fraction(1, 1 << len(bits))
+            if len(bits) < depth:
+                stack += [bits + (0,), bits + (1,)]
+            continue
+        assert rng.used == len(bits)
+        decided[out][len(bits)] += Fraction(1, 1 << len(bits))
+    for d in range(depth + 1):
+        t, f = sum(decided[True][:d + 1]), sum(decided[False][:d + 1])
+        assert t + f + undecided[d] == 1
+        assert vs_q(t) <= 0 <= vs_q(1 - f), (d, t, f)
+        assert undecided[d] <= Fraction(2, 1 << d), (d, undecided[d])
+    assert undecided[depth] > 0 or vs_q(t) == 0  # only a dyadic q is ever settled
 
 
 @given(st.integers(0, 10 ** 12), st.integers(1, 6))
@@ -119,10 +188,10 @@ def test_pow_bounds_bracket(base, exp):
        st.integers(8, 48))
 @settings(max_examples=60)
 def test_log_bounds_bracket(y, prec):
-    lo, hi = log_bounds(y, prec)
-    assert hi - lo <= Fraction(1, 1 << prec)
+    lo, hi = log_scaled(y, prec)
+    assert hi - lo <= 3
     v = math.log(float(y))
-    assert float(lo) - 1e-9 <= v <= float(hi) + 1e-9
+    assert lo / 2 ** prec - 1e-9 <= v <= hi / 2 ** prec + 1e-9
 
 
 def test_pow_bounds_rejects_negative():

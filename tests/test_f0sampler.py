@@ -146,12 +146,13 @@ def test_tukey_single_support():
         assert res.index == 3
 
 
-def _independent_draw(states, subsets, seed, keep):
-    """A draw over R separately built and separately fed instances: the first
-    one that hits and passes keep(f, rng)."""
+def _independent_draw(states, subsets, seed, keep, number):
+    """Draw `number` (counting draws that are not BOTTOM) over R separately
+    built and separately fed instances: the first one that hits and passes
+    keep(f, rng)."""
     if not states[0].active_frequencies():
         return SampleResult.bottom()
-    rng = substream(seed, "draw")
+    rng = substream(seed, "draw", number)
     for state, S in zip(states, subsets):
         res = state.draw(S, rng)
         if res.outcome == "index" and keep(res.frequency, rng):
@@ -177,10 +178,13 @@ def test_shared_state_draws_equal_independent_instances(n, coords, window, R, se
     states = [F0State(n, window) for _ in range(R)]
     subsets = [state.subset(substream(seed, "rep", i).getrandbits(64))
                for i, state in enumerate(states)]
+    number = 0
     for k in range(0, len(coords) + 1, 20):
         chunk = coords[k:k + 20]
         s.process(chunk)
         for state in states:
             for c in chunk:
                 state.update(c)
-        assert s.draw() == _independent_draw(states, subsets, seed, keep)
+        res = s.draw()
+        number += res.outcome != "bottom"
+        assert res == _independent_draw(states, subsets, seed, keep, number)

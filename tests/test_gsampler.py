@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +9,13 @@ import pytest
 
 from exactsamp import gsampler
 from exactsamp.core import Update, huber_measure, l1l2_measure, lp_measure
-from exactsamp.gsampler import GSampler, first_accepted, lp_sampler, repetitions_for
+from exactsamp.f0sampler import F0Sampler
+from exactsamp.gsampler import (
+    GSampler, accept_increment, first_accepted, lp_sampler, lp_zeta, repetitions_for,
+)
 from exactsamp.heavyhitters import mg_budget
+from exactsamp.matrixsampler import L2RowMeasure, MatrixSampler
+from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 from exactsamp import oracle
 
 
@@ -213,3 +219,59 @@ def test_draw_time_flat_in_repetitions():
     t4096 = best_draw_time(4096)
     print("draw time: R=64 %.2e s, R=4096 %.2e s (ratio %.2f)" % (t64, t4096, t4096 / t64))
     assert t4096 <= 3.0 * t64, (t64, t4096)
+
+
+def test_irrational_zeta_accept_within_3x_of_rational():
+    # zeta = 2 sqrt(F_2), F_2 = 10^6 + 3, runs on scaled-integer brackets;
+    # zeta = 2Z with Z = 1000 is rational.  Same increments 2c + 1 < zeta.
+    meas = lp_measure(2)
+    irrational = lp_zeta(Fraction(10 ** 6 + 3), Fraction(3, 2))
+    rational = lp_zeta(Fraction(1000), Fraction(2))
+    assert irrational[0] is None and rational[1] is None
+    rng = random.Random(3)
+
+    def per_call(zeta_exact, zeta_bounds):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for c in range(1000):
+                accept_increment(meas, c, zeta_exact, zeta_bounds, rng)
+            best = min(best, time.perf_counter() - t0)
+        return best / 1000
+
+    t_irr, t_rat = per_call(*irrational), per_call(*rational)
+    print("accept: irrational %.2e s, rational %.2e s (ratio %.2f)" % (t_irr, t_rat, t_irr / t_rat))
+    assert t_irr <= 3.0 * t_rat, (t_irr, t_rat)
+
+
+def _fed(sampler, coords):
+    sampler.process(coords)
+    return sampler
+
+
+def _fed_matrix(coords):
+    s = MatrixSampler(L2RowMeasure(), n=5, d=2, m=len(coords), seed=2, repetitions=16)
+    for i, row in enumerate(coords):
+        s.update(row, i % 2 + 1)
+    return s
+
+
+REPEATED_DRAW_SAMPLERS = {
+    "gsampler": lambda c: _fed(lp_sampler(Fraction(1, 2), n=5, m=len(c), seed=2, repetitions=16), c),
+    "matrix": _fed_matrix,
+    "checkpointed": lambda c: _fed(CheckpointedSampler(lp_measure(Fraction(1, 2)), W=20, seed=2,
+                                                       repetitions=16), c),
+    "sliding_lp": lambda c: _fed(SlidingLpSampler(2, W=20, seed=2, repetitions=16), c),
+    "f0": lambda c: _fed(F0Sampler(n=50, seed=2, repetitions=4), c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_DRAW_SAMPLERS))
+def test_repeated_draws_on_unchanged_state_differ(name):
+    # Every coordinate (row) occurs four times, so the live repetitions hold
+    # different samples and those sampled before a last occurrence accept
+    # with probability below 1.  Each draw takes its own substream, so 200 draws
+    # on the same state do not all return one answer.
+    s = REPEATED_DRAW_SAMPLERS[name]([1, 2, 3, 4, 5] * 4)
+    outcomes = {s.draw() for _ in range(200)}
+    assert len(outcomes) >= 2, outcomes

@@ -60,3 +60,12 @@ def test_multipass_reads_the_stream_at_one_site():
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
     assert "_parallel_l1_chains" not in defined
+
+
+def test_exact_acceptance_loops_take_no_fraction():
+    # The irrational acceptance test runs on scaled integers end to end.
+    trees = _trees()
+    for module, name in (("exactrand.py", "bernoulli_bounds"), ("gsampler.py", "accept_increment")):
+        fn = next(node for node in ast.walk(trees[module])
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert "Fraction" not in set(_names(fn)), name
