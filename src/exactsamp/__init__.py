@@ -1,9 +1,10 @@
 """Streaming samplers whose output law is exactly G(f_i)/F_G.
 
 The package provides reservoir-based samplers for a family of concave
-measure functions G (L_p moments and M-estimators), exact-rational branch
-enumeration for verifying their laws with zero tolerance on tiny inputs,
-and Monte-Carlo harnesses for statistical checks at scale.
+measure functions G (L_p moments and M-estimators), a branch enumerator that
+runs the shipped samplers with every random primitive forked at its exact
+law, so their laws are checked with zero tolerance on tiny inputs, and
+Monte-Carlo harnesses for statistical checks at scale.
 """
 
 from .core import (
@@ -34,8 +35,9 @@ from .matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
 from .oracle import (
     ExactDistribution,
-    enumerate_single_repetition,
+    enumerate_law,
     gof_test,
+    sampler_law,
     target_distribution,
 )
 from .randomorder import BlockLpSampler, PairL2Sampler
@@ -69,7 +71,7 @@ __all__ = [
     "TukeySampler",
     "Update",
     "builtin_measures",
-    "enumerate_single_repetition",
+    "enumerate_law",
     "fair_measure",
     "frequencies",
     "gof_test",
@@ -81,6 +83,7 @@ __all__ = [
     "multipass_lp_draw",
     "parse_stream",
     "repetitions_for",
+    "sampler_law",
     "target_distribution",
     "tukey_measure",
     "validate_stream",

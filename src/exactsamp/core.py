@@ -52,6 +52,11 @@ class StreamConfig:
             raise ValueError("matrix model needs d >= 1")
 
 
+def outside(coord, n):
+    """The error for a coordinate outside the universe [1, n]."""
+    return ValueError("coordinate %r outside [1, %d]" % (coord, n))
+
+
 class UnitUpdates:
     """process() for the samplers of unit-delta streams, which take one
     coordinate at a time through update(coord)."""

@@ -1,9 +1,14 @@
 """Seeded randomness and exact Bernoulli draws.
 
-Two things live here:
+Every random choice a sampler makes goes through the primitives here:
 
 * substream derivation, so every repetition / unit / trial gets its own
-  deterministic generator from one 64-bit seed, and
+  deterministic generator from one 64-bit seed (subseed derives the seed of
+  a part that makes its own substreams), whose uniform integer draws
+  (randrange, sample) the samplers use;
+* the reservoir skip: the next replacement position after position r,
+  Pr[J > t] = r/t (a float uniform for now, so its law is exact only up to
+  the 53-bit grid);
 * Bernoulli draws whose success probability is honored exactly: the
   probability is compared bit-by-bit against a lazily extended uniform
   bitstream, so no float rounding ever enters an output distribution.
@@ -11,6 +16,9 @@ Two things live here:
   with lo <= q 2^k <= hi, and bernoulli_bounds compares them against the
   integer prefix of the uniform, doubling k until the comparison is
   decidable; no Fraction enters that loop.
+
+oracle.enumerate_law swaps these primitives for forks at their exact laws,
+so it can run the shipped samplers over every branch of their choices.
 
 The scaled-integer cores give such brackets: root_scaled and pow_scaled for
 x**(1/n) and base**exp with one integer root, log_scaled for ln(y) by a
@@ -36,11 +44,28 @@ def substream(seed, *ids):
     return random.Random(int.from_bytes(_digest(seed, ids), "big"))
 
 
+def subseed(seed, *ids):
+    """The 64-bit seed of a part's own substreams: the first 64 bits of
+    substream(seed, *ids), a function of (seed, ids) alone rather than a
+    random draw."""
+    return random.Random(int.from_bytes(_digest(seed, ids), "big")).getrandbits(64)
+
+
 def np_substream(seed, *ids):
     """A numpy Generator derived the same way (for bulk harness work)."""
     raw = _digest(seed, ids)
     key = int.from_bytes(raw[:8], "big")
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def skip(r, rng):
+    """Next replacement position of a reservoir holding position r >= 1:
+    Pr[J > t] = r/t for t >= r, as J = floor(r/u) + 1 for a uniform u."""
+    u = rng.random()
+    while u <= 0.0:
+        u = rng.random()
+    nxt = int(r / u) + 1
+    return nxt if nxt > r else r + 1
 
 
 def weighted_index(weights, rng):

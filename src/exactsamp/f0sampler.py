@@ -20,8 +20,8 @@ import math
 from collections import OrderedDict, deque
 from fractions import Fraction
 
-from .core import INDEX, SampleResult, UnitUpdates
-from .exactrand import bernoulli_fraction, substream
+from .core import INDEX, SampleResult, UnitUpdates, outside
+from .exactrand import bernoulli_fraction, subseed, substream
 from .gsampler import first_accepted
 
 
@@ -107,10 +107,12 @@ class F0Sampler(UnitUpdates):
         self.seed = seed
         self.draws = 0
         self.state = F0State(n, window)
-        self.subsets = [self.state.subset(substream(seed, "rep", i).getrandbits(64))
+        self.subsets = [self.state.subset(subseed(seed, "rep", i))
                         for i in range(self.R)]
 
     def update(self, coord):
+        if not 1 <= coord <= self.state.n:
+            raise outside(coord, self.state.n)
         self.state.update(coord)
 
     def accept(self, f, rng):

@@ -25,8 +25,9 @@ summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
 import math
 from fractions import Fraction
 
-from .core import SampleResult, UnitUpdates
-from .exactrand import bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, substream
+from .core import SampleResult, UnitUpdates, outside
+from .exactrand import (bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, subseed,
+                        substream)
 from .heavyhitters import MGSummary, mg_budget, z_bound
 from .reservoir import SamplerBank
 
@@ -129,7 +130,7 @@ class GSampler(UnitUpdates):
 
         if repetitions is None:
             repetitions = self._default_repetitions()
-        self.bank = SamplerBank(repetitions, substream(seed, "bank").getrandbits(64))
+        self.bank = SamplerBank(repetitions, subseed(seed, "bank"))
 
     def _default_repetitions(self):
         m, delta = self.m_planned, self.delta
@@ -149,6 +150,8 @@ class GSampler(UnitUpdates):
         return self.bank.R
 
     def update(self, coord):
+        if not 1 <= coord <= self.n:
+            raise outside(coord, self.n)
         self.bank.update(coord)
         if self.mg is not None:
             self.mg.update(coord)

@@ -11,8 +11,9 @@ probability 1.
 """
 
 import heapq
-import math
 from fractions import Fraction
+
+from .exactrand import integer_nthroot
 
 HEAP_SLACK = 4  # the heap holds at most this many entries per counter
 
@@ -106,9 +107,11 @@ def z_bound(summary, p, n):
 
 
 def mg_budget(p, n):
-    """Counter budget k = ceil(n^{1-1/p}) for the Z bound."""
-    p = float(p)
+    """Counter budget k = ceil(n^{1-1/p}) for the Z bound, exactly, for a
+    rational p >= 1 (one integer root of n^a, (p-1)/p = a/b)."""
+    p = Fraction(p)
     if p < 1:
         raise ValueError("Z bound applies for p >= 1")
-    k = math.ceil(n ** (1.0 - 1.0 / p) - 1e-9)
-    return max(k, 1)
+    e = 1 - 1 / p
+    r, exact = integer_nthroot(n ** e.numerator, e.denominator)
+    return max(r if exact else r + 1, 1)

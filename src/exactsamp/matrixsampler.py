@@ -96,6 +96,9 @@ class MatrixSampler:
         self.unit_snap = [None] * repetitions  # the row's counts at the unit's sample
 
     def update(self, row, col):
+        if not (1 <= row <= self.n and 1 <= col <= self.d):
+            raise ValueError("entry (%r, %r) outside [1, %d] x [1, %d]"
+                             % (row, col, self.n, self.d))
         counts = self.counts.get(row)
         if counts is not None:
             counts[col - 1] += 1

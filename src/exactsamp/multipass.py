@@ -29,9 +29,10 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .core import SampleResult, lp_measure, parse_stream
+from .core import SampleResult, lp_measure, outside, parse_stream
 from .exactrand import substream, weighted_index
 from .gsampler import accept_increment, first_accepted, lp_zeta
+from .heavyhitters import mg_budget
 
 
 class ReplayableStream:
@@ -105,7 +106,7 @@ def _chunk_sums(stream, cells, n, q):
             if c <= his[j]:
                 sums[j][(c - los[j]) // steps[j]] += d
         elif not 1 <= c <= n:
-            raise ValueError("coordinate %d outside [1, %d]" % (c, n))
+            raise outside(c, n)
     if any(s < 0 for row in sums for s in row):
         raise ValueError("negative net frequency: not a strict turnstile stream")
     return m, dict(zip(cells, sums))
@@ -158,14 +159,10 @@ def multipass_l1_draw(stream, gamma, n, seed=0):
     return SampleResult.of(coord, frequency=f), f
 
 
-def _heavy_count(n, p):
-    return max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
-
-
 def narrow_z(stream, gamma, p, n):
     """Deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}),
     in ceil(1/gamma) passes of heavy-chunk narrowing."""
-    return _narrow(stream, gamma, n, [], _heavy_count(n, p))[2]
+    return _narrow(stream, gamma, n, [], mg_budget(p, n))[2]
 
 
 def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
@@ -179,7 +176,7 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
         repetitions = max(1, math.ceil(
             4 * n ** (1.0 - 1.0 / pf) * math.log(1.0 / delta)))
     rngs = [substream(seed, "chain", i) for i in range(repetitions)]
-    chains, m, Z = _narrow(stream, gamma, n, rngs, _heavy_count(n, p))
+    chains, m, Z = _narrow(stream, gamma, n, rngs, mg_budget(p, n))
     if m == 0:
         return SampleResult.bottom()
     zeta_exact, zeta_bounds = lp_zeta(Z, p)

@@ -1,28 +1,53 @@
-"""Exact-rational enumeration of sampler branch trees on tiny inputs.
+"""Exact laws of the shipped samplers on tiny inputs, by branch enumeration.
 
-The telescoping proofs behind every sampler here reduce to finite sums over
-(reservoir position, acceptance) branches.  This module mechanizes those sums
-with exact rationals, producing the unconditional law of a single repetition,
-so the headline exactness claim -- conditional law equals G(f_i)/F_G with
-zero tolerance -- is directly falsifiable.
+enumerate_law runs a real sampler -- build it, feed it the stream, draw --
+once per leaf of the tree of its random choices.  During the runs the random
+primitives of exactrand are swapped, at every exactsamp module that binds
+them, for forks at their exact laws:
 
-For measures whose G takes irrational values the same enumeration runs
-symbolically: laws are returned as rational coefficient vectors over the
-basis {G(0), G(1), ...} (resp. G of row vectors), where telescoping is an
-identity between coefficient vectors and needs no numeric evaluation.
+* skip(r) forks over the updates still to come, Pr[J = j] = r/(j (j-1)),
+  plus one branch for "beyond the stream" (Pr[J > m] = r/m), which every
+  later outcome shares;
+* bernoulli_fraction(q) forks with weights q and 1 - q;
+* weighted_index(w) forks over the indices of positive weight, index i with
+  weight w_i / sum(w), one branch per index instead of one per unit of mass
+  (the real weighted_index is one randrange over the total, which the
+  forking substream below enumerates just as exactly);
+* substream returns a random.Random whose uniform integer draws (randrange,
+  sample, ...) fork uniformly, and whose random() and getrandbits() raise;
+* bernoulli_bounds and np_substream raise: an irrational coin or a numpy
+  generator cannot be forked with rational weights.
 
-A counter-convention switch reproduces the literal-pseudocode mutant (the
-counter includes the sampled occurrence itself); its law telescopes to
-G(f_i + 1) - G(1) instead of G(f_i), and the exactness battery must reject
-it.
+Each run replays one path of the tree and weighs its outcome by the product
+of the branch probabilities along it, so the law returned is the sampler's
+own law with every primitive exact, and the exactness claim -- conditional
+law G(f_i)/F_G, zero tolerance -- is checked on the code that ships.  Any
+random draw the enumerator cannot fork raises UnforkedDraw; the names are put
+back when the enumeration ends.
+
+Three hand-written laws remain, for what the enumerator cannot run:
+
+* gsampler_coefficients and matrix_coefficients, symbolic laws over the
+  basis {G(x)} (resp. G of row vectors), where telescoping is an identity
+  between coefficient vectors and holds for every measure, irrational G
+  included;
+* sw_lp_law, because SlidingLpSampler's normalizer p F^{p-1} is irrational;
+* pair_l2_law and block_lp_law, because the random-order samplers draw float
+  binomials.
 """
 
+import functools
 import itertools
 import math
+import random
+import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import exactrand
+from .core import FAIL, INDEX
 from .randomorder import alpha_coeffs
 from .sliding import active_bank_start
 
@@ -31,6 +56,10 @@ BRANCH_BUDGET = 10 ** 6
 
 class BranchBudgetExceeded(Exception):
     pass
+
+
+class UnforkedDraw(Exception):
+    """A random draw that the branch enumerator has no exact fork for."""
 
 
 def _budget(count):
@@ -62,17 +91,6 @@ def _coords(updates):
     return [u.coord if hasattr(u, "coord") else u for u in updates]
 
 
-def _g_table(measure, top):
-    tab = []
-    for x in range(top + 1):
-        v = measure.g_exact(x)
-        if v is None:
-            raise ValueError("G(%d) is irrational for %s; use the symbolic "
-                             "enumeration instead" % (x, measure.name))
-        tab.append(v)
-    return tab
-
-
 def target_distribution(freqs, measure):
     """Exact {G(f_i)/F_G}; freqs is a coord -> frequency dict."""
     freqs = {i: f for i, f in freqs.items() if f != 0}
@@ -95,6 +113,169 @@ def target_float(freqs, measure):
     return {i: v / fg for i, v in gvals.items()}
 
 
+class _ForkingRandom(random.Random):
+    """A substream whose uniform integer draws fork; other draws raise.  It
+    keeps no state, so one instance serves every substream of a run."""
+
+    def __init__(self, tree):
+        super().__init__(0)
+        self._tree = tree
+
+    def _randbelow(self, n):
+        return self._tree.fork(n, lambda i: (i, 1, n))
+
+    def random(self):
+        raise UnforkedDraw("random() has no exact fork")
+
+    def getrandbits(self, k):
+        raise UnforkedDraw("getrandbits() is forked only inside bernoulli_fraction")
+
+
+def _unforked(name):
+    def draw(*args, **kwargs):
+        raise UnforkedDraw("%s has no exact fork" % name)
+    return draw
+
+
+class _Tree:
+    """Depth-first walk over the leaves of a run's choice tree, by replay.
+
+    A run takes the recorded branch at each choice point it reaches and
+    branch 0 at each new one; next() moves to the following leaf.  The
+    run's probability is kept as an integer fraction num / den.
+    """
+
+    def __init__(self, horizon):
+        self.horizon = horizon  # the stream length, for skip
+        self.path = []  # per choice point: [branch taken, number of branches]
+        self.depth = 0
+        self.num = self.den = 1
+        self.rng = _ForkingRandom(self)
+
+    def fork(self, n, branch):
+        """The value of this run's branch among n > 0, where branch(i) gives
+        branch i as (value, a, b) with probability a/b > 0; the n
+        probabilities sum to 1."""
+        if n == 1:
+            return branch(0)[0]
+        if self.depth == len(self.path):
+            self.path.append([0, n])
+        value, a, b = branch(self.path[self.depth][0])
+        self.depth += 1
+        self.num *= a
+        self.den *= b
+        return value
+
+    def next(self):
+        """Start the next leaf; False after the last one."""
+        path = self.path
+        while path and path[-1][0] + 1 == path[-1][1]:
+            path.pop()
+        if not path:
+            return False
+        path[-1][0] += 1
+        self.depth, self.num, self.den = 0, 1, 1
+        return True
+
+    def skip(self, r, rng):
+        h = self.horizon
+        if h is None:
+            raise UnforkedDraw("skip needs the stream length")
+
+        def branch(i):
+            j = r + 1 + i
+            return (j, r, j * (j - 1)) if j <= h else (j, r, h)
+
+        return self.fork(max(1, h - r + 1), branch)
+
+    def bernoulli_fraction(self, q, rng):
+        if q <= 0 or q >= 1:
+            return q >= 1
+        a, b = q.numerator, q.denominator
+        return self.fork(2, lambda i: (True, a, b) if i == 0 else (False, b - a, b))
+
+    def weighted_index(self, weights, rng):
+        total = sum(weights)
+        live = [i for i, w in enumerate(weights) if w]
+        return self.fork(len(live), lambda k: (live[k], weights[live[k]], total))
+
+    def substream(self, seed, *ids):
+        return self.rng
+
+    def stand_ins(self):
+        """What replaces each exactrand primitive during the runs.  subseed
+        keeps its values, memoized: it is a function of its arguments alone,
+        and every substream it seeds is forked anyway."""
+        return {"skip": self.skip, "bernoulli_fraction": self.bernoulli_fraction,
+                "weighted_index": self.weighted_index, "substream": self.substream,
+                "subseed": functools.lru_cache(None)(exactrand.subseed),
+                "bernoulli_bounds": _unforked("bernoulli_bounds"),
+                "np_substream": _unforked("np_substream")}
+
+
+@contextmanager
+def _swapped(stand_ins):
+    """Bind each named exactrand primitive to stand_ins[name] at every
+    exactsamp module that binds it, and put the originals back afterwards."""
+    prefix = __name__.rpartition(".")[0]
+    modules = [m for k, m in list(sys.modules.items())
+               if m is not None and (k == prefix or k.startswith(prefix + "."))]
+    saved = []
+    try:
+        for name, stand_in in stand_ins.items():
+            original = getattr(exactrand, name)
+            for mod in modules:
+                if mod.__dict__.get(name) is original:
+                    saved.append((mod, name, original))
+                    setattr(mod, name, stand_in)
+        yield
+    finally:
+        for mod, name, original in saved:
+            setattr(mod, name, original)
+
+
+def enumerate_law(run, horizon=None):
+    """The exact law of run(), a call that returns a SampleResult, over every
+    branch of its random choices.
+
+    horizon is the stream length, which the reservoir skip needs.  Raises
+    UnforkedDraw on a random draw with no exact fork and BranchBudgetExceeded
+    above BRANCH_BUDGET leaves.
+    """
+    tree = _Tree(horizon)
+    law = ExactDistribution()
+    leaves = 0
+    with _swapped(tree.stand_ins()):
+        while True:
+            leaves += 1
+            _budget(leaves)
+            res = run()
+            w = Fraction(tree.num, tree.den)
+            if res.outcome == INDEX:
+                law.probs[res.index] = law.probs.get(res.index, 0) + w
+            elif res.outcome == FAIL:
+                law.mass_fail += w
+            else:
+                law.mass_bottom += w
+            if not tree.next():
+                break
+    law.check()
+    return law
+
+
+def sampler_law(make, updates):
+    """The exact law of one draw of the sampler make() builds, after it has
+    processed updates."""
+    updates = list(updates)
+
+    def run():
+        sampler = make()
+        sampler.process(updates)
+        return sampler.draw()
+
+    return enumerate_law(run, len(updates))
+
+
 def _strict_after_counts(coords):
     """Per position, occurrences of the same coordinate strictly after it."""
     seen = defaultdict(int)
@@ -103,25 +284,6 @@ def _strict_after_counts(coords):
         out[t] = seen[coords[t]]
         seen[coords[t]] += 1
     return out
-
-
-def gsampler_law(updates, measure, zeta, inclusive=False):
-    coords = _coords(updates)
-    m = len(coords)
-    if m == 0:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    _budget(m)
-    zeta = Fraction(zeta)
-    gtab = _g_table(measure, max(_strict_after_counts(coords)) + 2 + (1 if inclusive else 0))
-    law = defaultdict(Fraction)
-    per_pos = Fraction(1, m)
-    for t, (coord, after) in enumerate(zip(coords, _strict_after_counts(coords))):
-        c = after + 1 if inclusive else after
-        law[coord] += per_pos * (gtab[c + 1] - gtab[c]) / zeta
-    dist = ExactDistribution(probs=dict(law))
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
 
 
 def gsampler_coefficients(updates, inclusive=False):
@@ -137,35 +299,6 @@ def gsampler_coefficients(updates, inclusive=False):
         out[coord][c] -= 1
     return {i: {x: v for x, v in d.items() if v != 0 and x != 0}
             for i, d in out.items()}
-
-
-def matrix_law(updates, measure, zeta=None):
-    """updates: iterable of Update with coord=row, col set. Requires rational
-    G along the branch tree (use matrix_coefficients otherwise)."""
-    ups = [(u.coord, u.col) for u in updates]
-    m = len(ups)
-    if m == 0:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    _budget(m * m)
-    zeta = Fraction(zeta if zeta is not None else measure.zeta)
-    law = defaultdict(Fraction)
-    per_pos = Fraction(1, m)
-    for t, (row, col) in enumerate(ups):
-        v = defaultdict(int)
-        for r2, c2 in ups[t + 1:]:
-            if r2 == row:
-                v[c2] += 1
-        cols = sorted(set(v) | {col})
-        vec = [v[c] for c in cols]
-        plus = [v[c] + (1 if c == col else 0) for c in cols]
-        ga, gb = measure.g_exact(plus), measure.g_exact(vec)
-        if ga is None or gb is None:
-            raise ValueError("irrational row G; use matrix_coefficients")
-        law[row] += per_pos * (ga - gb) / zeta
-    dist = ExactDistribution(probs=dict(law))
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
 
 
 def matrix_coefficients(updates, d):
@@ -185,33 +318,6 @@ def matrix_coefficients(updates, d):
         out[row][tuple(v)] -= 1
     return {r: {vec: cf for vec, cf in dd.items() if cf != 0 and any(vec)}
             for r, dd in out.items()}
-
-
-def sw_gsampler_law(updates, W, measure, zeta, inclusive=False):
-    """Law of one repetition of the bank used by a draw at stream end."""
-    coords = _coords(updates)
-    t_end = len(coords)
-    if t_end == 0:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    start = active_bank_start(t_end, W)
-    sub = coords[start - 1:]
-    L = len(sub)
-    _budget(L * L)
-    zeta = Fraction(zeta)
-    after = _strict_after_counts(sub)
-    gtab = _g_table(measure, max(after) + 2 + (1 if inclusive else 0))
-    law = defaultdict(Fraction)
-    per_pos = Fraction(1, L)
-    cutoff = t_end - W
-    for idx, coord in enumerate(sub):
-        if start + idx <= cutoff:
-            continue  # expired sample: rejected
-        c = after[idx] + 1 if inclusive else after[idx]
-        law[coord] += per_pos * (gtab[c + 1] - gtab[c]) / zeta
-    dist = ExactDistribution(probs=dict(law))
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
 
 
 def sw_lp_law(updates, W, p, F):
@@ -306,137 +412,6 @@ def block_lp_law(freqs, W, p):
     dist.mass_fail = 1 - sum(law.values(), Fraction(0))
     dist.check()
     return dist
-
-
-def _chunk_q(n, g, K):
-    """Chunks per cell: ceil(n^g), at least 2, raised until q^K >= n."""
-    import math
-    if g >= 1:
-        return n
-    q = max(2, math.ceil(n ** g - 1e-9))
-    while q ** K < n:
-        q += 1
-    return q
-
-
-def _chunk_intervals(lo, hi, q):
-    size = hi - lo + 1
-    step = -(-size // q)
-    out = []
-    a = lo
-    while a <= hi:
-        out.append((a, min(a + step - 1, hi)))
-        a = out[-1][1] + 1
-    return out
-
-
-def _interval_mass(freqs, lo, hi):
-    return sum(f for i, f in freqs.items() if lo <= i <= hi)
-
-
-def multipass_chain_prob(freqs, n, gamma, coord):
-    """Product of chunk-selection probabilities along coord's chain."""
-    import math
-    g = float(gamma)
-    K = math.ceil(1.0 / g - 1e-12)
-    q = _chunk_q(n, g, K)
-    lo, hi = 1, n
-    prob = Fraction(1)
-    for _ in range(K):
-        parts = _chunk_intervals(lo, hi, q)
-        total = _interval_mass(freqs, lo, hi)
-        if total == 0:
-            return Fraction(0)
-        for a, b in parts:
-            if a <= coord <= b:
-                prob *= Fraction(_interval_mass(freqs, a, b), total)
-                lo, hi = a, b
-                break
-    assert lo == hi == coord or prob == 0
-    return prob
-
-
-def multipass_z(freqs, n, gamma, p):
-    """Mirror of the heavy-chunk narrowing, computed from the vector."""
-    import math
-    g = float(gamma)
-    K = math.ceil(1.0 / g - 1e-12)
-    q = _chunk_q(n, g, K)
-    m = sum(freqs.values())
-    k = max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
-    thr = Fraction(m, k) if m else Fraction(0)
-    if thr == 0:
-        return Fraction(0)
-    candidates = [(1, n)]
-    best = 0
-    for _ in range(K):
-        parts = []
-        for lo, hi in candidates:
-            parts.extend(_chunk_intervals(lo, hi, q))
-        candidates = []
-        for a, b in parts:
-            s = _interval_mass(freqs, a, b)
-            if s >= thr:
-                candidates.append((a, b))
-                if a == b:
-                    best = max(best, s)
-        if not candidates:
-            break
-    return max(Fraction(best), thr)
-
-
-def multipass_law(freqs, n, gamma, p=1):
-    """Single-chain law of the multipass sampler (p = 1 or 2)."""
-    freqs = {i: f for i, f in freqs.items() if f != 0}
-    if not freqs:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    _budget(sum(freqs.values()) * len(freqs))
-    law = {}
-    if p == 1:
-        for i in freqs:
-            law[i] = multipass_chain_prob(freqs, n, gamma, i)
-        dist = ExactDistribution(probs=law)
-        dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-        dist.check()
-        return dist
-    if p != 2:
-        raise ValueError("multipass law implemented for p in {1, 2}")
-    Z = multipass_z(freqs, n, gamma, p)
-    zeta = 2 * Z
-    for i, f in freqs.items():
-        chain = multipass_chain_prob(freqs, n, gamma, i)
-        acc = Fraction(0)
-        for j in range(1, f + 1):
-            c = f - j
-            acc += Fraction(1, f) * Fraction((c + 1) ** 2 - c ** 2) / zeta
-        law[i] = chain * acc
-    dist = ExactDistribution(probs=law)
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
-
-
-def enumerate_single_repetition(updates, spec):
-    """Dispatch on spec['kind']; see the per-kind functions for parameters."""
-    kind = spec["kind"]
-    if kind == "gsampler":
-        return gsampler_law(updates, spec["measure"], spec["zeta"],
-                            inclusive=spec.get("inclusive", False))
-    if kind == "matrixsampler":
-        return matrix_law(updates, spec["measure"], spec.get("zeta"))
-    if kind == "sw_gsampler":
-        return sw_gsampler_law(updates, spec["W"], spec["measure"], spec["zeta"],
-                               inclusive=spec.get("inclusive", False))
-    if kind == "sw_lp":
-        return sw_lp_law(updates, spec["W"], spec["p"], spec["F"])
-    if kind == "pair_l2":
-        return pair_l2_law(spec["freqs"], spec["W"])
-    if kind == "block_lp":
-        return block_lp_law(spec["freqs"], spec["W"], spec["p"])
-    if kind == "multipass":
-        return multipass_law(spec["freqs"], spec["n"], spec["gamma"],
-                             spec.get("p", 1))
-    raise ValueError("unknown sampler kind %r" % kind)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SampleResult, UnitUpdates
+from .core import SampleResult, UnitUpdates, outside
 from .exactrand import bernoulli_fraction, np_substream, substream, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
@@ -79,6 +79,8 @@ class PairL2Sampler(UnitUpdates):
         self.S = []  # (coord, harvest time)
 
     def update(self, coord):
+        if not 1 <= coord <= self.n:
+            raise outside(coord, self.n)
         self.t += 1
         if self._pending is None:
             self._pending = (coord, self.t)
@@ -134,6 +136,8 @@ class BlockLpSampler(UnitUpdates):
         self.S = {}  # (block_start, coord) -> harvested count
 
     def update(self, coord):
+        if not 1 <= coord <= self.n:
+            raise outside(coord, self.n)
         self.t += 1
         self._block[coord] = self._block.get(coord, 0) + 1
         self._block_len += 1

@@ -8,7 +8,8 @@ itself breaks the telescoping identity, so the counter here is strictly-after
 
 Resampling uses geometric skip-sampling: after holding position r the next
 replacement position J satisfies Pr[J > t] = r/t, so J = floor(r/u) + 1 for a
-uniform u.  One uniform per replacement instead of one per update.
+uniform u (exactrand.skip).  One uniform per replacement instead of one per
+update.
 
 A SamplerBank runs R such units over the same stream in O(1) amortized time
 per update: a shared per-coordinate counter counts occurrences since the
@@ -18,16 +19,7 @@ value at its own sampling time as an offset.
 
 import heapq
 
-from .exactrand import substream
-
-
-def _next_jump(r, rng):
-    """Next replacement position after holding position r (r >= 1)."""
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    nxt = int(r / u) + 1
-    return nxt if nxt > r else r + 1
+from .exactrand import skip, substream
 
 
 class ReservoirUnit:
@@ -50,7 +42,7 @@ class ReservoirUnit:
             self.s = coord
             self.t_s = time if time is not None else r
             self.c = 0
-            self.next_accept = _next_jump(r, self.rng)
+            self.next_accept = skip(r, self.rng)
         elif coord == self.s:
             self.c += 1
 
@@ -106,7 +98,7 @@ class SamplerBank:
                 self.unit_s[i] = coord
                 self.unit_t[i] = when
                 self.unit_offset[i] = counters[coord]
-                heapq.heappush(heap, (_next_jump(r, self.unit_rng[i]), i))
+                heapq.heappush(heap, (skip(r, self.unit_rng[i]), i))
                 picked.append(i)
         return picked
 

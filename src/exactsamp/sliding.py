@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SampleResult, UnitUpdates, lp_measure
-from .exactrand import np_substream, pow_scaled, substream
+from .core import SampleResult, UnitUpdates, lp_measure, outside
+from .exactrand import np_substream, pow_scaled, subseed, substream
 from .gsampler import accept_increment, first_accepted, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
@@ -46,6 +46,7 @@ class CheckpointedSampler(UnitUpdates):
                  repetitions=None):
         self.measure = measure
         self.W = W
+        self.n = n  # None: coordinates are not checked
         self.seed = seed
         self.zeta = Fraction(zeta) if zeta is not None else measure.zeta
         if self.zeta is None:
@@ -63,10 +64,12 @@ class CheckpointedSampler(UnitUpdates):
         self.banks = []  # (start_time, SamplerBank), two most recent
 
     def update(self, coord):
+        if self.n is not None and not 1 <= coord <= self.n:
+            raise outside(coord, self.n)
         self.t += 1
         t = self.t
         if (t - 1) % self.W == 0:
-            seed = substream(self.seed, "bank", t).getrandbits(64)
+            seed = subseed(self.seed, "bank", t)
             self.banks.append((t, SamplerBank(self.R, seed, start_time=t)))
             if len(self.banks) > 2:
                 self.banks.pop(0)
@@ -207,6 +210,7 @@ class SlidingLpSampler(UnitUpdates):
             raise ValueError("sliding L_p sampling needs p >= 1")
         self.measure = lp_measure(self.p)
         self.W = W
+        self.n = n  # None: coordinates are not checked
         self.seed = seed
         if repetitions is None:
             pf = float(self.p)
@@ -218,6 +222,8 @@ class SlidingLpSampler(UnitUpdates):
         self.minima = SuffixMinima(self.R, np_substream(seed, "priority").bit_generator)
 
     def update(self, coord):
+        if self.n is not None and not 1 <= coord <= self.n:
+            raise outside(coord, self.n)
         self.hist.update(coord)
         self.minima.push(coord)
         self.minima.drop_before(self.hist.rows[0].t_start)

@@ -1,9 +1,11 @@
 """Verification battery: exact-law and statistical checks with JSON reports.
 
-Each check compares a sampler law against its target.  Exact checks use the
-rational branch enumeration and demand equality; statistical checks run a
-histogram of real draws (or a Monte-Carlo twin) through the chi-square /
-total-variation test.
+Each check compares a sampler law against its target.  Exact checks
+enumerate the shipped samplers over every branch of their random choices
+(oracle.sampler_law, oracle.enumerate_law), or use a hand-written law where
+the sampler draws what cannot be forked (random order), and demand equality;
+statistical checks run a histogram of real draws (or a Monte-Carlo twin)
+through the chi-square / total-variation test.
 """
 
 import json
@@ -13,6 +15,10 @@ from fractions import Fraction
 
 from . import montecarlo, oracle
 from .core import Update, huber_measure, lp_measure
+from .gsampler import GSampler
+from .matrixsampler import L1RowMeasure, MatrixSampler
+from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
+from .sliding import CheckpointedSampler
 
 
 @dataclass
@@ -64,12 +70,9 @@ def verify_statistical(sampler, stream_id, histogram, target, alpha=1e-4,
                         notes="n=%d dof=%d" % (n, rep.dof))
 
 
-def _ups(coords):
-    return [Update(c) for c in coords]
-
-
 def default_battery(seed=0, trials=200000):
-    """A small standing battery covering every sampler family."""
+    """A small standing battery covering every sampler family.  The exact
+    checks enumerate the shipped samplers at R = 1 (oracle.sampler_law)."""
     reports = []
     l1 = lp_measure(1)
     l2 = lp_measure(2)
@@ -88,17 +91,27 @@ def default_battery(seed=0, trials=200000):
         for name, meas, zeta in (("l1", l1, l1.zeta),
                                  ("l2", l2, 2 * zmax),
                                  ("huber", huber_measure(2), Fraction(1))):
-            law = oracle.gsampler_law(_ups(coords), meas, zeta)
+            law = oracle.sampler_law(
+                lambda: GSampler(meas, 3, len(coords), zeta=zeta, repetitions=1), coords)
             target = oracle.target_distribution(freqs, meas)
             reports.append(verify_exact("gsampler/%s" % name, sid, law, target))
 
     for sid, coords in streams.items():
         for W in (2, 4):
-            law = oracle.sw_gsampler_law(_ups(coords), W, l1, l1.zeta)
+            law = oracle.sampler_law(
+                lambda: CheckpointedSampler(l1, W, 3, repetitions=1), coords)
             freqs = Counter(coords[max(0, len(coords) - W):])
             target = oracle.target_distribution(freqs, l1)
             reports.append(verify_exact("sw-gsampler/l1", "%s/W=%d" % (sid, W),
                                         law, target))
+
+    # Matrix rows by L1 norm: rows (2, 1) and (0, 2), masses 3 and 2.
+    cells = [(1, 1), (2, 2), (1, 1), (1, 2), (2, 2)]
+    law = oracle.sampler_law(lambda: MatrixSampler(L1RowMeasure(), 2, 2, len(cells),
+                                                   repetitions=1),
+                             [Update(r, col=c) for r, c in cells])
+    target = oracle.target_distribution(Counter(r for r, _ in cells), l1)
+    reports.append(verify_exact("matrix/l1-row", "m5", law, target))
 
     # Random order: exact expected-harvest laws plus Monte-Carlo twins.
     win = {1: 2, 2: 1, 3: 1}
@@ -112,12 +125,17 @@ def default_battery(seed=0, trials=200000):
     reports.append(verify_statistical("pair-l2/mc", "win4", hist,
                                       law.conditional(), tv_bound=0.02))
 
-    # Multipass exact laws.
+    # Multipass exact laws, one chain.
     freqs = {1: 3, 3: 1, 4: 2}
+    stream = ReplayableStream([Update(i) for i in sorted(freqs) for _ in range(freqs[i])])
     for gamma in (Fraction(1, 2), 1):
-        law = oracle.multipass_law(freqs, 4, gamma, p=1)
+        law = oracle.enumerate_law(lambda: multipass_l1_draw(stream, gamma, 4)[0])
         target = oracle.target_distribution(freqs, l1)
         reports.append(verify_exact("multipass-l1", "g=%s" % gamma, law, target))
+    law = oracle.enumerate_law(
+        lambda: multipass_lp_draw(stream, Fraction(1, 2), 2, 4, repetitions=1))
+    target = oracle.target_distribution(freqs, l2)
+    reports.append(verify_exact("multipass-l2", "g=1/2", law, target))
 
     return reports
 

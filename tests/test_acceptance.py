@@ -3,7 +3,9 @@
 Each test pins one headline guarantee at its stated tolerance:
 
  1. exact conditional laws (zero tolerance) on exhaustive tiny-stream
-    batteries for every sampler family;
+    batteries for every sampler family, enumerated over every branch of the
+    real samplers' random choices (oracle.sampler_law), plus the symbolic
+    telescoping identities for every measure;
  2. per-repetition success-probability lower bounds within 4 sigma;
  3. large-scale distribution fidelity (chi-square p > 0.01, TV <= 0.005)
     on a 100-coordinate Zipf(1.2) stream;
@@ -14,7 +16,8 @@ Each test pins one headline guarantee at its stated tolerance:
  7. shared-counter bank throughput at R=1024 within 2x of R=64;
  8. multipass pass counts exactly ceil(1/gamma);
  9. duplicated-exponential sampler TV <= 0.05 plus the min-stability law;
-10. the inclusive-counter mutant is rejected by the exactness battery.
+10. the inclusive-counter mutant, injected into the real reservoir bank, is
+    rejected by the exactness battery.
 """
 
 import itertools
@@ -36,11 +39,14 @@ from exactsamp.core import (
 )
 from exactsamp.exactrand import np_substream, substream
 from exactsamp.f0sampler import F0State
+from exactsamp.gsampler import GSampler
+from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
 from exactsamp.randomorder import alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
 from exactsamp.smallp import DuplicatedExpState
+from exactsamp.sliding import CheckpointedSampler
 from exactsamp.smoothhist import SmoothHistogram
 
 
@@ -83,22 +89,24 @@ def freq_vectors(n, total_max):
 
 
 def test_exact_laws_insertion_only_exhaustive():
-    # Every insertion-only stream with m <= 10, n <= 3; conditional law of a
-    # single repetition must equal G(f_i)/F_G as exact rationals.
+    # Every insertion-only stream with m <= 6, n <= 3: the law of one draw of
+    # the real GSampler at R = 1, enumerated over every branch of its random
+    # choices, must condition to G(f_i)/F_G as exact rationals.
     l1 = lp_measure(1)
     l2 = lp_measure(2)
     hub = huber_measure(2)
     checked = 0
-    for m in range(1, 11):
+    for m in range(1, 7):
         for coords in all_streams(3, m):
             freqs = Counter(coords)
             zmax = 2 * max(freqs.values())
             for meas, zeta in ((l1, 1), (l2, zmax), (hub, 1)):
-                law = oracle.gsampler_law(coords, meas, zeta)
+                law = oracle.sampler_law(
+                    lambda: GSampler(meas, 3, m, zeta=zeta, repetitions=1), coords)
                 target = oracle.target_distribution(freqs, meas)
                 assert law.conditional() == target.probs, (coords, meas.name)
             checked += 1
-    assert checked == sum(3 ** m for m in range(1, 11))
+    assert checked == sum(3 ** m for m in range(1, 7))
 
 
 def test_exact_laws_symbolic_all_measures():
@@ -117,27 +125,35 @@ def _matrix_updates(cells):
 
 
 def test_exact_laws_matrix():
-    l1row = __import__("exactsamp.matrixsampler", fromlist=["L1RowMeasure"]).L1RowMeasure()
+    l1row = L1RowMeasure()
 
-    def check(cells):
-        law = oracle.matrix_law(_matrix_updates(cells), l1row)
-        rows = Counter(r for r, _ in cells)
-        total = sum(rows.values())
-        want = {r: Fraction(f, total) for r, f in rows.items()}
-        assert law.conditional() == want, cells
-        # Symbolic row-vector telescoping covers arbitrary row measures.
-        coeffs = oracle.matrix_coefficients(_matrix_updates(cells), d=3)
+    def row_vectors(cells):
         vecs = {}
         for r, c in cells:
-            v = vecs.setdefault(r, [0, 0, 0])
-            v[c - 1] += 1
-        assert coeffs == {r: {tuple(v): Fraction(1)} for r, v in vecs.items()}, cells
+            vecs.setdefault(r, [0, 0, 0])[c - 1] += 1
+        return vecs
+
+    def check_law(cells):
+        # One draw of the real MatrixSampler at R = 1, every branch.
+        law = oracle.sampler_law(
+            lambda: MatrixSampler(l1row, 3, 3, len(cells), repetitions=1),
+            _matrix_updates(cells))
+        rows = Counter(r for r, _ in cells)
+        total = sum(rows.values())
+        assert law.conditional() == {r: Fraction(f, total) for r, f in rows.items()}, cells
+
+    def check_symbolic(cells):
+        # Symbolic row-vector telescoping covers arbitrary row measures.
+        coeffs = oracle.matrix_coefficients(_matrix_updates(cells), d=3)
+        assert coeffs == {r: {tuple(v): Fraction(1)}
+                          for r, v in row_vectors(cells).items()}, cells
 
     cellset = [(r, c) for r in range(1, 4) for c in range(1, 4)]
     # Exhaustive over every order for m <= 4.
     for m in range(1, 5):
         for cells in itertools.product(cellset, repeat=m):
-            check(list(cells))
+            check_law(list(cells))
+            check_symbolic(list(cells))
     # Every frequency matrix with 5 <= m <= 8 in canonical order, plus seeded
     # random orders (the law is order-invariant; full order enumeration at
     # m = 8 is 9^8 streams and out of runtime budget).
@@ -149,25 +165,33 @@ def test_exact_laws_matrix():
         cells = []
         for k, f in fv.items():
             cells.extend([cellset[k - 1]] * f)
-        check(list(cells))
+        check_symbolic(list(cells))
         for _ in range(2):
             rng.shuffle(cells)
-            check(list(cells))
+            check_symbolic(list(cells))
 
 
 def test_exact_laws_sliding_window():
+    # One draw of the real CheckpointedSampler at R = 1, every branch, for
+    # every stream with m <= 4 and W <= 6.
     l1 = lp_measure(1)
     hub = huber_measure(2)
+    for m in range(1, 5):
+        for coords in all_streams(3, m):
+            for W in range(1, 7):
+                winfreq = Counter(coords[max(0, m - W):])
+                for meas in (l1, hub):
+                    law = oracle.sampler_law(
+                        lambda: CheckpointedSampler(meas, W, 3, repetitions=1), coords)
+                    target = oracle.target_distribution(winfreq, meas)
+                    assert law.conditional() == target.probs, (coords, W, meas.name)
+    # L_p acceptance with any valid normalizer F >= L_p(window): the
+    # conditional is f^p / F_p regardless of F.  SlidingLpSampler's own
+    # normalizer is irrational, so this law is the hand-written one.
     for m in range(1, 9):
         for coords in all_streams(3, m):
             for W in range(1, 7):
                 winfreq = Counter(coords[max(0, m - W):])
-                for meas, zeta in ((l1, 1), (hub, 1)):
-                    law = oracle.sw_gsampler_law(coords, W, meas, zeta)
-                    target = oracle.target_distribution(winfreq, meas)
-                    assert law.conditional() == target.probs, (coords, W, meas.name)
-                # L_p acceptance with any valid normalizer F >= L_p(window):
-                # the conditional is f^p / F_p regardless of F.
                 for p in (2, 3):
                     law = oracle.sw_lp_law(coords, W, p, F=W)
                     fp = sum(f ** p for f in winfreq.values())
@@ -191,19 +215,27 @@ def test_exact_laws_random_order():
                     assert law.probs[i] == Fraction(f ** 3, W ** 3), (fv, W)
 
 
+def _freq_updates(fv):
+    return [Update(i) for i in sorted(fv) for _ in range(fv[i])]
+
+
 def test_exact_laws_multipass():
+    # One draw of the real multipass samplers (one chain), every branch.
     gammas = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
     for n in (2, 3, 4, 6, 8):
         for fv in freq_vectors(n, 6):
             m = sum(fv.values())
+            stream = ReplayableStream(_freq_updates(fv))
             for gamma in gammas:
-                law = oracle.multipass_law(fv, n, gamma, p=1)
+                law = oracle.enumerate_law(lambda: multipass_l1_draw(stream, gamma, n)[0])
                 assert law.conditional() == {i: Fraction(f, m)
                                              for i, f in fv.items()}, (fv, gamma)
     for n in (2, 4):
         for fv in freq_vectors(n, 5):
             f2 = sum(f * f for f in fv.values())
-            law = oracle.multipass_law(fv, n, Fraction(1, 2), p=2)
+            stream = ReplayableStream(_freq_updates(fv))
+            law = oracle.enumerate_law(
+                lambda: multipass_lp_draw(stream, Fraction(1, 2), 2, n, repetitions=1))
             assert law.conditional() == {i: Fraction(f * f, f2)
                                          for i, f in fv.items()}, fv
 
@@ -586,23 +618,35 @@ def test_min_stability_unit():
 # 10. mutation sensitivity: the inclusive-counter variant must be rejected
 
 
-def test_inclusive_counter_mutant_fails_exactness():
+def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
+    # The literal-pseudocode counter also counts the sampled occurrence.
+    # Injected into the real bank, the enumerated GSampler law must miss the
+    # target.
+    effective = SamplerBank.effective
+
+    def inclusive(self, i):
+        s, t_s, c = effective(self, i)
+        return s, t_s, c + 1
+
+    monkeypatch.setattr(SamplerBank, "effective", inclusive)
     l2 = lp_measure(2)
+
+    def law_of(coords, zeta):
+        return oracle.sampler_law(
+            lambda: GSampler(l2, 2, len(coords), zeta=zeta, repetitions=1), coords)
+
     rejected = 0
-    total = 0
     for m in range(1, 7):
         for coords in all_streams(2, m):
             freqs = Counter(coords)
             zeta = 3 * max(freqs.values())  # large enough for both variants
-            law = oracle.gsampler_law(coords, l2, zeta, inclusive=True)
             target = oracle.target_distribution(freqs, l2)
-            total += 1
-            if law.conditional() != target.probs:
+            if law_of(coords, zeta).conditional() != target.probs:
                 rejected += 1
     # Single-coordinate and symmetric streams can coincide; every stream with
     # two distinct frequencies must be rejected.
     assert rejected > 0
-    law = oracle.gsampler_law([1, 1, 2], l2, 9, inclusive=True)
+    law = law_of([1, 1, 2], 9)
     # The mutant telescopes to G(f+1) - G(1): (8, 3)/11 instead of (4, 1)/5.
     assert law.conditional() == {1: Fraction(8, 11), 2: Fraction(3, 11)}
     assert law.conditional() != oracle.target_distribution({1: 2, 2: 1}, l2).probs

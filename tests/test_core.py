@@ -192,6 +192,37 @@ def test_process_rejects_deletions(family):
         s.process([Update(1, delta=-1)])
 
 
+def _out_of_range_feeds():
+    """(sampler, update that lies outside its universe) per family."""
+    import exactsamp as es
+
+    return {
+        "lp_sampler_high": (lambda: es.lp_sampler(2, 3, 5), 7),
+        "lp_sampler_zero": (lambda: es.lp_sampler(2, 3, 5), 0),
+        "gsampler": (lambda: es.GSampler(huber_measure(2), 5, 5), 6),
+        "f0": (lambda: es.F0Sampler(4), 9),
+        "tukey": (lambda: es.TukeySampler(tukey_measure(2), 4), 5),
+        "pair": (lambda: es.PairL2Sampler(5, 4), 6),
+        "block": (lambda: es.BlockLpSampler(5, 8, 3), 0),
+        "checkpointed": (lambda: es.CheckpointedSampler(huber_measure(2), 4, 5), 6),
+        "sliding_lp": (lambda: es.SlidingLpSampler(2, 4, 5), -1),
+        "matrix_row": (lambda: es.MatrixSampler(L2RowMeasure(), 2, 3, 5), Update(3, col=1)),
+        "matrix_col_zero": (lambda: es.MatrixSampler(L2RowMeasure(), 2, 3, 5), Update(1, col=0)),
+        "matrix_col_high": (lambda: es.MatrixSampler(L2RowMeasure(), 2, 3, 5), Update(1, col=4)),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(_out_of_range_feeds()))
+def test_process_rejects_coordinates_outside_universe(family):
+    # A coordinate outside [1, n] (or a column outside [1, d]) is not in the
+    # stream model: the samplers refuse it instead of sampling it.
+    make, bad = _out_of_range_feeds()[family]
+    s = make()
+    s.process([Update(1, col=1) if family.startswith("matrix") else 1])
+    with pytest.raises(ValueError, match="outside"):
+        s.process([bad])
+
+
 def _dec(x):
     return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
 

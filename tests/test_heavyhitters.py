@@ -42,6 +42,16 @@ def test_mg_budget():
         mg_budget(Fraction(1, 2), 10)
 
 
+def test_mg_budget_exact_where_floats_round():
+    # sqrt(10^18 + 1) is 10^9 in floating point, so a float ceiling gives 10^9
+    # counters, one short of ceil(n^{1/2}).
+    assert mg_budget(2, 10 ** 18 + 1) == 10 ** 9 + 1
+    assert mg_budget(2, 10 ** 18) == 10 ** 9
+    assert mg_budget(Fraction(3, 2), 10 ** 18) == 10 ** 6
+    assert mg_budget(Fraction(3, 2), 10 ** 18 + 1) == 10 ** 6 + 1
+    assert mg_budget(Fraction(5, 4), 2 ** 100 + 1) == 2 ** 20 + 1
+
+
 def test_rejects_bad_args():
     with pytest.raises(ValueError):
         MGSummary(0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from exactsamp.core import Update
 from exactsamp.exactrand import substream
-from exactsamp.matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
+from exactsamp.matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler, RowMeasure
 from exactsamp import oracle
 
 
@@ -57,6 +57,19 @@ def test_single_row():
     assert set(hist) == {2}
 
 
+class _SquaredRowMeasure(RowMeasure):
+    """G(x) = ||x||_2^2: rational, and its increments 2 v_col + 1 depend on
+    every column count of the strictly-after vector v."""
+
+    name = "squared_row"
+
+    def __init__(self, zeta):
+        self.zeta = Fraction(zeta)
+
+    def g_exact(self, vec):
+        return Fraction(sum(x * x for x in vec))
+
+
 def test_oracle_exactness_small_battery():
     import itertools
     l1 = L1RowMeasure()
@@ -64,10 +77,20 @@ def test_oracle_exactness_small_battery():
         cells = [(r, c) for r in range(1, n + 1) for c in range(1, d + 1)]
         for m in range(1, 4):
             for combo in itertools.product(cells, repeat=m):
-                law = oracle.matrix_law(ups(list(combo)), l1)
+                law = oracle.sampler_law(
+                    lambda: MatrixSampler(l1, n, d, m, repetitions=1), ups(combo))
                 rows = Counter(r for r, _ in combo)
                 target = oracle.target_distribution(dict(rows), _RowAsScalar(l1, d, combo))
                 assert law.conditional() == target.probs, combo
+                sq = _SquaredRowMeasure(2 * m)
+                law = oracle.sampler_law(
+                    lambda: MatrixSampler(sq, n, d, m, repetitions=1), ups(combo))
+                vecs = {}
+                for r, c in combo:
+                    vecs.setdefault(r, Counter())[c] += 1
+                g = {r: sum(x * x for x in v.values()) for r, v in vecs.items()}
+                assert law.conditional() == {r: Fraction(x, sum(g.values()))
+                                             for r, x in g.items()}, combo
 
 
 class _RowAsScalar:

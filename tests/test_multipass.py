@@ -1,4 +1,3 @@
-import math
 import random
 import time
 from collections import Counter
@@ -17,6 +16,7 @@ from exactsamp.multipass import (
     passes_for,
 )
 from exactsamp.exactrand import substream
+from exactsamp.heavyhitters import mg_budget
 from exactsamp import oracle
 
 
@@ -60,10 +60,18 @@ def test_l1_draw_reports_frequency():
     assert f == freqs[res.index]
 
 
+def closed_z(freqs, n, p):
+    """The narrowing reaches every coordinate of mass >= m/k, so
+    Z = max(m/k, max f) with k = mg_budget(p, n)."""
+    m = sum(freqs.values())
+    return max(Fraction(m, mg_budget(p, n)), max(freqs.values(), default=0))
+
+
 def test_l1_empirical_law():
     freqs = {1: 1, 2: 2, 3: 3, 4: 4}
     m = sum(freqs.values())
-    law = oracle.multipass_law(freqs, 4, Fraction(1, 2), p=1)
+    law = oracle.enumerate_law(
+        lambda: multipass_l1_draw(ReplayableStream(ups(freqs)), Fraction(1, 2), 4)[0])
     assert law.probs == {i: Fraction(f, m) for i, f in freqs.items()}
     hist = Counter()
     for t in range(4000):
@@ -114,27 +122,27 @@ def test_narrow_z_bounds():
         m = sum(freqs.values())
         fmax = max(freqs.values())
         for p in (Fraction(3, 2), 2):
-            k = max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
+            k = mg_budget(p, n)
             z = narrow_z(ReplayableStream(ups(freqs)), Fraction(1, 2), p, n)
             assert fmax <= z <= fmax + Fraction(m, k)
-            assert z == oracle.multipass_z(freqs, n, Fraction(1, 2), p)
+            assert z == closed_z(freqs, n, p)
     # Fuzzed strict turnstile streams with deletions: the chains and the Z
     # narrowing share their passes, every chain ends on a coordinate with its
-    # net frequency, and Z is the one narrow_z and the oracle give.
+    # net frequency, and Z is the one narrow_z and the closed form give.
     rng = random.Random(5)
     for case in range(200):
         n = rng.choice([1, 2, 5, 8, 9, 30, 100])
         stream, freqs = fuzzed_turnstile(rng, n, rng.randrange(60))
         gamma = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1][case % 4]
         p = [Fraction(3, 2), 2][case % 2]
-        k = max(1, math.ceil(n ** (1.0 - 1.0 / float(p)) - 1e-9))
+        k = mg_budget(p, n)
         rngs = [substream(case, "chain", i) for i in range(rng.randrange(1, 8))]
         chains, m, z = _narrow(ReplayableStream(stream), gamma, n, rngs, k)
         assert m == sum(freqs.values())
         assert len(chains) == (len(rngs) if m else 0)
         assert all(f == freqs[i] > 0 for i, f in chains)
         assert z == narrow_z(ReplayableStream(stream), gamma, p, n)
-        assert z == oracle.multipass_z(dict(freqs), n, gamma, p)
+        assert z == closed_z(freqs, n, p)
         fmax = max(freqs.values(), default=0)
         assert fmax <= z <= fmax + Fraction(m, k)
 
@@ -184,7 +192,7 @@ def test_chunks_reach_single_coordinates_despite_float_rounding():
     assert (res.index, f) == (2, 1)
     stream = [Update(2), Update(2), Update(n)]
     z = narrow_z(ReplayableStream(stream), gamma, 2, n)
-    assert z == 2 == oracle.multipass_z({2: 2, n: 1}, n, gamma, 2)
+    assert z == 2 == closed_z({2: 2, n: 1}, n, 2)
     chains, m, _ = _narrow(ReplayableStream(stream), gamma, n,
                            [substream(s, "chain", 0) for s in range(8)])
     assert m == 3 and all(f == {2: 2, n: 1}[i] for i, f in chains)
@@ -236,7 +244,8 @@ def test_lp_law_fractional_p():
 
 def test_lp_oracle_law_p2():
     freqs = {1: 2, 2: 1}
-    law = oracle.multipass_law(freqs, 4, Fraction(1, 2), p=2)
+    law = oracle.enumerate_law(lambda: multipass_lp_draw(
+        ReplayableStream(ups(freqs)), Fraction(1, 2), 2, 4, repetitions=1))
     cond = law.conditional()
     assert cond == {1: Fraction(4, 5), 2: Fraction(1, 5)}
 

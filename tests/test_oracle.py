@@ -1,34 +1,83 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactsamp.core import Update, builtin_measures, huber_measure, lp_measure, tukey_measure
-from exactsamp import oracle
+from exactsamp import exactrand, oracle
+from exactsamp.core import SampleResult, Update, huber_measure, lp_measure, tukey_measure
+from exactsamp.gsampler import GSampler
+from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
+from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
 from exactsamp.oracle import (
     BranchBudgetExceeded,
-    enumerate_single_repetition,
+    UnforkedDraw,
+    enumerate_law,
     gof_test,
+    sampler_law,
     target_distribution,
 )
 from exactsamp.exactrand import np_substream
+from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 
 
 def ups(coords):
     return [Update(c) for c in coords]
 
 
+def gsampler_law(coords, measure, zeta, n=3):
+    """Law of one draw of the real GSampler at R = 1."""
+    return sampler_law(lambda: GSampler(measure, n, len(coords), zeta=zeta, repetitions=1),
+                       coords)
+
+
 def test_frozen_gsampler_example():
-    law = oracle.gsampler_law(ups([1, 1, 2]), lp_measure(2), zeta=3)
+    law = gsampler_law([1, 1, 2], lp_measure(2), zeta=3)
     assert law.probs == {1: Fraction(4, 9), 2: Fraction(1, 9)}
     assert law.mass_fail == Fraction(4, 9)
     assert law.conditional() == {1: Fraction(4, 5), 2: Fraction(1, 5)}
 
 
 def test_empty_stream_bottom():
-    law = oracle.gsampler_law([], lp_measure(1), zeta=1)
+    law = gsampler_law([], lp_measure(1), zeta=1)
     assert law.mass_bottom == 1
+
+
+def test_skip_forks_at_its_exact_law():
+    # A unit holding position r: Pr[J > j] = r/j for every j up to the
+    # stream's end, and the rest of the mass beyond it.
+    for r, m in [(1, 1), (1, 5), (3, 7)]:
+        law = enumerate_law(
+            lambda: SampleResult.of(exactrand.skip(r, exactrand.substream(0))), m)
+        for j in range(r, m + 1):
+            assert sum(v for k, v in law.probs.items() if k > j) == Fraction(r, j)
+        assert law.probs[m + 1] == Fraction(r, m)
+
+
+def test_weighted_index_exact_through_the_randrange_fork():
+    # The real weighted_index, called past its own fork, runs one randrange
+    # over the total; the substream fork enumerates that draw exactly.
+    weighted_index = exactrand.weighted_index
+    weights = [3, 0, 1, 2]
+    law = enumerate_law(lambda: SampleResult.of(weighted_index(weights, exactrand.substream(0))))
+    assert law.probs == {0: Fraction(1, 2), 2: Fraction(1, 6), 3: Fraction(1, 3)}
+    forked = enumerate_law(lambda: SampleResult.of(
+        exactrand.weighted_index(weights, exactrand.substream(0))))
+    assert forked.probs == law.probs
+
+
+def test_primitives_fork_at_exact_laws():
+    def run():
+        rng = exactrand.substream(0, "x")
+        coin = exactrand.bernoulli_fraction(Fraction(2, 7), rng)
+        return SampleResult.of(2 * rng.randrange(3) + coin)
+
+    before = dict(vars(exactrand))
+    law = enumerate_law(run)
+    assert vars(exactrand) == before  # every swapped name is back
+    assert law.probs == {2 * k + 1: Fraction(2, 21) for k in range(3)} | \
+        {2 * k: Fraction(5, 21) for k in range(3)}
 
 
 def test_target_distribution_examples():
@@ -72,10 +121,9 @@ def test_symbolic_telescoping_any_stream(coords):
 
 
 def test_matrix_law_l1_rows():
-    from exactsamp.matrixsampler import L1RowMeasure
     stream = [Update(1, col=1), Update(1, col=2), Update(2, col=1), Update(2, col=1)]
-    law = oracle.matrix_law(stream, L1RowMeasure())
-    assert law.conditional() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+    law = sampler_law(lambda: MatrixSampler(L1RowMeasure(), 2, 2, 4, repetitions=1), stream)
+    assert law.probs == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
 
 def test_matrix_coefficients_telescope():
@@ -87,7 +135,7 @@ def test_matrix_coefficients_telescope():
 def test_sw_law_matches_window_target():
     coords = [1, 1, 2, 3, 3]
     W = 3
-    law = oracle.sw_gsampler_law(ups(coords), W, lp_measure(1), zeta=1)
+    law = sampler_law(lambda: CheckpointedSampler(lp_measure(1), W, 3, repetitions=1), coords)
     target = target_distribution({2: 1, 3: 2}, lp_measure(1))
     assert law.conditional() == target.probs
 
@@ -116,26 +164,59 @@ def test_block_law_total_mass():
 
 def test_multipass_l1_law():
     freqs = {1: 1, 2: 2, 3: 3, 4: 4}
-    law = oracle.multipass_law(freqs, 4, Fraction(1, 2), p=1)
+    stream = ReplayableStream([Update(i) for i in freqs for _ in range(freqs[i])])
+    law = enumerate_law(lambda: multipass_l1_draw(stream, Fraction(1, 2), 4)[0])
     assert law.probs == {i: Fraction(f, 10) for i, f in freqs.items()}
 
 
 def test_multipass_lp_law_conditional():
-    law = oracle.multipass_law({1: 2, 2: 1}, 4, Fraction(1, 2), p=2)
+    # One chain, Z = 2 (f_1 = 2 >= m/k = 3/2): masses f^2/(2 Z m) = 4/12, 1/12.
+    stream = ReplayableStream(ups([1, 1, 2]))
+    law = enumerate_law(lambda: multipass_lp_draw(stream, Fraction(1, 2), 2, 4, repetitions=1))
+    assert law.probs == {1: Fraction(1, 3), 2: Fraction(1, 12)}
     assert law.conditional() == {1: Fraction(4, 5), 2: Fraction(1, 5)}
 
 
-def test_dispatch():
-    spec = {"kind": "gsampler", "measure": lp_measure(1), "zeta": 1}
-    law = enumerate_single_repetition(ups([1, 2]), spec)
-    assert law.conditional() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    with pytest.raises(ValueError):
-        enumerate_single_repetition([], {"kind": "nope"})
-
-
-def test_branch_budget():
+def test_branch_budget(monkeypatch):
     with pytest.raises(BranchBudgetExceeded):
         oracle.pair_l2_law({i: 2 for i in range(1, 10)}, 18)
+    # The enumerator counts leaves: 2^(m-1) reservoir paths times 2 coins.
+    monkeypatch.setattr(oracle, "BRANCH_BUDGET", 63)
+    with pytest.raises(BranchBudgetExceeded):
+        gsampler_law([1, 2, 1, 3, 1, 2], lp_measure(2), zeta=6)
+    monkeypatch.setattr(oracle, "BRANCH_BUDGET", 64)
+    assert gsampler_law([1, 2, 1, 3, 1, 2], lp_measure(2), zeta=6).probs == \
+        {1: Fraction(1, 4), 2: Fraction(1, 9), 3: Fraction(1, 36)}
+
+
+def _irrational_gsampler_draw():
+    # L_{1/2} increments are irrational, so acceptance takes the interval test.
+    s = GSampler(lp_measure(Fraction(1, 2)), 2, 2, repetitions=1)
+    s.process([1, 1])
+    return s.draw()
+
+
+UNFORKED = {
+    "random": lambda: exactrand.substream(0).random(),
+    "getrandbits": lambda: exactrand.substream(0).getrandbits(8),
+    "uniform": lambda: exactrand.substream(0).uniform(0, 1),
+    "np_substream": lambda: exactrand.np_substream(0),
+    "bernoulli_bounds": lambda: exactrand.bernoulli_bounds(lambda k: (1, 2),
+                                                           exactrand.substream(0)),
+    "skip_without_stream_length": lambda: exactrand.skip(1, exactrand.substream(0)),
+    "gsampler_irrational": _irrational_gsampler_draw,
+    "sliding_lp": lambda: SlidingLpSampler(2, 3, 3, repetitions=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFORKED))
+def test_unforked_draws_raise_and_names_come_back(name):
+    modules = [m for k, m in sys.modules.items() if k.startswith("exactsamp") and m is not None]
+    before = [dict(vars(m)) for m in modules]
+    with pytest.raises(UnforkedDraw):
+        enumerate_law(lambda: UNFORKED[name]() and SampleResult.bottom())
+    for mod, names in zip(modules, before):
+        assert all(vars(mod).get(k) is v for k, v in names.items()), mod.__name__
 
 
 def test_gof_calibration():

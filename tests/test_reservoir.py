@@ -5,8 +5,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactsamp.exactrand import substream
-from exactsamp.reservoir import ReservoirUnit, SamplerBank, _next_jump
+from exactsamp.exactrand import skip, substream
+from exactsamp.reservoir import ReservoirUnit, SamplerBank
 
 
 def test_single_element():
@@ -31,7 +31,7 @@ def test_next_jump_distribution():
     rng = random.Random(5)
     r = 3
     n = 200000
-    jumps = [_next_jump(r, rng) for _ in range(n)]
+    jumps = [skip(r, rng) for _ in range(n)]
     for t in (4, 6, 10, 30):
         frac = sum(j > t for j in jumps) / n
         expect = r / t

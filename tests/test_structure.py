@@ -1,8 +1,12 @@
 """One implementation per mechanism, checked on the package's syntax trees.
 
-The reservoir skip lives in reservoir.py alone, interval-refined Bernoulli
-draws are run only by the exact increment test (gsampler.accept_increment)
-and by exactrand itself, and every sampler of a unit-delta stream shares one
+The reservoir skip is defined in exactrand.py and called from reservoir.py
+alone, `.random(` is called only by exactrand and the two harnesses that
+draw floats on purpose (the CLI's stream generator and the Monte-Carlo
+twins), so every random choice of a sampler goes through a primitive that
+the branch enumerator forks, interval-refined Bernoulli draws are run only
+by the exact increment test (gsampler.accept_increment) and by exactrand
+itself, and every sampler of a unit-delta stream shares one
 process(), with MatrixSampler's (row, col) form the only other one.  The
 multipass samplers read the stream at one site, the scan that every chain
 and the Z narrowing share.
@@ -38,9 +42,22 @@ def _called(tree):
             yield f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
 
+def _defines(tree, name):
+    """Whether the module defines function `name` at its top level."""
+    return any(isinstance(node, ast.FunctionDef) and node.name == name for node in tree.body)
+
+
 def test_reservoir_skip_only_in_reservoir():
-    users = [name for name, tree in _trees().items() if "_next_jump" in set(_names(tree))]
-    assert users == ["reservoir.py"]
+    trees = _trees()
+    assert [name for name, tree in trees.items() if _defines(tree, "skip")] == ["exactrand.py"]
+    callers = [name for name, tree in trees.items() if "skip" in set(_called(tree))]
+    assert callers == ["reservoir.py"], callers
+    assert not any("_next_jump" in set(_names(tree)) for tree in trees.values())
+
+
+def test_float_uniforms_only_outside_the_samplers():
+    callers = {name for name, tree in _trees().items() if "random" in set(_called(tree))}
+    assert callers <= {"exactrand.py", "cli.py", "montecarlo.py"}, callers
 
 
 def test_interval_bernoulli_only_in_the_exact_increment_test():

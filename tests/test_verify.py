@@ -5,14 +5,22 @@ from fractions import Fraction
 
 from exactsamp import montecarlo, oracle, verify
 from exactsamp.core import lp_measure
+from exactsamp.gsampler import GSampler
+from exactsamp.reservoir import SamplerBank
+from exactsamp.sliding import CheckpointedSampler
+
+
+def gsampler_law(coords, meas, zeta):
+    """Law of one draw of the real GSampler at R = 1."""
+    return oracle.sampler_law(
+        lambda: GSampler(meas, 2, len(coords), zeta=zeta, repetitions=1), coords)
 
 
 def test_mc_gsampler_twin_matches_oracle_law():
     coords = [1, 1, 2]
     meas = lp_measure(2)
     zeta = 3
-    from exactsamp.core import Update
-    law = oracle.gsampler_law([Update(c) for c in coords], meas, zeta)
+    law = gsampler_law(coords, meas, zeta)
     assert law.probs == {1: Fraction(4, 9), 2: Fraction(1, 9)}
     hist, fails = montecarlo.mc_gsampler(coords, meas, zeta, 200000, seed=4)
     rep = oracle.gof_test(hist, {k: float(v) for k, v in law.conditional().items()})
@@ -22,9 +30,7 @@ def test_mc_gsampler_twin_matches_oracle_law():
     assert abs(fails / total - 4 / 9) < 0.01
 
 
-def test_mc_gsampler_inclusive_mutant_diverges():
-    from exactsamp.core import Update
-
+def test_mc_gsampler_inclusive_mutant_diverges(monkeypatch):
     coords = [1, 1, 2]
     meas = lp_measure(2)
     # zeta = 9 keeps the (broken) per-coordinate masses below 1 so the
@@ -32,8 +38,14 @@ def test_mc_gsampler_inclusive_mutant_diverges():
     # diverges from the correct target.
     hist, _ = montecarlo.mc_gsampler(coords, meas, 9, 200000, seed=7,
                                      inclusive=True)
-    law = oracle.gsampler_law([Update(c) for c in coords], meas, 9,
-                              inclusive=True)
+    effective = SamplerBank.effective
+
+    def inclusive(self, i):  # the counter also counts the sampled occurrence
+        s, t_s, c = effective(self, i)
+        return s, t_s, c + 1
+
+    monkeypatch.setattr(SamplerBank, "effective", inclusive)
+    law = gsampler_law(coords, meas, 9)
     rep = oracle.gof_test(hist, {k: float(v) for k, v in law.conditional().items()})
     assert rep.pvalue > 1e-4
     # And the mutant law is NOT the correct target.
@@ -44,8 +56,7 @@ def test_mc_gsampler_inclusive_mutant_diverges():
 def test_mc_sliding_twin():
     coords = [1, 1, 2, 3, 3, 1]
     meas = lp_measure(1)
-    from exactsamp.core import Update
-    law = oracle.sw_gsampler_law([Update(c) for c in coords], 4, meas, meas.zeta)
+    law = oracle.sampler_law(lambda: CheckpointedSampler(meas, 4, 3, repetitions=1), coords)
     hist, _ = montecarlo.mc_gsampler(coords, meas, meas.zeta, 100000, seed=2, W=4)
     rep = oracle.gof_test(hist, {k: float(v) for k, v in law.conditional().items()})
     assert rep.pvalue > 1e-4
