@@ -52,6 +52,13 @@ class StreamConfig:
             raise ValueError("matrix model needs d >= 1")
 
 
+def exponent(p):
+    """The exponent p as an exact Fraction.  A float is read through its
+    shortest decimal repr, so 1.1 gives 11/10 as the string "1.1" does, not
+    its binary value, whose 2^51 denominator makes every power of it huge."""
+    return Fraction(repr(float(p))) if isinstance(p, float) else Fraction(p)
+
+
 def outside(coord, n):
     """The error for a coordinate outside the universe [1, n]."""
     return ValueError("coordinate %r outside [1, %d]" % (coord, n))
@@ -156,7 +163,7 @@ class LpMeasure(MeasureFunction):
     """G(x) = x**p for rational p > 0."""
 
     def __init__(self, p):
-        p = Fraction(p)
+        p = exponent(p)
         if p <= 0:
             raise ValueError("p must be positive")
         self.p = p

@@ -12,9 +12,10 @@ A draw walks the repetitions in index order and returns the first one that
 accepts, so it runs about 1/s acceptance tests instead of R, with s the
 per-repetition success probability.  That is the same law as a uniform pick
 among all accepting repetitions: the repetitions are i.i.d. given the stream
-(each unit has its own substream and each test draws fresh exact bits), so
-either way Pr[out = j] = Pr[accept, sample = j] (1 - (1 - s)^R) / s, and FAIL
-has probability (1 - s)^R.  SampleResult.repetition names the first accepting
+(the units share the bank's one generator, but every skip takes fresh
+uniforms from it, and each test draws fresh exact bits), so either way
+Pr[out = j] = Pr[accept, sample = j] (1 - (1 - s)^R) / s, and FAIL has
+probability (1 - s)^R.  SampleResult.repetition names the first accepting
 repetition.
 
 For L_p with p in (1,2] the increment bound is zeta = 2 Z^{p-1} with Z the
@@ -25,7 +26,7 @@ summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
 import math
 from fractions import Fraction
 
-from .core import SampleResult, UnitUpdates, outside
+from .core import SampleResult, UnitUpdates, exponent, outside
 from .exactrand import (bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, subseed,
                         substream)
 from .heavyhitters import MGSummary, mg_budget, z_bound
@@ -113,7 +114,7 @@ class GSampler(UnitUpdates):
         self.m_planned = m
         self.delta = delta
         self.seed = seed
-        self.p = Fraction(p) if p is not None else None
+        self.p = exponent(p) if p is not None else None
         self.mg = None
         self.draws = 0
 
@@ -178,7 +179,7 @@ class GSampler(UnitUpdates):
 
 def lp_sampler(p, n, m, delta=0.1, seed=0, repetitions=None):
     """Configured L_p sampler for p in (0, 2]."""
-    p = Fraction(p)
+    p = exponent(p)
     if not (0 < p <= 2):
         raise ValueError("insertion-only L_p sampling needs p in (0, 2]")
     from .core import lp_measure

@@ -13,6 +13,7 @@ probability 1.
 import heapq
 from fractions import Fraction
 
+from .core import exponent
 from .exactrand import integer_nthroot
 
 HEAP_SLACK = 4  # the heap holds at most this many entries per counter
@@ -109,7 +110,7 @@ def z_bound(summary, p, n):
 def mg_budget(p, n):
     """Counter budget k = ceil(n^{1-1/p}) for the Z bound, exactly, for a
     rational p >= 1 (one integer root of n^a, (p-1)/p = a/b)."""
-    p = Fraction(p)
+    p = exponent(p)
     if p < 1:
         raise ValueError("Z bound applies for p >= 1")
     e = 1 - 1 / p

@@ -89,7 +89,7 @@ class MatrixSampler:
             repetitions = repetitions_for(ratio, delta)
         self.R = repetitions
         self.draws = 0
-        # Unit i draws from substream(seed, "unit", i).
+        # The units draw their skips from the bank's one generator.
         self.bank = SamplerBank(repetitions, seed)
         self.counts = {}  # row -> column counts, kept while the bank tracks the row
         self.unit_col = [0] * repetitions

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .core import SampleResult, lp_measure, outside, parse_stream
+from .core import SampleResult, exponent, lp_measure, outside, parse_stream
 from .exactrand import substream, weighted_index
 from .gsampler import accept_increment, first_accepted, lp_zeta
 from .heavyhitters import mg_budget
@@ -168,7 +168,7 @@ def narrow_z(stream, gamma, p, n):
 def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
     """Truly perfect L_p sample, p in (1,2], over a strict turnstile stream,
     in ceil(1/gamma) passes."""
-    p = Fraction(p)
+    p = exponent(p)
     if not (1 < p <= 2):
         raise ValueError("multipass L_p sampling needs p in (1, 2]")
     if repetitions is None:

@@ -14,10 +14,13 @@ update.
 A SamplerBank runs R such units over the same stream in O(1) amortized time
 per update: a shared per-coordinate counter counts occurrences since the
 coordinate was first sampled by any unit, and each unit stores the counter
-value at its own sampling time as an offset.
+value at its own sampling time as an offset.  The units share one generator:
+at each position the units due there draw their skips from it in ascending
+unit order.  Each skip takes fresh uniforms whichever unit draws them, so the
+units stay i.i.d.  The units due at one position form a chain in flat int
+storage (position -> first unit, unit -> next unit), so the bank keeps no
+generator, tuple or container per unit.
 """
-
-import heapq
 
 from .exactrand import skip, substream
 
@@ -50,9 +53,9 @@ class ReservoirUnit:
 class SamplerBank:
     """R reservoir units sharing per-coordinate counters via offsets.
 
-    Unit i draws its randomness from substream(seed, "unit", i), so a bank is
-    distributionally identical to R independent ReservoirUnits built from the
-    same substreams (and exactly identical given the same draws).
+    All units draw from one generator, substream(seed, "bank"), the units due
+    at a position in ascending order, so a bank is exactly R ReservoirUnits
+    that share that generator and are updated in unit order.
     """
 
     def __init__(self, R, seed, start_time=1):
@@ -65,41 +68,50 @@ class SamplerBank:
         self.unit_s = [None] * R
         self.unit_t = [0] * R
         self.unit_offset = [0] * R
-        self.unit_rng = [substream(seed, "unit", i) for i in range(R)]
-        # all units accept position 1 first
-        self.heap = [(1, i) for i in range(R)]
+        self.rng = substream(seed, "bank")
+        # head[j]: first unit due at position j; nxt[i]: the unit after i on
+        # its chain, -1 at the end.  All units accept position 1 first.
+        self.head = {1: 0} if R else {}
+        self.nxt = [*range(1, R), -1]
 
     def update(self, coord, time=None):
-        """Feed one occurrence; returns the units that sampled it, or an
-        empty tuple when none did."""
+        """Feed one occurrence; returns the units that sampled it in
+        ascending order, or an empty tuple when none did."""
         r = self.r_seen + 1
         self.r_seen = r
         counters = self.counters
         if coord in counters:
             counters[coord] += 1
-        heap = self.heap
-        picked = ()
-        if heap and heap[0][0] == r:
-            picked = []
-            when = time if time is not None else self.start_time + r - 1
-            while heap and heap[0][0] == r:
-                _, i = heapq.heappop(heap)
-                old = self.unit_s[i]
-                if old is not None:
-                    self.refs[old] -= 1
-                    if self.refs[old] == 0:
-                        del self.refs[old]
-                        del counters[old]
-                if coord not in counters:
-                    counters[coord] = 1  # the sampled occurrence itself
-                    self.refs[coord] = 1
-                else:
-                    self.refs[coord] = self.refs.get(coord, 0) + 1
-                self.unit_s[i] = coord
-                self.unit_t[i] = when
-                self.unit_offset[i] = counters[coord]
-                heapq.heappush(heap, (skip(r, self.unit_rng[i]), i))
-                picked.append(i)
+        head = self.head
+        i = head.pop(r, -1)
+        if i < 0:
+            return ()
+        nxt = self.nxt
+        picked = []
+        while i >= 0:
+            picked.append(i)
+            i = nxt[i]
+        picked.sort()
+        when = time if time is not None else self.start_time + r - 1
+        refs, rng = self.refs, self.rng
+        for i in picked:
+            old = self.unit_s[i]
+            if old is not None:
+                refs[old] -= 1
+                if refs[old] == 0:
+                    del refs[old]
+                    del counters[old]
+            if coord not in counters:
+                counters[coord] = 1  # the sampled occurrence itself
+                refs[coord] = 1
+            else:
+                refs[coord] = refs.get(coord, 0) + 1
+            self.unit_s[i] = coord
+            self.unit_t[i] = when
+            self.unit_offset[i] = counters[coord]
+            j = skip(r, rng)
+            nxt[i] = head.get(j, -1)
+            head[j] = i
         return picked
 
     def effective(self, i):

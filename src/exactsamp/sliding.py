@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SampleResult, UnitUpdates, lp_measure, outside
+from .core import SampleResult, UnitUpdates, exponent, lp_measure, outside
 from .exactrand import np_substream, pow_scaled, subseed, substream
 from .gsampler import accept_increment, first_accepted, repetitions_for
 from .reservoir import SamplerBank
@@ -31,14 +31,9 @@ from .smoothhist import DegradedEstimate, SmoothHistogram
 
 
 def active_bank_start(t, W):
-    """Start time of the checkpoint bank a draw at time t must use."""
-    starts = range(1, t + 1, W)
-    ws = t - W + 1
-    best = 1
-    for s in starts:
-        if s <= ws:
-            best = s
-    return best
+    """Start time of the checkpoint bank a draw at time t must use: the last
+    bank start 1 + kW at or before the window start t - W + 1, or 1."""
+    return 1 + max(0, (t - W) // W) * W
 
 
 class CheckpointedSampler(UnitUpdates):
@@ -205,7 +200,7 @@ class SuffixMinima:
 class SlidingLpSampler(UnitUpdates):
     def __init__(self, p, W, n=None, delta=0.1, seed=0, repetitions=None,
                  estimator_factory=None):
-        self.p = Fraction(p)
+        self.p = exponent(p)
         if self.p < 1:
             raise ValueError("sliding L_p sampling needs p >= 1")
         self.measure = lp_measure(self.p)

@@ -19,6 +19,7 @@ DegradedEstimate, which samplers turn into a Fail outcome.
 
 from fractions import Fraction
 
+from .core import exponent
 from .exactrand import pow_bounds, substream
 
 
@@ -31,7 +32,7 @@ class ExactSuffixFp:
     """Exact F_p = sum_i f_i^p of everything ingested."""
 
     def __init__(self, p, seed=0):
-        self.p = Fraction(p)
+        self.p = exponent(p)
         self.int_p = self.p.denominator == 1
         self._pf, self._k = float(self.p), int(self.p)
         self.counts = {}
@@ -80,7 +81,7 @@ class _Row:
 
 class SmoothHistogram:
     def __init__(self, p, W, seed=0, beta=None, estimator_factory=None):
-        self.p = Fraction(p)
+        self.p = exponent(p)
         self.W = W
         self.seed = seed
         pf = float(self.p)

@@ -70,6 +70,16 @@ def test_rejects_p_out_of_range():
         lp_sampler(0, n=4, m=4)
 
 
+def test_float_exponent_read_as_its_decimal():
+    # Fraction(1.1) has a 2^51 denominator, and n raised to it never returned.
+    p = Fraction(11, 10)
+    assert lp_sampler(1.1, 10, 10, repetitions=3).p == p
+    assert GSampler(lp_measure(1.1), 10, 10, repetitions=3, p=1.1).p == p
+    assert lp_measure(1.1).p == p
+    assert SlidingLpSampler(1.1, W=5, n=10, repetitions=3).p == p
+    assert mg_budget(1.1, 10 ** 6) == mg_budget(p, 10 ** 6) == 4
+
+
 def test_repetitions_for_monotone():
     assert repetitions_for(1, 0.1) <= repetitions_for(10, 0.1)
     assert repetitions_for(1, 0.1) <= repetitions_for(1, 0.01)

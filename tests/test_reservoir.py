@@ -1,11 +1,16 @@
+import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactsamp.exactrand import skip, substream
+from exactsamp.oracle import gof_test
 from exactsamp.reservoir import ReservoirUnit, SamplerBank
 
 
@@ -55,7 +60,10 @@ def test_reservoir_uniformity():
 
 
 def _naive_units(R, seed, coords):
-    units = [ReservoirUnit(substream(seed, "unit", i)) for i in range(R)]
+    # The bank's reference: R units sharing the bank's one generator, updated
+    # in unit order at every position.
+    rng = substream(seed, "bank")
+    units = [ReservoirUnit(rng) for _ in range(R)]
     for t, c in enumerate(coords, start=1):
         for u in units:
             u.update(c, t)
@@ -81,3 +89,35 @@ def test_bank_effective_counts_bounded():
     for i in range(4):
         s, t_s, c = bank.effective(i)
         assert 0 <= c <= freq[s] - 1
+
+
+@pytest.mark.parametrize("R", [2, 3])
+def test_bank_units_jointly_uniform(R):
+    # The units share one generator, so independence between them is a joint
+    # property: over m distinct positions the tuple of sampled positions is
+    # uniform over all m^R cells.  (The exact-law sweeps run at R = 1.)
+    m, trials = 4, 3000 * R
+    hist = Counter()
+    for seed in range(trials):
+        bank = SamplerBank(R, seed)
+        for pos in range(1, m + 1):
+            bank.update(pos)
+        hist[tuple(s for s, _, _ in bank.snapshot())] += 1
+    cells = list(itertools.product(range(1, m + 1), repeat=R))
+    rep = gof_test(hist, {cell: Fraction(1, m ** R) for cell in cells})
+    assert rep.pvalue > 1e-4, rep
+
+
+def test_bank_memory_per_unit():
+    # One generator per bank, not one per unit (a Mersenne Twister state is
+    # about 2.5 kB), and no per-unit tuple.
+    R = 4096
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bank = SamplerBank(R, 5)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bank.R == R
+    assert used / R < 200, used / R

@@ -23,6 +23,37 @@ def test_active_bank_start():
     assert active_bank_start(10, 3) == 7
 
 
+def _active_bank_start_by_scan(t, W):
+    # Reference: scan every bank start 1, W+1, ... <= t.
+    best = 1
+    for s in range(1, t + 1, W):
+        if s <= t - W + 1:
+            best = s
+    return best
+
+
+def test_active_bank_start_matches_scan():
+    for W in range(1, 16):
+        for t in range(0, 401):
+            assert active_bank_start(t, W) == _active_bank_start_by_scan(t, W), (t, W)
+
+
+def test_active_bank_start_flat_in_t():
+    # Closed form: a call at t = 10^7 costs about what one at t = 10^3 does
+    # (a scan over the bank starts made it O(t/W)).
+    def best(t):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(2000):
+                active_bank_start(t, 10)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    small, large = best(10 ** 3), best(10 ** 7)
+    assert large <= 3 * small, (large, small)
+
+
 def test_bottom_on_empty():
     s = CheckpointedSampler(lp_measure(1), W=3)
     assert s.draw().outcome == "bottom"

@@ -1,15 +1,15 @@
 """One implementation per mechanism, checked on the package's syntax trees.
 
 The reservoir skip is defined in exactrand.py and called from reservoir.py
-alone, `.random(` is called only by exactrand and the two harnesses that
-draw floats on purpose (the CLI's stream generator and the Monte-Carlo
-twins), so every random choice of a sampler goes through a primitive that
-the branch enumerator forks, interval-refined Bernoulli draws are run only
-by the exact increment test (gsampler.accept_increment) and by exactrand
-itself, and every sampler of a unit-delta stream shares one
-process(), with MatrixSampler's (row, col) form the only other one.  The
-multipass samplers read the stream at one site, the scan that every chain
-and the Z narrowing share.
+alone, where a bank seeds one generator for all its units, `.random(` is
+called only by exactrand and the two harnesses that draw floats on purpose
+(the CLI's stream generator and the Monte-Carlo twins), so every random
+choice of a sampler goes through a primitive that the branch enumerator
+forks, interval-refined Bernoulli draws are run only by the exact increment
+test (gsampler.accept_increment) and by exactrand itself, and every sampler
+of a unit-delta stream shares one process(), with MatrixSampler's (row, col)
+form the only other one. The multipass samplers read the stream at one site,
+the scan that every chain and the Z narrowing share.
 """
 
 import ast
@@ -53,6 +53,21 @@ def test_reservoir_skip_only_in_reservoir():
     callers = [name for name, tree in trees.items() if "skip" in set(_called(tree))]
     assert callers == ["reservoir.py"], callers
     assert not any("_next_jump" in set(_names(tree)) for tree in trees.values())
+
+
+def test_reservoir_seeds_one_generator_per_bank():
+    # A bank draws every unit's skips from one generator: substream is called
+    # at a single site, outside any loop or comprehension, and the due units
+    # live in chains rather than a heap of tuples.
+    tree = _trees()["reservoir.py"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    sites = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "substream"]
+    assert len(sites) == 1, len(sites)
+    in_loop = {id(call) for loop in ast.walk(tree) if isinstance(loop, loops)
+               for call in ast.walk(loop)}
+    assert id(sites[0]) not in in_loop
+    assert "heapq" not in set(_names(tree))
 
 
 def test_float_uniforms_only_outside_the_samplers():
