@@ -10,7 +10,9 @@ over the support, and the sampled frequency f_i is reported with the index.
 
 T, the window ring and the active frequencies depend on the stream alone, so
 the R instances of a sampler share one F0State, updated once per update, and
-each instance is only its subset S, passed to F0State.draw.
+each instance is only its subset S, passed to F0State.draw.  The state keeps
+U for every subset it hands out, between draws, from a log of the
+coordinates that joined or left the support, so a draw does not rescan S.
 
 The Tukey sampler accepts an F0 draw (i, f_i) with probability G(f_i)/G(tau),
 turning uniform-over-support into G(f_i)/F_G exactly.
@@ -19,6 +21,7 @@ turning uniform-over-support into G(f_i)/F_G exactly.
 import math
 from collections import OrderedDict, deque
 from fractions import Fraction
+from itertools import islice
 
 from .core import INDEX, SampleResult, UnitUpdates, outside
 from .exactrand import bernoulli_fraction, subseed, substream
@@ -27,32 +30,51 @@ from .gsampler import first_accepted
 
 class F0State:
     """The stream state of an F0 instance: T, the window ring and the active
-    frequencies.  The instance's subset S comes from subset(seed)."""
+    frequencies.  The instance's subset S comes from subset(seed).
+
+    The state also keeps U = S & support for every subset it registered.  An
+    update appends to a log only when a coordinate joins or leaves the
+    support.  A draw folds the changes since S's last draw into its U when
+    there are fewer of them than |S|, and otherwise rescans S & support,
+    scanning the smaller of the two; so the log keeps only the last |S|
+    changes.
+    """
 
     def __init__(self, n, window=None):
         self.n = n
         self.window = window
         self.cap = math.isqrt(n) + (0 if math.isqrt(n) ** 2 == n else 1)
+        self.size = min(2 * self.cap, n)  # |S|
         self.T = OrderedDict()  # coord -> last-seen time (insertion/LRU order)
         self.t = 0
         # Window bookkeeping: ring of recent updates + active frequency map.
         self._ring = deque() if window is not None else None
         self._freq = {}
+        self._log = deque(maxlen=self.size)  # latest coordinates to join or leave the support
+        self._leaves = 0  # times a coordinate left the support (window mode)
+        self._members = {}  # S -> [S & support, self._changes() when it was current]
 
     def update(self, coord, time=None):
         self.t += 1
         t = self.t
-        self._freq[coord] = self._freq.get(coord, 0) + 1
+        freq = self._freq
+        if coord in freq:
+            freq[coord] += 1
+        else:
+            freq[coord] = 1
+            self._log.append(coord)  # joins the support
         if self.window is not None:
             self._ring.append(coord)
             if len(self._ring) > self.window:
                 old = self._ring.popleft()
-                left = self._freq[old] - 1
+                left = freq[old] - 1
                 if left:
-                    self._freq[old] = left
+                    freq[old] = left
                 else:
-                    del self._freq[old]
+                    del freq[old]
                     self.T.pop(old, None)
+                    self._log.append(old)  # leaves the support
+                    self._leaves += 1
             if coord in self.T:
                 self.T.move_to_end(coord)
                 self.T[coord] = t
@@ -64,13 +86,56 @@ class F0State:
             if coord not in self.T and len(self.T) < self.cap:
                 self.T[coord] = t
 
+    def _changes(self):
+        """The number of support changes so far: each coordinate in the
+        support joined once more than it left."""
+        return len(self._freq) + 2 * self._leaves
+
     def active_frequencies(self):
         return dict(self._freq)
 
     def subset(self, seed):
-        """An instance's random subset S of [n], of size min(2 cap, n)."""
+        """An instance's random subset S of [n], of size min(2 cap, n),
+        registered so that the state keeps S & support."""
         rng = substream(seed, "subset")
-        return frozenset(rng.sample(range(1, self.n + 1), min(2 * self.cap, self.n)))
+        S = frozenset(rng.sample(range(1, self.n + 1), self.size))
+        self._record(S)
+        return S
+
+    def _record(self, S):
+        """[S & support, self._changes() when it was current], registering S
+        if it is new: empty and current while the support is empty, and due
+        for a rescan otherwise."""
+        rec = self._members.get(S)
+        if rec is None:
+            rec = self._members[S] = [set(), self._changes() if not self._freq else -1]
+        return rec
+
+    def _current_members(self, S):
+        """S & support, brought up to date from the log or by a rescan."""
+        rec = self._record(S)
+        members, pos = rec
+        changes = self._changes()
+        pending = changes - pos
+        freq = self._freq
+        if pending >= len(S) or pending > len(self._log):
+            # Scan the smaller of S and the support.
+            if len(S) < len(freq):
+                members = rec[0] = freq.keys() & S
+            else:
+                members = rec[0] = {c for c in freq if c in S}
+        else:
+            # The pending changes are the log's last ones; a coordinate's
+            # membership is read from the current support, so their order
+            # does not matter.
+            for c in islice(reversed(self._log), pending):
+                if c in S:
+                    if c in freq:
+                        members.add(c)
+                    else:
+                        members.discard(c)
+        rec[1] = changes
+        return members
 
     def draw(self, S, rng):
         """One draw of the instance with subset S."""
@@ -86,9 +151,7 @@ class F0State:
             support = sorted(freq)
             i = support[rng.randrange(len(support))]
             return SampleResult.of(i, frequency=freq[i])
-        # The members are S & support; scan the smaller of the two.
-        few, many = (S, freq) if len(S) < len(freq) else (freq, S)
-        members = sorted(c for c in few if c in many)
+        members = sorted(self._current_members(S))
         if not members:
             return SampleResult.fail()
         i = members[rng.randrange(len(members))]
@@ -115,9 +178,10 @@ class F0Sampler(UnitUpdates):
             raise outside(coord, self.state.n)
         self.state.update(coord)
 
-    def accept(self, f, rng):
+    def accept(self, f, rng, table):
         """Whether a hit of frequency f is kept: always, for uniform support
-        sampling."""
+        sampling.  table is the draw's own dict for the per-f probabilities
+        of subclasses that filter hits."""
         return True
 
     def draw(self):
@@ -126,9 +190,10 @@ class F0Sampler(UnitUpdates):
             return SampleResult.bottom()
         self.draws += 1
         rng = substream(self.seed, "draw", self.draws)
+        table = {}
         draws = (self.state.draw(S, rng) for S in self.subsets)
         return first_accepted(((res, res.frequency) for res in draws if res.outcome == INDEX),
-                              lambda f: self.accept(f, rng)) or SampleResult.fail()
+                              lambda f: self.accept(f, rng, table)) or SampleResult.fail()
 
 
 class TukeySampler(F0Sampler):
@@ -143,6 +208,11 @@ class TukeySampler(F0Sampler):
             repetitions = max(1, math.ceil(4 * boost * math.log(1.0 / delta)))
         super().__init__(n, delta, seed, window, repetitions)
 
-    def accept(self, f, rng):
-        g_cap = self.measure.tau * self.measure.tau / 6
-        return bernoulli_fraction(Fraction(self.measure.g_exact(f)) / g_cap, rng)
+    def accept(self, f, rng, table):
+        """Keep a hit of frequency f with probability G(f)/G(tau), computed
+        once per distinct f in a draw."""
+        q = table.get(f)
+        if q is None:
+            g_cap = self.measure.tau * self.measure.tau / 6
+            q = table[f] = Fraction(self.measure.g_exact(f)) / g_cap
+        return bernoulli_fraction(q, rng)

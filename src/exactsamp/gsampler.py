@@ -18,6 +18,10 @@ Pr[out = j] = Pr[accept, sample = j] (1 - (1 - s)^R) / s, and FAIL has
 probability (1 - s)^R.  SampleResult.repetition names the first accepting
 repetition.
 
+A draw costs its acceptance tests plus O(1): it keeps one table per draw,
+from each distinct state c to its acceptance probability (see acceptance),
+and builds the SampleResult of the accepted repetition only.
+
 For L_p with p in (1,2] the increment bound is zeta = 2 Z^{p-1} with Z the
 deterministic Misra-Gries bound on the max frequency; the sampler builds a
 summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
@@ -40,7 +44,7 @@ def repetitions_for(ratio, delta):
     return max(1, math.ceil(R_SIZING_CONSTANT * float(ratio) * math.log(1.0 / delta)))
 
 
-def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
+def accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table=None):
     """Accept with probability exactly (G(c+1) - G(c)) / zeta.
 
     zeta_exact is a Fraction or None; zeta_bounds(k) supplies integers
@@ -48,12 +52,34 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
     increment is the exact rational a/b when the measure has one and its
     scaled bracket over b = 2^k otherwise; zeta likewise.  Dividing the two
     with integer floor and ceil brackets the acceptance probability at 2^k.
+
+    table, a dict that one draw passes to each of its calls, keeps every
+    distinct state c's probability (see acceptance), so a draw computes it
+    once per c; the test itself draws the same bits either way.
     """
+    if table is None:
+        q = acceptance(measure, c, zeta_exact, zeta_bounds)
+    else:
+        q = table.get(c)
+        if q is None:
+            q = table[c] = acceptance(measure, c, zeta_exact, zeta_bounds)
+    if callable(q):
+        return bernoulli_bounds(q, rng)
+    return bernoulli_fraction(q, rng)
+
+
+def acceptance(measure, c, zeta_exact, zeta_bounds):
+    """The probability (G(c+1) - G(c)) / zeta: the quotient when it is
+    rational, else its refine(k), which keeps each bracket it computes."""
     inc = measure.increment_exact(c)
     if inc is not None and zeta_exact is not None:
-        return bernoulli_fraction(inc / zeta_exact, rng)
+        return inc / zeta_exact
+    brackets = {}
 
     def refine(k):
+        got = brackets.get(k)
+        if got is not None:
+            return got
         # increment in [ilo, ihi] / iden and zeta in [zlo, zhi] / zden
         if inc is None:
             ilo, ihi = measure.increment_bounds(c, k)
@@ -68,9 +94,10 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng):
             zlo = zhi = zeta_exact.numerator
             zden = zeta_exact.denominator
         num = zden << k
-        return ilo * num // (iden * zhi), -(-ihi * num // (iden * zlo))
+        got = brackets[k] = ilo * num // (iden * zhi), -(-ihi * num // (iden * zlo))
+        return got
 
-    return bernoulli_bounds(refine, rng)
+    return refine
 
 
 def lp_zeta(Z, p):
@@ -102,6 +129,14 @@ def first_accepted(candidates, accept):
         if accept(*args):
             return result
     return None
+
+
+def repetition_result(hit):
+    """The SampleResult of a (repetition, index) that first_accepted returned,
+    FAIL for None: draws build a result for the accepted repetition only."""
+    if hit is None:
+        return SampleResult.fail()
+    return SampleResult.of(hit[1], repetition=hit[0])
 
 
 class GSampler(UnitUpdates):
@@ -169,12 +204,12 @@ class GSampler(UnitUpdates):
         self.draws += 1
         rng = substream(self.seed, "draw", self.draws)
         zeta_exact, zeta_bounds = self._zeta_at_draw()
-        live = ((SampleResult.of(s, repetition=i), c)
+        table = {}
+        live = (((i, s), c)
                 for i, (s, _, c) in enumerate(map(self.bank.effective, range(self.R)))
                 if s is not None)
-        return first_accepted(
-            live, lambda c: accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng)
-        ) or SampleResult.fail()
+        return repetition_result(first_accepted(
+            live, lambda c: accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng, table)))
 
 
 def lp_sampler(p, n, m, delta=0.1, seed=0, repetitions=None):

@@ -8,6 +8,11 @@ updates.  The heap keeps stale entries until they surface, and is rebuilt
 from the counters whenever it holds more than HEAP_SLACK entries per counter,
 so it stays O(k).  Estimates satisfy f_i - m/k <= estimate(i) <= f_i with
 probability 1.
+
+The summary also keeps top, the largest value it has stored, so z_bound is
+O(1): while top > offset the counter that stored it is still there (it was
+neither raised past top nor, since eviction needs its value <= offset,
+evicted), and once top <= offset every counter is dead.
 """
 
 import heapq
@@ -20,7 +25,7 @@ HEAP_SLACK = 4  # the heap holds at most this many entries per counter
 
 
 class MGSummary:
-    __slots__ = ("k", "counts", "offset", "m_seen", "_heap")
+    __slots__ = ("k", "counts", "offset", "m_seen", "top", "_heap")
 
     def __init__(self, k):
         if k < 1:
@@ -29,6 +34,7 @@ class MGSummary:
         self.counts = {}  # coord -> offset-shifted count
         self.offset = 0
         self.m_seen = 0
+        self.top = 0  # the largest stored value
         self._heap = []  # (stored value, coord); may contain stale entries
 
     def _evict_dead(self):
@@ -63,10 +69,14 @@ class MGSummary:
             v = counts[coord] + weight
             counts[coord] = v
             heapq.heappush(self._heap, (v, coord))
+            if v > self.top:
+                self.top = v
         elif len(counts) < self.k:
             v = self.offset + weight
             counts[coord] = v
             heapq.heappush(self._heap, (v, coord))
+            if v > self.top:
+                self.top = v
         else:
             # Table full: play the new weight against the global decrement.
             low = self._min_effective()
@@ -77,6 +87,8 @@ class MGSummary:
                 v = self.offset + (weight - low)
                 counts[coord] = v
                 heapq.heappush(self._heap, (v, coord))
+                if v > self.top:
+                    self.top = v
             self._evict_dead()
         if len(self._heap) > HEAP_SLACK * len(counts):
             # Mostly stale: rebuild from the live entries.  Each rebuild drops
@@ -98,13 +110,9 @@ class MGSummary:
 
 def z_bound(summary, p, n):
     """Z with max_i f_i <= Z <= max_i f_i + m/n^{1-1/p}, from a summary built
-    with k = ceil(n^{1-1/p}) counters."""
-    best = 0
-    off = summary.offset
-    for v in summary.counts.values():
-        if v - off > best:
-            best = v - off
-    return best + Fraction(summary.m_seen, summary.k)
+    with k = ceil(n^{1-1/p}) counters, in O(1): the largest estimate is
+    top - offset, or 0 when every counter is dead."""
+    return max(summary.top - summary.offset, 0) + Fraction(summary.m_seen, summary.k)
 
 
 def mg_budget(p, n):

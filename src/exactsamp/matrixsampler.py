@@ -15,10 +15,11 @@ G(m_i)/(zeta m).  A draw returns the first accepting repetition
 
 import math
 from fractions import Fraction
+from operator import sub
 
 from .core import MeasureFunction, SampleResult
 from .exactrand import root_bounds, root_scaled, substream
-from .gsampler import accept_increment, first_accepted, repetitions_for
+from .gsampler import accept_increment, first_accepted, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 
 
@@ -123,17 +124,18 @@ class MatrixSampler:
             self.update(u.coord, u.col)
 
     def after(self, i):
-        """Unit i's vector of updates to its row strictly after its sample."""
+        """Unit i's vector of updates to its row strictly after its sample,
+        as a tuple, so that the state (v, col) can key a draw's table."""
         row = self.bank.unit_s[i]
-        return [a - b for a, b in zip(self.counts[row], self.unit_snap[i])]
+        return tuple(map(sub, self.counts[row], self.unit_snap[i]))
 
     def draw(self):
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
         self.draws += 1
         rng = substream(self.seed, "draw", self.draws)
-        live = ((SampleResult.of(row, repetition=i), (self.after(i), self.unit_col[i]))
+        table = {}
+        live = (((i, row), (self.after(i), self.unit_col[i]))
                 for i, row in enumerate(self.bank.unit_s) if row is not None)
-        return first_accepted(
-            live, lambda c: accept_increment(self.measure, c, self.measure.zeta, None, rng)
-        ) or SampleResult.fail()
+        return repetition_result(first_accepted(
+            live, lambda c: accept_increment(self.measure, c, self.measure.zeta, None, rng, table)))

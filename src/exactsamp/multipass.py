@@ -16,7 +16,8 @@ gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the first
 accepting one (gsampler.first_accepted).
 
 Every pass is one scan of the stream (_chunk_sums), shared by all chains and
-the Z narrowing: an update finds its cell by bisection and its chunk by
+the Z narrowing: an update finds its cell by bisection (directly when the
+pass has one cell, as every pass of the L1 draw does) and its chunk by
 arithmetic, so a pass over L distinct cells costs O(m log L + (R + L) q).
 The scan raises ValueError on a coordinate outside [1, n] and on a negative
 net sum among the chunks it scans.  The second check is best-effort: a pass
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .core import SampleResult, exponent, lp_measure, outside, parse_stream
 from .exactrand import substream, weighted_index
-from .gsampler import accept_increment, first_accepted, lp_zeta
+from .gsampler import accept_increment, first_accepted, lp_zeta, repetition_result
 from .heavyhitters import mg_budget
 
 
@@ -98,15 +99,27 @@ def _chunk_sums(stream, cells, n, q):
     steps = [_step(lo, hi, q) for lo, hi in cells]
     sums = [[0] * len(range(lo, hi + 1, step)) for (lo, hi), step in zip(cells, steps)]
     m, first, last = 0, los[0], his[-1]
-    for u in stream.updates():
-        c, d = u.coord, u.delta
-        m += d
-        if first <= c <= last:
-            j = bisect_right(los, c) - 1
-            if c <= his[j]:
-                sums[j][(c - los[j]) // steps[j]] += d
-        elif not 1 <= c <= n:
-            raise outside(c, n)
+    updates = stream.updates()
+    if len(cells) == 1:
+        # One cell: it is [first, last], so its chunk is found by arithmetic.
+        row, step = sums[0], steps[0]
+        for u in updates:
+            c, d = u.coord, u.delta
+            m += d
+            if first <= c <= last:
+                row[(c - first) // step] += d
+            elif not 1 <= c <= n:
+                raise outside(c, n)
+    else:
+        for u in updates:
+            c, d = u.coord, u.delta
+            m += d
+            if first <= c <= last:
+                j = bisect_right(los, c) - 1
+                if c <= his[j]:
+                    sums[j][(c - los[j]) // steps[j]] += d
+            elif not 1 <= c <= n:
+                raise outside(c, n)
     if any(s < 0 for row in sums for s in row):
         raise ValueError("negative net frequency: not a strict turnstile stream")
     return m, dict(zip(cells, sums))
@@ -182,11 +195,11 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
     zeta_exact, zeta_bounds = lp_zeta(Z, p)
     measure = lp_measure(p)
     rng = substream(seed, "accept")
+    table = {}
 
     def accept(f):
         c = f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f
-        return accept_increment(measure, c, zeta_exact, zeta_bounds, rng)
+        return accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table)
 
-    live = ((SampleResult.of(coord, repetition=idx), f)
-            for idx, (coord, f) in enumerate(chains))
-    return first_accepted(live, accept) or SampleResult.fail()
+    live = (((idx, coord), f) for idx, (coord, f) in enumerate(chains))
+    return repetition_result(first_accepted(live, accept))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import SampleResult, UnitUpdates, exponent, lp_measure, outside
 from .exactrand import np_substream, pow_scaled, subseed, substream
-from .gsampler import accept_increment, first_accepted, repetitions_for
+from .gsampler import accept_increment, first_accepted, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
 
@@ -85,12 +85,12 @@ class CheckpointedSampler(UnitUpdates):
         self.draws += 1
         rng = substream(self.seed, "draw", self.draws)
         cutoff = self.t - self.W
-        live = ((SampleResult.of(s, repetition=i), c)
+        table = {}
+        live = (((i, s), c)
                 for i, (s, t_s, c) in enumerate(map(bank.effective, range(self.R)))
                 if s is not None and t_s > cutoff)
-        return first_accepted(
-            live, lambda c: accept_increment(self.measure, c, self.zeta, None, rng)
-        ) or SampleResult.fail()
+        return repetition_result(first_accepted(
+            live, lambda c: accept_increment(self.measure, c, self.zeta, None, rng, table)))
 
 
 _EMPTY = np.uint64(2 ** 64 - 1)  # priority of an unused stack slot
@@ -259,11 +259,11 @@ class SlidingLpSampler(UnitUpdates):
         rng = substream(self.seed, "draw", self.draws)
         try:
             bounds = self._zeta_bounds(row.est, c_max)
-            live = ((SampleResult.of(coord, repetition=i), c)
+            table = {}
+            live = (((i, coord), c)
                     for i, q in enumerate(first) if q > cutoff
                     for coord, c in (entry(q),))
-            return first_accepted(
-                live, lambda c: accept_increment(self.measure, c, None, bounds, rng)
-            ) or SampleResult.fail()
+            return repetition_result(first_accepted(
+                live, lambda c: accept_increment(self.measure, c, None, bounds, rng, table)))
         except DegradedEstimate:
             return SampleResult.fail()

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -83,20 +84,69 @@ def _draw_scanning_support(st, S, rng):
     return SampleResult.of(i, frequency=freq[i])
 
 
+def _branch(st, S):
+    """Whether a draw with S now folds the support log or rescans S & support."""
+    pending = st._changes() - st._members[S][1]
+    return "rescan" if pending >= len(S) or pending > len(st._log) else "fold"
+
+
 def test_draw_matches_support_scan_fuzzed():
+    # The state keeps S & support between draws.  Draws after every few
+    # updates, and after bursts longer than |S|, must equal a scan of the
+    # whole support, for subsets registered before and after the updates,
+    # through expiries in window mode.
     rng = substream(0, "f0-fuzz")
-    scanned = Counter()
-    for t in range(400):
+    seen = Counter()
+    for t in range(300):
         n = rng.randrange(4, 120)
         window = rng.choice([None, rng.randrange(1, 3 * n)])
-        st = F0State(n, window=window)
-        S = st.subset(t)
-        for _ in range(rng.randrange(0, 4 * n)):
-            st.update(rng.randrange(n) + 1)
         mode = "window" if window else "insertion-only"
-        scanned[mode, len(S) < len(st.active_frequencies())] += 1
-        assert st.draw(S, substream(t, "d")) == _draw_scanning_support(st, S, substream(t, "d"))
-    assert len(scanned) == 4 and min(scanned.values()) > 20, scanned
+        st = F0State(n, window=window)
+        subsets = {"before": st.subset(t)}
+        number = 0
+        for _ in range(rng.randrange(1, 12)):
+            burst = rng.choice([rng.randrange(0, 5), rng.randrange(0, 4 * n)])
+            for _ in range(burst):
+                st.update(rng.randrange(n) + 1)
+            if "after" not in subsets and rng.randrange(3) == 0:
+                subsets["after"] = st.subset(t + 10 ** 6)
+            for when, S in subsets.items():
+                number += 1
+                large = st.active_frequencies() and not (
+                    len(st.active_frequencies()) < st.cap if window else len(st.T) < st.cap)
+                if large:
+                    seen[mode, when, _branch(st, S)] += 1
+                    seen[mode, len(S) < len(st.active_frequencies())] += 1
+                got = st.draw(S, substream(t, "d", number))
+                assert got == _draw_scanning_support(st, S, substream(t, "d", number))
+    assert len(seen) == 12 and min(seen.values()) > 20, seen
+
+
+def test_draw_flat_in_universe():
+    # Equal support of 2000 coordinates, n = 10^4 (|S| = 200) and n = 10^6
+    # (|S| = 2000): with S & support kept between draws, a draw after a few
+    # repeated updates does not scan S.
+    def best_draw_time(n):
+        st = F0State(n)
+        S = st.subset(3)
+        st_rng = substream(n, "f0-flat")
+        support = st_rng.sample(range(1, n + 1), 2000)
+        for c in support:
+            st.update(c)
+        rng = substream(n, "d")
+        st.draw(S, rng)
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for i in range(200):
+                st.update(support[i])
+                st.draw(S, rng)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = best_draw_time(10 ** 4), best_draw_time(10 ** 6)
+    print("F0 draw: n=1e4 %.2e s, n=1e6 %.2e s (ratio %.2f)" % (small, large, large / small))
+    assert large <= 3.0 * small, (small, large)
 
 
 def test_sliding_window_frequencies_active_only():

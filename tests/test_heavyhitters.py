@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -147,7 +148,51 @@ def test_mg_matches_heap_free_reference_and_heap_stays_small():
             assert s.items() == {c: v - ref.offset for c, v in ref.counts.items()}
         for coord in range(1, n + 1):
             assert s.estimate(coord) == max(ref.counts.get(coord, 0) - ref.offset, 0)
-        for universe in (1, 4, 12):
-            assert z_bound(s, 2, universe) == z_bound(ref, 2, universe)
+        assert z_bound(s, 2, n) == _scanned_z(ref)
     assert rebuilds > 1000
 
+
+def _scanned_z(ref):
+    """z_bound as a scan over every counter of the reference: its largest
+    estimate, or 0, plus m/k."""
+    best = max([0] + [v - ref.offset for v in ref.counts.values()])
+    return best + Fraction(ref.m_seen, ref.k)
+
+
+def test_z_bound_matches_scan_when_every_counter_dies():
+    # k = 2: coordinate 1 stores the top value 5, the offset climbs to it
+    # through evictions, and (6, 2) kills both counters, the top one
+    # included; then new keys arrive and the largest live estimate is
+    # theirs.  z_bound reads the summary's running top in O(1) and must
+    # equal the scan after every update.
+    s, ref = MGSummary(2), HeapFreeMG(2)
+    steps = [(1, 5), (2, 2), (3, 2), (4, 1), (5, 3), (6, 2), (7, 1), (8, 1), (7, 2)]
+    dead_seen = False
+    for coord, w in steps:
+        s.update(coord, w)
+        ref.update(coord, w)
+        assert z_bound(s, 2, 9) == _scanned_z(ref), (coord, w)
+        dead_seen |= not s.items()
+    assert dead_seen and s.items()
+    assert s.top - s.offset == max(s.items().values())
+
+
+
+def test_z_bound_flat_in_counters():
+    # Full summaries of k = 10 and k = 10^4 counters: z_bound reads the
+    # running top instead of scanning the counters.
+    def best_z_time(k):
+        s = MGSummary(k)
+        for c in range(1, 3 * k + 1):
+            s.update(c, 1 + c % 7)
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(2000):
+                z_bound(s, 2, k * k)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = best_z_time(10), best_z_time(10 ** 4)
+    print("z_bound: k=10 %.2e s, k=1e4 %.2e s (ratio %.2f)" % (small, large, large / small))
+    assert large <= 3.0 * small, (small, large)

@@ -142,7 +142,7 @@ def test_unit_vectors_match_recount(pairs, R, seed):
             for rr, cc in pairs[t_s:t]:
                 if rr == r:
                     want[cc - 1] += 1
-            assert s.after(i) == want
+            assert list(s.after(i)) == want
             assert sum(want) == c
         # Every tracked row has counts, and untracked ones are pruned.
         assert set(s.bank.counters) <= set(s.counts)

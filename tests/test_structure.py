@@ -9,7 +9,9 @@ forks, interval-refined Bernoulli draws are run only by the exact increment
 test (gsampler.accept_increment) and by exactrand itself, and every sampler
 of a unit-delta stream shares one process(), with MatrixSampler's (row, col)
 form the only other one. The multipass samplers read the stream at one site,
-the scan that every chain and the Z narrowing share.
+the scan that every chain and the Z narrowing share.  z_bound and
+F0State.draw cost O(1) in the counters and the subset: neither loops over
+them.
 """
 
 import ast
@@ -101,3 +103,33 @@ def test_exact_acceptance_loops_take_no_fraction():
         fn = next(node for node in ast.walk(trees[module])
                   if isinstance(node, ast.FunctionDef) and node.name == name)
         assert "Fraction" not in set(_names(fn)), name
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_z_bound_scans_no_counters():
+    fn = _function(_trees()["heavyhitters.py"], "z_bound")
+    assert not any(isinstance(node, LOOPS) for node in ast.walk(fn))
+
+
+def test_f0_draw_does_not_iterate_its_subset():
+    # F0State keeps S & support between draws; draw(self, S, rng) reads it
+    # from the state (which rescans only when |S| or more changes are
+    # pending) and never loops over S itself.
+    state = next(node for node in _trees()["f0sampler.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "F0State")
+    fn = _function(state, "draw")
+    subset = fn.args.args[1].arg
+    loops = (ast.For, ast.comprehension)
+    iterated = [node.iter for node in ast.walk(fn) if isinstance(node, loops)]
+    assert not any(isinstance(it, ast.Name) and it.id == subset for it in iterated)
+    copies = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) in ("sorted", "list", "set", "tuple")
+              and any(isinstance(a, ast.Name) and a.id == subset for a in node.args)]
+    assert not copies
