@@ -7,8 +7,7 @@ Every random choice a sampler makes goes through the primitives here:
   a part that makes its own substreams), whose uniform integer draws
   (randrange, sample) the samplers use;
 * the reservoir skip: the next replacement position after position r,
-  Pr[J > t] = r/t (a float uniform for now, so its law is exact only up to
-  the 53-bit grid);
+  Pr[J > t] = r/t exactly, from a lazily extended uniform in 64-bit words;
 * Bernoulli draws whose success probability is honored exactly: the
   probability is compared bit-by-bit against a lazily extended uniform
   bitstream, so no float rounding ever enters an output distribution.
@@ -60,12 +59,19 @@ def np_substream(seed, *ids):
 
 def skip(r, rng):
     """Next replacement position of a reservoir holding position r >= 1:
-    Pr[J > t] = r/t for t >= r, as J = floor(r/u) + 1 for a uniform u."""
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    nxt = int(r / u) + 1
-    return nxt if nxt > r else r + 1
+    Pr[J > t] = r/t exactly for t >= r, as J = floor(r/u) + 1 for a uniform u.
+
+    u is known as a prefix a/2^k of 64-bit words, u in [a, a+1) 2^-k, so
+    r/u lies in (r 2^k/(a+1), r 2^k/a]; once both ends share the floor
+    q = floor(r 2^k/(a+1)), that is r 2^k < (q+1) a, J = q + 1 for every u
+    in the interval.  Otherwise the prefix takes another word.
+    """
+    a, x = rng.getrandbits(64), r << 64
+    while True:
+        q = x // (a + 1)
+        if x < (q + 1) * a:
+            return q + 1
+        a, x = a << 64 | rng.getrandbits(64), x << 64
 
 
 def weighted_index(weights, rng):

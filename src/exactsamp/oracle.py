@@ -18,6 +18,10 @@ them, for forks at their exact laws:
 * bernoulli_bounds and np_substream raise: an irrational coin or a numpy
   generator cannot be forked with rational weights.
 
+The skip forks at the law that exactrand.skip itself draws exactly, from
+64-bit words, so a leaf's weight is the shipped sampler's probability of
+that path.
+
 Each run replays one path of the tree and weighs its outcome by the product
 of the branch probabilities along it, so the law returned is the sampler's
 own law with every primitive exact, and the exactness claim -- conditional
@@ -31,7 +35,8 @@ Three hand-written laws remain, for what the enumerator cannot run:
   basis {G(x)} (resp. G of row vectors), where telescoping is an identity
   between coefficient vectors and holds for every measure, irrational G
   included;
-* sw_lp_law, because SlidingLpSampler's normalizer p F^{p-1} is irrational;
+* sw_lp_law, for SlidingLpSampler where its normalizer p F^{p-1} is
+  irrational (the real class is enumerated where it is rational);
 * pair_l2_law and block_lp_law, because the random-order samplers draw float
   binomials.
 """
@@ -321,8 +326,11 @@ def matrix_coefficients(updates, d):
 
 
 def sw_lp_law(updates, W, p, F):
-    """Sliding L_p repetition with acceptance ((c+1)^p - c^p)/(p F^{p-1});
-    integer p and rational F only (the exact battery's regime)."""
+    """One SlidingLpSampler repetition with normalizer F given: a uniform
+    position of the checkpoint bank the draw reads (it starts at
+    active_bank_start), live when inside the window, accepted with
+    probability ((c+1)^p - c^p)/(p F^{p-1}); integer p and rational F only
+    (the exact battery's regime)."""
     p = int(p)
     F = Fraction(F)
     coords = _coords(updates)

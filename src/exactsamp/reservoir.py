@@ -8,7 +8,8 @@ itself breaks the telescoping identity, so the counter here is strictly-after
 
 Resampling uses geometric skip-sampling: after holding position r the next
 replacement position J satisfies Pr[J > t] = r/t, so J = floor(r/u) + 1 for a
-uniform u (exactrand.skip).  One uniform per replacement instead of one per
+uniform u, which exactrand.skip draws as 64-bit words until J is decided, so
+the law holds exactly.  One uniform per replacement instead of one per
 update.
 
 A SamplerBank runs R such units over the same stream in O(1) amortized time

@@ -6,26 +6,22 @@ before the window start and within 2W of it.  A repetition succeeds only if
 its reservoir sample is still active (t_s > t - W); conditioned on success
 the law telescopes to G(f_i)/F_G over the active window.
 
-SlidingLpSampler: the smooth histogram keeps suffix F_p estimator rows, and
-one shared SuffixMinima structure gives every row a sampler over its suffix.
-Each of the R units assigns every position an exact uniform priority; the
-minimum-priority position of the suffix [t_j, now] is uniform over it for
-every t_j at once, because one uniformly random order of the positions
-restricts to a uniformly random order of each suffix.  So the bracketing
-row's sample in each unit is distributed exactly as a reservoir sample of
-that row's suffix, independently across units.  A draw accepts it with
-probability ((c+1)^p - c^p)/(p F^{p-1}), c the strictly-after count and
-F = L_p of that suffix, which the histogram invariant places in
-[L_p(window), 2 L_p(window)].
+SlidingLpSampler: the same checkpoint banks over G = x^p, with a zeta read
+at each draw from a smooth histogram of suffix F_p estimators that rides
+along, as GSampler reads zeta = 2 Z^{p-1} from its Misra-Gries summary.  A
+live repetition accepts with probability ((c+1)^p - c^p)/(p F^{p-1}), with
+F = L_p of the bracketing row's suffix, which the histogram invariant places
+in [L_p(window), 2 L_p(window)].  F >= L_p(window) >= max f over the window,
+so p F^{p-1} >= p f^{p-1} >= f^p - (f-1)^p bounds every increment of a live
+repetition, and the law telescopes to f_i^p / F_p(window) as above.
 """
 
 from fractions import Fraction
 
-import numpy as np
-
 from .core import SampleResult, UnitUpdates, exponent, lp_measure, outside
-from .exactrand import np_substream, pow_scaled, subseed, substream
-from .gsampler import accept_increment, first_accepted, repetition_result, repetitions_for
+from .exactrand import pow_exact, pow_scaled, subseed, substream
+from .gsampler import (acceptance, accept_increment, first_accepted, repetition_result,
+                       repetitions_for)
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
 
@@ -44,7 +40,8 @@ class CheckpointedSampler(UnitUpdates):
         self.n = n  # None: coordinates are not checked
         self.seed = seed
         self.zeta = Fraction(zeta) if zeta is not None else measure.zeta
-        if self.zeta is None:
+        # A subclass may read zeta at each draw instead (_zeta_at_draw).
+        if self.zeta is None and type(self) is CheckpointedSampler:
             raise ValueError("checkpointed sampler needs a static zeta")
         if repetitions is None:
             fg = measure.fg_lower_bound(W)
@@ -84,153 +81,51 @@ class CheckpointedSampler(UnitUpdates):
         bank = self._draw_bank()
         self.draws += 1
         rng = substream(self.seed, "draw", self.draws)
+        zeta_exact, zeta_bounds = self._zeta_at_draw()
         cutoff = self.t - self.W
         table = {}
         live = (((i, s), c)
                 for i, (s, t_s, c) in enumerate(map(bank.effective, range(self.R)))
                 if s is not None and t_s > cutoff)
         return repetition_result(first_accepted(
-            live, lambda c: accept_increment(self.measure, c, self.zeta, None, rng, table)))
+            live, lambda c: accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng, table)))
+
+    def _zeta_at_draw(self):
+        """(zeta_exact or None, zeta_bounds or None), as accept_increment
+        takes them."""
+        return self.zeta, None
 
 
-_EMPTY = np.uint64(2 ** 64 - 1)  # priority of an unused stack slot
-
-
-class SuffixMinima:
-    """R independent uniform priority orders over the stream positions, kept
-    as one stack of suffix minima per unit.
-
-    Position t gets, in each unit, 64 random bits from rng.random_raw; two
-    priorities of one unit that share all their bits are extended by further
-    64-bit words until they differ, so each unit's order is an exact uniform
-    permutation.  Column i of (prio, pos) lists, oldest and lowest first, the
-    positions whose priority is below that of every later position, with an
-    unused slot above the top; the first one at or after t_j is the minimum
-    of suffix [t_j, now].  Entries before the front are skipped by lookups and
-    dropped when a stack fills.  The coordinate and its running count at each
-    position are shared by all units: position q's strictly-after count is
-    counts[coord] - the count at q.
-    """
-
-    def __init__(self, R, rng):
-        self.R, self.rng = R, rng
-        self.t = 0
-        self.front = 1  # lookups start at or after it
-        self.prio = np.full((4, R), _EMPTY)
-        self.pos = np.zeros((4, R), np.int64)
-        self.size = np.zeros(R, np.int64)
-        self.info = {}  # position >= front -> (coord, count of coord up to it)
-        self.counts = {}  # coord -> running count, while it occurs at or after front
-        self.ext = {}  # (unit, position) -> extension words, drawn on ties only
-        self._units = np.arange(R)
-
-    def push(self, coord):
-        t = self.t = self.t + 1
-        self.counts[coord] = self.counts.get(coord, 0) + 1
-        self.info[t] = (coord, self.counts[coord])
-        if self.size.max() + 2 > len(self.prio):
-            self._compact()
-        x = self.rng.random_raw(self.R)
-        prio, units = self.prio, self._units
-        keep = (prio < x).argmin(0)  # entries below x; the slot above the top stops it
-        for i in np.flatnonzero((prio[keep, units] == x) & (keep < self.size)).tolist():
-            keep[i] = self._settle_tie(i, int(keep[i]), x[i], t)
-        prio[keep, units] = x
-        prio[keep + 1, units] = _EMPTY
-        self.pos[keep, units] = t
-        self.size = keep + 1
-
-    def _settle_tie(self, i, j, x, t):
-        """Unit i's entries that stay below new position t, given that the
-        first j do and entry j has t's first 64 bits x."""
-        while j < self.size[i] and self.prio[j, i] == x and self._below(i, int(self.pos[j, i]), t):
-            j += 1
-        return j
-
-    def _below(self, i, q, t):
-        """Whether unit i's priority of q is below that of t, their first 64
-        bits being equal."""
-        a, b = self.ext.setdefault((i, q), []), self.ext.setdefault((i, t), [])
-        k = 0
-        while True:
-            for words in (a, b):
-                if len(words) == k:
-                    words.append(int(self.rng.random_raw()))
-            if a[k] != b[k]:
-                return a[k] < b[k]
-            k += 1
-
-    def _compact(self):
-        """Drop the entries before the front; double the stacks' depth if
-        they stay over half full."""
-        K = len(self.prio)
-        cols = np.arange(K)[:, None]
-        d = ((self.pos < self.front) & (cols < self.size)).sum(0)
-        idx = np.minimum(cols + d, K - 1)
-        self.prio = np.take_along_axis(self.prio, idx, 0)
-        self.pos = np.take_along_axis(self.pos, idx, 0)
-        self.size -= d
-        if self.size.max() + 2 > K // 2:
-            self.prio = np.concatenate([self.prio, np.full_like(self.prio, _EMPTY)])
-            self.pos = np.concatenate([self.pos, np.zeros_like(self.pos)])
-            cols = np.arange(2 * K)[:, None]
-        self.prio[cols >= self.size] = _EMPTY
-        self.ext = {k: v for k, v in self.ext.items() if k[1] >= self.front}
-
-    def drop_before(self, front):
-        """Forget positions before `front`; lookups must start at or after it."""
-        for q in range(self.front, front):
-            coord, seen = self.info.pop(q)
-            if self.counts[coord] == seen:  # q was its last occurrence
-                del self.counts[coord]
-        self.front = max(self.front, front)
-
-    def first_at(self, t_start):
-        """Per unit, the minimum-priority position of [t_start, now]."""
-        # Entries before t_start fail the test, the top entry (now) passes,
-        # and unused slots lie above it.
-        return self.pos[(self.pos >= t_start).argmax(0), self._units]
-
-    def entry(self, q):
-        """(coordinate, strictly-after count) of position q."""
-        coord, seen = self.info[q]
-        return coord, self.counts[coord] - seen
-
-
-class SlidingLpSampler(UnitUpdates):
+class SlidingLpSampler(CheckpointedSampler):
     def __init__(self, p, W, n=None, delta=0.1, seed=0, repetitions=None,
                  estimator_factory=None):
-        self.p = exponent(p)
-        if self.p < 1:
+        p = exponent(p)
+        if p < 1:
             raise ValueError("sliding L_p sampling needs p >= 1")
-        self.measure = lp_measure(self.p)
-        self.W = W
-        self.n = n  # None: coordinates are not checked
-        self.seed = seed
         if repetitions is None:
-            pf = float(self.p)
+            pf = float(p)
             bound = pf * 2.0 ** (pf - 1.0) * W ** (1.0 - 1.0 / pf)
             repetitions = repetitions_for(2 * bound, delta)
-        self.R = repetitions
-        self.draws = 0
-        self.hist = SmoothHistogram(self.p, W, seed=seed, estimator_factory=estimator_factory)
-        self.minima = SuffixMinima(self.R, np_substream(seed, "priority").bit_generator)
+        super().__init__(lp_measure(p), W, n, delta, seed, repetitions=repetitions)
+        self.p = p
+        self.hist = SmoothHistogram(p, W, estimator_factory)
 
     def update(self, coord):
-        if self.n is not None and not 1 <= coord <= self.n:
-            raise outside(coord, self.n)
+        super().update(coord)
         self.hist.update(coord)
-        self.minima.push(coord)
-        self.minima.drop_before(self.hist.rows[0].t_start)
 
-    def _zeta_bounds(self, est, c_max):
-        """bounds(k) on the normalizer p F^{p-1}, F = L_p of the bracketing
-        suffix = (F_p)^{1/p}, as integers (lo, hi) with lo <= p F^{p-1} 2^k
-        <= hi, computed once per precision per draw.  Raises DegradedEstimate
-        when F is not certified above the window's L_p, i.e. the largest
-        increment would exceed it."""
-        a, b = self.p.numerator, self.p.denominator
-        q = (self.p - 1) / self.p
+    def _zeta_at_draw(self):
+        """zeta = p F^{p-1} = p F_p^{(p-1)/p} of the bracketing row in
+        lp_zeta's form: exact when rational (always at p = 1), else bounds(k)
+        with integers lo <= zeta 2^k <= hi, memoized per precision.  Raises
+        DegradedEstimate unless zeta is certified at or above the increment
+        at c = max_f - 1, the row's largest frequency less one, which bounds
+        every live repetition's c; the exact estimator always passes."""
+        est = self.hist.bracket().est
+        p = self.p
+        a, b, q = p.numerator, p.denominator, (p - 1) / p
+        fp = est.fp_exact()
+        exact = pow_exact(fp, q) if fp is not None else None
         memo = {}
 
         def bounds(k):
@@ -242,28 +137,14 @@ class SlidingLpSampler(UnitUpdates):
                     raise DegradedEstimate("nonpositive F estimate")
             return memo[k]
 
-        if self.measure.increment_bounds(c_max, 16)[0] > bounds(16)[1]:
+        zeta = (p * exact, None) if exact else (None, bounds)
+        top = acceptance(self.measure, est.max_f - 1, *zeta)
+        if (top(16)[0] > 1 << 16) if callable(top) else top > 1:
             raise DegradedEstimate("acceptance above 1: F below L_p")
-        return bounds
+        return zeta
 
     def draw(self):
-        t = self.hist.t
-        if t == 0:
-            return SampleResult.bottom()
-        row = self.hist.bracket()
-        cutoff = t - self.W
-        entry = self.minima.entry
-        first = self.minima.first_at(row.t_start).tolist()
-        c_max = max((entry(q)[1] for q in set(first) if q > cutoff), default=0)
-        self.draws += 1
-        rng = substream(self.seed, "draw", self.draws)
         try:
-            bounds = self._zeta_bounds(row.est, c_max)
-            table = {}
-            live = (((i, coord), c)
-                    for i, q in enumerate(first) if q > cutoff
-                    for coord, c in (entry(q),))
-            return repetition_result(first_accepted(
-                live, lambda c: accept_increment(self.measure, c, None, bounds, rng, table)))
+            return super().draw()
         except DegradedEstimate:
             return SampleResult.fail()

@@ -7,12 +7,12 @@ beta = (1/2)^p / p^p (the smoothness parameter for F_p at epsilon = 1/2);
 the front row is dropped when the second row already covers the window.  The
 invariant that survives is t_1 <= window start < t_2, with
 F_p(suffix 1) <= 2^p * F_p(window), i.e.
-L_p(window) <= L_p(suffix 1) <= 2 L_p(window).  A sampler that needs a
-sample of a row's suffix keeps it outside the histogram, keyed by t_j (see
-sliding.SuffixMinima).
+L_p(window) <= L_p(suffix 1) <= 2 L_p(window).  The histogram keeps no
+samples: sliding.SlidingLpSampler samples from checkpoint banks beside it and
+reads the bracket row's F_p and largest frequency at each draw.
 
 The suffix estimator is exact by default (frequency counts; deterministic and
-strictly inside the factor-2 contract).  estimator_factory(p, seed) swaps in
+strictly inside the factor-2 contract).  estimator_factory(p) swaps in
 another one; an estimator that cannot certify its value raises
 DegradedEstimate, which samplers turn into a Fail outcome.
 """
@@ -20,7 +20,7 @@ DegradedEstimate, which samplers turn into a Fail outcome.
 from fractions import Fraction
 
 from .core import exponent
-from .exactrand import pow_bounds, substream
+from .exactrand import pow_bounds
 
 
 class DegradedEstimate(Exception):
@@ -29,19 +29,23 @@ class DegradedEstimate(Exception):
 
 
 class ExactSuffixFp:
-    """Exact F_p = sum_i f_i^p of everything ingested."""
+    """Exact F_p = sum_i f_i^p of everything ingested, and the largest
+    frequency max_f (a running max: counts only grow)."""
 
-    def __init__(self, p, seed=0):
+    def __init__(self, p):
         self.p = exponent(p)
         self.int_p = self.p.denominator == 1
         self._pf, self._k = float(self.p), int(self.p)
         self.counts = {}
+        self.max_f = 0
         self._fp_int = 0  # exact, integer p only
         self._fp_float = 0.0
 
     def update(self, coord):
         f = self.counts.get(coord, 0)
         self.counts[coord] = f + 1
+        if f == self.max_f:
+            self.max_f = f + 1
         self._fp_float += (f + 1) ** self._pf - f ** self._pf
         if self.int_p:
             self._fp_int += (f + 1) ** self._k - f ** self._k
@@ -67,9 +71,6 @@ class ExactSuffixFp:
             hi += mult * bhi
         return lo, hi
 
-    def max_frequency(self):
-        return max(self.counts.values(), default=0)
-
 
 class _Row:
     __slots__ = ("t_start", "est")
@@ -80,22 +81,19 @@ class _Row:
 
 
 class SmoothHistogram:
-    def __init__(self, p, W, seed=0, beta=None, estimator_factory=None):
+    def __init__(self, p, W, estimator_factory=None):
         self.p = exponent(p)
         self.W = W
-        self.seed = seed
         pf = float(self.p)
-        self.beta = beta if beta is not None else (0.5 ** pf) / (pf ** pf)
+        self.beta = (0.5 ** pf) / (pf ** pf)
         self.estimator_factory = estimator_factory or ExactSuffixFp
-        self._est_seeds = substream(seed, "est")  # row t's estimator gets its t-th draw
         self.rows = []
         self.t = 0
 
     def update(self, coord):
         self.t += 1
         t = self.t
-        est = self.estimator_factory(self.p, self._est_seeds.getrandbits(64))
-        self.rows.append(_Row(t, est))
+        self.rows.append(_Row(t, self.estimator_factory(self.p)))
         for row in self.rows:
             row.est.update(coord)
         self._prune()

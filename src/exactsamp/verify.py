@@ -18,7 +18,7 @@ from .core import Update, huber_measure, lp_measure
 from .gsampler import GSampler
 from .matrixsampler import L1RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
-from .sliding import CheckpointedSampler
+from .sliding import CheckpointedSampler, SlidingLpSampler
 
 
 @dataclass
@@ -96,14 +96,15 @@ def default_battery(seed=0, trials=200000):
             target = oracle.target_distribution(freqs, meas)
             reports.append(verify_exact("gsampler/%s" % name, sid, law, target))
 
+    windowed = (("sw-gsampler/l1", lambda W: CheckpointedSampler(l1, W, 3, repetitions=1)),
+                ("sliding-lp/l1", lambda W: SlidingLpSampler(1, W, 3, repetitions=1)))
     for sid, coords in streams.items():
         for W in (2, 4):
-            law = oracle.sampler_law(
-                lambda: CheckpointedSampler(l1, W, 3, repetitions=1), coords)
             freqs = Counter(coords[max(0, len(coords) - W):])
             target = oracle.target_distribution(freqs, l1)
-            reports.append(verify_exact("sw-gsampler/l1", "%s/W=%d" % (sid, W),
-                                        law, target))
+            for name, make in windowed:
+                law = oracle.sampler_law(lambda: make(W), coords)
+                reports.append(verify_exact(name, "%s/W=%d" % (sid, W), law, target))
 
     # Matrix rows by L1 norm: rows (2, 1) and (0, 2), masses 3 and 2.
     cells = [(1, 1), (2, 2), (1, 1), (1, 2), (2, 2)]

@@ -46,7 +46,7 @@ from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_l
 from exactsamp.randomorder import alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
 from exactsamp.smallp import DuplicatedExpState
-from exactsamp.sliding import CheckpointedSampler
+from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 from exactsamp.smoothhist import SmoothHistogram
 
 
@@ -185,9 +185,31 @@ def test_exact_laws_sliding_window():
                         lambda: CheckpointedSampler(meas, W, 3, repetitions=1), coords)
                     target = oracle.target_distribution(winfreq, meas)
                     assert law.conditional() == target.probs, (coords, W, meas.name)
+    # The real SlidingLpSampler at R = 1: p = 1 on the same streams (W = 1
+    # only up to m = 3, where its fresh bank per update is cheap), and p = 2
+    # wherever its zeta = 2 sqrt(F_2) of the bracket row is rational.
+    checked = Counter()
+    for m in range(1, 5):
+        for coords in all_streams(3, m):
+            for W in range(1 if m <= 3 else 2, 7):
+                winfreq = Counter(coords[max(0, m - W):])
+                for p in (1, 2):
+                    if p == 2:
+                        fed = SlidingLpSampler(2, W, 3, repetitions=1)
+                        fed.process(coords)
+                        if fed._zeta_at_draw()[0] is None:
+                            continue
+                    law = oracle.sampler_law(
+                        lambda: SlidingLpSampler(p, W, 3, repetitions=1), coords)
+                    fp = sum(f ** p for f in winfreq.values())
+                    want = {i: Fraction(f ** p, fp) for i, f in winfreq.items()}
+                    assert law.conditional() == want, (coords, W, p)
+                    checked[p] += 1
+    assert checked == {1: 639, 2: 135}
     # L_p acceptance with any valid normalizer F >= L_p(window): the
-    # conditional is f^p / F_p regardless of F.  SlidingLpSampler's own
-    # normalizer is irrational, so this law is the hand-written one.
+    # conditional is f^p / F_p regardless of F.  Where SlidingLpSampler's
+    # normalizer is irrational the enumerator cannot run it, so this law is
+    # the hand-written one.
     for m in range(1, 9):
         for coords in all_streams(3, m):
             for W in range(1, 7):
@@ -295,7 +317,7 @@ def test_success_bound_sliding_lp():
     freqs = zipf_freqs(10, 60)
     coords = freq_stream(freqs, seed=3) * 3  # length 3x window-ish suffixes
     for p in (Fraction(3, 2), Fraction(2)):
-        hist = SmoothHistogram(p, W, seed=5)
+        hist = SmoothHistogram(p, W)
         for c in coords:
             hist.update(c)
         row = hist.bracket()

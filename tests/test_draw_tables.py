@@ -79,19 +79,18 @@ def _checkpointed_reference(s):
 
 
 def _sliding_lp_reference(s):
-    t = s.hist.t
-    if t == 0:
+    if s.t == 0:
         return SampleResult.bottom()
-    row = s.hist.bracket()
-    cutoff = t - s.W
-    first = s.minima.first_at(row.t_start).tolist()
-    entries = [(i, s.minima.entry(q)) for i, q in enumerate(first) if q > cutoff]
-    c_max = max((c for _, (_, c) in entries), default=0)
+    bank = s._draw_bank()
     rng = substream(s.seed, "draw", s.draws + 1)
+    cutoff = s.t - s.W
     try:
-        bounds = s._zeta_bounds(row.est, c_max)
-        live = ((SampleResult.of(coord, repetition=i), c) for i, (coord, c) in entries)
-        return _eager(live, lambda c: _accept_without_table(s.measure, c, None, bounds, rng))
+        zeta_exact, zeta_bounds = s._zeta_at_draw()
+        live = ((SampleResult.of(x, repetition=i), c)
+                for i, (x, t_x, c) in enumerate(map(bank.effective, range(s.R)))
+                if x is not None and t_x > cutoff)
+        return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta_exact,
+                                                            zeta_bounds, rng))
     except DegradedEstimate:
         return SampleResult.fail()
 

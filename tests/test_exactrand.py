@@ -18,6 +18,7 @@ from exactsamp.exactrand import (
     root_bounds,
     root_scaled,
     scaled,
+    skip,
     substream,
     weighted_index,
 )
@@ -43,6 +44,52 @@ def test_weighted_index_consumes_one_randrange():
             return self.value
 
     assert [weighted_index([0, 3, 0, 1], Fixed(v)) for v in range(4)] == [1, 1, 1, 3]
+
+
+class ScriptedWords:
+    """getrandbits(64) hands out the scripted words in order, and fails
+    once they run out."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        assert k == 64
+        return self.words.pop(0)
+
+
+def _skip_on(r, *words):
+    """(J, a, k): the skip from r on the scripted words and the prefix
+    u in [a, a+1) 2^-k of the words it took."""
+    rng = ScriptedWords(*words)
+    j = skip(r, rng)
+    used = len(words) - len(rng.words)
+    a = 0
+    for w in words[:used]:
+        a = a << 64 | w
+    return j, a, 64 * used
+
+
+def test_skip_exact_on_scripted_words():
+    # J = floor(r/u) + 1, so J > t exactly when u <= r/t.  First words below
+    # b = floor(r 2^64/t) decide J > t, words above decide J <= t, and b
+    # itself leaves J undecided, so a second word settles it.  Whatever
+    # the words, the J returned is floor(r/u) + 1 for every u of the prefix
+    # interval the skip stopped at.
+    top = 2 ** 64 - 1
+    for r in range(1, 6):
+        for t in range(r + 1, 13):
+            b = (r << 64) // t
+            b2 = ((r << 128) // t) & top  # the second word at r/t
+            for w1 in (b - 1, b, b + 1):
+                for w2 in {0, 1, b2 - 1, b2 + 1, top} - {b2, -1, top + 1}:
+                    j, a, k = _skip_on(r, w1, w2)
+                    assert k == (128 if w1 == b else 64), (r, t, w1, w2)
+                    assert (j > t) == ((w1 << 64 | w2) * t < r << 128), (r, t, w1, w2)
+                    assert (j - 1) * (a + 1) <= r << k < j * a, (r, t, w1, w2)
+    # After a zero word, u < 2^-64 and r/u is too wide to settle on one more.
+    j, a, k = _skip_on(3, 0, top, 5)
+    assert k == 192 and (j - 1) * (a + 1) <= 3 << k < j * a
 
 
 def test_np_substream_deterministic():

@@ -267,7 +267,7 @@ def _fed_matrix(coords):
 
 
 REPEATED_DRAW_SAMPLERS = {
-    "gsampler": lambda c: _fed(lp_sampler(Fraction(1, 2), n=5, m=len(c), seed=2, repetitions=16), c),
+    "gsampler": lambda c: _fed(lp_sampler(2, n=5, m=len(c), seed=2, repetitions=16), c),
     "matrix": _fed_matrix,
     "checkpointed": lambda c: _fed(CheckpointedSampler(lp_measure(Fraction(1, 2)), W=20, seed=2,
                                                        repetitions=16), c),
@@ -280,8 +280,10 @@ REPEATED_DRAW_SAMPLERS = {
 def test_repeated_draws_on_unchanged_state_differ(name):
     # Every coordinate (row) occurs four times, so the live repetitions hold
     # different samples and those sampled before a last occurrence accept
-    # with probability below 1.  Each draw takes its own substream, so 200 draws
-    # on the same state do not all return one answer.
+    # with probability below 1 (the insertion-only L2 sampler's zeta = 2Z =
+    # 40/3 exceeds every increment 2c + 1 <= 7, so even a last occurrence
+    # does).  Each draw takes its own substream, so 200 draws on the same
+    # state do not all return one answer.
     s = REPEATED_DRAW_SAMPLERS[name]([1, 2, 3, 4, 5] * 4)
     outcomes = {s.draw() for _ in range(200)}
     assert len(outcomes) >= 2, outcomes

@@ -196,6 +196,13 @@ def _irrational_gsampler_draw():
     return s.draw()
 
 
+def _irrational_sliding_lp_draw():
+    # F_2 = 5 on [1, 1, 2], so zeta = 2 sqrt(5) takes the interval test.
+    s = SlidingLpSampler(2, 3, 3, repetitions=1)
+    s.process([1, 1, 2])
+    return s.draw()
+
+
 UNFORKED = {
     "random": lambda: exactrand.substream(0).random(),
     "getrandbits": lambda: exactrand.substream(0).getrandbits(8),
@@ -205,7 +212,7 @@ UNFORKED = {
                                                            exactrand.substream(0)),
     "skip_without_stream_length": lambda: exactrand.skip(1, exactrand.substream(0)),
     "gsampler_irrational": _irrational_gsampler_draw,
-    "sliding_lp": lambda: SlidingLpSampler(2, 3, 3, repetitions=1),
+    "sliding_lp": _irrational_sliding_lp_draw,
 }
 
 

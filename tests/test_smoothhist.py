@@ -13,7 +13,7 @@ def test_exact_estimator_integer_p():
     for c in [1, 1, 2]:
         est.update(c)
     assert est.fp_exact() == 5
-    assert est.max_frequency() == 2
+    assert est.max_f == 2
 
 
 def test_exact_estimator_fractional_p():
@@ -35,7 +35,7 @@ def test_l1_counter():
 
 def test_bracketing_invariant():
     W = 6
-    hist = SmoothHistogram(2, W=W, seed=3)
+    hist = SmoothHistogram(2, W=W)
     rng = substream(1, "s")
     for t in range(1, 100):
         hist.update(rng.randrange(3) + 1)
@@ -52,7 +52,7 @@ def test_bracketing_invariant():
 def test_factor_two_window_estimate(coords, W):
     # The bracket row's suffix covers the window within the factor-2 contract
     # on L_2: F_2(window) <= F_2(bracket suffix) <= 4 F_2(window).
-    hist = SmoothHistogram(2, W=W, seed=0)
+    hist = SmoothHistogram(2, W=W)
     for c in coords:
         hist.update(c)
     f2_window = sum(f * f for f in Counter(coords[-W:]).values())
@@ -60,7 +60,7 @@ def test_factor_two_window_estimate(coords, W):
 
 
 def test_histogram_stays_small():
-    hist = SmoothHistogram(2, W=64, seed=0)
+    hist = SmoothHistogram(2, W=64)
     rng = substream(2, "s")
     for _ in range(2000):
         hist.update(rng.randrange(8) + 1)
@@ -69,29 +69,13 @@ def test_histogram_stays_small():
 
 def test_bracket_row_counts_track_suffix():
     # Row j's estimator has ingested exactly the suffix from t_j: its counts
-    # equal a recount of that suffix, for the bracketing row and every other.
+    # equal a recount of that suffix, and its running max_f their maximum,
+    # for the bracketing row and every other.
     coords = [substream(4, "s").randrange(4) + 1 for _ in range(120)]
-    hist = SmoothHistogram(2, W=7, seed=1)
+    hist = SmoothHistogram(2, W=7)
     for t, c in enumerate(coords, 1):
         hist.update(c)
         assert hist.bracket() is hist.rows[0]
         for row in hist.rows:
             assert row.est.counts == Counter(coords[row.t_start - 1:t]), (t, row.t_start)
-
-
-def test_estimator_seeds_distinct_and_deterministic():
-    def seeds(seed):
-        got = []
-
-        def factory(p, s):
-            got.append(s)
-            return ExactSuffixFp(p, s)
-
-        hist = SmoothHistogram(2, W=8, seed=seed, estimator_factory=factory)
-        for c in [1, 2, 1, 3] * 10:
-            hist.update(c)
-        return got
-
-    a = seeds(5)
-    assert len(a) == 40 and len(set(a)) == 40
-    assert a == seeds(5) and a != seeds(6)
+            assert row.est.max_f == max(row.est.counts.values())

@@ -2,17 +2,17 @@
 
 The reservoir skip is defined in exactrand.py and called from reservoir.py
 alone, where a bank seeds one generator for all its units, `.random(` is
-called only by exactrand and the two harnesses that draw floats on purpose
-(the CLI's stream generator and the Monte-Carlo twins), so every random
-choice of a sampler goes through a primitive that the branch enumerator
-forks, interval-refined Bernoulli draws are run only by the exact increment
-test (gsampler.accept_increment) and by exactrand itself, and every sampler
-of a unit-delta stream shares one process(), with MatrixSampler's (row, col)
-form the only other one. The multipass samplers read the stream at one site,
-the scan that every chain and the Z narrowing share.  z_bound and
-F0State.draw cost O(1) in the counters and the subset: neither loops over
-them.
-"""
+called only by the two harnesses that draw floats on purpose (the CLI's
+stream generator and the Monte-Carlo twins), so every random choice of a
+sampler goes through a primitive that the branch enumerator forks,
+interval-refined Bernoulli draws are run only by the exact increment test
+(gsampler.accept_increment) and by exactrand itself, and every sampler of a
+unit-delta stream shares one process(), with MatrixSampler's (row, col) form
+the only other one.  The sliding L_p sampler runs on the checkpoint banks,
+with no numpy and no suffix-minimum structure.  The multipass samplers read
+the stream at one site, the scan that every chain and the Z narrowing share.
+z_bound and F0State.draw cost O(1) in the counters and the subset: neither
+loops over them."""
 
 import ast
 import pathlib
@@ -72,9 +72,20 @@ def test_reservoir_seeds_one_generator_per_bank():
     assert "heapq" not in set(_names(tree))
 
 
+def test_sliding_lp_runs_on_the_checkpoint_banks():
+    # One reservoir mechanism: the sliding L_p sampler draws no numpy
+    # priorities, and no module keeps a second suffix-sampling structure.
+    trees = _trees()
+    names = set(_names(trees["sliding.py"]))
+    assert not names & {"numpy", "np", "np_substream"}, names & {"numpy", "np", "np_substream"}
+    classes = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "SuffixMinima"]
+    assert not classes, classes
+
+
 def test_float_uniforms_only_outside_the_samplers():
     callers = {name for name, tree in _trees().items() if "random" in set(_called(tree))}
-    assert callers <= {"exactrand.py", "cli.py", "montecarlo.py"}, callers
+    assert callers <= {"cli.py", "montecarlo.py"}, callers
 
 
 def test_interval_bernoulli_only_in_the_exact_increment_test():

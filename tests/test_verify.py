@@ -93,7 +93,7 @@ def test_default_battery_all_ok():
     reports, ok = verify.run_battery(seed=1, trials=20000)
     assert ok, [r.to_json() for r in reports if not r.ok]
     fams = {r.sampler.split("/")[0] for r in reports}
-    assert {"gsampler", "sw-gsampler", "pair-l2", "multipass-l1"} <= fams
+    assert {"gsampler", "sw-gsampler", "sliding-lp", "pair-l2", "multipass-l1"} <= fams
     buf = io.StringIO()
     verify.dump_reports(reports, buf)
     assert json.loads(buf.getvalue())
