@@ -65,21 +65,53 @@ def outside(coord, n):
 
 
 class UnitUpdates:
-    """process() for the samplers of unit-delta streams, which take one
-    coordinate at a time through update(coord)."""
+    """process() for the samplers of unit-delta streams.
+
+    process checks a whole batch, then hands its coordinates to the class's
+    ingest(coords), the one loop over each state structure it keeps; a
+    per-call update(coord) is a batch of one.  A sampler with a universe
+    size n (None: coordinates are not checked) rejects coordinates outside
+    [1, n]."""
+
+    n = None
 
     def process(self, updates):
         """Feed updates (Update objects or bare coordinates) in order.  An
         Update with delta != 1 is rejected: these samplers count every update
-        as one insertion, so they cannot take a deletion."""
-        update = self.update
+        as one insertion, so they cannot take a deletion.  A rejected batch
+        raises ValueError before any of it is fed, so the sampler is left as
+        it was."""
+        if not isinstance(updates, (list, tuple)):
+            updates = list(updates)
+        try:
+            coords = [u.coord for u in updates]
+            deltas = {u.delta for u in updates}
+        except AttributeError:  # bare coordinates, alone or among Updates
+            coords = [getattr(u, "coord", u) for u in updates]
+            deltas = {getattr(u, "delta", 1) for u in updates}
+        n = self.n
+        if (deltas - {1}
+                or (n is not None and coords and not (1 <= min(coords) and max(coords) <= n))):
+            raise self._rejection(updates)
+        self.ingest(coords)
+
+    def update(self, coord):
+        """Feed one coordinate."""
+        n = self.n
+        if n is not None and not 1 <= coord <= n:
+            raise outside(coord, n)
+        self.ingest((coord,))
+
+    def _rejection(self, updates):
+        """The error for the first update of a batch that is rejected."""
+        n = self.n
         for u in updates:
-            if hasattr(u, "coord"):
-                if u.delta != 1:
-                    raise ValueError("%s takes unit insertions, got delta %d"
-                                     % (type(self).__name__, u.delta))
-                u = u.coord
-            update(u)
+            if getattr(u, "delta", 1) != 1:
+                return ValueError("%s takes unit insertions, got delta %d"
+                                  % (type(self).__name__, u.delta))
+            c = getattr(u, "coord", u)
+            if n is not None and not 1 <= c <= n:
+                return outside(c, n)
 
 
 INDEX = "index"

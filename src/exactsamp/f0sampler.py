@@ -1,12 +1,14 @@
 """Truly perfect support (F0) sampling, plus the Tukey sampler built on it.
 
 One instance fixes a random subset S of [n] of size 2*ceil(sqrt(n)) before
-the stream, tracks T = the first ceil(sqrt(n)) distinct coordinates (most
-recent distinct ones in sliding-window mode) and U = the S-members that
-actually appear.  If fewer than ceil(sqrt(n)) distinct coordinates showed up,
-T is the whole support and the draw is uniform over it; otherwise the draw is
-uniform over U, failing when U is empty.  Either branch is exactly uniform
-over the support, and the sampled frequency f_i is reported with the index.
+the stream, tracks T = the first ceil(sqrt(n)) distinct coordinates and U =
+the S-members that actually appear.  If fewer than ceil(sqrt(n)) distinct
+coordinates showed up, T is the whole support and the draw is uniform over
+it; otherwise the draw is uniform over U, failing when U is empty.  Either
+branch is exactly uniform over the support, and the sampled frequency f_i is
+reported with the index.  In sliding-window mode the window's counts, which
+the state keeps exactly from a ring of the last W updates, give the support
+and its size directly, so no T is kept there.
 
 T, the window ring and the active frequencies depend on the stream alone, so
 the R instances of a sampler share one F0State, updated once per update, and
@@ -19,18 +21,18 @@ turning uniform-over-support into G(f_i)/F_G exactly.
 """
 
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 
-from .core import INDEX, SampleResult, UnitUpdates, outside
+from .core import INDEX, SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, subseed, substream
 from .gsampler import first_accepted
 
 
 class F0State:
-    """The stream state of an F0 instance: T, the window ring and the active
-    frequencies.  The instance's subset S comes from subset(seed).
+    """The stream state of an F0 instance: T or the window ring, and the
+    active frequencies.  The instance's subset S comes from subset(seed).
 
     The state also keeps U = S & support for every subset it registered.  An
     update appends to a log only when a coordinate joins or leaves the
@@ -45,7 +47,7 @@ class F0State:
         self.window = window
         self.cap = math.isqrt(n) + (0 if math.isqrt(n) ** 2 == n else 1)
         self.size = min(2 * self.cap, n)  # |S|
-        self.T = OrderedDict()  # coord -> last-seen time (insertion/LRU order)
+        self.T = {}  # coord -> time first seen (insertion-only mode)
         self.t = 0
         # Window bookkeeping: ring of recent updates + active frequency map.
         self._ring = deque() if window is not None else None
@@ -54,37 +56,45 @@ class F0State:
         self._leaves = 0  # times a coordinate left the support (window mode)
         self._members = {}  # S -> [S & support, self._changes() when it was current]
 
-    def update(self, coord, time=None):
-        self.t += 1
+    def update(self, coord):
+        self.extend((coord,))
+
+    def extend(self, coords):
+        """Feed a batch of coordinates in order."""
+        freq, log = self._freq, self._log
         t = self.t
-        freq = self._freq
-        if coord in freq:
-            freq[coord] += 1
-        else:
-            freq[coord] = 1
-            self._log.append(coord)  # joins the support
-        if self.window is not None:
-            self._ring.append(coord)
-            if len(self._ring) > self.window:
-                old = self._ring.popleft()
+        if self.window is None:
+            T, cap = self.T, self.cap
+            for coord in coords:
+                t += 1
+                if coord in freq:
+                    freq[coord] += 1
+                else:
+                    freq[coord] = 1
+                    log.append(coord)  # joins the support
+                    if len(T) < cap:
+                        T[coord] = t
+            self.t = t
+            return
+        ring, window = self._ring, self.window
+        for coord in coords:
+            t += 1
+            if coord in freq:
+                freq[coord] += 1
+            else:
+                freq[coord] = 1
+                log.append(coord)  # joins the support
+            ring.append(coord)
+            if len(ring) > window:
+                old = ring.popleft()
                 left = freq[old] - 1
                 if left:
                     freq[old] = left
                 else:
                     del freq[old]
-                    self.T.pop(old, None)
-                    self._log.append(old)  # leaves the support
+                    log.append(old)  # leaves the support
                     self._leaves += 1
-            if coord in self.T:
-                self.T.move_to_end(coord)
-                self.T[coord] = t
-            else:
-                self.T[coord] = t
-                if len(self.T) > self.cap:
-                    self.T.popitem(last=False)
-        else:
-            if coord not in self.T and len(self.T) < self.cap:
-                self.T[coord] = t
+        self.t = t
 
     def _changes(self):
         """The number of support changes so far: each coordinate in the
@@ -169,14 +179,13 @@ class F0Sampler(UnitUpdates):
         self.R = repetitions
         self.seed = seed
         self.draws = 0
+        self.n = n
         self.state = F0State(n, window)
         self.subsets = [self.state.subset(subseed(seed, "rep", i))
                         for i in range(self.R)]
 
-    def update(self, coord):
-        if not 1 <= coord <= self.state.n:
-            raise outside(coord, self.state.n)
-        self.state.update(coord)
+    def ingest(self, coords):
+        self.state.extend(coords)
 
     def accept(self, f, rng, table):
         """Whether a hit of frequency f is kept: always, for uniform support

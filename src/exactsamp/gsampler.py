@@ -30,7 +30,7 @@ summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
 import math
 from fractions import Fraction
 
-from .core import SampleResult, UnitUpdates, exponent, outside
+from .core import SampleResult, UnitUpdates, exponent
 from .exactrand import (bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, subseed,
                         substream)
 from .heavyhitters import MGSummary, mg_budget, z_bound
@@ -185,12 +185,12 @@ class GSampler(UnitUpdates):
     def R(self):
         return self.bank.R
 
-    def update(self, coord):
-        if not 1 <= coord <= self.n:
-            raise outside(coord, self.n)
-        self.bank.update(coord)
+    def ingest(self, coords):
+        self.bank.extend(coords)
         if self.mg is not None:
-            self.mg.update(coord)
+            update = self.mg.update
+            for c in coords:
+                update(c)
 
     def _zeta_at_draw(self):
         """(zeta_exact or None, zeta_bounds or None)."""

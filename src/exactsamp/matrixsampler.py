@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from operator import sub
 
-from .core import MeasureFunction, SampleResult
+from .core import MeasureFunction, SampleResult, Update
 from .exactrand import root_bounds, root_scaled, substream
 from .gsampler import accept_increment, first_accepted, repetition_result, repetitions_for
 from .reservoir import SamplerBank
@@ -97,31 +97,56 @@ class MatrixSampler:
         self.unit_snap = [None] * repetitions  # the row's counts at the unit's sample
 
     def update(self, row, col):
-        if not (1 <= row <= self.n and 1 <= col <= self.d):
-            raise ValueError("entry (%r, %r) outside [1, %d] x [1, %d]"
-                             % (row, col, self.n, self.d))
-        counts = self.counts.get(row)
-        if counts is not None:
-            counts[col - 1] += 1
-        picked = self.bank.update(row)
-        if picked:
-            if counts is None:
-                counts = self.counts[row] = [0] * self.d
-            snap = tuple(counts)
-            for i in picked:
-                self.unit_col[i] = col
-                self.unit_snap[i] = snap
-            # Drop the rows the bank no longer tracks once they outnumber the
-            # tracked ones, at O(1) amortized cost.  Counting a stale row
-            # until then is harmless: only differences from a snapshot are read.
-            if len(self.counts) > 2 * len(self.bank.counters):
-                self.counts = {r: self.counts[r] for r in self.bank.counters}
+        self.process((Update(row, col=col),))
 
     def process(self, updates):
-        for u in updates:
-            if u.delta != 1:
-                raise ValueError("MatrixSampler takes unit insertions, got delta %d" % u.delta)
-            self.update(u.coord, u.col)
+        """Feed entry updates (row, col) in order.  A batch with a deletion or
+        an entry outside [1, n] x [1, d] raises ValueError before any of it
+        is fed, so the sampler is left as it was."""
+        if not isinstance(updates, (list, tuple)):
+            updates = list(updates)
+        rows, cols = [u.coord for u in updates], [u.col for u in updates]
+        n, d = self.n, self.d
+        if rows and ({u.delta for u in updates} - {1} or not (
+                1 <= min(rows) and max(rows) <= n and 1 <= min(cols) and max(cols) <= d)):
+            for u in updates:  # raise on the first update out of the model
+                if u.delta != 1:
+                    raise ValueError("MatrixSampler takes unit insertions, got delta %d"
+                                     % u.delta)
+                if not (1 <= u.coord <= n and 1 <= u.col <= d):
+                    raise ValueError("entry (%r, %r) outside [1, %d] x [1, %d]"
+                                     % (u.coord, u.col, n, d))
+        self.ingest(rows, cols)
+
+    def ingest(self, rows, cols):
+        """Feed a batch of entries, rows[k] and cols[k] for the k-th.
+
+        The bank's loop reports the batch indices where units resampled, so
+        this loop reads the column counts of rows the sampler keeps and
+        takes a snapshot at those indices only."""
+        picks = self.bank.extend(rows)
+        counts, unit_col, unit_snap = self.counts, self.unit_col, self.unit_snap
+        next_pick = picks[0][0] if picks else len(rows)
+        p = 0
+        for k, row in enumerate(rows):
+            v = counts.get(row)
+            if v is not None:
+                v[cols[k] - 1] += 1
+            if k != next_pick:
+                continue
+            if v is None:
+                v = counts[row] = [0] * self.d
+            snap, col = tuple(v), cols[k]
+            for i in picks[p][1]:
+                unit_col[i] = col
+                unit_snap[i] = snap
+            p += 1
+            next_pick = picks[p][0] if p < len(picks) else len(rows)
+        # Drop the rows the bank no longer counts once they outnumber the
+        # counted ones, at O(1) amortized cost.  Counting a stale row until
+        # then is harmless: only differences from a snapshot are read.
+        if len(counts) > 2 * len(self.bank.counters):
+            self.counts = {r: counts[r] for r in self.bank.counters}
 
     def after(self, i):
         """Unit i's vector of updates to its row strictly after its sample,

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SampleResult, UnitUpdates, outside
+from .core import SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, np_substream, substream, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
@@ -71,6 +71,7 @@ class PairL2Sampler(UnitUpdates):
         self.W = W
         self.seed = seed
         self.rng = substream(seed, "pairs")
+        self._q = Fraction(1, W)  # the outright-harvest probability
         log_n = max(1, math.ceil(math.log(max(n, 2))))
         self.cap = 2 * C * log_n
         self.downsample = C * log_n
@@ -78,19 +79,17 @@ class PairL2Sampler(UnitUpdates):
         self._pending = None  # first element of the current pair, with time
         self.S = []  # (coord, harvest time)
 
-    def update(self, coord):
-        if not 1 <= coord <= self.n:
-            raise outside(coord, self.n)
-        self.t += 1
-        if self._pending is None:
-            self._pending = (coord, self.t)
-            return
-        first, t_first = self._pending
-        self._pending = None
-        if bernoulli_fraction(Fraction(1, self.W), self.rng):
-            self._harvest(first, t_first)
-        elif first == coord:
-            self._harvest(first, t_first)
+    def ingest(self, coords):
+        q, rng = self._q, self.rng
+        for coord in coords:
+            self.t += 1
+            if self._pending is None:
+                self._pending = (coord, self.t)
+                continue
+            first, t_first = self._pending
+            self._pending = None
+            if bernoulli_fraction(q, rng) or first == coord:
+                self._harvest(first, t_first)
 
     def _harvest(self, coord, t):
         self.S.append((coord, t))
@@ -135,14 +134,13 @@ class BlockLpSampler(UnitUpdates):
         self._block_start = 1
         self.S = {}  # (block_start, coord) -> harvested count
 
-    def update(self, coord):
-        if not 1 <= coord <= self.n:
-            raise outside(coord, self.n)
-        self.t += 1
-        self._block[coord] = self._block.get(coord, 0) + 1
-        self._block_len += 1
-        if self._block_len == self.B:
-            self._close_block()
+    def ingest(self, coords):
+        for coord in coords:
+            self.t += 1
+            self._block[coord] = self._block.get(coord, 0) + 1
+            self._block_len += 1
+            if self._block_len == self.B:
+                self._close_block()
 
     def _close_block(self):
         B, p = self.B, self.p

@@ -18,7 +18,7 @@ repetition, and the law telescopes to f_i^p / F_p(window) as above.
 
 from fractions import Fraction
 
-from .core import SampleResult, UnitUpdates, exponent, lp_measure, outside
+from .core import SampleResult, UnitUpdates, exponent, lp_measure
 from .exactrand import pow_exact, pow_scaled, subseed, substream
 from .gsampler import (acceptance, accept_increment, first_accepted, repetition_result,
                        repetitions_for)
@@ -55,18 +55,23 @@ class CheckpointedSampler(UnitUpdates):
         self.draws = 0
         self.banks = []  # (start_time, SamplerBank), two most recent
 
-    def update(self, coord):
-        if self.n is not None and not 1 <= coord <= self.n:
-            raise outside(coord, self.n)
-        self.t += 1
-        t = self.t
-        if (t - 1) % self.W == 0:
-            seed = subseed(self.seed, "bank", t)
-            self.banks.append((t, SamplerBank(self.R, seed, start_time=t)))
-            if len(self.banks) > 2:
-                self.banks.pop(0)
-        for _, bank in self.banks:
-            bank.update(coord, t)
+    def ingest(self, coords):
+        """Feed the batch to the live banks in pieces that end where the
+        next bank starts, every W updates."""
+        W, k, end = self.W, 0, len(coords)
+        while k < end:
+            t = self.t + 1  # the time of coords[k]
+            if (t - 1) % W == 0:
+                seed = subseed(self.seed, "bank", t)
+                self.banks.append((t, SamplerBank(self.R, seed, start_time=t)))
+                if len(self.banks) > 2:
+                    self.banks.pop(0)
+            stop = min(end, k + W - (t - 1) % W)
+            piece = coords if k == 0 and stop == end else coords[k:stop]
+            for _, bank in self.banks:
+                bank.extend(piece)
+            self.t += stop - k
+            k = stop
 
     def _draw_bank(self):
         want = active_bank_start(self.t, self.W)
@@ -110,9 +115,9 @@ class SlidingLpSampler(CheckpointedSampler):
         self.p = p
         self.hist = SmoothHistogram(p, W, estimator_factory)
 
-    def update(self, coord):
-        super().update(coord)
-        self.hist.update(coord)
+    def ingest(self, coords):
+        super().ingest(coords)
+        self.hist.ingest(coords)
 
     def _zeta_at_draw(self):
         """zeta = p F^{p-1} = p F_p^{(p-1)/p} of the bracketing row in

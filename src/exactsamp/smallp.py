@@ -51,13 +51,12 @@ class DuplicatedExpState(UnitUpdates):
             self._weights[coord] = w
         return w
 
-    def update(self, coord):
-        w = self._dup_weights(coord)
-        mg = self.mg
-        for j in range(self.D):
-            wj = w[j]
-            if wj > 0:
-                mg.update((coord, j), wj)
+    def ingest(self, coords):
+        update = self.mg.update
+        for coord in coords:
+            for j, wj in enumerate(self._dup_weights(coord)):
+                if wj > 0:
+                    update((coord, j), wj)
 
     def draw(self):
         if self.mg.m_seen == 0:

@@ -13,8 +13,9 @@ reads the bracket row's F_p and largest frequency at each draw.
 
 The suffix estimator is exact by default (frequency counts; deterministic and
 strictly inside the factor-2 contract).  estimator_factory(p) swaps in
-another one; an estimator that cannot certify its value raises
-DegradedEstimate, which samplers turn into a Fail outcome.
+another one, which rows prune on through its running value; an estimator
+that cannot certify its F_p raises DegradedEstimate, which samplers turn
+into a Fail outcome.
 """
 
 from fractions import Fraction
@@ -30,35 +31,32 @@ class DegradedEstimate(Exception):
 
 class ExactSuffixFp:
     """Exact F_p = sum_i f_i^p of everything ingested, and the largest
-    frequency max_f (a running max: counts only grow)."""
+    frequency max_f (a running max: counts only grow).  value is the running
+    F_p that the histogram prunes on: the exact integer at integer p, a float
+    sum of the increments otherwise."""
 
     def __init__(self, p):
         self.p = exponent(p)
         self.int_p = self.p.denominator == 1
-        self._pf, self._k = float(self.p), int(self.p)
+        self._power = int(self.p) if self.int_p else float(self.p)
         self.counts = {}
         self.max_f = 0
-        self._fp_int = 0  # exact, integer p only
-        self._fp_float = 0.0
+        self.value = 0 if self.int_p else 0.0
 
     def update(self, coord):
         f = self.counts.get(coord, 0)
         self.counts[coord] = f + 1
         if f == self.max_f:
             self.max_f = f + 1
-        self._fp_float += (f + 1) ** self._pf - f ** self._pf
-        if self.int_p:
-            self._fp_int += (f + 1) ** self._k - f ** self._k
-
-    def fp_float(self):
-        return self._fp_float
+        k = self._power
+        self.value += (f + 1) ** k - f ** k
 
     def fp_exact(self):
-        return Fraction(self._fp_int) if self.int_p else None
+        return Fraction(self.value) if self.int_p else None
 
     def fp_bounds(self, prec):
         if self.int_p:
-            v = Fraction(self._fp_int)
+            v = Fraction(self.value)
             return v, v
         # Sum certified bounds per distinct frequency value.
         by_f = {}
@@ -86,30 +84,50 @@ class SmoothHistogram:
         self.W = W
         pf = float(self.p)
         self.beta = (0.5 ** pf) / (pf ** pf)
+        # The float 1 - beta as an exact ratio num/den, den a power of two:
+        # v' * den >= num * v is exact on integer values and, on floats, the
+        # same test as v' >= (1 - beta) * v.
+        self._num, self._den = (1.0 - self.beta).as_integer_ratio()
         self.estimator_factory = estimator_factory or ExactSuffixFp
         self.rows = []
         self.t = 0
 
     def update(self, coord):
-        self.t += 1
-        t = self.t
-        self.rows.append(_Row(t, self.estimator_factory(self.p)))
-        for row in self.rows:
-            row.est.update(coord)
-        self._prune()
+        self.ingest((coord,))
+
+    def ingest(self, coords):
+        rows, make, p = self.rows, self.estimator_factory, self.p
+        for coord in coords:
+            self.t += 1
+            rows.append(_Row(self.t, make(p)))
+            for row in rows:
+                row.est.update(coord)
+            self._prune()
 
     def _prune(self):
-        rows = self.rows
-        changed = True
-        while changed:
-            changed = False
-            i = 1
-            while i < len(rows) - 1:
-                if rows[i + 1].est.fp_float() >= (1.0 - self.beta) * rows[i - 1].est.fp_float():
-                    del rows[i]
-                    changed = True
-                else:
-                    i += 1
+        """Delete every middle row i whose neighbours satisfy
+        v(i+1) >= (1 - beta) v(i-1), in one pass, then drop the front row
+        while the second one covers the window.
+
+        One pass leaves no row to delete.  Row values do not increase with
+        the row index: a later row's suffix is part of an earlier one's, and
+        F_p only grows with more occurrences.  The pass keeps row i when
+        v(right) < (1 - beta) v(left), where left is final (the pass never
+        returns to it) and right is the current next row; a later deletion
+        makes a row further on the next one, whose value is no larger, so the
+        inequality still holds.  Deleting a row only makes the test harder
+        for its neighbours, so a second pass would delete nothing.  (At
+        non-integer p the values are float sums, monotone up to rounding;
+        where rounding breaks that, one pass keeps a row that a repeat would
+        drop, which costs a row and not the invariant: each pair of adjacent
+        rows still met the test when it became adjacent.)"""
+        rows, num, den = self.rows, self._num, self._den
+        i = 1
+        while i < len(rows) - 1:
+            if rows[i + 1].est.value * den >= num * rows[i - 1].est.value:
+                del rows[i]
+            else:
+                i += 1
         ws = self.t - self.W + 1
         while len(rows) >= 2 and rows[1].t_start <= ws:
             del rows[0]

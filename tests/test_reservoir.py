@@ -11,7 +11,34 @@ from hypothesis import strategies as st
 
 from exactsamp.exactrand import skip, substream
 from exactsamp.oracle import gof_test
-from exactsamp.reservoir import ReservoirUnit, SamplerBank
+from exactsamp.reservoir import SamplerBank
+
+
+class ReservoirUnit:
+    """One reservoir unit on its own, the reference the bank is checked
+    against: it holds the sampled occurrence s, its time t_s and the count c
+    of later occurrences of s."""
+
+    __slots__ = ("rng", "s", "t_s", "c", "r_seen", "next_accept")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.s = None
+        self.t_s = 0
+        self.c = 0
+        self.r_seen = 0
+        self.next_accept = 1
+
+    def update(self, coord, time=None):
+        r = self.r_seen + 1
+        self.r_seen = r
+        if r == self.next_accept:
+            self.s = coord
+            self.t_s = time if time is not None else r
+            self.c = 0
+            self.next_accept = skip(r, self.rng)
+        elif coord == self.s:
+            self.c += 1
 
 
 def test_single_element():
@@ -59,12 +86,12 @@ def test_reservoir_uniformity():
         assert abs(hits[pos] - expect) < 4.5 * sigma
 
 
-def _naive_units(R, seed, coords):
+def _naive_units(R, seed, coords, start_time=1):
     # The bank's reference: R units sharing the bank's one generator, updated
     # in unit order at every position.
     rng = substream(seed, "bank")
     units = [ReservoirUnit(rng) for _ in range(R)]
-    for t, c in enumerate(coords, start=1):
+    for t, c in enumerate(coords, start=start_time):
         for u in units:
             u.update(c, t)
     return [(u.s, u.t_s, u.c) for u in units]
@@ -78,6 +105,19 @@ def test_bank_matches_naive_units(coords, R, seed):
     for c in coords:
         bank.update(c)
     assert bank.snapshot() == _naive_units(R, seed, coords)
+
+
+def test_bank_counters_rebuilt_from_the_held_coordinates():
+    # Counters of coordinates no unit holds stay until there are more than
+    # 2R, then only the held ones are kept; the units' counts are unchanged.
+    R, coords = 2, list(range(1, 3001))
+    bank = SamplerBank(R, 8)
+    for k in range(0, len(coords), 7):
+        bank.extend(coords[k:k + 7])
+        assert len(bank.counters) <= 2 * R
+        held = {s for s in bank.unit_s if s is not None}
+        assert held <= set(bank.counters)
+    assert bank.snapshot() == _naive_units(R, 8, coords)
 
 
 def test_bank_effective_counts_bounded():

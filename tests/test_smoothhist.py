@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactsamp.exactrand import substream
@@ -79,3 +79,55 @@ def test_bracket_row_counts_track_suffix():
         for row in hist.rows:
             assert row.est.counts == Counter(coords[row.t_start - 1:t]), (t, row.t_start)
             assert row.est.max_f == max(row.est.counts.values())
+
+
+class _RepeatedPassHistogram:
+    """The histogram as it pruned before the single pass: every row keeps a
+    float F_p, and passes over the rows repeat until one deletes nothing."""
+
+    def __init__(self, p, W):
+        self.pf = float(p)
+        self.beta = (0.5 ** self.pf) / (self.pf ** self.pf)
+        self.W = W
+        self.t = 0
+        self.rows = []  # [t_start, counts, float F_p]
+
+    def update(self, coord):
+        self.t += 1
+        self.rows.append([self.t, {}, 0.0])
+        for row in self.rows:
+            f = row[1].get(coord, 0)
+            row[1][coord] = f + 1
+            row[2] += (f + 1) ** self.pf - f ** self.pf
+        rows = self.rows
+        changed = True
+        while changed:
+            changed = False
+            i = 1
+            while i < len(rows) - 1:
+                if rows[i + 1][2] >= (1.0 - self.beta) * rows[i - 1][2]:
+                    del rows[i]
+                    changed = True
+                else:
+                    i += 1
+        ws = self.t - self.W + 1
+        while len(rows) >= 2 and rows[1][0] <= ws:
+            del rows[0]
+
+
+@given(st.lists(st.integers(1, 20), max_size=30), st.integers(0, 150),
+       st.lists(st.integers(1, 5), max_size=10), st.integers(1, 200),
+       st.sampled_from([1, 2, 3, Fraction(3, 2)]))
+@example(prefix=[19, 8, 16, 2, 2, 8, 2, 2, 2, 1, 20, 1, 2, 1, 3], run=49, tail=[], W=200, p=3)
+@settings(max_examples=60, deadline=None)
+def test_single_pass_prune_matches_repeated_passes(prefix, run, tail, W, p):
+    # One pass reaches the repeated loop's fixed point: the rows, their
+    # starts and their counts agree after every update.  A long run of a new
+    # coordinate after a varied prefix brings the rows' values together, so
+    # that neighbouring rows become deletable in the same pass (the example).
+    coords = prefix + [21] * run + tail
+    hist, ref = SmoothHistogram(p, W=W), _RepeatedPassHistogram(p, W)
+    for c in coords:
+        hist.update(c)
+        ref.update(c)
+        assert [(r.t_start, r.est.counts) for r in hist.rows] == [(t, cs) for t, cs, _ in ref.rows]

@@ -1,7 +1,9 @@
 """One implementation per mechanism, checked on the package's syntax trees.
 
-The reservoir skip is defined in exactrand.py and called from reservoir.py
-alone, where a bank seeds one generator for all its units, `.random(` is
+The reservoir skip is defined in exactrand.py and called at one site of
+reservoir.py alone, the bank's one replacement loop, where a bank seeds one
+generator for all its units and keeps no refcounts, every per-coordinate
+update is a batch of one for the class's ingest loop, `.random(` is
 called only by the two harnesses that draw floats on purpose (the CLI's
 stream generator and the Monte-Carlo twins), so every random choice of a
 sampler goes through a primitive that the branch enumerator forks,
@@ -55,6 +57,35 @@ def test_reservoir_skip_only_in_reservoir():
     callers = [name for name, tree in trees.items() if "skip" in set(_called(tree))]
     assert callers == ["reservoir.py"], callers
     assert not any("_next_jump" in set(_names(tree)) for tree in trees.values())
+
+
+def test_bank_has_one_replacement_loop_and_no_refcounts():
+    # extend() is the bank's only update loop: skip is called at one site of
+    # reservoir.py, and no refcount of the held coordinates is kept.
+    tree = _trees()["reservoir.py"]
+    assert list(_called(tree)).count("skip") == 1
+    bank = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "SamplerBank")
+    assert "refs" not in set(_names(bank))
+
+
+def test_per_coordinate_updates_feed_the_batch_loops():
+    # A per-coordinate update is a batch of one: the structures' update()
+    # calls their extend() or ingest(), and the samplers of unit-delta
+    # streams inherit core.UnitUpdates.update.
+    trees = _trees()
+    for module, cls, loop in (("reservoir.py", "SamplerBank", "extend"),
+                              ("f0sampler.py", "F0State", "extend"),
+                              ("smoothhist.py", "SmoothHistogram", "ingest")):
+        node = next(n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls)
+        assert loop in set(_called(_function(node, "update"))), (cls, loop)
+    updaters = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef) and f.name == "update" for f in node.body)}
+    assert updaters == {("core.py", "UnitUpdates"), ("reservoir.py", "SamplerBank"),
+                        ("f0sampler.py", "F0State"), ("smoothhist.py", "SmoothHistogram"),
+                        ("smoothhist.py", "ExactSuffixFp"), ("heavyhitters.py", "MGSummary"),
+                        ("matrixsampler.py", "MatrixSampler")}, updaters
 
 
 def test_reservoir_seeds_one_generator_per_bank():
