@@ -23,6 +23,7 @@ from typing import Optional
 from .exactrand import log_scaled, pow_bounds, pow_exact, pow_scaled, root_scaled, scaled
 
 MODELS = ("insertion_only", "sliding_window", "strict_turnstile", "random_order", "matrix")
+INCREMENT_MEMO = 1 << 12  # states whose increment_exact a measure keeps
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,7 @@ class MeasureFunction:
 
     name = "abstract"
     zeta = None
+    _increments = None  # c -> increment_exact(c), at most INCREMENT_MEMO states
 
     def g_exact(self, x):
         raise NotImplementedError
@@ -173,6 +175,19 @@ class MeasureFunction:
         return c, c + 1
 
     def increment_exact(self, c):
+        """G(after) - G(before) as a Fraction, or None when it is irrational.
+        The measure keeps the results in a memo, cleared once it holds
+        INCREMENT_MEMO states, so that a draw whose acceptance table is new
+        (a new zeta) pays one division per distinct c."""
+        memo = self._increments
+        if memo is None or len(memo) >= INCREMENT_MEMO:
+            memo = self._increments = {}
+        elif c in memo:
+            return memo[c]
+        inc = memo[c] = self._increment_exact(c)
+        return inc
+
+    def _increment_exact(self, c):
         before, after = self.step(c)
         a = self.g_exact(after)
         b = self.g_exact(before)

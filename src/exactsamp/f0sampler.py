@@ -27,7 +27,7 @@ from itertools import islice
 
 from .core import INDEX, SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, subseed, substream
-from .gsampler import first_accepted
+from .gsampler import DrawState, first_accepted
 
 
 class F0State:
@@ -178,31 +178,28 @@ class F0Sampler(UnitUpdates):
             repetitions = max(1, math.ceil(2 * math.log(1.0 / delta)))
         self.R = repetitions
         self.seed = seed
-        self.draws = 0
         self.n = n
         self.state = F0State(n, window)
         self.subsets = [self.state.subset(subseed(seed, "rep", i))
                         for i in range(self.R)]
+        self.draw_state = DrawState(seed, repetitions)
 
     def ingest(self, coords):
         self.state.extend(coords)
 
-    def accept(self, f, rng, table):
-        """Whether a hit of frequency f is kept: always, for uniform support
-        sampling.  table is the draw's own dict for the per-f probabilities
-        of subclasses that filter hits."""
-        return True
+    def keep(self):
+        """keep(f), whether a draw keeps a hit of frequency f: always, for
+        uniform support sampling."""
+        return lambda f: True
 
     def draw(self):
         # The instances share one stream state: all are empty or none is.
         if not self.state._freq:
             return SampleResult.bottom()
-        self.draws += 1
-        rng = substream(self.seed, "draw", self.draws)
-        table = {}
-        draws = (self.state.draw(S, rng) for S in self.subsets)
-        return first_accepted(((res, res.frequency) for res in draws if res.outcome == INDEX),
-                              lambda f: self.accept(f, rng, table)) or SampleResult.fail()
+        rng = self.draw_state.rng
+        hits = (self.state.draw(S, rng) for S in self.subsets)
+        return first_accepted(((res, res.frequency) for res in hits if res.outcome == INDEX),
+                              self.keep()) or SampleResult.fail()
 
 
 class TukeySampler(F0Sampler):
@@ -217,11 +214,10 @@ class TukeySampler(F0Sampler):
             repetitions = max(1, math.ceil(4 * boost * math.log(1.0 / delta)))
         super().__init__(n, delta, seed, window, repetitions)
 
-    def accept(self, f, rng, table):
-        """Keep a hit of frequency f with probability G(f)/G(tau), computed
-        once per distinct f in a draw."""
-        q = table.get(f)
-        if q is None:
-            g_cap = self.measure.tau * self.measure.tau / 6
-            q = table[f] = Fraction(self.measure.g_exact(f)) / g_cap
-        return bernoulli_fraction(q, rng)
+    def keep(self):
+        """keep(f): a hit of frequency f is kept with probability
+        G(f)/G(tau), from a table of these per distinct f that draws share."""
+        g, g_cap = self.measure.g_exact, self.measure.tau * self.measure.tau / 6
+        table = self.draw_state.table_at(g_cap, lambda f: Fraction(g(f)) / g_cap)
+        rng = self.draw_state.rng
+        return lambda f: bernoulli_fraction(table[f], rng)

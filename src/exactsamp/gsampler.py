@@ -6,7 +6,7 @@ counter c; at draw time repetition accepts with probability
 probability G(f_i)/(zeta m) per repetition, i.e. exactly G(f_i)/F_G
 conditioned on success.  Acceptance draws are exact (rational, or on
 scaled-integer brackets when G or zeta is irrational), never float
-comparisons.  Draw number k of a sampler takes substream(seed, "draw", k).
+comparisons.
 
 A draw walks the repetitions in index order and returns the first one that
 accepts, so it runs about 1/s acceptance tests instead of R, with s the
@@ -18,9 +18,14 @@ Pr[out = j] = Pr[accept, sample = j] (1 - (1 - s)^R) / s, and FAIL has
 probability (1 - s)^R.  SampleResult.repetition names the first accepting
 repetition.
 
-A draw costs its acceptance tests plus O(1): it keeps one table per draw,
-from each distinct state c to its acceptance probability (see acceptance),
-and builds the SampleResult of the accepted repetition only.
+A draw costs its acceptance tests plus O(1).  What the draws of a sampler
+share is one DrawState, built with the sampler: a single draw generator,
+substream(seed, "draws"), that every draw continues, so repeated draws take
+fresh bits and no draw seeds a generator; and the acceptance table, from
+each distinct state c to its probability (see acceptance), which the next
+draw keeps while its zeta is the same exact rational, since a probability
+depends on c and zeta alone.  A table holds at most R entries.  A draw
+builds the SampleResult of the accepted repetition only.
 
 For L_p with p in (1,2] the increment bound is zeta = 2 Z^{p-1} with Z the
 deterministic Misra-Gries bound on the max frequency; the sampler builds a
@@ -53,16 +58,12 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table=None):
     scaled bracket over b = 2^k otherwise; zeta likewise.  Dividing the two
     with integer floor and ceil brackets the acceptance probability at 2^k.
 
-    table, a dict that one draw passes to each of its calls, keeps every
-    distinct state c's probability (see acceptance), so a draw computes it
-    once per c; the test itself draws the same bits either way.
+    table, an AcceptanceTable of these probabilities for this measure and
+    zeta (see DrawState.increments), computes each distinct state c's
+    probability once for all the tests that read it; the test itself draws
+    the same bits either way.
     """
-    if table is None:
-        q = acceptance(measure, c, zeta_exact, zeta_bounds)
-    else:
-        q = table.get(c)
-        if q is None:
-            q = table[c] = acceptance(measure, c, zeta_exact, zeta_bounds)
+    q = acceptance(measure, c, zeta_exact, zeta_bounds) if table is None else table[c]
     if callable(q):
         return bernoulli_bounds(q, rng)
     return bernoulli_fraction(q, rng)
@@ -103,16 +104,77 @@ def acceptance(measure, c, zeta_exact, zeta_bounds):
 def lp_zeta(Z, p):
     """zeta = 2 Z^{p-1} for L_p, p in (1,2], as (zeta_exact, None) when it is
     rational and (None, zeta_bounds) otherwise, the arguments that
-    accept_increment takes; zeta_bounds(k) is the scaled-integer bracket."""
+    accept_increment takes; zeta_bounds(k) is the scaled-integer bracket,
+    computed once per precision k for all the tests that read it."""
     exact = pow_exact(Z, p - 1)
     if exact is not None:
         return 2 * exact, None
+    memo = {}
 
     def bounds(k):
-        lo, hi = pow_scaled(Z, p - 1, k)
-        return 2 * lo, 2 * hi
+        got = memo.get(k)
+        if got is None:
+            lo, hi = pow_scaled(Z, p - 1, k)
+            got = memo[k] = 2 * lo, 2 * hi
+        return got
 
     return None, bounds
+
+
+class AcceptanceTable(dict):
+    """c -> probability(c), each computed on its first lookup.  A lookup that
+    misses on a table of limit entries clears it first, so the table never
+    holds more than limit."""
+
+    def __init__(self, probability, limit):
+        super().__init__()
+        self.probability = probability
+        self.limit = limit
+
+    def __missing__(self, c):
+        if len(self) >= self.limit:
+            self.clear()
+        q = self[c] = self.probability(c)
+        return q
+
+
+class DrawState:
+    """What the draws of one sampler share.
+
+    rng is the sampler's one draw generator, substream(seed, "draws"), built
+    with the sampler; every draw continues it.  A draw's law is that of a
+    fresh generator's, since it takes only bits no earlier draw read.
+    table_at(key, probability) is the acceptance table of a draw whose
+    probabilities are probability(c) and depend on key besides c: the last
+    draw's table while key is equal, a new one otherwise.  Tables hold at
+    most limit entries (a sampler's R).
+    """
+
+    def __init__(self, seed, limit, measure=None):
+        self.rng = substream(seed, "draws")
+        self.limit = limit
+        self.measure = measure
+        self.key = self.table = None
+
+    def table_at(self, key, probability):
+        if self.table is None or key != self.key:
+            self.key, self.table = key, AcceptanceTable(probability, self.limit)
+        return self.table
+
+    def increments(self, zeta_exact, zeta_bounds):
+        """The table c -> (G(c+1) - G(c))/zeta of the measure (acceptance).
+        It is kept across draws while zeta is an equal exact rational; an
+        irrational zeta's bounds function is one draw's, so its table is too."""
+        measure = self.measure
+        return self.table_at((zeta_exact, zeta_bounds),
+                             lambda c: acceptance(measure, c, zeta_exact, zeta_bounds))
+
+    def accept(self, zeta_exact, zeta_bounds):
+        """accept(c), the exact increment test of a draw at zeta, on the
+        draw generator and the table of increments."""
+        measure, rng = self.measure, self.rng
+        table = self.increments(zeta_exact, zeta_bounds)
+        return lambda c: accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table)
 
 
 def first_accepted(candidates, accept):
@@ -151,7 +213,6 @@ class GSampler(UnitUpdates):
         self.seed = seed
         self.p = exponent(p) if p is not None else None
         self.mg = None
-        self.draws = 0
 
         if zeta is not None:
             zeta = Fraction(zeta)
@@ -167,6 +228,7 @@ class GSampler(UnitUpdates):
         if repetitions is None:
             repetitions = self._default_repetitions()
         self.bank = SamplerBank(repetitions, subseed(seed, "bank"))
+        self.draw_state = DrawState(seed, repetitions, measure)
 
     def _default_repetitions(self):
         m, delta = self.m_planned, self.delta
@@ -201,15 +263,11 @@ class GSampler(UnitUpdates):
     def draw(self):
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
-        self.draws += 1
-        rng = substream(self.seed, "draw", self.draws)
-        zeta_exact, zeta_bounds = self._zeta_at_draw()
-        table = {}
+        accept = self.draw_state.accept(*self._zeta_at_draw())
         live = (((i, s), c)
                 for i, (s, _, c) in enumerate(map(self.bank.effective, range(self.R)))
                 if s is not None)
-        return repetition_result(first_accepted(
-            live, lambda c: accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng, table)))
+        return repetition_result(first_accepted(live, accept))
 
 
 def lp_sampler(p, n, m, delta=0.1, seed=0, repetitions=None):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import sub
 
 from .core import MeasureFunction, SampleResult, Update
-from .exactrand import root_bounds, root_scaled, substream
-from .gsampler import accept_increment, first_accepted, repetition_result, repetitions_for
+from .exactrand import root_bounds, root_scaled
+from .gsampler import DrawState, first_accepted, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 
 
@@ -27,7 +27,10 @@ class RowMeasure(MeasureFunction):
     """G over nonnegative integer vectors, with G(x) - G(x - e_i) <= zeta.
 
     One more update (row, col) steps the row's vector v to v + e_col, so the
-    increment state is c = (v, col)."""
+    increment state is c = (v, col).  v may be a list, so row measures keep
+    no memo of increments."""
+
+    increment_exact = MeasureFunction._increment_exact
 
     def step(self, c):
         v, col = c
@@ -89,7 +92,7 @@ class MatrixSampler:
             ratio = measure.zeta * max(m, 1) / fg
             repetitions = repetitions_for(ratio, delta)
         self.R = repetitions
-        self.draws = 0
+        self.draw_state = DrawState(seed, repetitions, measure)
         # The units draw their skips from the bank's one generator.
         self.bank = SamplerBank(repetitions, seed)
         self.counts = {}  # row -> column counts, kept while the bank tracks the row
@@ -150,17 +153,14 @@ class MatrixSampler:
 
     def after(self, i):
         """Unit i's vector of updates to its row strictly after its sample,
-        as a tuple, so that the state (v, col) can key a draw's table."""
+        as a tuple, so that the state (v, col) can key the acceptance table."""
         row = self.bank.unit_s[i]
         return tuple(map(sub, self.counts[row], self.unit_snap[i]))
 
     def draw(self):
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
-        self.draws += 1
-        rng = substream(self.seed, "draw", self.draws)
-        table = {}
+        accept = self.draw_state.accept(self.measure.zeta, None)
         live = (((i, row), (self.after(i), self.unit_col[i]))
                 for i, row in enumerate(self.bank.unit_s) if row is not None)
-        return repetition_result(first_accepted(
-            live, lambda c: accept_increment(self.measure, c, self.measure.zeta, None, rng, table)))
+        return repetition_result(first_accepted(live, accept))

@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from .core import SampleResult, exponent, lp_measure, outside, parse_stream
 from .exactrand import substream, weighted_index
-from .gsampler import accept_increment, first_accepted, lp_zeta, repetition_result
+from .gsampler import (AcceptanceTable, accept_increment, acceptance, first_accepted, lp_zeta,
+                       repetition_result)
 from .heavyhitters import mg_budget
 
 
@@ -195,7 +196,7 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
     zeta_exact, zeta_bounds = lp_zeta(Z, p)
     measure = lp_measure(p)
     rng = substream(seed, "accept")
-    table = {}
+    table = AcceptanceTable(lambda c: acceptance(measure, c, zeta_exact, zeta_bounds), repetitions)
 
     def accept(f):
         c = f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f

@@ -29,7 +29,8 @@ law G(f_i)/F_G, zero tolerance -- is checked on the code that ships.  Any
 random draw the enumerator cannot fork raises UnforkedDraw; the names are put
 back when the enumeration ends.
 
-Three hand-written laws remain, for what the enumerator cannot run:
+Hand-written laws remain where the enumerator cannot run a sampler, or
+where the shipped sampler's law is not the one its contract states:
 
 * gsampler_coefficients and matrix_coefficients, symbolic laws over the
   basis {G(x)} (resp. G of row vectors), where telescoping is an identity
@@ -37,8 +38,12 @@ Three hand-written laws remain, for what the enumerator cannot run:
   included;
 * sw_lp_law, for SlidingLpSampler where its normalizer p F^{p-1} is
   irrational (the real class is enumerated where it is rational);
-* pair_l2_law and block_lp_law, because the random-order samplers draw float
-  binomials.
+* pair_l2_law, the law of one designated pair over all random orders: the
+  real PairL2Sampler draws only bernoulli_fraction and randrange, which the
+  enumerator forks, but its law merged over all pairs is biased (7/10
+  against f^2/F_2 = 2/3 on the heavy coordinate at f = (2,1,1), W = 4), so
+  the f^2/W^2 contract holds per pair only;
+* block_lp_law, because BlockLpSampler draws float binomials.
 """
 
 import functools

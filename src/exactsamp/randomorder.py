@@ -125,6 +125,10 @@ class BlockLpSampler(UnitUpdates):
         self.seed = seed
         self.B = math.ceil(W ** (1.0 - 1.0 / (self.p - 1)))
         self.alphas = alpha_coeffs(self.p, W)
+        self._alpha_floats = [float(a) for a in self.alphas]
+        # The ways to fill a tuple's other p - q positions from the block's
+        # B - q, per q = 1..p: falling(B - q, p - q), constant per sampler.
+        self._rest = [falling(self.B - q, self.p - q) for q in range(1, self.p + 1)]
         self.rng = substream(seed, "blocks")
         self.np_rng = np_substream(seed, "blocks")
         self.cap = 2 * self.B
@@ -143,18 +147,22 @@ class BlockLpSampler(UnitUpdates):
                 self._close_block()
 
     def _close_block(self):
-        B, p = self.B, self.p
-        start = self._block_start
+        """Draw each block coordinate's insert count: per q, a binomial over
+        the falling(g, q) falling(B - q, p - q) tuples whose first q entries
+        are the coordinate, with success probability alpha_q."""
+        binomial, alphas, rest = self.np_rng.binomial, self._alpha_floats, self._rest
+        start, S = self._block_start, self.S
         for coord, g in self._block.items():
-            total = 0
-            for q in range(1, p + 1):
-                trials = falling(g, q) * falling(B - q, p - q)
-                if trials <= 0:
-                    continue
-                a = self.alphas[q - 1]
-                total += int(self.np_rng.binomial(trials, float(a)))
+            total, head = 0, 1
+            for q in range(self.p):
+                head *= g - q  # falling(g, q + 1)
+                if not head:
+                    break  # and falling(g, q') = 0 for every larger q'
+                trials = head * rest[q]
+                if trials > 0:
+                    total += int(binomial(trials, alphas[q]))
             if total:
-                self.S[(start, coord)] = self.S.get((start, coord), 0) + total
+                S[(start, coord)] = S.get((start, coord), 0) + total
         self._block = {}
         self._block_len = 0
         self._block_start = self.t + 1

@@ -19,9 +19,8 @@ repetition, and the law telescopes to f_i^p / F_p(window) as above.
 from fractions import Fraction
 
 from .core import SampleResult, UnitUpdates, exponent, lp_measure
-from .exactrand import pow_exact, pow_scaled, subseed, substream
-from .gsampler import (acceptance, accept_increment, first_accepted, repetition_result,
-                       repetitions_for)
+from .exactrand import pow_exact, pow_scaled, subseed
+from .gsampler import DrawState, first_accepted, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import DegradedEstimate, SmoothHistogram
 
@@ -52,7 +51,7 @@ class CheckpointedSampler(UnitUpdates):
             repetitions = repetitions_for(2 * self.zeta * W / fg, delta)
         self.R = repetitions
         self.t = 0
-        self.draws = 0
+        self.draw_state = DrawState(seed, repetitions, measure)
         self.banks = []  # (start_time, SamplerBank), two most recent
 
     def ingest(self, coords):
@@ -84,16 +83,12 @@ class CheckpointedSampler(UnitUpdates):
         if self.t == 0:
             return SampleResult.bottom()
         bank = self._draw_bank()
-        self.draws += 1
-        rng = substream(self.seed, "draw", self.draws)
-        zeta_exact, zeta_bounds = self._zeta_at_draw()
+        accept = self.draw_state.accept(*self._zeta_at_draw())
         cutoff = self.t - self.W
-        table = {}
         live = (((i, s), c)
                 for i, (s, t_s, c) in enumerate(map(bank.effective, range(self.R)))
                 if s is not None and t_s > cutoff)
-        return repetition_result(first_accepted(
-            live, lambda c: accept_increment(self.measure, c, zeta_exact, zeta_bounds, rng, table)))
+        return repetition_result(first_accepted(live, accept))
 
     def _zeta_at_draw(self):
         """(zeta_exact or None, zeta_bounds or None), as accept_increment
@@ -125,7 +120,8 @@ class SlidingLpSampler(CheckpointedSampler):
         with integers lo <= zeta 2^k <= hi, memoized per precision.  Raises
         DegradedEstimate unless zeta is certified at or above the increment
         at c = max_f - 1, the row's largest frequency less one, which bounds
-        every live repetition's c; the exact estimator always passes."""
+        every live repetition's c, read from the draw's table of increments;
+        the exact estimator always passes."""
         est = self.hist.bracket().est
         p = self.p
         a, b, q = p.numerator, p.denominator, (p - 1) / p
@@ -143,7 +139,7 @@ class SlidingLpSampler(CheckpointedSampler):
             return memo[k]
 
         zeta = (p * exact, None) if exact else (None, bounds)
-        top = acceptance(self.measure, est.max_f - 1, *zeta)
+        top = self.draw_state.increments(*zeta)[est.max_f - 1]
         if (top(16)[0] > 1 << 16) if callable(top) else top > 1:
             raise DegradedEstimate("acceptance above 1: F below L_p")
         return zeta

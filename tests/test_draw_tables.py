@@ -1,16 +1,20 @@
-"""A draw's acceptance table changes no outcome.
+"""A sampler's acceptance table changes no outcome.
 
-Each draw keeps one probability per distinct state c and passes the table to
+Each sampler keeps one table, from each distinct state c to its probability,
+across its draws while zeta is the same exact rational, and passes it to
 every accept_increment call.  The references below are the draw loops
 without it: one exact test per live repetition, each computing its
 probability afresh with _accept_without_table (accept_increment as it was
-before the table), and a SampleResult built for every candidate.  Run on the
-same fed sampler with the same substream(seed, "draw", k), both must return
-the same result, draw after draw.
+before the table, reading no memo of increments), and a SampleResult built
+for every candidate.  Run on the same fed sampler with a clone of its draw
+generator taken before the draw, both must return the same result, draw
+after draw.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +30,23 @@ from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 from exactsamp.smoothhist import DegradedEstimate
 
 
+def _clone(s):
+    """A copy of the sampler's draw generator in its current state."""
+    rng = random.Random()
+    rng.setstate(s.draw_state.rng.getstate())
+    return rng
+
+
+def _increment(measure, c):
+    """G(c+1) - G(c) as a Fraction, or None, computed afresh."""
+    before, after = measure.step(c)
+    a, b = measure.g_exact(after), measure.g_exact(before)
+    return None if a is None or b is None else a - b
+
+
 def _accept_without_table(measure, c, zeta_exact, zeta_bounds, rng):
     """The exact increment test computing its probability on every call."""
-    inc = measure.increment_exact(c)
+    inc = _increment(measure, c)
     if inc is not None and zeta_exact is not None:
         return bernoulli_fraction(inc / zeta_exact, rng)
 
@@ -59,7 +77,7 @@ def _eager(candidates, accept):
 def _gsampler_reference(s):
     if s.bank.r_seen == 0:
         return SampleResult.bottom()
-    rng = substream(s.seed, "draw", s.draws + 1)
+    rng = _clone(s)
     zeta_exact, zeta_bounds = s._zeta_at_draw()
     live = ((SampleResult.of(x, repetition=i), c)
             for i, (x, _, c) in enumerate(map(s.bank.effective, range(s.R))) if x is not None)
@@ -70,7 +88,7 @@ def _checkpointed_reference(s):
     if s.t == 0:
         return SampleResult.bottom()
     bank = s._draw_bank()
-    rng = substream(s.seed, "draw", s.draws + 1)
+    rng = _clone(s)
     cutoff = s.t - s.W
     live = ((SampleResult.of(x, repetition=i), c)
             for i, (x, t_x, c) in enumerate(map(bank.effective, range(s.R)))
@@ -82,7 +100,7 @@ def _sliding_lp_reference(s):
     if s.t == 0:
         return SampleResult.bottom()
     bank = s._draw_bank()
-    rng = substream(s.seed, "draw", s.draws + 1)
+    rng = _clone(s)
     cutoff = s.t - s.W
     try:
         zeta_exact, zeta_bounds = s._zeta_at_draw()
@@ -98,7 +116,7 @@ def _sliding_lp_reference(s):
 def _matrix_reference(s):
     if s.bank.r_seen == 0:
         return SampleResult.bottom()
-    rng = substream(s.seed, "draw", s.draws + 1)
+    rng = _clone(s)
     live = ((SampleResult.of(row, repetition=i), (list(s.after(i)), s.unit_col[i]))
             for i, row in enumerate(s.bank.unit_s) if row is not None)
     return _eager(live, lambda c: _accept_without_table(s.measure, c, s.measure.zeta, None, rng))
@@ -107,7 +125,7 @@ def _matrix_reference(s):
 def _tukey_reference(s):
     if not s.state._freq:
         return SampleResult.bottom()
-    rng = substream(s.seed, "draw", s.draws + 1)
+    rng = _clone(s)
     g_cap = s.measure.tau * s.measure.tau / 6
     for S in s.subsets:
         res = s.state.draw(S, rng)
@@ -207,30 +225,97 @@ def test_multipass_lp_draws_equal_per_call_tests(coords, seed, p):
     assert got == _multipass_lp_reference(updates, Fraction(1, 2), p, 9, seed, 10)
 
 
-def test_draw_computes_each_distinct_probability_once(monkeypatch):
-    # 400 distinct coordinates once each: nearly every repetition holds
-    # c = 0, so a draw runs many tests and computes one probability per
-    # distinct c.
+def _counting(monkeypatch):
+    """Record the state c of every gsampler.acceptance call."""
     from exactsamp import gsampler
 
-    computed, tested = [], []
-    real_acceptance, real_accept = gsampler.acceptance, gsampler.accept_increment
+    computed = []
+    real = gsampler.acceptance
 
     def counting_acceptance(measure, c, *args):
         computed.append(c)
-        return real_acceptance(measure, c, *args)
+        return real(measure, c, *args)
+
+    monkeypatch.setattr(gsampler, "acceptance", counting_acceptance)
+    return computed
+
+
+def test_draw_computes_each_distinct_probability_once(monkeypatch):
+    # 400 distinct coordinates once each: nearly every repetition holds
+    # c = 0, so a draw runs many tests.  Z, hence zeta = 2Z, is unchanged
+    # between the draws, so the 20 draws share one table and compute each
+    # distinct c's probability once, when it is first tested.
+    from exactsamp import gsampler
+
+    computed = _counting(monkeypatch)
+    tested = []
+    real_accept = gsampler.accept_increment
 
     def counting_accept(measure, c, *args):
         tested.append(c)
         return real_accept(measure, c, *args)
 
-    monkeypatch.setattr(gsampler, "acceptance", counting_acceptance)
     monkeypatch.setattr(gsampler, "accept_increment", counting_accept)
     s = lp_sampler(2, n=1000, m=400, seed=5, repetitions=400)
     s.process(range(1, 401))
     for _ in range(20):
-        computed.clear()
-        tested.clear()
         s.draw()
-        assert sorted(computed) == sorted(set(tested))
+    assert sorted(computed) == sorted(set(tested))
     assert len(tested) > 5
+
+
+SHARED_TABLE_SAMPLERS = {
+    "huber": lambda: GSampler(huber_measure(2), n=1000, m=400, seed=5, repetitions=400),
+    "lp_half": lambda: lp_sampler(Fraction(1, 2), n=1000, m=400, seed=5, repetitions=400),
+    "checkpointed": lambda: CheckpointedSampler(huber_measure(2), W=1000, seed=5,
+                                                repetitions=400),
+    "matrix": lambda: MatrixSampler(L2RowMeasure(), n=1000, d=1, m=400, seed=5,
+                                    repetitions=400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_TABLE_SAMPLERS))
+def test_draws_on_an_unchanged_state_share_one_table(monkeypatch, name):
+    # 400 distinct coordinates (rows) once each: every repetition holds the
+    # same state c, so a draw runs many tests of one probability.  zeta is
+    # static, so the first draw computes that probability once and the next
+    # 20 compute none.
+    s = SHARED_TABLE_SAMPLERS[name]()
+    if name == "matrix":
+        s.process([Update(r, col=1) for r in range(1, 401)])
+    else:
+        s.process(range(1, 401))
+    computed = _counting(monkeypatch)
+    s.draw()
+    assert len(computed) == 1, computed
+    for _ in range(20):
+        s.draw()
+    assert len(computed) == 1, computed
+    assert len(s.draw_state.table) == 1
+
+
+def test_tables_hold_at_most_R_entries(monkeypatch):
+    # L_{1/2} at its static zeta = 1 over three coordinates: counts keep
+    # growing, so later draws test states the table has not seen, and it is
+    # cleared rather than grown past R.
+    computed = _counting(monkeypatch)
+    R = 8
+    s = lp_sampler(Fraction(1, 2), n=3, m=600, seed=7, repetitions=R)
+    sizes = []
+    for k in range(200):
+        s.process([k % 3 + 1] * 3)
+        for _ in range(3):
+            s.draw()
+            sizes.append(len(s.draw_state.table))
+    assert max(sizes) <= R
+    assert len(set(computed)) > 4 * R, len(set(computed))
+
+
+def test_increment_memo_is_bounded(monkeypatch):
+    from exactsamp import core
+
+    monkeypatch.setattr(core, "INCREMENT_MEMO", 16)
+    for meas in (lp_measure(2), huber_measure(2), lp_measure(Fraction(1, 2))):
+        for c in list(range(100)) + list(range(10)):
+            assert meas.increment_exact(c) == _increment(meas, c)
+            assert len(meas._increments) <= 16

@@ -165,3 +165,32 @@ def test_rejection_names_the_first_bad_update(name):
         s.process([deletion, outside])
     with pytest.raises(ValueError, match="outside"):
         s.process([outside, deletion])
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_draws_seed_no_generator(monkeypatch, name):
+    # A sampler builds its draw generator once: after construction, draws
+    # make no exactrand.substream call, whichever module binds it.
+    import sys
+
+    from exactsamp import exactrand
+
+    s = SAMPLERS[name]()
+    pairs = [(c % N + 1, c % D + 1) for c in range(0, 60, 7)]
+    if name == "matrix":
+        s.process([Update(r, col=c) for r, c in pairs])
+    else:
+        s.process([r for r, _ in pairs])
+    calls = []
+
+    def counting_substream(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = exactrand.substream
+    for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "exactsamp"]:
+        if getattr(mod, "substream", None) is real:
+            monkeypatch.setattr(mod, "substream", counting_substream)
+    for _ in range(5):
+        s.draw()
+    assert not calls, calls

@@ -190,3 +190,40 @@ def test_downsample_keeps_harvest_uniformity():
             kept[c] += 1
     total = kept[0] + kept[1]
     assert abs(kept[0] / total - 0.5) < 4 * math.sqrt(0.25 / total)
+
+
+def _close_block_by_falling(s):
+    """BlockLpSampler._close_block as first written: falling() per
+    coordinate and q, and alpha_q converted to float at each binomial."""
+    B, p = s.B, s.p
+    start = s._block_start
+    for coord, g in s._block.items():
+        total = 0
+        for q in range(1, p + 1):
+            trials = falling(g, q) * falling(B - q, p - q)
+            if trials <= 0:
+                continue
+            total += int(s.np_rng.binomial(trials, float(s.alphas[q - 1])))
+        if total:
+            s.S[(start, coord)] = s.S.get((start, coord), 0) + total
+    s._block = {}
+    s._block_len = 0
+    s._block_start = s.t + 1
+    s._downsample()
+
+
+@pytest.mark.parametrize("n,W,p", [(100, 10 ** 4, 3), (100, 10 ** 4, 4), (5, 12, 3), (3, 8, 5)])
+def test_close_block_draws_the_binomials_of_the_falling_loop(monkeypatch, n, W, p):
+    # The same np_rng.binomial calls, in the same order with the same
+    # arguments, so the harvest S and the generator state are identical.
+    rng = substream(n * W * p, "close-block")
+    coords = [rng.randrange(n) + 1 for _ in range(2 * W)]
+    s = BlockLpSampler(n, W, p, seed=3)
+    ref = BlockLpSampler(n, W, p, seed=3)
+    monkeypatch.setattr(ref, "_close_block", lambda: _close_block_by_falling(ref))
+    for k in range(0, len(coords), 997):
+        s.process(coords[k:k + 997])
+        ref.process(coords[k:k + 997])
+        assert s.S == ref.S
+    assert s.S
+    assert s.np_rng.integers(1 << 62) == ref.np_rng.integers(1 << 62)
