@@ -143,8 +143,10 @@ class SampleResult:
 class MeasureFunction:
     """Base class; subclasses fill in the G evaluations.
 
-    zeta is None when the increment bound is not static (L_p with p > 1
-    derives zeta = 2 Z^{p-1} from a Misra-Gries Z at draw time).
+    zeta is None when the increment bound is not static: L_p with p > 1
+    takes gsampler.lp_zeta's zeta = p Z^{p-1} at draw time, from a bound Z
+    on the largest frequency (Misra-Gries, the multipass Z narrowing, or a
+    sliding window's smooth histogram).
     """
 
     name = "abstract"
@@ -218,7 +220,7 @@ class LpMeasure(MeasureFunction):
         if p <= 1:
             self.zeta = Fraction(1)  # x^p - (x-1)^p <= 1 for p in (0,1]
         else:
-            self.zeta = None  # 2 Z^{p-1}, from the heavy-hitters Z
+            self.zeta = None  # p Z^{p-1} (gsampler.lp_zeta), Z read at draw time
 
     def g_exact(self, x):
         return pow_exact(x, self.p)

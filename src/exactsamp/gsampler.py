@@ -27,9 +27,10 @@ draw keeps while its zeta is the same exact rational, since a probability
 depends on c and zeta alone.  A table holds at most R entries.  A draw
 builds the SampleResult of the accepted repetition only.
 
-For L_p with p in (1,2] the increment bound is zeta = 2 Z^{p-1} with Z the
-deterministic Misra-Gries bound on the max frequency; the sampler builds a
-summary with k = ceil(n^{1-1/p}) counters that rides along with the bank.
+For L_p with p in (1,2] the increment bound is lp_zeta's zeta = p Z^{p-1},
+the one rule of every L_p sampler, with Z the deterministic Misra-Gries bound
+on the max frequency; the sampler builds a summary with k = ceil(n^{1-1/p})
+counters that rides along with the bank.
 """
 
 import math
@@ -59,7 +60,7 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table=None):
     with integer floor and ceil brackets the acceptance probability at 2^k.
 
     table, an AcceptanceTable of these probabilities for this measure and
-    zeta (see DrawState.increments), computes each distinct state c's
+    zeta (see DrawState.accept), computes each distinct state c's
     probability once for all the tests that read it; the test itself draws
     the same bits either way.
     """
@@ -102,20 +103,24 @@ def acceptance(measure, c, zeta_exact, zeta_bounds):
 
 
 def lp_zeta(Z, p):
-    """zeta = 2 Z^{p-1} for L_p, p in (1,2], as (zeta_exact, None) when it is
-    rational and (None, zeta_bounds) otherwise, the arguments that
-    accept_increment takes; zeta_bounds(k) is the scaled-integer bracket,
-    computed once per precision k for all the tests that read it."""
+    """zeta = p Z^{p-1}, the one increment bound of every L_p sampler with
+    p >= 1: Z >= 1 bounds the largest frequency f that a live repetition's
+    state c < f reads, so G(c+1) - G(c) = (c+1)^p - c^p <= p (c+1)^{p-1}
+    <= p Z^{p-1}.  Returned as (zeta_exact, None) when it is rational and
+    (None, zeta_bounds) otherwise, the arguments that accept_increment takes;
+    zeta_bounds(k) is the scaled-integer bracket, computed once per
+    precision k for all the tests that read it."""
     exact = pow_exact(Z, p - 1)
     if exact is not None:
-        return 2 * exact, None
+        return p * exact, None
+    a, b = p.numerator, p.denominator
     memo = {}
 
     def bounds(k):
         got = memo.get(k)
         if got is None:
             lo, hi = pow_scaled(Z, p - 1, k)
-            got = memo[k] = 2 * lo, 2 * hi
+            got = memo[k] = a * lo // b, -(-a * hi // b)
         return got
 
     return None, bounds
@@ -161,19 +166,15 @@ class DrawState:
             self.key, self.table = key, AcceptanceTable(probability, self.limit)
         return self.table
 
-    def increments(self, zeta_exact, zeta_bounds):
-        """The table c -> (G(c+1) - G(c))/zeta of the measure (acceptance).
-        It is kept across draws while zeta is an equal exact rational; an
-        irrational zeta's bounds function is one draw's, so its table is too."""
-        measure = self.measure
-        return self.table_at((zeta_exact, zeta_bounds),
-                             lambda c: acceptance(measure, c, zeta_exact, zeta_bounds))
-
     def accept(self, zeta_exact, zeta_bounds):
         """accept(c), the exact increment test of a draw at zeta, on the
-        draw generator and the table of increments."""
+        draw generator and the table c -> (G(c+1) - G(c))/zeta of the measure
+        (acceptance).  The table is kept across draws while zeta is an equal
+        exact rational; an irrational zeta's bounds function is one draw's,
+        so its table is too."""
         measure, rng = self.measure, self.rng
-        table = self.increments(zeta_exact, zeta_bounds)
+        table = self.table_at((zeta_exact, zeta_bounds),
+                              lambda c: acceptance(measure, c, zeta_exact, zeta_bounds))
         return lambda c: accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table)
 
 
@@ -221,7 +222,7 @@ class GSampler(UnitUpdates):
         self.zeta = zeta  # None means Z-derived at draw time
         if zeta is None:
             if self.p is None:
-                raise ValueError("%s has no static zeta: pass p so that zeta = 2 Z^{p-1} "
+                raise ValueError("%s has no static zeta: pass p so that zeta = p Z^{p-1} "
                                  "can be derived from a Misra-Gries summary" % measure.name)
             self.mg = MGSummary(mg_budget(self.p, n))
 
@@ -233,7 +234,8 @@ class GSampler(UnitUpdates):
     def _default_repetitions(self):
         m, delta = self.m_planned, self.delta
         if self.zeta is None:
-            # L_p, p in (1,2]: per-repetition success >= 1/(4 n^{1-1/p}).
+            # L_p, p in (1,2]: zeta = p Z^{p-1} <= 2 Z^{p-1}, so per-repetition
+            # success >= 1/(4 n^{1-1/p}).
             p = float(self.p)
             return repetitions_for(self.n ** (1.0 - 1.0 / p), delta)
         if m == 0:

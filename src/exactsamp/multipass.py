@@ -9,11 +9,11 @@ f_i / F_1.
 For p in (1,2] the same passes drive R parallel frequency-proportional chains
 and, beside them, narrow the universe to the chunks of mass >= m/ceil(n^{1-1/p}),
 yielding a deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}).  Each
-chain's sample (i, f_i) passes the usual acceptance ((c+1)^p - c^p) / (2 Z^{p-1})
+chain's sample (i, f_i) passes the usual acceptance ((c+1)^p - c^p) / (p Z^{p-1})
 with c a uniform strictly-after occurrence count: the insertion-only samplers'
-exact test (gsampler.accept_increment with the L_p measure and
-gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the first
-accepting one (gsampler.first_accepted).
+exact test (gsampler.accept_increment with the L_p measure) at the one L_p
+zeta rule (gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the
+first accepting one (gsampler.first_accepted).
 
 Every pass is one scan of the stream (_chunk_sums), shared by all chains and
 the Z narrowing: an update finds its cell by bisection (directly when the

@@ -6,8 +6,10 @@ primitives of exactrand are swapped, at every exactsamp module that binds
 them, for forks at their exact laws:
 
 * skip(r) forks over the updates still to come, Pr[J = j] = r/(j (j-1)),
-  plus one branch for "beyond the stream" (Pr[J > m] = r/m), which every
-  later outcome shares;
+  plus one branch for "beyond the stream" (Pr[J > last] = r/last), which
+  every later outcome shares.  sampler_law feeds one update per process
+  call and tells the enumerator the stream time t, so a bank at position r
+  forks over r+1 .. last = r + (m - t) alone, however late it started;
 * bernoulli_fraction(q) forks with weights q and 1 - q;
 * weighted_index(w) forks over the indices of positive weight, index i with
   weight w_i / sum(w), one branch per index instead of one per unit of mass
@@ -36,8 +38,6 @@ where the shipped sampler's law is not the one its contract states:
   basis {G(x)} (resp. G of row vectors), where telescoping is an identity
   between coefficient vectors and holds for every measure, irrational G
   included;
-* sw_lp_law, for SlidingLpSampler where its normalizer p F^{p-1} is
-  irrational (the real class is enumerated where it is rational);
 * pair_l2_law, the law of one designated pair over all random orders: the
   real PairL2Sampler draws only bernoulli_fraction and randrange, which the
   enumerator forks, but its law merged over all pairs is biased (7/10
@@ -59,7 +59,6 @@ from fractions import Fraction
 from . import exactrand
 from .core import FAIL, INDEX
 from .randomorder import alpha_coeffs
-from .sliding import active_bank_start
 
 BRANCH_BUDGET = 10 ** 6
 
@@ -157,6 +156,7 @@ class _Tree:
 
     def __init__(self, horizon):
         self.horizon = horizon  # the stream length, for skip
+        self.time = None  # the time of the update being fed, where told
         self.path = []  # per choice point: [branch taken, number of branches]
         self.depth = 0
         self.num = self.den = 1
@@ -188,15 +188,19 @@ class _Tree:
         return True
 
     def skip(self, r, rng):
-        h = self.horizon
-        if h is None:
+        """J forked over r+1 .. last, plus one branch beyond, where last is r
+        plus the updates still to come after the one at self.time.  With no
+        time told, the bank is taken to have started with the stream
+        (time = r)."""
+        if self.horizon is None:
             raise UnforkedDraw("skip needs the stream length")
+        last = r + self.horizon - (r if self.time is None else self.time)
 
         def branch(i):
             j = r + 1 + i
-            return (j, r, j * (j - 1)) if j <= h else (j, r, h)
+            return (j, r, j * (j - 1)) if j <= last else (j, r, last)
 
-        return self.fork(max(1, h - r + 1), branch)
+        return self.fork(last - r + 1, branch)
 
     def bernoulli_fraction(self, q, rng):
         if q <= 0 or q >= 1:
@@ -252,7 +256,11 @@ def enumerate_law(run, horizon=None):
     UnforkedDraw on a random draw with no exact fork and BranchBudgetExceeded
     above BRANCH_BUDGET leaves.
     """
-    tree = _Tree(horizon)
+    return _law(run, _Tree(horizon))
+
+
+def _law(run, tree):
+    """enumerate_law on the choice tree given."""
     law = ExactDistribution()
     leaves = 0
     with _swapped(tree.stand_ins()):
@@ -275,15 +283,18 @@ def enumerate_law(run, horizon=None):
 
 def sampler_law(make, updates):
     """The exact law of one draw of the sampler make() builds, after it has
-    processed updates."""
+    processed updates, one per process call, each at its stream time."""
     updates = list(updates)
+    tree = _Tree(len(updates))
 
     def run():
         sampler = make()
-        sampler.process(updates)
+        for t, update in enumerate(updates, 1):
+            tree.time = t
+            sampler.process((update,))
         return sampler.draw()
 
-    return enumerate_law(run, len(updates))
+    return _law(run, tree)
 
 
 def _strict_after_counts(coords):
@@ -328,40 +339,6 @@ def matrix_coefficients(updates, d):
         out[row][tuple(v)] -= 1
     return {r: {vec: cf for vec, cf in dd.items() if cf != 0 and any(vec)}
             for r, dd in out.items()}
-
-
-def sw_lp_law(updates, W, p, F):
-    """One SlidingLpSampler repetition with normalizer F given: a uniform
-    position of the checkpoint bank the draw reads (it starts at
-    active_bank_start), live when inside the window, accepted with
-    probability ((c+1)^p - c^p)/(p F^{p-1}); integer p and rational F only
-    (the exact battery's regime)."""
-    p = int(p)
-    F = Fraction(F)
-    coords = _coords(updates)
-    t_end = len(coords)
-    if t_end == 0:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    start = active_bank_start(t_end, W)
-    sub = coords[start - 1:]
-    L = len(sub)
-    _budget(L * L)
-    after = _strict_after_counts(sub)
-    den = p * F ** (p - 1)
-    law = defaultdict(Fraction)
-    per_pos = Fraction(1, L)
-    cutoff = t_end - W
-    for idx, coord in enumerate(sub):
-        if start + idx <= cutoff:
-            continue
-        c = after[idx]
-        acc = (Fraction(c + 1) ** p - Fraction(c) ** p) / den
-        assert acc <= 1, "F below the window L_p"
-        law[coord] += per_pos * acc
-    dist = ExactDistribution(probs=dict(law))
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
 
 
 def _arrangements(freqs):

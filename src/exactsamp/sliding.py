@@ -6,23 +6,24 @@ before the window start and within 2W of it.  A repetition succeeds only if
 its reservoir sample is still active (t_s > t - W); conditioned on success
 the law telescopes to G(f_i)/F_G over the active window.
 
-SlidingLpSampler: the same checkpoint banks over G = x^p, with a zeta read
-at each draw from a smooth histogram of suffix F_p estimators that rides
-along, as GSampler reads zeta = 2 Z^{p-1} from its Misra-Gries summary.  A
-live repetition accepts with probability ((c+1)^p - c^p)/(p F^{p-1}), with
-F = L_p of the bracketing row's suffix, which the histogram invariant places
-in [L_p(window), 2 L_p(window)].  F >= L_p(window) >= max f over the window,
-so p F^{p-1} >= p f^{p-1} >= f^p - (f-1)^p bounds every increment of a live
-repetition, and the law telescopes to f_i^p / F_p(window) as above.
+SlidingLpSampler: the same checkpoint banks over G = x^p, with zeta read at
+each draw by the one L_p rule, gsampler.lp_zeta's p Z^{p-1}, as GSampler
+reads it from Misra-Gries.  Here Z = max_f, the exact largest frequency of
+the smooth histogram's bracket row (smoothhist).  That row's suffix contains
+the window, so a live repetition's state c has c + 1 <= f(window) <= max_f
+and its increment (c+1)^p - c^p <= p (c+1)^{p-1} <= zeta; the histogram is
+a function of the stream alone, so zeta is too, and the law telescopes to
+f_i^p / F_p(window) as above.  R is sized for the factor-2 invariant:
+max_f <= L_p(suffix) <= 2 L_p(window), so zeta <= p 2^{p-1} L_p(window)^{p-1}.
 """
 
 from fractions import Fraction
 
 from .core import SampleResult, UnitUpdates, exponent, lp_measure
-from .exactrand import pow_exact, pow_scaled, subseed
-from .gsampler import DrawState, first_accepted, repetition_result, repetitions_for
+from .exactrand import subseed
+from .gsampler import DrawState, first_accepted, lp_zeta, repetition_result, repetitions_for
 from .reservoir import SamplerBank
-from .smoothhist import DegradedEstimate, SmoothHistogram
+from .smoothhist import SmoothHistogram
 
 
 def active_bank_start(t, W):
@@ -97,8 +98,7 @@ class CheckpointedSampler(UnitUpdates):
 
 
 class SlidingLpSampler(CheckpointedSampler):
-    def __init__(self, p, W, n=None, delta=0.1, seed=0, repetitions=None,
-                 estimator_factory=None):
+    def __init__(self, p, W, n=None, delta=0.1, seed=0, repetitions=None):
         p = exponent(p)
         if p < 1:
             raise ValueError("sliding L_p sampling needs p >= 1")
@@ -108,44 +108,12 @@ class SlidingLpSampler(CheckpointedSampler):
             repetitions = repetitions_for(2 * bound, delta)
         super().__init__(lp_measure(p), W, n, delta, seed, repetitions=repetitions)
         self.p = p
-        self.hist = SmoothHistogram(p, W, estimator_factory)
+        self.hist = SmoothHistogram(p, W)
 
     def ingest(self, coords):
         super().ingest(coords)
         self.hist.ingest(coords)
 
     def _zeta_at_draw(self):
-        """zeta = p F^{p-1} = p F_p^{(p-1)/p} of the bracketing row in
-        lp_zeta's form: exact when rational (always at p = 1), else bounds(k)
-        with integers lo <= zeta 2^k <= hi, memoized per precision.  Raises
-        DegradedEstimate unless zeta is certified at or above the increment
-        at c = max_f - 1, the row's largest frequency less one, which bounds
-        every live repetition's c, read from the draw's table of increments;
-        the exact estimator always passes."""
-        est = self.hist.bracket().est
-        p = self.p
-        a, b, q = p.numerator, p.denominator, (p - 1) / p
-        fp = est.fp_exact()
-        exact = pow_exact(fp, q) if fp is not None else None
-        memo = {}
-
-        def bounds(k):
-            if k not in memo:
-                flo, fhi = est.fp_bounds(k)
-                lo, hi = pow_scaled(flo, q, k)[0], pow_scaled(fhi, q, k)[1]
-                memo[k] = a * lo // b, -(-a * hi // b)
-                if memo[k][0] <= 0:
-                    raise DegradedEstimate("nonpositive F estimate")
-            return memo[k]
-
-        zeta = (p * exact, None) if exact else (None, bounds)
-        top = self.draw_state.increments(*zeta)[est.max_f - 1]
-        if (top(16)[0] > 1 << 16) if callable(top) else top > 1:
-            raise DegradedEstimate("acceptance above 1: F below L_p")
-        return zeta
-
-    def draw(self):
-        try:
-            return super().draw()
-        except DegradedEstimate:
-            return SampleResult.fail()
+        """lp_zeta at Z = the bracket row's largest frequency."""
+        return lp_zeta(Fraction(self.hist.bracket().est.max_f), self.p)

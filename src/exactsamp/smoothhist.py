@@ -1,6 +1,7 @@
-"""Smooth histogram of suffix F_p estimators for sliding windows.
+"""Smooth histogram of suffix F_p values for sliding windows
+(Braverman-Ostrovsky, "Smooth histograms for sliding windows", FOCS 2007).
 
-Rows are timestamped suffix estimators and nothing else; row j has ingested
+Rows are timestamped suffix counts and nothing else; row j has ingested
 exactly the updates from time t_j to now.  Middle rows are pruned once the
 next-but-one row's value reaches (1 - beta) of the previous one, with
 beta = (1/2)^p / p^p (the smoothness parameter for F_p at epsilon = 1/2);
@@ -9,39 +10,26 @@ invariant that survives is t_1 <= window start < t_2, with
 F_p(suffix 1) <= 2^p * F_p(window), i.e.
 L_p(window) <= L_p(suffix 1) <= 2 L_p(window).  The histogram keeps no
 samples: sliding.SlidingLpSampler samples from checkpoint banks beside it and
-reads the bracket row's F_p and largest frequency at each draw.
-
-The suffix estimator is exact by default (frequency counts; deterministic and
-strictly inside the factor-2 contract).  estimator_factory(p) swaps in
-another one, which rows prune on through its running value; an estimator
-that cannot certify its F_p raises DegradedEstimate, which samplers turn
-into a Fail outcome.
+reads the bracket row's exact largest frequency max_f at each draw, the Z of
+its zeta = p Z^{p-1}; the rows' F_p values decide only which rows are kept.
 """
 
-from fractions import Fraction
-
 from .core import exponent
-from .exactrand import pow_bounds
-
-
-class DegradedEstimate(Exception):
-    """The internal estimator cannot certify its output; callers turn this
-    into a Fail outcome."""
 
 
 class ExactSuffixFp:
-    """Exact F_p = sum_i f_i^p of everything ingested, and the largest
-    frequency max_f (a running max: counts only grow).  value is the running
-    F_p that the histogram prunes on: the exact integer at integer p, a float
-    sum of the increments otherwise."""
+    """Exact frequency counts of everything ingested, their largest value
+    max_f (a running max: counts only grow), and value, the running F_p that
+    the histogram prunes on: the exact integer at integer p, a float sum of
+    the increments otherwise."""
 
     def __init__(self, p):
         self.p = exponent(p)
-        self.int_p = self.p.denominator == 1
-        self._power = int(self.p) if self.int_p else float(self.p)
+        int_p = self.p.denominator == 1
+        self._power = int(self.p) if int_p else float(self.p)
         self.counts = {}
         self.max_f = 0
-        self.value = 0 if self.int_p else 0.0
+        self.value = 0 if int_p else 0.0
 
     def update(self, coord):
         f = self.counts.get(coord, 0)
@@ -50,24 +38,6 @@ class ExactSuffixFp:
             self.max_f = f + 1
         k = self._power
         self.value += (f + 1) ** k - f ** k
-
-    def fp_exact(self):
-        return Fraction(self.value) if self.int_p else None
-
-    def fp_bounds(self, prec):
-        if self.int_p:
-            v = Fraction(self.value)
-            return v, v
-        # Sum certified bounds per distinct frequency value.
-        by_f = {}
-        for f in self.counts.values():
-            by_f[f] = by_f.get(f, 0) + 1
-        lo = hi = Fraction(0)
-        for f, mult in by_f.items():
-            blo, bhi = pow_bounds(Fraction(f), self.p, prec)
-            lo += mult * blo
-            hi += mult * bhi
-        return lo, hi
 
 
 class _Row:
@@ -79,7 +49,7 @@ class _Row:
 
 
 class SmoothHistogram:
-    def __init__(self, p, W, estimator_factory=None):
+    def __init__(self, p, W):
         self.p = exponent(p)
         self.W = W
         pf = float(self.p)
@@ -88,7 +58,6 @@ class SmoothHistogram:
         # v' * den >= num * v is exact on integer values and, on floats, the
         # same test as v' >= (1 - beta) * v.
         self._num, self._den = (1.0 - self.beta).as_integer_ratio()
-        self.estimator_factory = estimator_factory or ExactSuffixFp
         self.rows = []
         self.t = 0
 
@@ -96,10 +65,10 @@ class SmoothHistogram:
         self.ingest((coord,))
 
     def ingest(self, coords):
-        rows, make, p = self.rows, self.estimator_factory, self.p
+        rows, p = self.rows, self.p
         for coord in coords:
             self.t += 1
-            rows.append(_Row(self.t, make(p)))
+            rows.append(_Row(self.t, ExactSuffixFp(p)))
             for row in rows:
                 row.est.update(coord)
             self._prune()

@@ -96,14 +96,16 @@ def default_battery(seed=0, trials=200000):
             target = oracle.target_distribution(freqs, meas)
             reports.append(verify_exact("gsampler/%s" % name, sid, law, target))
 
-    windowed = (("sw-gsampler/l1", lambda W: CheckpointedSampler(l1, W, 3, repetitions=1)),
-                ("sliding-lp/l1", lambda W: SlidingLpSampler(1, W, 3, repetitions=1)))
+    # SlidingLpSampler's zeta = p max_f^{p-1} is rational at integer p.
+    windowed = (("sw-gsampler/l1", l1, lambda W: CheckpointedSampler(l1, W, 3, repetitions=1)),
+                ("sliding-lp/l1", l1, lambda W: SlidingLpSampler(1, W, 3, repetitions=1)),
+                ("sliding-lp/l2", l2, lambda W: SlidingLpSampler(2, W, 3, repetitions=1)))
     for sid, coords in streams.items():
         for W in (2, 4):
             freqs = Counter(coords[max(0, len(coords) - W):])
-            target = oracle.target_distribution(freqs, l1)
-            for name, make in windowed:
+            for name, meas, make in windowed:
                 law = oracle.sampler_law(lambda: make(W), coords)
+                target = oracle.target_distribution(freqs, meas)
                 reports.append(verify_exact(name, "%s/W=%d" % (sid, W), law, target))
 
     # Matrix rows by L1 norm: rows (2, 1) and (0, 2), masses 3 and 2.

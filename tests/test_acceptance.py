@@ -39,7 +39,7 @@ from exactsamp.core import (
 )
 from exactsamp.exactrand import np_substream, substream
 from exactsamp.f0sampler import F0State
-from exactsamp.gsampler import GSampler
+from exactsamp.gsampler import GSampler, lp_zeta
 from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
@@ -185,40 +185,21 @@ def test_exact_laws_sliding_window():
                         lambda: CheckpointedSampler(meas, W, 3, repetitions=1), coords)
                     target = oracle.target_distribution(winfreq, meas)
                     assert law.conditional() == target.probs, (coords, W, meas.name)
-    # The real SlidingLpSampler at R = 1: p = 1 on the same streams (W = 1
-    # only up to m = 3, where its fresh bank per update is cheap), and p = 2
-    # wherever its zeta = 2 sqrt(F_2) of the bracket row is rational.
+    # The real SlidingLpSampler at R = 1 on the same streams, at p = 1, 2
+    # and 3, whose zeta = p max_f^{p-1} of the bracket row is rational.
     checked = Counter()
     for m in range(1, 5):
         for coords in all_streams(3, m):
-            for W in range(1 if m <= 3 else 2, 7):
+            for W in range(1, 7):
                 winfreq = Counter(coords[max(0, m - W):])
-                for p in (1, 2):
-                    if p == 2:
-                        fed = SlidingLpSampler(2, W, 3, repetitions=1)
-                        fed.process(coords)
-                        if fed._zeta_at_draw()[0] is None:
-                            continue
+                for p in (1, 2, 3):
                     law = oracle.sampler_law(
                         lambda: SlidingLpSampler(p, W, 3, repetitions=1), coords)
                     fp = sum(f ** p for f in winfreq.values())
                     want = {i: Fraction(f ** p, fp) for i, f in winfreq.items()}
                     assert law.conditional() == want, (coords, W, p)
                     checked[p] += 1
-    assert checked == {1: 639, 2: 135}
-    # L_p acceptance with any valid normalizer F >= L_p(window): the
-    # conditional is f^p / F_p regardless of F.  Where SlidingLpSampler's
-    # normalizer is irrational the enumerator cannot run it, so this law is
-    # the hand-written one.
-    for m in range(1, 9):
-        for coords in all_streams(3, m):
-            for W in range(1, 7):
-                winfreq = Counter(coords[max(0, m - W):])
-                for p in (2, 3):
-                    law = oracle.sw_lp_law(coords, W, p, F=W)
-                    fp = sum(f ** p for f in winfreq.values())
-                    want = {i: Fraction(f ** p, fp) for i, f in winfreq.items()}
-                    assert law.conditional() == want, (coords, W, p)
+    assert checked == {1: 720, 2: 720, 3: 720}
 
 
 def test_exact_laws_random_order():
@@ -293,8 +274,17 @@ def test_success_bound_framework():
         assert rate >= bound - 4 * _sigma(bound), (meas.name, rate, bound)
 
 
+def _zeta_float(zeta_exact, zeta_bounds):
+    """The float of lp_zeta's zeta, exact or bracketed."""
+    if zeta_exact is not None:
+        return float(zeta_exact)
+    lo, hi = zeta_bounds(40)
+    return (lo + hi) / 2 ** 41
+
+
 def test_success_bound_lp_above_one():
-    # p in (1, 2] with zeta = 2 Z^{p-1}: acceptance >= 1/(4 n^{1-1/p}).
+    # p in (1, 2] with the shipped zeta = p Z^{p-1}: acceptance
+    # >= 1/(4 n^{1-1/p}).
     n = 100
     freqs = zipf_freqs(n, 300)
     coords = freq_stream(freqs, seed=2)
@@ -303,16 +293,16 @@ def test_success_bound_lp_above_one():
         mg = MGSummary(mg_budget(p, n))
         for c in coords:
             mg.update(c)
-        zeta = 2.0 * float(z_bound(mg, p, n)) ** (float(p) - 1.0)
+        zeta = _zeta_float(*lp_zeta(z_bound(mg, p, n), p))
         bound = 1.0 / (4.0 * n ** (1.0 - 1.0 / float(p)))
         rate = _success_rate(coords, meas, zeta, seed=13)
         assert rate >= bound - 4 * _sigma(bound), (p, rate, bound)
 
 
 def test_success_bound_sliding_lp():
-    # Sliding L_p acceptance ((c+1)^p - c^p)/(p F^{p-1}) with F the
-    # factor-2 suffix estimate: conditioned on drawing an active sample,
-    # success >= 1/(p 2^{p-1} W^{1-1/p}).
+    # Sliding L_p acceptance ((c+1)^p - c^p)/zeta with the shipped
+    # zeta = p max_f^{p-1} of the bracket row: conditioned on drawing an
+    # active sample, success >= 1/(p 2^{p-1} W^{1-1/p}).
     W = 64
     freqs = zipf_freqs(10, 60)
     coords = freq_stream(freqs, seed=3) * 3  # length 3x window-ish suffixes
@@ -325,10 +315,9 @@ def test_success_bound_sliding_lp():
         after = np.array(montecarlo._strict_after(suffix))
         t_abs = row.t_start + np.arange(len(suffix))
         active = t_abs > len(coords) - W
-        flo, fhi = row.est.fp_bounds(40)
-        F = float((flo + fhi) / 2) ** (1.0 / float(p))
+        zeta = _zeta_float(*lp_zeta(Fraction(row.est.max_f), p))
         pf = float(p)
-        acc = ((after + 1.0) ** pf - after.astype(float) ** pf) / (pf * F ** (pf - 1.0))
+        acc = ((after + 1.0) ** pf - after.astype(float) ** pf) / zeta
         acc_active = acc[active]
         assert np.all(acc_active <= 1.0 + 1e-12)
         rng = np_substream(17, "sw-bound")

@@ -273,19 +273,18 @@ def _bracket_cases():
     for Z in (Fraction(10 ** 6 + 3), Fraction(7, 3), Fraction(4)):
         for p in (Fraction(3, 2), Fraction(5, 4)):
             exact, bounds = lp_zeta(Z, p)
-            ref = 2 * _dec(Z) ** _dec(p - 1)
+            ref = _dec(p) * _dec(Z) ** _dec(p - 1)
             if bounds is None:
                 yield "lp_zeta(%s, %s)" % (Z, p), lambda k, e=exact: scaled(e, e, k), ref
             else:
                 yield "lp_zeta(%s, %s)" % (Z, p), bounds, ref
-    for p in (Fraction(2), Fraction(3, 2)):
-        s = SlidingLpSampler(p, W=20, seed=1, repetitions=4)
+    for p in (Fraction(3, 2), Fraction(5, 2)):
+        s = SlidingLpSampler(p, W=15, seed=1, repetitions=4)
         s.process([1, 2, 2, 3, 3, 3, 4, 1, 2, 2] * 3)
-        est = s.hist.bracket().est
-        fp = sum(decimal.Decimal(f) ** _dec(p) for f in est.counts.values())
+        max_f = s.hist.bracket().est.max_f
         exact, bounds = s._zeta_at_draw()
-        assert bounds is not None, p  # F_p is no perfect power here
-        yield "sliding zeta p=%s" % p, bounds, _dec(p) * fp ** _dec((p - 1) / p)
+        assert bounds is not None, (p, max_f)  # max_f is no perfect square here
+        yield "sliding zeta p=%s" % p, bounds, _dec(p) * _dec(max_f) ** _dec(p - 1)
 
 
 def _accept_refine(measure, c, zeta_exact, zeta_bounds):
@@ -304,12 +303,12 @@ def _accept_cases():
     F2 = 10 ** 6 + 3
     yield ("accept lp(1/2)", _accept_refine(lp_measure(Fraction(1, 2)), 5, Fraction(1), None),
            d(6).sqrt() - d(5).sqrt())
-    yield ("accept lp(2), zeta 2 sqrt(F2)",
+    yield ("accept lp(2), zeta 3/2 sqrt(F2)",
            _accept_refine(lp_measure(2), 500, *lp_zeta(Fraction(F2), Fraction(3, 2))),
-           d(1001) / (2 * d(F2).sqrt()))
-    yield ("accept lp(3/2), zeta 2 sqrt(7/3)",
+           d(1001) / (d(1.5) * d(F2).sqrt()))
+    yield ("accept lp(3/2), zeta 3/2 sqrt(7/3)",
            _accept_refine(lp_measure(Fraction(3, 2)), 7, *lp_zeta(Fraction(7, 3), Fraction(3, 2))),
-           (d(8) ** d(1.5) - d(7) ** d(1.5)) / (2 * (d(7) / d(3)).sqrt()))
+           (d(8) ** d(1.5) - d(7) ** d(1.5)) / (d(1.5) * (d(7) / d(3)).sqrt()))
     yield ("accept l1l2", _accept_refine(l1l2_measure(), 4, Fraction(3), None),
            (_l1l2_ref(5) - _l1l2_ref(4)) / 3)
     yield ("accept fair(2)", _accept_refine(fair_measure(2), 3, Fraction(2), None),

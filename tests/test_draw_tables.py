@@ -27,7 +27,6 @@ from exactsamp.heavyhitters import mg_budget
 from exactsamp.matrixsampler import L2RowMeasure, MatrixSampler
 from exactsamp.multipass import ReplayableStream, _narrow, multipass_lp_draw
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
-from exactsamp.smoothhist import DegradedEstimate
 
 
 def _clone(s):
@@ -102,15 +101,11 @@ def _sliding_lp_reference(s):
     bank = s._draw_bank()
     rng = _clone(s)
     cutoff = s.t - s.W
-    try:
-        zeta_exact, zeta_bounds = s._zeta_at_draw()
-        live = ((SampleResult.of(x, repetition=i), c)
-                for i, (x, t_x, c) in enumerate(map(bank.effective, range(s.R)))
-                if x is not None and t_x > cutoff)
-        return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta_exact,
-                                                            zeta_bounds, rng))
-    except DegradedEstimate:
-        return SampleResult.fail()
+    zeta_exact, zeta_bounds = s._zeta_at_draw()
+    live = ((SampleResult.of(x, repetition=i), c)
+            for i, (x, t_x, c) in enumerate(map(bank.effective, range(s.R)))
+            if x is not None and t_x > cutoff)
+    return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta_exact, zeta_bounds, rng))
 
 
 def _matrix_reference(s):

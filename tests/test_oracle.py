@@ -140,12 +140,47 @@ def test_sw_law_matches_window_target():
     assert law.conditional() == target.probs
 
 
-def test_sw_lp_frozen_example():
-    # active f=(2,1) in a window of 3, F=3: per-repetition masses 4/18, 1/18.
-    coords = [1, 1, 2]
-    law = oracle.sw_lp_law(ups(coords), W=3, p=2, F=3)
-    assert law.probs == {1: Fraction(4, 18), 2: Fraction(1, 18)}
+def test_sliding_lp_frozen_example():
+    # Active f = (2, 1) in a window of 3, zeta = 2 max_f = 4: per-repetition
+    # masses (3/4 + 1/4)/3 and (1/4)/3.
+    law = sampler_law(lambda: SlidingLpSampler(2, 3, 3, repetitions=1), [1, 1, 2])
+    assert law.probs == {1: Fraction(1, 3), 2: Fraction(1, 12)}
     assert law.conditional() == {1: Fraction(4, 5), 2: Fraction(1, 5)}
+
+
+def test_skip_forks_over_the_rest_of_the_stream_only():
+    # sampler_law tells the enumerator the stream time, so a bank that starts
+    # late forks its skips over the updates still to come.  Fed the whole
+    # stream at once with no time told, every bank forks to the stream's end:
+    # the same law, from 864 leaves instead of 48 at W = 1 (a bank per update).
+    coords = [1, 2, 1, 3]
+
+    def make():
+        return CheckpointedSampler(lp_measure(1), 1, 3, repetitions=1)
+
+    def whole_stream():
+        s = make()
+        s.process(coords)
+        return s.draw()
+
+    leaves = []
+    real = oracle._law
+
+    def counting(run, tree):
+        leaves.append(0)
+
+        def counted():
+            leaves[-1] += 1
+            return run()
+
+        return real(counted, tree)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_law", counting)
+        told = sampler_law(make, coords)
+        untold = enumerate_law(whole_stream, len(coords))
+    assert told == untold and told.conditional() == {3: Fraction(1)}
+    assert leaves == [48, 864]
 
 
 def test_pair_law_example():
@@ -197,8 +232,8 @@ def _irrational_gsampler_draw():
 
 
 def _irrational_sliding_lp_draw():
-    # F_2 = 5 on [1, 1, 2], so zeta = 2 sqrt(5) takes the interval test.
-    s = SlidingLpSampler(2, 3, 3, repetitions=1)
+    # max_f = 2 on [1, 1, 2], so zeta = (3/2) sqrt(2) takes the interval test.
+    s = SlidingLpSampler(Fraction(3, 2), 3, 3, repetitions=1)
     s.process([1, 1, 2])
     return s.draw()
 

@@ -4,7 +4,7 @@ from collections import Counter
 from exactsamp.core import huber_measure, lp_measure
 from exactsamp.exactrand import substream
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler, active_bank_start
-from exactsamp.smoothhist import DegradedEstimate, ExactSuffixFp, SmoothHistogram
+from exactsamp.smoothhist import SmoothHistogram
 from exactsamp import oracle
 
 
@@ -152,45 +152,10 @@ def test_sliding_lp_p1_always_accepts():
     assert s.draw().outcome == "index"
 
 
-class CollapsedF2(ExactSuffixFp):
-    """Stands in for a randomized suffix sketch whose estimate collapses."""
-
-    def fp_exact(self):
-        return None
-
-    def fp_bounds(self, prec):
-        raise DegradedEstimate("estimate collapsed")
-
-
-class UnderestimatedF2(ExactSuffixFp):
-    """Stands in for a randomized suffix sketch whose point estimate falls
-    to a quarter of F_2, so F is half of L_2."""
-
-    def fp_exact(self):
-        return None
-
-    def fp_bounds(self, prec):
-        v = super().fp_bounds(prec)[0] / 4
-        return v, v
-
-
-def test_degraded_estimator_fails_cleanly():
-    # Degraded estimates must fold into Fail, never crash, on every draw.
-    # [1, 1, 2, 1]: F_2 = 10, so the underestimate gives zeta = sqrt(10),
-    # below the increment 3^2 - 2^2 = 5 at the largest frequency 3.
-    for factory in (CollapsedF2, UnderestimatedF2):
-        outcomes = Counter()
-        for t in range(50):
-            s = SlidingLpSampler(2, W=4, seed=t, estimator_factory=factory)
-            s.process([1, 1, 2, 1])
-            outcomes.update(s.draw().outcome for _ in range(4))
-        assert outcomes == {"fail": 200}, factory.__name__
-
-
 def test_sliding_lp_draw_reads_units_lazily(monkeypatch):
-    # The degraded-estimate check reads the bracket row alone, so a draw
-    # reads repetitions only up to the first that accepts: at p = 1 with
-    # every sample in the window, that is repetition 0.
+    # zeta is read from the bracket row alone, so a draw reads repetitions
+    # only up to the first that accepts: at p = 1 with every sample in the
+    # window, that is repetition 0.
     s = SlidingLpSampler(1, W=50, seed=3, repetitions=400)
     s.process(range(1, 51))
     bank = s._draw_bank()

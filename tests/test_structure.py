@@ -11,7 +11,9 @@ interval-refined Bernoulli draws are run only by the exact increment test
 (gsampler.accept_increment) and by exactrand itself, and every sampler of a
 unit-delta stream shares one process(), with MatrixSampler's (row, col) form
 the only other one.  The sliding L_p sampler runs on the checkpoint banks,
-with no numpy and no suffix-minimum structure.  The multipass samplers read
+with no numpy and no suffix-minimum structure.  Every L_p sampler takes its
+zeta from one rule, gsampler.lp_zeta, and no degraded-estimate path or
+hand-written sliding law is left.  The multipass samplers read
 the stream at one site, the scan that every chain and the Z narrowing share.
 z_bound and F0State.draw cost O(1) in the counters and the subset: neither
 loops over them."""
@@ -112,6 +114,34 @@ def test_sliding_lp_runs_on_the_checkpoint_banks():
     classes = [name for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) and node.name == "SuffixMinima"]
     assert not classes, classes
+
+
+def _identifiers(tree):
+    """_names plus the names the module defines and its parameters."""
+    yield from _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+
+
+def test_one_lp_zeta_rule():
+    # zeta = p Z^{p-1} has one definition; the sliding and multipass samplers
+    # import it, and sliding.py computes no power of its own.
+    trees = _trees()
+    defs = [name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "lp_zeta"]
+    assert defs == ["gsampler.py"], defs
+    for module in ("sliding.py", "multipass.py"):
+        imported = {alias.name for node in ast.walk(trees[module])
+                    if isinstance(node, ast.ImportFrom) and node.module == "gsampler"
+                    for alias in node.names}
+        assert "lp_zeta" in imported, module
+    gone = {"DegradedEstimate", "estimator_factory", "fp_bounds", "sw_lp_law"}
+    named = {name: gone & set(_identifiers(tree)) for name, tree in trees.items()}
+    assert not any(named.values()), named
+    assert not {"pow_scaled", "pow_exact"} & set(_names(trees["sliding.py"]))
 
 
 def test_float_uniforms_only_outside_the_samplers():

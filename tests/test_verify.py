@@ -94,6 +94,10 @@ def test_default_battery_all_ok():
     assert ok, [r.to_json() for r in reports if not r.ok]
     fams = {r.sampler.split("/")[0] for r in reports}
     assert {"gsampler", "sw-gsampler", "sliding-lp", "pair-l2", "multipass-l1"} <= fams
+    # Sliding L_p is checked exactly at p = 1 and p = 2 on every stream and W.
+    sliding = {(r.sampler, r.stream_id) for r in reports if r.exact_match}
+    assert {(name, "%s/W=%d" % (sid, W)) for name in ("sliding-lp/l1", "sliding-lp/l2")
+            for sid in ("s1", "s2", "s3") for W in (2, 4)} <= sliding
     buf = io.StringIO()
     verify.dump_reports(reports, buf)
     assert json.loads(buf.getvalue())
