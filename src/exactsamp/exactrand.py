@@ -19,6 +19,10 @@ Every random choice a sampler makes goes through the primitives here:
 oracle.enumerate_law swaps these primitives for forks at their exact laws,
 so it can run the shipped samplers over every branch of their choices.
 
+np_substream derives a numpy Generator from (seed, ids) the same way.  Only
+BlockLpSampler's float binomials and the Monte-Carlo twins draw from one, and
+it imports numpy in its body, so importing the package loads no numpy.
+
 The scaled-integer cores give such brackets: root_scaled and pow_scaled for
 x**(1/n) and base**exp with one integer root, log_scaled for ln(y) by a
 fixed-point series.  root_bounds and pow_bounds are the rational forms of the
@@ -29,8 +33,6 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-
-import numpy as np
 
 
 def _digest(seed, ids):
@@ -51,7 +53,10 @@ def subseed(seed, *ids):
 
 
 def np_substream(seed, *ids):
-    """A numpy Generator derived the same way (for bulk harness work)."""
+    """A numpy Generator derived the same way, for the float draws of
+    BlockLpSampler and the Monte-Carlo twins."""
+    import numpy as np  # here, so that importing the package skips numpy
+
     raw = _digest(seed, ids)
     key = int.from_bytes(raw[:8], "big")
     return np.random.Generator(np.random.Philox(key=key))

@@ -23,9 +23,10 @@ share is one DrawState, built with the sampler: a single draw generator,
 substream(seed, "draws"), that every draw continues, so repeated draws take
 fresh bits and no draw seeds a generator; and the acceptance table, from
 each distinct state c to its probability (see acceptance), which the next
-draw keeps while its zeta is the same exact rational, since a probability
-depends on c and zeta alone.  A table holds at most R entries.  A draw
-builds the SampleResult of the accepted repetition only.
+draw keeps while its zeta is the same (an equal exact rational, or the same
+lp_zeta bracket), since a probability depends on c and zeta alone.  A table
+holds at most R entries.  A draw builds the SampleResult of the accepted
+repetition only.
 
 For L_p with p in (1,2] the increment bound is lp_zeta's zeta = p Z^{p-1},
 the one rule of every L_p sampler, with Z the deterministic Misra-Gries bound
@@ -33,6 +34,7 @@ on the max frequency; the sampler builds a summary with k = ceil(n^{1-1/p})
 counters that rides along with the bank.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -43,6 +45,7 @@ from .heavyhitters import MGSummary, mg_budget, z_bound
 from .reservoir import SamplerBank
 
 R_SIZING_CONSTANT = 4
+LP_ZETA_MEMO = 64  # (Z, p) pairs whose lp_zeta is kept
 
 
 def repetitions_for(ratio, delta):
@@ -102,6 +105,7 @@ def acceptance(measure, c, zeta_exact, zeta_bounds):
     return refine
 
 
+@functools.lru_cache(maxsize=LP_ZETA_MEMO)
 def lp_zeta(Z, p):
     """zeta = p Z^{p-1}, the one increment bound of every L_p sampler with
     p >= 1: Z >= 1 bounds the largest frequency f that a live repetition's
@@ -109,7 +113,9 @@ def lp_zeta(Z, p):
     <= p Z^{p-1}.  Returned as (zeta_exact, None) when it is rational and
     (None, zeta_bounds) otherwise, the arguments that accept_increment takes;
     zeta_bounds(k) is the scaled-integer bracket, computed once per
-    precision k for all the tests that read it."""
+    precision k for all the tests that read it.  The result is memoized per
+    (Z, p), so the draws at an unchanged Z get the same zeta_bounds, and
+    DrawState keeps their acceptance table."""
     exact = pow_exact(Z, p - 1)
     if exact is not None:
         return p * exact, None
@@ -170,8 +176,8 @@ class DrawState:
         """accept(c), the exact increment test of a draw at zeta, on the
         draw generator and the table c -> (G(c+1) - G(c))/zeta of the measure
         (acceptance).  The table is kept across draws while zeta is an equal
-        exact rational; an irrational zeta's bounds function is one draw's,
-        so its table is too."""
+        exact rational, or, when it is irrational, the same bounds function
+        (lp_zeta returns one per (Z, p))."""
         measure, rng = self.measure, self.rng
         table = self.table_at((zeta_exact, zeta_bounds),
                               lambda c: acceptance(measure, c, zeta_exact, zeta_bounds))

@@ -23,8 +23,6 @@ and Fail when S is empty.
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .core import SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, np_substream, substream, weighted_index
 
@@ -172,7 +170,7 @@ class BlockLpSampler(UnitUpdates):
         total = sum(self.S.values())
         while total > self.cap:
             keys = list(self.S)
-            counts = np.array([self.S[k] for k in keys], dtype=np.int64)
+            counts = [self.S[k] for k in keys]
             drop = self.np_rng.multivariate_hypergeometric(counts, min(self.B, total))
             for k, d in zip(keys, drop):
                 left = self.S[k] - int(d)

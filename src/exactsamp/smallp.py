@@ -2,28 +2,34 @@
 streams, via exponential scaling plus Misra-Gries.
 
 Every coordinate i is split into D duplicates; duplicate (i, j) owns a rate-1
-exponential e_{i,j} fixed for the run.  Each update of i inserts
+exponential e_{i,j} fixed for the run, the j-th expovariate of
+substream(seed, "exp", i).  Each update of i inserts
 round(P / e_{i,j}^{1/p}) unit items of key (i, j) into a derived stream
 (P = 2^20 scales the fractional multiplicities to integers), so key (i, j)
 carries total weight ~ P * (f_i / e_{i,j})^{... } -- precisely, f_i scaled by
-e_{i,j}^{-1/p}.  By min-stability of exponentials the largest scaled key
-belongs to coordinate i with probability f_i^p / F_p, and with constant
-probability it dominates the rest of the derived stream, in which case an
-eps = 1/100 Misra-Gries summary sees a majority key and reports it.  The
-duplication cuts the additive error to O(D^-beta); D is an explicit
-parameter here (a polynomial-in-n default would be far too slow to test).
+e_{i,j}^{-1/p}.  The weight is computed in log space, as
+round(exp(min(ln P - ln(e)/p, ln 1e300))): at small p, e^{1/p} leaves float
+range (at p = 0.001, e^1000 overflows for every e > 2.03), so the weight is
+capped at 1e300, and it is 0 when the exponent is below float range.
+
+By min-stability of exponentials the largest scaled key belongs to
+coordinate i with probability f_i^p / F_p, and with constant probability it
+dominates the rest of the derived stream, in which case an eps = 1/100
+Misra-Gries summary sees a majority key and reports it.  The duplication
+cuts the additive error to O(D^-beta); D is an explicit parameter here (a
+polynomial-in-n default would be far too slow to test).
 """
 
 import math
 
-import numpy as np
-
 from .core import SampleResult, UnitUpdates
-from .exactrand import np_substream
+from .exactrand import substream
 from .heavyhitters import MGSummary
 
 PRECISION = 1 << 20
 MG_EPSILON = 0.01  # k = 1/(2 eps) = 50 counters
+LOG_PRECISION = math.log(PRECISION)
+LOG_CAP = math.log(1e300)  # weights are capped at float range
 
 
 class DuplicatedExpState(UnitUpdates):
@@ -36,18 +42,17 @@ class DuplicatedExpState(UnitUpdates):
         self.D = D
         self.seed = seed
         self.mg = MGSummary(int(1 / (2 * MG_EPSILON)))
-        self._weights = {}  # coord -> integer weight per duplicate (array)
+        self._weights = {}  # coord -> integer weight per duplicate
 
     def _dup_weights(self, coord):
         w = self._weights.get(coord)
         if w is None:
-            rng = np_substream(self.seed, "exp", coord)
-            e = rng.exponential(1.0, size=self.D)
-            scaled = PRECISION / e ** (1.0 / self.p)
-            # Tiny exponentials can push the scaled weight past float range;
-            # cap instead of overflowing (the capped key dominates anyway).
-            scaled = np.minimum(scaled, 1e300)
-            w = [int(round(x)) for x in scaled]
+            rng, p, w = substream(self.seed, "exp", coord), self.p, []
+            for _ in range(self.D):
+                e = rng.expovariate(1.0)
+                # ln(P / e^{1/p}); e = 0 (a zero uniform) takes the cap
+                x = LOG_PRECISION - math.log(e) / p if e > 0 else LOG_CAP
+                w.append(round(math.exp(min(x, LOG_CAP))))
             self._weights[coord] = w
         return w
 

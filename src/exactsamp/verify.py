@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import montecarlo, oracle
+from . import oracle
 from .core import Update, huber_measure, lp_measure
 from .gsampler import GSampler
 from .matrixsampler import L1RowMeasure, MatrixSampler
@@ -124,6 +124,8 @@ def default_battery(seed=0, trials=200000):
         probs={i: Fraction(f * f, 16) for i, f in win.items()})
     target.mass_fail = 1 - sum(target.probs.values(), Fraction(0))
     reports.append(verify_exact("pair-l2", "win4", law, target))
+    from . import montecarlo  # here, so that importing the CLI skips numpy
+
     hist, _ = montecarlo.mc_pair_l2(win, W, trials, seed=seed)
     reports.append(verify_statistical("pair-l2/mc", "win4", hist,
                                       law.conditional(), tv_bound=0.02))

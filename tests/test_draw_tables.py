@@ -1,7 +1,8 @@
 """A sampler's acceptance table changes no outcome.
 
 Each sampler keeps one table, from each distinct state c to its probability,
-across its draws while zeta is the same exact rational, and passes it to
+across its draws while zeta is the same (an equal exact rational, or the
+bounds function that lp_zeta memoizes per (Z, p)), and passes it to
 every accept_increment call.  The references below are the draw loops
 without it: one exact test per live repetition, each computing its
 probability afresh with _accept_without_table (accept_increment as it was
@@ -11,6 +12,7 @@ generator taken before the draw, both must return the same result, draw
 after draw.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -287,6 +289,30 @@ def test_draws_on_an_unchanged_state_share_one_table(monkeypatch, name):
         s.draw()
     assert len(computed) == 1, computed
     assert len(s.draw_state.table) == 1
+
+
+def test_irrational_zeta_keeps_its_table_while_z_is_unchanged(monkeypatch):
+    # Sliding L_{3/2}: zeta = (3/2) sqrt(max_f) is irrational unless the
+    # bracket row's max_f is a perfect square.  lp_zeta returns one bounds
+    # function per (Z, p), so the draws at an unchanged Z share one table
+    # and no state c is computed twice among them.
+    computed = _counting(monkeypatch)
+    s = SlidingLpSampler(Fraction(3, 2), W=100, n=50, seed=1)
+    rng = substream(5, "lp-zeta-memo")
+    last_z, seen, repeats = None, set(), 0
+    for _ in range(50):
+        s.process([rng.randrange(1, 51) for _ in range(8)])
+        z = s.hist.bracket().est.max_f
+        if z != last_z:
+            last_z, seen = z, set()
+        elif math.isqrt(z) ** 2 != z:
+            repeats += 1
+        computed.clear()
+        s.draw()
+        assert len(computed) == len(set(computed)), computed
+        assert not seen & set(computed), (z, seen & set(computed))
+        seen |= set(computed)
+    assert repeats >= 10, repeats
 
 
 def test_tables_hold_at_most_R_entries(monkeypatch):

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from exactsamp.smallp import DuplicatedExpState
+from exactsamp.exactrand import substream
+from exactsamp.smallp import PRECISION, DuplicatedExpState
 from exactsamp import montecarlo
 
 
@@ -32,6 +33,36 @@ def test_weights_fixed_per_run():
     w2 = list(st._dup_weights(7))
     assert w1 == w2
     assert any(w > 0 for w in w1)
+
+
+@pytest.mark.parametrize("p", [0.001, 0.5, 0.999])
+def test_weights_are_capped_ints_at_every_p(p):
+    # At p = 0.001 a direct e ** (1/p) overflows for every e > 2.03; the log
+    # space weights raise nothing and stay within [0, round(1e300)].
+    st = DuplicatedExpState(p, D=16, seed=11)
+    for coord in range(1, 201):
+        w = st._dup_weights(coord)
+        assert len(w) == 16
+        assert all(type(x) is int and 0 <= x <= round(1e300) for x in w), (coord, w)
+
+
+def test_weights_match_the_direct_formula_at_p_half():
+    # round(P / e^2), capped at 1e300, on the same substream's exponentials,
+    # wherever that float expression is finite.
+    st = DuplicatedExpState(0.5, D=16, seed=11)
+    compared = 0
+    for coord in range(1, 201):
+        rng = substream(11, "exp", coord)
+        for got in st._dup_weights(coord):
+            e = rng.expovariate(1.0)
+            try:
+                direct = PRECISION / e ** 2
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if math.isfinite(direct):
+                assert got == round(min(direct, 1e300)), (coord, e, got)
+                compared += 1
+    assert compared > 3000, compared
 
 
 def test_single_coordinate_always_reported():

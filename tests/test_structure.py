@@ -10,7 +10,12 @@ sampler goes through a primitive that the branch enumerator forks,
 interval-refined Bernoulli draws are run only by the exact increment test
 (gsampler.accept_increment) and by exactrand itself, and every sampler of a
 unit-delta stream shares one process(), with MatrixSampler's (row, col) form
-the only other one.  The sliding L_p sampler runs on the checkpoint banks,
+the only other one.  Float binomials, exponentials and hypergeometrics are
+drawn only by the Monte-Carlo twins and the two samplers that are not truly
+perfect (BlockLpSampler and smallp).  Importing the package or its CLI loads
+neither numpy nor scipy: numpy is imported at module level by the
+Monte-Carlo twins alone, and elsewhere only inside exactrand.np_substream.
+The sliding L_p sampler runs on the checkpoint banks,
 with no numpy and no suffix-minimum structure.  Every L_p sampler takes its
 zeta from one rule, gsampler.lp_zeta, and no degraded-estimate path or
 hand-written sliding law is left.  The multipass samplers read
@@ -19,7 +24,10 @@ z_bound and F0State.draw cost O(1) in the counters and the subset: neither
 loops over them."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import exactsamp
 
@@ -147,6 +155,46 @@ def test_one_lp_zeta_rule():
 def test_float_uniforms_only_outside_the_samplers():
     callers = {name for name, tree in _trees().items() if "random" in set(_called(tree))}
     assert callers <= {"cli.py", "montecarlo.py"}, callers
+
+
+def test_float_draws_only_in_the_approximate_samplers():
+    # Float binomials, exponentials and hypergeometrics are drawn by the
+    # Monte-Carlo twins, BlockLpSampler (its binomials are not yet exact) and
+    # smallp (approximate by design), and by no other module.
+    draws = {"binomial", "exponential", "expovariate", "multivariate_hypergeometric"}
+    callers = {name: draws & set(_called(tree)) for name, tree in _trees().items()}
+    callers = {name for name, called in callers.items() if called}
+    assert callers <= {"montecarlo.py", "randomorder.py", "smallp.py"}, callers
+
+
+def test_package_and_cli_import_no_numpy():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import exactsamp, exactsamp.cli, sys; "
+            "loaded = {'numpy', 'scipy'} & set(sys.modules); assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def _numpy_import_sites(node, fn=None):
+    """The enclosing function's name, None at module level, of each numpy
+    import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        else:
+            modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            yield fn
+        yield from _numpy_import_sites(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+
+def test_numpy_imported_only_where_it_is_drawn_from():
+    # montecarlo imports numpy at module level; every other module that uses
+    # it imports it inside the function that draws (exactrand.np_substream).
+    sites = {name: list(_numpy_import_sites(tree)) for name, tree in _trees().items()}
+    sites = {name: fns for name, fns in sites.items() if fns}
+    assert sites == {"montecarlo.py": [None], "exactrand.py": ["np_substream"]}, sites
+    assert "np" not in set(_names(_trees()["randomorder.py"]))
 
 
 def test_interval_bernoulli_only_in_the_exact_increment_test():
