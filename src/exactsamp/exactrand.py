@@ -14,14 +14,19 @@ Every random choice a sampler makes goes through the primitives here:
   An irrational probability q is given by refine(k) -> integers (lo, hi)
   with lo <= q 2^k <= hi, and bernoulli_bounds compares them against the
   integer prefix of the uniform, doubling k until the comparison is
-  decidable; no Fraction enters that loop.
+  decidable; no Fraction enters that loop;
+* the binomial: Bin(M, q) for a rational q, summed over parts of mean at
+  most 32, each by inverting its CDF against a uniform extended in 64-bit
+  words, the CDF bracketed in fixed point (pow_fixed for (1 - q)^M, then the
+  pmf recurrence rounded both ways), so BlockLpSampler's insert counts are
+  exact too.
 
 oracle.enumerate_law swaps these primitives for forks at their exact laws,
 so it can run the shipped samplers over every branch of their choices.
 
 np_substream derives a numpy Generator from (seed, ids) the same way.  Only
-BlockLpSampler's float binomials and the Monte-Carlo twins draw from one, and
-it imports numpy in its body, so importing the package loads no numpy.
+the Monte-Carlo twins draw from one, and it imports numpy in its body, so
+importing the package, or running any sampler, loads no numpy.
 
 The scaled-integer cores give such brackets: root_scaled and pow_scaled for
 x**(1/n) and base**exp with one integer root, log_scaled for ln(y) by a
@@ -29,6 +34,7 @@ fixed-point series.  root_bounds and pow_bounds are the rational forms of the
 first two, for callers off the draw path.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -53,8 +59,8 @@ def subseed(seed, *ids):
 
 
 def np_substream(seed, *ids):
-    """A numpy Generator derived the same way, for the float draws of
-    BlockLpSampler and the Monte-Carlo twins."""
+    """A numpy Generator derived the same way, for the float draws of the
+    Monte-Carlo twins."""
     import numpy as np  # here, so that importing the package skips numpy
 
     raw = _digest(seed, ids)
@@ -77,6 +83,86 @@ def skip(r, rng):
         if x < (q + 1) * a:
             return q + 1
         a, x = a << 64 | rng.getrandbits(64), x << 64
+
+
+POW_FIXED_MEMO = 4096  # (c, b, t, k) brackets kept; the block sampler repeats its t
+
+
+@functools.lru_cache(maxsize=POW_FIXED_MEMO)
+def pow_fixed(c, b, t, k):
+    """Integers (lo, hi) with lo <= (c/b)^t 2^k <= hi and hi - lo <= 2, for
+    integers 0 <= c <= b, b >= 1 and t >= 0.
+
+    Square-and-multiply in fixed point at 2^(k+g), every product rounded down
+    for lo and up for hi, then rounded out to 2^k, so lo and hi bracket the
+    power at any precision.  Rounding adds one unit per product and squaring
+    about doubles the error carried, so after t.bit_length() - 1 squarings
+    the error is below about 2^(t.bit_length() + 1) units, which
+    g = t.bit_length() + 3 guard bits bring under a quarter unit at 2^k.
+    """
+    if t == 0:
+        return 1 << k, 1 << k
+    g = t.bit_length() + 3
+    P = k + g
+    lo, hi = (c << P) // b, -(-(c << P) // b)
+    for bit in bin(t)[3:]:
+        lo, hi = lo * lo >> P, -(-(hi * hi) >> P)
+        if bit == "1":
+            lo, hi = lo * c // b, -(-(hi * c) // b)
+    return lo >> g, -(-hi >> g)
+
+
+def binomial(M, q, rng):
+    """Bin(M, q) exactly, for an integer M >= 0 and a Fraction q in [0, 1].
+    For q > 1/2 it returns M - Bin(M, 1 - q).  Otherwise it sums independent
+    binomials over a split of the M trials into parts of mean at most 32,
+    each drawn by _inverted, so the walk's integers stay a word or two long
+    whatever the mean.  Only rng.getrandbits is drawn, and no float decides
+    the output."""
+    a, b = q.numerator, q.denominator
+    if a == 0 or M == 0:
+        return 0
+    if a == b:
+        return M
+    if 2 * a > b:
+        return M - binomial(M, Fraction(b - a, b), rng)
+    part = 32 * b // a
+    whole, rest = divmod(M, part)
+    return sum(_inverted(part, a, b, rng) for _ in range(whole)) + _inverted(rest, a, b, rng)
+
+
+def _inverted(M, a, b, rng):
+    """Bin(M, a/b) for 0 < a/b <= 1/2, by inverting the CDF against one
+    uniform u (BINV, Kachitvichyanukul and Schmeiser, CACM 1988) in exact
+    arithmetic.
+
+    u is known as a prefix of 64-bit words, u in [U, U+1) 2^-k.  At scale 2^k
+    pmf(0) = (1-q)^M is bracketed by pow_fixed, and pmf(j+1) =
+    pmf(j) (M-j) q / ((j+1)(1-q)) is rounded down for the lower bracket and
+    up for the upper one; the CDF brackets are their running sums.  The walk
+    passes F(j) when its upper bracket is <= U and returns j when U + 1 is
+    <= its lower bracket, so F(j-1) <= u < F(j) for every u of the prefix.
+    When a boundary falls inside the prefix it takes another word and walks
+    again.
+    """
+    if M == 0:
+        return 0
+    c = b - a
+    U, k = rng.getrandbits(64), 64
+    while True:
+        lo, hi = pow_fixed(c, b, M, k)
+        F_lo = F_hi = j = 0
+        while True:
+            F_lo += lo
+            F_hi += hi
+            if j == M or U + 1 <= F_lo:
+                return j
+            if F_hi > U:
+                break
+            lo = lo * (M - j) * a // ((j + 1) * c)
+            hi = -(-hi * (M - j) * a // ((j + 1) * c))
+            j += 1
+        U, k = U << 64 | rng.getrandbits(64), k + 64
 
 
 def weighted_index(weights, rng):

@@ -13,18 +13,29 @@ inserts that value into S with probability alpha_q = S(p,q) (W)_q / W^p
 (Stirling numbers of the second kind turn the falling-factorial match
 probabilities back into f^p: x^p = sum_k S(p,k) (x)_k).  Rather than
 enumerating B^p tuples, the per-block tuple counts are computed from the
-within-block frequencies g_i and the matching binomial insert counts are
-drawn in bulk.
+within-block frequencies g_i, and each tuple size q draws one exact binomial
+over all of the block's T_q tuples: its K successes are a uniform K-subset of
+the tuples, each credited to the coordinate that heads it.  Independent
+Bin(w_i, alpha_q) summed over i is Bin(T_q, alpha_q), and given the total the
+successes are a uniform subset, so the per-coordinate counts have the law of
+one binomial per coordinate (which is drawn instead when more successes than
+coordinates are expected).  When the harvest outgrows its cap, a uniform
+subset of its items is removed (a multivariate hypergeometric draw).  Every
+draw is exactrand.binomial or a substream's uniform integers, so the laws are
+exact and the enumerator forks them.
 
 Both samplers return a uniformly random element of the harvested multiset S
 and Fail when S is empty.
 """
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import SampleResult, UnitUpdates
-from .exactrand import bernoulli_fraction, np_substream, substream, weighted_index
+from .exactrand import bernoulli_fraction, binomial, substream, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
 
@@ -123,12 +134,13 @@ class BlockLpSampler(UnitUpdates):
         self.seed = seed
         self.B = math.ceil(W ** (1.0 - 1.0 / (self.p - 1)))
         self.alphas = alpha_coeffs(self.p, W)
-        self._alpha_floats = [float(a) for a in self.alphas]
-        # The ways to fill a tuple's other p - q positions from the block's
-        # B - q, per q = 1..p: falling(B - q, p - q), constant per sampler.
-        self._rest = [falling(self.B - q, self.p - q) for q in range(1, self.p + 1)]
+        # Per q = 1..p: the binomial's success probability, alpha_q or, when
+        # alpha_q > 1/2, 1 - alpha_q with the draw counting failures; and
+        # falling(B - q, p - q), the ways to fill a tuple's other p - q
+        # positions from the block's B - q, constant per sampler.
+        self._tuples = [(1 - a if 2 * a > 1 else a, 2 * a > 1, falling(self.B - q, self.p - q))
+                        for q, a in enumerate(self.alphas, 1)]
         self.rng = substream(seed, "blocks")
-        self.np_rng = np_substream(seed, "blocks")
         self.cap = 2 * self.B
         self.t = 0
         self._block = {}  # coord -> g_i within the current block
@@ -145,40 +157,68 @@ class BlockLpSampler(UnitUpdates):
                 self._close_block()
 
     def _close_block(self):
-        """Draw each block coordinate's insert count: per q, a binomial over
-        the falling(g, q) falling(B - q, p - q) tuples whose first q entries
-        are the coordinate, with success probability alpha_q."""
-        binomial, alphas, rest = self.np_rng.binomial, self._alpha_floats, self._rest
+        """Draw each block coordinate's insert count.  Per tuple size q, the
+        block has w_i = falling(g_i, q) falling(B - q, p - q) tuples whose
+        first q entries are coordinate i, T = sum w_i in all, each inserting
+        i with probability alpha_q: one binomial over the T tuples, and its
+        draws picked as a uniform subset of them, each mapped to its
+        coordinate by bisect over the cumulative w.  When more draws than
+        coordinates are expected, one binomial per coordinate instead."""
+        rng, counts = self.rng, {}
+        live = [(coord, g, 1) for coord, g in self._block.items()]
+        for q, (prob, failures, rest) in enumerate(self._tuples):
+            # (coord, g, falling(g, q + 1)) for the coordinates with g > q
+            live = [(coord, g, head * (g - q)) for coord, g, head in live if g > q]
+            if not live:
+                break
+            cum = list(accumulate(head * rest for _, _, head in live))
+            T = cum[-1]
+            if failures:
+                for coord, _, head in live:
+                    counts[coord] = counts.get(coord, 0) + head * rest
+            step = -1 if failures else 1
+            if T * prob > len(live):
+                # More draws expected than coordinates: one binomial each
+                # costs less than placing every draw, at the same law.
+                for coord, _, head in live:
+                    counts[coord] = counts.get(coord, 0) + step * binomial(head * rest, prob, rng)
+                continue
+            for trial in rng.sample(range(T), binomial(T, prob, rng)):
+                coord = live[bisect_right(cum, trial)][0]
+                counts[coord] = counts.get(coord, 0) + step
         start, S = self._block_start, self.S
-        for coord, g in self._block.items():
-            total, head = 0, 1
-            for q in range(self.p):
-                head *= g - q  # falling(g, q + 1)
-                if not head:
-                    break  # and falling(g, q') = 0 for every larger q'
-                trials = head * rest[q]
-                if trials > 0:
-                    total += int(binomial(trials, alphas[q]))
-            if total:
-                S[(start, coord)] = S.get((start, coord), 0) + total
+        for coord in self._block:
+            if counts.get(coord):
+                S[(start, coord)] = counts[coord]
         self._block = {}
         self._block_len = 0
         self._block_start = self.t + 1
         self._downsample()
 
     def _downsample(self):
-        total = sum(self.S.values())
-        while total > self.cap:
-            keys = list(self.S)
-            counts = [self.S[k] for k in keys]
-            drop = self.np_rng.multivariate_hypergeometric(counts, min(self.B, total))
-            for k, d in zip(keys, drop):
-                left = self.S[k] - int(d)
-                if left:
-                    self.S[k] = left
+        """Past the cap, the harvest loses min(B, total) items chosen
+        uniformly without replacement until it is within the cap again.
+        Together those losses are one uniform subset of
+        drop = B ceil((total - cap) / B) items, so one draw picks them: a
+        uniform subset of the items' positions in S's order (the dropped
+        ones, or the kept ones when fewer), each mapped to its key by
+        bisect."""
+        S = self.S
+        total = sum(S.values())
+        if total <= self.cap:
+            return
+        drop = self.B * -(-(total - self.cap) // self.B)
+        keys, cum = list(S), list(accumulate(S.values()))
+        picked = Counter(keys[bisect_right(cum, item)]
+                         for item in self.rng.sample(range(total), min(drop, total - drop)))
+        if 2 * drop <= total:
+            for key, d in picked.items():
+                if S[key] > d:
+                    S[key] -= d
                 else:
-                    del self.S[k]
-            total = sum(self.S.values())
+                    del S[key]
+        else:
+            self.S = {key: picked[key] for key in keys if key in picked}
 
     def expire(self, now=None):
         now = self.t if now is None else now

@@ -360,7 +360,7 @@ def test_fidelity_zipf_battery():
         mg = MGSummary(mg_budget(p, n))
         for c in coords:
             mg.update(c)
-        mgz[p] = 2.0 * float(z_bound(mg, p, n)) ** (float(p) - 1.0)
+        mgz[p] = _zeta_float(*lp_zeta(z_bound(mg, p, n), p))
     cases = [
         ("lp-0.5", lp_measure(Fraction(1, 2)), 1.0),
         ("lp-1", lp_measure(1), 1.0),

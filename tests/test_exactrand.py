@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from exactsamp.exactrand import (
     bernoulli_bounds,
     bernoulli_fraction,
+    binomial,
     integer_nthroot,
     log_scaled,
     np_substream,
     pow_bounds,
     pow_exact,
+    pow_fixed,
     pow_scaled,
     root_bounds,
     root_scaled,
@@ -90,6 +93,111 @@ def test_skip_exact_on_scripted_words():
     # After a zero word, u < 2^-64 and r/u is too wide to settle on one more.
     j, a, k = _skip_on(3, 0, top, 5)
     assert k == 192 and (j - 1) * (a + 1) <= 3 << k < j * a
+
+
+@pytest.mark.parametrize("c,b", [(0, 1), (1, 2), (2, 3), (1, 1), (1, 7), (99, 100),
+                                 (10 ** 12 - 1, 10 ** 12), (10 ** 8 - 1, 10 ** 8)])
+def test_pow_fixed_brackets(c, b):
+    for t in (0, 1, 2, 3, 7, 64, 1000):
+        exact = Fraction(c, b) ** t
+        for k in (0, 1, 64, 128):
+            lo, hi = pow_fixed(c, b, t, k)
+            assert lo <= exact * 2 ** k <= hi and hi - lo <= 2, (c, b, t, k)
+
+
+@pytest.mark.parametrize("c,b", [(10 ** 12 - 30000, 10 ** 12), (10 ** 8 - 1, 10 ** 8)])
+def test_pow_fixed_brackets_at_a_block_of_100(c, b):
+    # t = 100 * 99 * 98 is the block sampler's T_1 at B = 100, and 1 - 1/10^8
+    # its 1 - alpha_1 at W = 10^4.  b is a power of ten, so
+    # lo b^t <= c^t 2^k <= hi b^t is checked in exact decimal arithmetic,
+    # which multiplies numbers of millions of digits far faster than int.
+    t = 970200
+    digits = len(str(b)) - 1
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        power = decimal.Decimal(c) ** t
+        for k in (0, 64, 192):
+            lo, hi = pow_fixed(c, b, t, k)
+            scaled_power = power * 2 ** k
+            assert decimal.Decimal(lo).scaleb(digits * t) <= scaled_power, k
+            assert scaled_power <= decimal.Decimal(hi).scaleb(digits * t), k
+            assert hi - lo <= 2 and (k == 0 or lo > 0), (k, lo, hi)
+
+
+def _cdf(M, q):
+    """F(-1) = 0, F(0), ..., F(M) of Bin(M, q), in Fractions."""
+    out, total = [Fraction(0)], Fraction(0)
+    for j in range(M + 1):
+        total += math.comb(M, j) * q ** j * (1 - q) ** (M - j)
+        out.append(total)
+    return out
+
+
+def _binomial_on(M, q, *words):
+    """(result, a, k): binomial(M, q) on the scripted words and the prefix
+    u in [a, a+1) 2^-k of the words it took."""
+    rng = ScriptedWords(*words)
+    j = binomial(M, q, rng)
+    used = len(words) - len(rng.words)
+    a = 0
+    for w in words[:used]:
+        a = a << 64 | w
+    return j, a, 64 * used
+
+
+@pytest.mark.parametrize("M,q", [(5, Fraction(1, 3)), (6, Fraction(5, 7)), (40, Fraction(1, 9))])
+def test_binomial_exact_on_scripted_words(M, q):
+    # binomial inverts the CDF of Bin(M, min(q, 1-q)).  The scripted words
+    # lie just below and just above each boundary F(j) 2^64, and the word
+    # floor(F(j) 2^64) straddles it, so it takes a second word.  Whatever the
+    # words, the result is the j with F(j-1) <= u < F(j) for every u of the
+    # prefix the draw stopped at.
+    flip = q > Fraction(1, 2)
+    F = _cdf(M, 1 - q if flip else q)
+    top = 2 ** 64 - 1
+    for j in range(M):
+        boundary = F[j + 1] * 2 ** 64
+        w = math.floor(boundary)
+        second = math.floor((boundary - w) * 2 ** 64)
+        pairs = ((w - 1, 0), (w - 1, top), (w + 1, 0), (w + 1, top),
+                 (w - 256, 5), (w + 256, 5), (w, second - 2 ** 40), (w, second + 2 ** 40))
+        for w1, w2 in [pair for pair in pairs if 0 <= min(pair) and max(pair) <= top]:
+            got, a, k = _binomial_on(M, q, w1, w2)
+            i = M - got if flip else got
+            assert F[i] * 2 ** k <= a and a + 1 <= F[i + 1] * 2 ** k, (M, q, w1, w2)
+            if w1 == w:
+                assert k == 128, (M, q, w2)
+
+
+def test_binomial_edges_draw_nothing():
+    no_words = ScriptedWords()
+    assert binomial(0, Fraction(1, 3), no_words) == 0
+    assert binomial(7, Fraction(0), no_words) == 0
+    assert binomial(7, Fraction(1), no_words) == 7
+    # The complement draws the same words: M - Bin(M, 1 - q).
+    for words in ((0,), (2 ** 63,), (2 ** 64 - 1,)):
+        assert binomial(9, Fraction(5, 7), ScriptedWords(*words)) == \
+            9 - binomial(9, Fraction(2, 7), ScriptedWords(*words))
+
+
+@pytest.mark.parametrize("M,q", [(30, Fraction(2, 7)), (12, Fraction(5, 6)),
+                                 (970200, Fraction(1, 10 ** 6)),
+                                 (200, Fraction(2, 5))])  # 2 parts of 80 trials and one of 40
+def test_binomial_matches_its_pmf(M, q):
+    from exactsamp import oracle
+
+    rng = substream(61, "binomial", M)
+    hist = {}
+    for _ in range(10000):
+        j = binomial(M, q, rng)
+        hist[j] = hist.get(j, 0) + 1
+    # The target's floats only weigh the chi-square cells.
+    lq, lr = math.log(q), math.log(1 - q)
+    target = {j: math.exp(math.lgamma(M + 1) - math.lgamma(j + 1) - math.lgamma(M - j + 1)
+                          + j * lq + (M - j) * lr) for j in range(min(M, 400) + 1)}
+    rep = oracle.gof_test(hist, target)
+    assert rep.pvalue > 1e-3, rep
 
 
 def test_np_substream_deterministic():

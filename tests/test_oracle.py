@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -78,6 +79,15 @@ def test_primitives_fork_at_exact_laws():
     assert vars(exactrand) == before  # every swapped name is back
     assert law.probs == {2 * k + 1: Fraction(2, 21) for k in range(3)} | \
         {2 * k: Fraction(5, 21) for k in range(3)}
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(3, 4)])
+def test_binomial_forks_at_its_pmf(q):
+    for M in range(7):
+        law = enumerate_law(
+            lambda: SampleResult.of(exactrand.binomial(M, q, exactrand.substream(0))))
+        assert law.probs == {j: math.comb(M, j) * q ** j * (1 - q) ** (M - j)
+                             for j in range(M + 1)}, M
 
 
 def test_target_distribution_examples():

@@ -1,9 +1,11 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from exactsamp.core import SampleResult
 from exactsamp.exactrand import substream
 from exactsamp.randomorder import (
     BlockLpSampler,
@@ -192,38 +194,90 @@ def test_downsample_keeps_harvest_uniformity():
     assert abs(kept[0] / total - 0.5) < 4 * math.sqrt(0.25 / total)
 
 
-def _close_block_by_falling(s):
-    """BlockLpSampler._close_block as first written: falling() per
-    coordinate and q, and alpha_q converted to float at each binomial."""
-    B, p = s.B, s.p
-    start = s._block_start
-    for coord, g in s._block.items():
-        total = 0
-        for q in range(1, p + 1):
-            trials = falling(g, q) * falling(B - q, p - q)
-            if trials <= 0:
-                continue
-            total += int(s.np_rng.binomial(trials, float(s.alphas[q - 1])))
-        if total:
-            s.S[(start, coord)] = s.S.get((start, coord), 0) + total
-    s._block = {}
-    s._block_len = 0
-    s._block_start = s.t + 1
-    s._downsample()
+def _convolve(law, coord, pmf):
+    """law (a dict from sorted (coord, count) tuples to probabilities) with
+    an independent count of pmf added to coord."""
+    out = Counter()
+    for vec, pr in law.items():
+        for j, pj in enumerate(pmf):
+            counts = dict(vec)
+            counts[coord] = counts.get(coord, 0) + j
+            out[tuple(sorted((c, v) for c, v in counts.items() if v))] += pr * pj
+    return out
 
 
-@pytest.mark.parametrize("n,W,p", [(100, 10 ** 4, 3), (100, 10 ** 4, 4), (5, 12, 3), (3, 8, 5)])
-def test_close_block_draws_the_binomials_of_the_falling_loop(monkeypatch, n, W, p):
-    # The same np_rng.binomial calls, in the same order with the same
-    # arguments, so the harvest S and the generator state are identical.
-    rng = substream(n * W * p, "close-block")
-    coords = [rng.randrange(n) + 1 for _ in range(2 * W)]
-    s = BlockLpSampler(n, W, p, seed=3)
-    ref = BlockLpSampler(n, W, p, seed=3)
-    monkeypatch.setattr(ref, "_close_block", lambda: _close_block_by_falling(ref))
-    for k in range(0, len(coords), 997):
-        s.process(coords[k:k + 997])
-        ref.process(coords[k:k + 997])
-        assert s.S == ref.S
-    assert s.S
-    assert s.np_rng.integers(1 << 62) == ref.np_rng.integers(1 << 62)
+def _binomial_pmf(M, q):
+    return [math.comb(M, j) * q ** j * (1 - q) ** (M - j) for j in range(M + 1)]
+
+
+def _independent_binomials(block, alphas, B):
+    """The product law of Bin(falling(g, q) falling(B - q, p - q), alpha_q)
+    over the block's coordinates and q = 1..p, in Fractions."""
+    p = len(alphas)
+    law = {(): Fraction(1)}
+    for coord, g in Counter(block).items():
+        for q, alpha in enumerate(alphas, 1):
+            law = _convolve(law, coord, _binomial_pmf(falling(g, q) * falling(B - q, p - q), alpha))
+    return law
+
+
+@pytest.mark.parametrize("W,block,q1,cap", [
+    # the real alpha_1 = 1/81: each coordinate's draws placed on its tuples
+    (9, [1, 2, 3], None, None),
+    # q = 1 and q = 2, above the cap of 6 (lifted, so not downsampled)
+    (5, [1, 1, 2], None, 10 ** 9),
+    # Bin(T_1, 80/81) failures at the real alpha_1: one binomial per coordinate
+    (9, [1, 2, 3], (Fraction(80, 81), True), None),
+    # alpha_1 = 2/3 drawn as placed failures, and as per-coordinate successes
+    (9, [1, 2, 3], (Fraction(1, 3), True), None),
+    (9, [1, 2, 3], (Fraction(2, 3), False), None),
+], ids=["placed", "pair-above-cap", "failures-per-coordinate", "failures-placed",
+        "successes-per-coordinate"])
+def test_block_harvest_counts_are_independent_binomials(W, block, q1, cap):
+    # Zero tolerance, on the real class: one binomial over the block's T_q
+    # tuples, its draws placed on a uniform subset of them, or one binomial
+    # per coordinate, gives the joint law of one Bin(w_i, alpha_q) per
+    # (coordinate, q); counting failures, the form taken for alpha_q > 1/2,
+    # does too.  q1 = (prob, failures) replaces q = 1's draw to reach every
+    # form at T_1 = 6.
+    def run():
+        s = BlockLpSampler(3, W, 3, seed=1)
+        if q1:
+            s._tuples[0] = q1 + s._tuples[0][2:]
+        s.cap = cap or s.cap
+        s.process(block)
+        return SampleResult.of(tuple(sorted((coord, v) for (_, coord), v in s.S.items())))
+
+    law = oracle.enumerate_law(run)
+    alphas = alpha_coeffs(3, W)
+    if q1:
+        alphas[0] = 1 - q1[0] if q1[1] else q1[0]
+    want = _independent_binomials(block, alphas, math.ceil(math.sqrt(W)))
+    assert law.mass_fail == law.mass_bottom == 0
+    assert law.probs == {vec: pr for vec, pr in want.items() if pr}
+    assert len(law.probs) > 1
+
+
+@pytest.mark.parametrize("held,drop", [
+    ({(1, 1): 3, (1, 2): 2, (4, 3): 3}, 3),  # one step of B = 3: the dropped are drawn
+    ({(1, 1): 5, (1, 2): 4, (4, 3): 4}, 9),  # three steps: the 4 kept are drawn
+])
+def test_downsample_removes_a_uniform_subset(held, drop):
+    # Above the cap (6), B = 3 items at a time leave until the harvest is
+    # within it: a multivariate hypergeometric draw of all of them,
+    # Pr[d] = prod C(h_i, d_i) / C(total, drop).
+    def run():
+        s = BlockLpSampler(3, 9, 3, seed=1)
+        s.S = dict(held)
+        s._downsample()
+        return SampleResult.of(tuple(sorted(s.S.items())))
+
+    law = oracle.enumerate_law(run)
+    keys, total = sorted(held), sum(held.values())
+    want = {}
+    for d in itertools.product(*(range(held[k] + 1) for k in keys)):
+        if sum(d) == drop:
+            left = tuple((k, held[k] - dk) for k, dk in zip(keys, d) if held[k] > dk)
+            want[left] = Fraction(math.prod(math.comb(held[k], dk) for k, dk in zip(keys, d)),
+                                  math.comb(total, drop))
+    assert law.probs == want

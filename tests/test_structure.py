@@ -11,10 +11,11 @@ interval-refined Bernoulli draws are run only by the exact increment test
 (gsampler.accept_increment) and by exactrand itself, and every sampler of a
 unit-delta stream shares one process(), with MatrixSampler's (row, col) form
 the only other one.  Float binomials, exponentials and hypergeometrics are
-drawn only by the Monte-Carlo twins and the two samplers that are not truly
-perfect (BlockLpSampler and smallp).  Importing the package or its CLI loads
-neither numpy nor scipy: numpy is imported at module level by the
-Monte-Carlo twins alone, and elsewhere only inside exactrand.np_substream.
+drawn only by the Monte-Carlo twins and smallp, which is approximate by
+design; BlockLpSampler draws exactrand's exact binomial.  Importing the
+package or its CLI loads neither numpy nor scipy, and neither does running
+the block sampler: numpy is imported at module level by the Monte-Carlo twins
+alone, and elsewhere only inside exactrand.np_substream.
 The sliding L_p sampler runs on the checkpoint banks,
 with no numpy and no suffix-minimum structure.  Every L_p sampler takes its
 zeta from one rule, gsampler.lp_zeta, and no degraded-estimate path or
@@ -157,14 +158,31 @@ def test_float_uniforms_only_outside_the_samplers():
     assert callers <= {"cli.py", "montecarlo.py"}, callers
 
 
+def _imported_from(tree, module):
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
+
+
 def test_float_draws_only_in_the_approximate_samplers():
-    # Float binomials, exponentials and hypergeometrics are drawn by the
-    # Monte-Carlo twins, BlockLpSampler (its binomials are not yet exact) and
-    # smallp (approximate by design), and by no other module.
+    # Float binomials, exponentials and hypergeometrics -- generator methods
+    # such as numpy's .binomial( -- are drawn by the Monte-Carlo twins and
+    # smallp (approximate by design), and by no other module.  A bare
+    # binomial( is exactrand's exact one, defined there or imported from it.
     draws = {"binomial", "exponential", "expovariate", "multivariate_hypergeometric"}
-    callers = {name: draws & set(_called(tree)) for name, tree in _trees().items()}
-    callers = {name for name, called in callers.items() if called}
-    assert callers <= {"montecarlo.py", "randomorder.py", "smallp.py"}, callers
+    trees = _trees()
+    methods = {name: {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)} & draws
+               for name, tree in trees.items()}
+    callers = {name for name, called in methods.items() if called}
+    assert callers <= {"montecarlo.py", "smallp.py"}, callers
+    bare = {name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in draws}
+    exact = {name for name, tree in trees.items()
+             if _defines(tree, "binomial") or "binomial" in _imported_from(tree, "exactrand")}
+    assert bare <= exact and "randomorder.py" in bare, (bare, exact)
+    assert [name for name, tree in trees.items() if _defines(tree, "binomial")] == ["exactrand.py"]
+    assert "np_substream" not in set(_names(trees["randomorder.py"]))
 
 
 def test_package_and_cli_import_no_numpy():
@@ -173,6 +191,25 @@ def test_package_and_cli_import_no_numpy():
     code = ("import exactsamp, exactsamp.cli, sys; "
             "loaded = {'numpy', 'scipy'} & set(sys.modules); assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_block_sampler_and_its_cli_load_no_numpy(tmp_path):
+    # BlockLpSampler draws only from its stdlib substream: building, feeding
+    # and drawing it, and `exactsamp sample --sampler block`, import no numpy.
+    stream = str(tmp_path / "u.jsonl")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys\n"
+            "from exactsamp import BlockLpSampler\n"
+            "from exactsamp.cli import main\n"
+            "s = BlockLpSampler(7, 100, 3, seed=1)\n"
+            "s.process([t % 7 + 1 for t in range(400)])\n"
+            "assert s.draw().outcome in ('index', 'fail')\n"
+            "assert main(['generate', '--kind', 'uniform', '--n', '7', '--m', '400',\n"
+            "             '--out', sys.argv[1]]) == 0\n"
+            "assert main(['sample', '--stream', sys.argv[1], '--sampler', 'block',\n"
+            "             '--p', '3', '--trials', '3']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    subprocess.run([sys.executable, "-c", code, stream], env=env, check=True, timeout=120)
 
 
 def _numpy_import_sites(node, fn=None):
