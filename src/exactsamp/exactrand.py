@@ -15,11 +15,15 @@ Every random choice a sampler makes goes through the primitives here:
   with lo <= q 2^k <= hi, and bernoulli_bounds compares them against the
   integer prefix of the uniform, doubling k until the comparison is
   decidable; no Fraction enters that loop;
-* the binomial: Bin(M, q) for a rational q, summed over parts of mean at
-  most 32, each by inverting its CDF against a uniform extended in 64-bit
-  words, the CDF bracketed in fixed point (pow_fixed for (1 - q)^M, then the
-  pmf recurrence rounded both ways), so BlockLpSampler's insert counts are
-  exact too.
+* the binomial: Bin(M, q) for a rational q.  A mean up to 32 inverts the
+  CDF against a uniform extended in 64-bit words, the CDF bracketed in
+  fixed point (pow_fixed for (1 - q)^M, then the pmf recurrence rounded
+  both ways); a larger one is drawn by rejection from a staircase hat
+  around the mode, each proposal kept by comparing ln u with the log pmf
+  ratio, bracketed from log_scaled and Stirling's series for ln n!, so its
+  cost does not grow with the mean;
+* uniform_subset: K distinct picks from range(N), for N past sys.maxsize
+  too, so BlockLpSampler's insert counts and harvest cuts are exact.
 
 oracle.enumerate_law swaps these primitives for forks at their exact laws,
 so it can run the shipped samplers over every branch of their choices.
@@ -112,13 +116,16 @@ def pow_fixed(c, b, t, k):
     return lo >> g, -(-hi >> g)
 
 
+INVERSION_MEAN_MAX = 32  # a larger mean M q is drawn by rejection
+EXACT_SPAN = 64  # n!/m! for n - m up to this, and m! below it, is multiplied out
+
+
 def binomial(M, q, rng):
     """Bin(M, q) exactly, for an integer M >= 0 and a Fraction q in [0, 1].
-    For q > 1/2 it returns M - Bin(M, 1 - q).  Otherwise it sums independent
-    binomials over a split of the M trials into parts of mean at most 32,
-    each drawn by _inverted, so the walk's integers stay a word or two long
-    whatever the mean.  Only rng.getrandbits is drawn, and no float decides
-    the output."""
+    For q > 1/2 it returns M - Bin(M, 1 - q).  A mean M q up to
+    INVERSION_MEAN_MAX is drawn by _inverted, a larger one by _rejected,
+    whose cost does not grow with the mean.  Only rng.getrandbits and
+    rng.randrange are drawn, and no float decides the output."""
     a, b = q.numerator, q.denominator
     if a == 0 or M == 0:
         return 0
@@ -126,9 +133,9 @@ def binomial(M, q, rng):
         return M
     if 2 * a > b:
         return M - binomial(M, Fraction(b - a, b), rng)
-    part = 32 * b // a
-    whole, rest = divmod(M, part)
-    return sum(_inverted(part, a, b, rng) for _ in range(whole)) + _inverted(rest, a, b, rng)
+    if M * a <= INVERSION_MEAN_MAX * b:
+        return _inverted(M, a, b, rng)
+    return _rejected(M, a, b, rng)
 
 
 def _inverted(M, a, b, rng):
@@ -143,10 +150,9 @@ def _inverted(M, a, b, rng):
     passes F(j) when its upper bracket is <= U and returns j when U + 1 is
     <= its lower bracket, so F(j-1) <= u < F(j) for every u of the prefix.
     When a boundary falls inside the prefix it takes another word and walks
-    again.
+    again.  The walk takes about M q steps, so binomial keeps it to means
+    of at most INVERSION_MEAN_MAX.
     """
-    if M == 0:
-        return 0
     c = b - a
     U, k = rng.getrandbits(64), 64
     while True:
@@ -163,6 +169,165 @@ def _inverted(M, a, b, rng):
             hi = -(-hi * (M - j) * a // ((j + 1) * c))
             j += 1
         U, k = U << 64 | rng.getrandbits(64), k + 64
+
+
+def _rejected(M, a, b, rng):
+    """Bin(M, a/b) for 0 < a/b <= 1/2, by rejection from a staircase hat
+    whose steps halve.
+
+    With f the pmf and m = floor((M+1) a/b) its mode, f is log-concave, so
+    once f(m + s) <= f(m)/2, f(m + k) <= f(m) 2^-floor(k/s) for k >= 0, and
+    once f(m - s') <= f(m)/2, f(m - k) <= f(m) 2^-floor((k-1)/s') for
+    k >= 1 (_halving_step finds s and s').  A proposal takes an offset i
+    uniform among the s + s' of a step and a step t with Pr[t] = 2^-(t+1),
+    so X has probability 2^-(t+1)/(s + s'), and keeps it with probability
+    f(X) 2^t / f(m) <= 1 (_below_pmf_ratio).  About half the proposals are
+    kept, and each costs a few fixed-point logarithms, whatever the mean.
+    """
+    c = b - a
+    m = (M + 1) * a // b
+    right, left = _halving_step(M, a, c, m, 1), _halving_step(M, a, c, m, -1)
+    while True:
+        i = rng.randrange(right + left)
+        t = 0
+        while rng.getrandbits(1):
+            t += 1
+        X = m + t * right + i if i < right else m - 1 - t * left - (i - right)
+        if 0 <= X <= M and _below_pmf_ratio(M, a, c, m, X, t, rng):
+            return X
+
+
+@functools.lru_cache(maxsize=POW_FIXED_MEMO)
+def _halving_step(M, a, c, m, side):
+    """A step s >= 1 with f(m + side s) <= f(m)/2, or m + side s outside
+    [0, M], for f the pmf of Bin(M, a/(a+c)) and m its mode: from about 1.22
+    standard deviations, where a normal law falls to half its peak, grown by
+    a quarter until the bracket at 2^32 shows it."""
+    s = math.isqrt(3 * M * a * c // (2 * (a + c) ** 2)) + 1
+    half = -log_scaled(2, 32)[1]
+    while True:
+        X = m + side * s
+        if not 0 <= X <= M or _log_pmf_ratio(M, a, c, m, X, 32)[1] <= half:
+            return s
+        s += s // 4 + 1
+
+
+def _below_pmf_ratio(M, a, c, m, X, t, rng):
+    """True with probability exactly f(X) 2^t / f(m), at most 1.
+
+    That is u < f(X) 2^t / f(m) for a uniform u, known as a prefix of 64-bit
+    words, u in [U, U+1) 2^-k, decided in logarithms against
+    D = ln(f(X)/f(m)) + t ln 2, bracketed at 2^k: true when
+    ln((U+1) 2^-k) <= D, false when ln(U 2^-k) >= D, and otherwise another
+    word and 64 more bits of precision.  ln y <= y - 1 and ln y >= 1 - 1/y
+    settle most draws before log_scaled is needed.
+    """
+    U, k = rng.getrandbits(64), 64
+    g = t.bit_length()
+    while True:
+        lo, hi = _log_pmf_ratio(M, a, c, m, X, k)
+        ln2_lo, ln2_hi = log_scaled(2, k + g)
+        lo, hi = lo + (t * ln2_lo >> g), hi - (-t * ln2_hi >> g)
+        one = 1 << k
+        if U + 1 - one <= lo or log_scaled(Fraction(U + 1, one), k)[1] <= lo:
+            return True
+        if U and (one + (-one * one // U) >= hi or log_scaled(Fraction(U, one), k)[0] >= hi):
+            return False
+        U, k = U << 64 | rng.getrandbits(64), k + 64
+
+
+def _log_pmf_ratio(M, a, c, m, X, k):
+    """Integers (lo, hi) with lo <= ln(f(X)/f(m)) 2^k <= hi, for f the pmf of
+    Bin(M, a/(a+c)).
+
+    With i < j the two of X and m, f(j)/f(i) = (M-i)!/(M-j)! i!/j! (a/c)^(j-i):
+    multiplied out when j - i <= EXACT_SPAN, and otherwise its logarithm
+    summed from _log_falling and ln(a/c), with 4 guard bits.
+    """
+    i, j = min(X, m), max(X, m)
+    if j - i <= EXACT_SPAN:
+        num = den = 1
+        for x in range(i, j):
+            num *= (M - x) * a
+            den *= (x + 1) * c
+        lo, hi = log_scaled(Fraction(num, den), k)
+    else:
+        P, g = k + 4, (j - i).bit_length()
+        odds_lo, odds_hi = log_scaled(Fraction(a, c), P + g)
+        up_lo, up_hi = _log_falling(M - i, M - j, P)
+        down_lo, down_hi = _log_falling(j, i, P)
+        lo = up_lo - down_hi + ((j - i) * odds_lo >> g)
+        hi = up_hi - down_lo - (-(j - i) * odds_hi >> g)
+        lo, hi = lo >> 4, -(-hi >> 4)
+    return (lo, hi) if X >= m else (-hi, -lo)
+
+
+def _log_falling(n, m, P):
+    """Integers (lo, hi) with lo <= ln(n!/m!) 2^P <= hi, for
+    n - m > EXACT_SPAN: the factors below EXACT_SPAN multiplied out, the
+    rest a difference of _stirling brackets, whose ln(2 pi)/2 cancels.
+    Past the precision Stirling's series reaches at n, all of it is
+    multiplied out."""
+    mid = max(m, EXACT_SPAN)
+    top, bottom = _stirling(n, P), _stirling(mid, P)
+    if top is None or bottom is None:
+        return log_scaled(math.prod(range(m + 1, n + 1)), P)
+    lo, hi = log_scaled(math.perm(mid, mid - m), P)  # mid!/m!
+    return lo + top[0] - bottom[1], hi + top[1] - bottom[0]
+
+
+@functools.lru_cache(maxsize=POW_FIXED_MEMO)
+def _stirling(n, P):
+    """Integers (lo, hi) with lo <= (ln n! - ln(2 pi)/2) 2^P <= hi, for an
+    integer n >= 1, or None when Stirling's series cannot reach 2^-P at n.
+
+    ln n! = (n + 1/2) ln n - n + ln(2 pi)/2
+            + sum_{j <= J} B_2j / (2j (2j-1) n^(2j-1)) + R_J,
+    and R_J, the remainder of the series for ln Gamma(n), is smaller than
+    the first term left out (DLMF 5.11.ii), so J stops at the first term
+    below 2^-P.  ln n comes from log_scaled with guard bits for the factor
+    n + 1/2.
+    """
+    g = (2 * n + 1).bit_length() + 1
+    ln_lo, ln_hi = log_scaled(n, P + g)
+    lo = ((2 * n + 1) * ln_lo >> (g + 1)) - (n << P)
+    hi = -(-(2 * n + 1) * ln_hi >> (g + 1)) - (n << P)
+    series, last, j = Fraction(0), None, 1
+    while True:
+        term = _bernoulli(2 * j) / (2 * j * (2 * j - 1) * n ** (2 * j - 1))
+        if abs(term.numerator) << P <= term.denominator:
+            break
+        if last is not None and abs(term) >= abs(last):
+            return None
+        series, last, j = series + term, term, j + 1
+    scaled = series.numerator << P
+    return lo + scaled // series.denominator - 1, hi - (-scaled // series.denominator) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli(n):
+    """The Bernoulli number B_n (B_1 = -1/2), from
+    sum_{i <= n} C(n+1, i) B_i = 0."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(math.comb(n + 1, i) * _bernoulli(i) for i in range(n)) / (n + 1)
+
+
+def uniform_subset(N, K, rng):
+    """A uniformly random K-subset of range(N), for 0 <= K <= N, by Floyd's
+    algorithm (Bentley and Floyd, CACM 1987): for top = N-K+1 .. N, a
+    uniform pick below top, or top - 1 when the pick is already in.  Each
+    pick is getrandbits(top.bit_length()) until it falls below top, and
+    range(N) is never measured, so N may exceed sys.maxsize."""
+    picked = set()
+    getrandbits = rng.getrandbits
+    for top in range(N - K + 1, N + 1):
+        bits = top.bit_length()
+        pick = getrandbits(bits)
+        while pick >= top:
+            pick = getrandbits(bits)
+        picked.add(top - 1 if pick in picked else pick)
+    return picked
 
 
 def weighted_index(weights, rng):

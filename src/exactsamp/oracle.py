@@ -12,6 +12,7 @@ them, for forks at their exact laws:
   forks over r+1 .. last = r + (m - t) alone, however late it started;
 * bernoulli_fraction(q) forks with weights q and 1 - q;
 * binomial(M, q) forks over 0 .. M with weights C(M, j) q^j (1 - q)^(M - j);
+* uniform_subset(N, K) forks over the C(N, K) subsets, each 1/C(N, K);
 * weighted_index(w) forks over the indices of positive weight, index i with
   weight w_i / sum(w), one branch per index instead of one per unit of mass
   (the real weighted_index is one randrange over the total, which the
@@ -21,9 +22,10 @@ them, for forks at their exact laws:
 * bernoulli_bounds and np_substream raise: an irrational coin or a numpy
   generator cannot be forked with rational weights.
 
-The skip and the binomial fork at the laws that exactrand.skip and
-exactrand.binomial themselves draw exactly, from 64-bit words, so a leaf's
-weight is the shipped sampler's probability of that path.
+The skip, the binomial and the subset fork at the laws that exactrand.skip,
+exactrand.binomial and exactrand.uniform_subset themselves draw exactly,
+from getrandbits words, so a leaf's weight is the shipped sampler's
+probability of that path.
 
 Each run replays one path of the tree and weighs its outcome by the product
 of the branch probabilities along it, so the law returned is the sampler's
@@ -45,10 +47,11 @@ where the shipped sampler's law is not the one its contract states:
   against f^2/F_2 = 2/3 on the heavy coordinate at f = (2,1,1), W = 4), so
   the f^2/W^2 contract holds per pair only;
 * block_lp_law, the law of one designated p-tuple over all random orders:
-  the real BlockLpSampler draws only binomial and a substream's uniform
-  integers, which the enumerator forks, and its harvest counts of one block
-  are enumerated as they ship, but a whole window forks over too many tuples
-  to enumerate its merged law, and the f^p/W^p contract is per tuple.
+  the real BlockLpSampler draws only binomial, uniform_subset and a
+  substream's uniform integers, which the enumerator forks, and the harvest
+  of one block is enumerated as it ships, but a whole window forks over too
+  many tuples to enumerate its merged law, and the f^p/W^p contract is per
+  tuple.
 """
 
 import functools
@@ -220,6 +223,10 @@ class _Tree:
         den = b ** M
         return self.fork(M + 1, lambda j: (j, math.comb(M, j) * a ** j * (b - a) ** (M - j), den))
 
+    def uniform_subset(self, N, K, rng):
+        subsets = list(itertools.combinations(range(N), K))
+        return set(self.fork(len(subsets), lambda i: (subsets[i], 1, len(subsets))))
+
     def weighted_index(self, weights, rng):
         total = sum(weights)
         live = [i for i, w in enumerate(weights) if w]
@@ -233,7 +240,8 @@ class _Tree:
         keeps its values, memoized: it is a function of its arguments alone,
         and every substream it seeds is forked anyway."""
         return {"skip": self.skip, "bernoulli_fraction": self.bernoulli_fraction,
-                "binomial": self.binomial, "weighted_index": self.weighted_index,
+                "binomial": self.binomial, "uniform_subset": self.uniform_subset,
+                "weighted_index": self.weighted_index,
                 "substream": self.substream,
                 "subseed": functools.lru_cache(None)(exactrand.subseed),
                 "bernoulli_bounds": _unforked("bernoulli_bounds"),

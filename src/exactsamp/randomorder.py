@@ -14,15 +14,16 @@ inserts that value into S with probability alpha_q = S(p,q) (W)_q / W^p
 probabilities back into f^p: x^p = sum_k S(p,k) (x)_k).  Rather than
 enumerating B^p tuples, the per-block tuple counts are computed from the
 within-block frequencies g_i, and each tuple size q draws one exact binomial
-over all of the block's T_q tuples: its K successes are a uniform K-subset of
+over all of the block's T_q tuples, whose successes are a uniform subset of
 the tuples, each credited to the coordinate that heads it.  Independent
 Bin(w_i, alpha_q) summed over i is Bin(T_q, alpha_q), and given the total the
 successes are a uniform subset, so the per-coordinate counts have the law of
-one binomial per coordinate (which is drawn instead when more successes than
-coordinates are expected).  When the harvest outgrows its cap, a uniform
-subset of its items is removed (a multivariate hypergeometric draw).  Every
-draw is exactrand.binomial or a substream's uniform integers, so the laws are
-exact and the enumerator forks them.
+one binomial per coordinate.  When the harvest outgrows its cap, a uniform
+subset of its items is removed (a multivariate hypergeometric draw), and
+only the block's items that stay are placed on tuples, so a block costs
+about the same however many items it inserts.  Every draw is
+exactrand.binomial or exactrand.uniform_subset, so the laws are exact and
+the enumerator forks them.
 
 Both samplers return a uniformly random element of the harvested multiset S
 and Fail when S is empty.
@@ -35,7 +36,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import SampleResult, UnitUpdates
-from .exactrand import bernoulli_fraction, binomial, substream, weighted_index
+from .exactrand import bernoulli_fraction, binomial, substream, uniform_subset, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
 
@@ -157,68 +158,56 @@ class BlockLpSampler(UnitUpdates):
                 self._close_block()
 
     def _close_block(self):
-        """Draw each block coordinate's insert count.  Per tuple size q, the
-        block has w_i = falling(g_i, q) falling(B - q, p - q) tuples whose
-        first q entries are coordinate i, T = sum w_i in all, each inserting
-        i with probability alpha_q: one binomial over the T tuples, and its
-        draws picked as a uniform subset of them, each mapped to its
-        coordinate by bisect over the cumulative w.  When more draws than
-        coordinates are expected, one binomial per coordinate instead."""
-        rng, counts = self.rng, {}
-        live = [(coord, g, 1) for coord, g in self._block.items()]
+        """Draw the block's insertions and fold them into the harvest.
+
+        Per tuple size q, the block has w_i = falling(g_i, q)
+        falling(B - q, p - q) tuples whose first q entries are coordinate i,
+        T = sum w_i in all, each inserting i with probability alpha_q: one
+        binomial counts the insertions, which sit on a uniform subset of the
+        T tuples.  Past the cap, the harvest loses min(B, total) items chosen
+        uniformly without replacement until it is within the cap again:
+        together one uniform subset of B ceil((total - cap) / B) old and new
+        items, drawn as positions in S's order and then q's.  A new item left
+        in is a uniform pick among its q's tuples, so only the kept ones are
+        placed, each mapped to its coordinate by bisect over the cumulative
+        w, and a block's cost does not grow with the items it inserts."""
+        rng, S, B = self.rng, self.S, self.B
+        new, live = [], [(coord, g, 1) for coord, g in self._block.items()]
         for q, (prob, failures, rest) in enumerate(self._tuples):
             # (coord, g, falling(g, q + 1)) for the coordinates with g > q
             live = [(coord, g, head * (g - q)) for coord, g, head in live if g > q]
             if not live:
                 break
             cum = list(accumulate(head * rest for _, _, head in live))
-            T = cum[-1]
-            if failures:
-                for coord, _, head in live:
-                    counts[coord] = counts.get(coord, 0) + head * rest
-            step = -1 if failures else 1
-            if T * prob > len(live):
-                # More draws expected than coordinates: one binomial each
-                # costs less than placing every draw, at the same law.
-                for coord, _, head in live:
-                    counts[coord] = counts.get(coord, 0) + step * binomial(head * rest, prob, rng)
-                continue
-            for trial in rng.sample(range(T), binomial(T, prob, rng)):
-                coord = live[bisect_right(cum, trial)][0]
-                counts[coord] = counts.get(coord, 0) + step
-        start, S = self._block_start, self.S
-        for coord in self._block:
-            if counts.get(coord):
-                S[(start, coord)] = counts[coord]
+            drawn = binomial(cum[-1], prob, rng)
+            new.append([live, cum, cum[-1] - drawn if failures else drawn])
+        keys = list(S)
+        ends = list(accumulate([*S.values(), *(inserts for _, _, inserts in new)]))
+        total = ends[-1] if ends else 0
+        if total > self.cap:
+            drop = B * -(-(total - self.cap) // B)
+            picked = Counter(bisect_right(ends, item)
+                             for item in uniform_subset(total, min(drop, total - drop), rng))
+            if 2 * drop <= total:  # the picked items leave
+                for at, d in picked.items():
+                    if at >= len(keys):
+                        new[at - len(keys)][2] -= d
+                    elif S[keys[at]] > d:
+                        S[keys[at]] -= d
+                    else:
+                        del S[keys[at]]
+            else:  # the picked items stay
+                self.S = S = {keys[at]: d for at, d in picked.items() if at < len(keys)}
+                for at, segment in enumerate(new, len(keys)):
+                    segment[2] = picked.get(at, 0)
+        start = self._block_start
+        for live, cum, kept in new:
+            for trial in uniform_subset(cum[-1], kept, rng):
+                key = (start, live[bisect_right(cum, trial)][0])
+                S[key] = S.get(key, 0) + 1
         self._block = {}
         self._block_len = 0
         self._block_start = self.t + 1
-        self._downsample()
-
-    def _downsample(self):
-        """Past the cap, the harvest loses min(B, total) items chosen
-        uniformly without replacement until it is within the cap again.
-        Together those losses are one uniform subset of
-        drop = B ceil((total - cap) / B) items, so one draw picks them: a
-        uniform subset of the items' positions in S's order (the dropped
-        ones, or the kept ones when fewer), each mapped to its key by
-        bisect."""
-        S = self.S
-        total = sum(S.values())
-        if total <= self.cap:
-            return
-        drop = self.B * -(-(total - self.cap) // self.B)
-        keys, cum = list(S), list(accumulate(S.values()))
-        picked = Counter(keys[bisect_right(cum, item)]
-                         for item in self.rng.sample(range(total), min(drop, total - drop)))
-        if 2 * drop <= total:
-            for key, d in picked.items():
-                if S[key] > d:
-                    S[key] -= d
-                else:
-                    del S[key]
-        else:
-            self.S = {key: picked[key] for key in keys if key in picked}
 
     def expire(self, now=None):
         now = self.t if now is None else now

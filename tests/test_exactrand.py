@@ -1,12 +1,15 @@
 import decimal
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactsamp import exactrand
 from exactsamp.exactrand import (
     bernoulli_bounds,
     bernoulli_fraction,
@@ -23,6 +26,7 @@ from exactsamp.exactrand import (
     scaled,
     skip,
     substream,
+    uniform_subset,
     weighted_index,
 )
 
@@ -181,23 +185,176 @@ def test_binomial_edges_draw_nothing():
             9 - binomial(9, Fraction(2, 7), ScriptedWords(*words))
 
 
-@pytest.mark.parametrize("M,q", [(30, Fraction(2, 7)), (12, Fraction(5, 6)),
-                                 (970200, Fraction(1, 10 ** 6)),
-                                 (200, Fraction(2, 5))])  # 2 parts of 80 trials and one of 40
-def test_binomial_matches_its_pmf(M, q):
+@pytest.mark.parametrize("M,q,draws", [
+    (30, Fraction(2, 7), 10000), (12, Fraction(5, 6), 10000),
+    (970200, Fraction(1, 10 ** 6), 10000),
+    (200, Fraction(2, 5), 10000),  # a mean of 80: drawn by rejection
+    (10 ** 12, Fraction(1, 10 ** 5), 2000)])  # a mean of 10^7
+def test_binomial_matches_its_pmf(M, q, draws):
     from exactsamp import oracle
 
     rng = substream(61, "binomial", M)
+    # Cells a quarter of a standard deviation wide (single values for small
+    # means), over six deviations each side; the target's floats only weigh
+    # the chi-square cells.
+    mean, sd = float(M * q), math.sqrt(float(M * q * (1 - q)))
+    width = max(1, int(sd / 4))
     hist = {}
-    for _ in range(10000):
-        j = binomial(M, q, rng)
-        hist[j] = hist.get(j, 0) + 1
-    # The target's floats only weigh the chi-square cells.
+    for _ in range(draws):
+        cell = binomial(M, q, rng) // width
+        hist[cell] = hist.get(cell, 0) + 1
     lq, lr = math.log(q), math.log(1 - q)
-    target = {j: math.exp(math.lgamma(M + 1) - math.lgamma(j + 1) - math.lgamma(M - j + 1)
-                          + j * lq + (M - j) * lr) for j in range(min(M, 400) + 1)}
+    target = {}
+    for j in range(max(0, int(mean - 6 * sd)), min(M, int(mean + 6 * sd) + 1) + 1):
+        pmf = math.exp(math.lgamma(M + 1) - math.lgamma(j + 1) - math.lgamma(M - j + 1)
+                       + j * lq + (M - j) * lr)
+        target[j // width] = target.get(j // width, 0) + pmf
     rep = oracle.gof_test(hist, target)
     assert rep.pvalue > 1e-3, rep
+
+
+def test_binomial_beyond_maxsize_has_its_moments():
+    # M = 3e22 trials, as a p = 5 block at W = 10^6 has: float lgamma cannot
+    # weigh cells here, so the sample mean and variance are checked, at
+    # 5 and about 6 of their standard errors.
+    M, q, draws = 3 * 10 ** 22, Fraction(7, 10 ** 12), 2000
+    rng = substream(62, "binomial", M)
+    mean, var = M * q, M * q * (1 - q)
+    xs = [binomial(M, q, rng) - mean for _ in range(draws)]
+    assert abs(sum(xs)) < 5 * math.sqrt(var * draws)
+    assert abs(sum(x * x for x in xs) / (draws * var) - 1) < 0.2
+
+
+
+
+@pytest.mark.parametrize("n,m", [(200, 10), (1000, 100), (1500, 0), (65, 0),
+                                 (10 ** 6 + 300, 10 ** 6), (10 ** 12 + 100, 10 ** 12)])
+def test_log_falling_brackets(n, m):
+    # Stirling's series, the factors below EXACT_SPAN multiplied out,
+    # against a sum of decimal logarithms at 100 digits.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        exact = sum((decimal.Decimal(x).ln() for x in range(m + 1, n + 1)), decimal.Decimal(0))
+        for P in (32, 64, 128, 256):
+            lo, hi = exactrand._log_falling(n, m, P)
+            assert lo <= exact * 2 ** P <= hi and hi - lo <= 16, (P, lo, hi)
+
+
+def _pmf(M, q, j):
+    return math.comb(M, j) * q ** j * (1 - q) ** (M - j)
+
+
+@pytest.mark.parametrize("M,q", [(300, Fraction(1, 3)), (5000, Fraction(1, 100))])
+def test_log_pmf_ratio_brackets(M, q):
+    # Multiplied out within EXACT_SPAN of the mode, from _log_falling past it.
+    a, c = q.numerator, q.denominator - q.numerator
+    m = (M + 1) * a // (a + c)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        near = {0, m - 65, m - 64, m - 3, m, m + 2, m + 64, m + 65, m + 150, M}
+        for X in near & set(range(M + 1)):
+            ratio = _pmf(M, q, X) / _pmf(M, q, m)
+            exact = decimal.Decimal(ratio.numerator).ln() - decimal.Decimal(ratio.denominator).ln()
+            for k in (32, 64, 128):
+                lo, hi = exactrand._log_pmf_ratio(M, a, c, m, X, k)
+                assert lo <= exact * 2 ** k <= hi and hi - lo <= 8, (X, k, lo, hi)
+
+
+def _step(X, m, right, left):
+    """The hat's step t at X: X = m + t right + i, or m - 1 - t left - i."""
+    return (X - m) // right if X >= m else (m - 1 - X) // left
+
+
+@pytest.mark.parametrize("M,q", [(100, Fraction(2, 5)), (400, Fraction(1, 10)),
+                                 (65, Fraction(1, 2))])
+def test_rejection_hat_covers_the_pmf(M, q):
+    # f(X) 2^t(X) <= f(m) at every X, in Fractions: the acceptance
+    # probability of every proposal is at most 1.
+    a, c = q.numerator, q.denominator - q.numerator
+    m = (M + 1) * a // (a + c)
+    right, left = exactrand._halving_step(M, a, c, m, 1), exactrand._halving_step(M, a, c, m, -1)
+    peak = _pmf(M, q, m)
+    assert all(_pmf(M, q, X) * 2 ** _step(X, m, right, left) <= peak for X in range(M + 1))
+    # the steps are near 1.2 standard deviations, so about half the
+    # proposals are kept
+    sd = math.sqrt(M * q * (1 - q))
+    assert right <= 2 * sd and left <= 2 * sd, (right, left, sd)
+
+
+class ScriptedProposals(ScriptedWords):
+    """randrange and single bits hand out scripted values, 64-bit words
+    scripted ones, each list in order."""
+
+    def __init__(self, offsets, bits, words):
+        super().__init__(*words)
+        self.offsets, self.bits = list(offsets), list(bits)
+
+    def randrange(self, n):
+        value = self.offsets.pop(0)
+        assert 0 <= value < n
+        return value
+
+    def getrandbits(self, k):
+        return self.bits.pop(0) if k == 1 else super().getrandbits(k)
+
+
+def test_rejection_exact_on_scripted_words():
+    # The proposal (i, t) is X = m + t right + i or m - 1 - t left - i', and
+    # is kept exactly when u < f(X) 2^t / f(m).  Words 2^20 below or above
+    # that boundary's 2^64 multiple decide it at once; the word on it takes
+    # a second; words next to it may take two.  A rejected proposal is
+    # followed by (0, t = 0), which is m, kept on its first word.
+    M, q = 300, Fraction(1, 3)
+    a, c = q.numerator, q.denominator - q.numerator
+    m = (M + 1) * a // (a + c)
+    right, left = exactrand._halving_step(M, a, c, m, 1), exactrand._halving_step(M, a, c, m, -1)
+    top = 2 ** 64 - 1
+    proposals = [(0, 0, m), (right - 1, 1, m + 2 * right - 1), (3, 2, m + 2 * right + 3),
+                 (right, 0, m - 1), (right + left - 1, 2, m - 3 * left)]
+    for i, t, X in proposals:
+        boundary = _pmf(M, q, X) * 2 ** t / _pmf(M, q, m) * 2 ** 64
+        w = math.floor(boundary)
+        second = math.floor((boundary - w) * 2 ** 64)
+        cases = [((w - 2 ** 20,), True, 1), ((w + 2 ** 20,), False, 1),
+                 ((w, second - 2 ** 20), True, 2), ((w, second + 2 ** 20), False, 2),
+                 ((w - 1,), True, None), ((w + 1,), False, None)]
+        for words, kept, used in cases:
+            if not 0 <= min(words) <= max(words) <= top:
+                continue
+            script = [*words, 0, 0, 0]
+            rng = ScriptedProposals([i, 0], [1] * t + [0, 0], script)
+            assert exactrand._rejected(M, a, a + c, rng) == (X if kept else m), (i, t, words)
+            if used is not None:
+                assert len(script) - len(rng.words) == used + (0 if kept else 1), (i, t, words)
+
+
+class ScriptedValues:
+    """getrandbits(k) hands out the scripted values in order, each below
+    2^k, and fails once they run out."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def getrandbits(self, k):
+        value = self.values.pop(0)
+        assert 0 <= value < 1 << k
+        return value
+
+
+def test_uniform_subset_is_uniform():
+    # N = 5, K = 3 picks below 3, 4 and 5: each of the 60 pick sequences
+    # gives one subset, and each of the 10 subsets comes from 6 of them.
+    subsets = Counter(frozenset(uniform_subset(5, 3, ScriptedValues(*picks)))
+                      for picks in itertools.product(range(3), range(4), range(5)))
+    assert subsets == {frozenset(s): 6 for s in itertools.combinations(range(5), 3)}
+    # A pick at or above top (2 bits below 3, 3 bits below 5) is drawn again.
+    assert uniform_subset(5, 3, ScriptedValues(3, 1, 2, 7, 6, 4)) == \
+        uniform_subset(5, 3, ScriptedValues(1, 2, 4))
+    # No len() of the range: a population beyond sys.maxsize works.
+    big = uniform_subset(3 * 10 ** 22, 5, substream(1))
+    assert len(big) == 5 and all(0 <= x < 3 * 10 ** 22 for x in big)
+    assert uniform_subset(4, 4, substream(2)) == {0, 1, 2, 3}
+    assert uniform_subset(10 ** 30, 0, substream(3)) == set()
 
 
 def test_np_substream_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -88,6 +89,14 @@ def test_binomial_forks_at_its_pmf(q):
             lambda: SampleResult.of(exactrand.binomial(M, q, exactrand.substream(0))))
         assert law.probs == {j: math.comb(M, j) * q ** j * (1 - q) ** (M - j)
                              for j in range(M + 1)}, M
+
+
+def test_uniform_subset_forks_uniformly():
+    for N, K in [(5, 2), (4, 4), (3, 0)]:
+        law = enumerate_law(lambda: SampleResult.of(
+            tuple(sorted(exactrand.uniform_subset(N, K, exactrand.substream(0))))))
+        assert law.probs == {s: Fraction(1, math.comb(N, K))
+                             for s in itertools.combinations(range(N), K)}, (N, K)
 
 
 def test_target_distribution_examples():

@@ -222,24 +222,20 @@ def _independent_binomials(block, alphas, B):
 
 
 @pytest.mark.parametrize("W,block,q1,cap", [
-    # the real alpha_1 = 1/81: each coordinate's draws placed on its tuples
+    # the real alpha_1 = 1/81: the draws placed on the coordinates' tuples
     (9, [1, 2, 3], None, None),
     # q = 1 and q = 2, above the cap of 6 (lifted, so not downsampled)
     (5, [1, 1, 2], None, 10 ** 9),
-    # Bin(T_1, 80/81) failures at the real alpha_1: one binomial per coordinate
-    (9, [1, 2, 3], (Fraction(80, 81), True), None),
-    # alpha_1 = 2/3 drawn as placed failures, and as per-coordinate successes
+    # Bin(T_1, 1/81) failures at alpha_1 = 80/81, and Bin(T_1, 1/3) at 2/3
+    (9, [1, 2, 3], (Fraction(1, 81), True), None),
     (9, [1, 2, 3], (Fraction(1, 3), True), None),
-    (9, [1, 2, 3], (Fraction(2, 3), False), None),
-], ids=["placed", "pair-above-cap", "failures-per-coordinate", "failures-placed",
-        "successes-per-coordinate"])
+], ids=["placed", "pair-above-cap", "failures", "failures-at-2/3"])
 def test_block_harvest_counts_are_independent_binomials(W, block, q1, cap):
     # Zero tolerance, on the real class: one binomial over the block's T_q
-    # tuples, its draws placed on a uniform subset of them, or one binomial
-    # per coordinate, gives the joint law of one Bin(w_i, alpha_q) per
-    # (coordinate, q); counting failures, the form taken for alpha_q > 1/2,
-    # does too.  q1 = (prob, failures) replaces q = 1's draw to reach every
-    # form at T_1 = 6.
+    # tuples, its draws placed on a uniform subset of them, gives the joint
+    # law of one Bin(w_i, alpha_q) per (coordinate, q); counting failures,
+    # the form taken for alpha_q > 1/2, does too.  q1 = (prob, failures)
+    # replaces q = 1's draw to reach both forms at T_1 = 6.
     def run():
         s = BlockLpSampler(3, W, 3, seed=1)
         if q1:
@@ -258,26 +254,57 @@ def test_block_harvest_counts_are_independent_binomials(W, block, q1, cap):
     assert len(law.probs) > 1
 
 
-@pytest.mark.parametrize("held,drop", [
-    ({(1, 1): 3, (1, 2): 2, (4, 3): 3}, 3),  # one step of B = 3: the dropped are drawn
-    ({(1, 1): 5, (1, 2): 4, (4, 3): 4}, 9),  # three steps: the 4 kept are drawn
-])
-def test_downsample_removes_a_uniform_subset(held, drop):
-    # Above the cap (6), B = 3 items at a time leave until the harvest is
-    # within it: a multivariate hypergeometric draw of all of them,
-    # Pr[d] = prod C(h_i, d_i) / C(total, drop).
-    def run():
-        s = BlockLpSampler(3, 9, 3, seed=1)
-        s.S = dict(held)
-        s._downsample()
-        return SampleResult.of(tuple(sorted(s.S.items())))
-
-    law = oracle.enumerate_law(run)
+def _hypergeometric_drop(held, drop):
+    """The law of held (key -> count) after drop of its items leave, chosen
+    uniformly without replacement: Pr[d] = prod C(h_i, d_i) / C(total, drop)."""
     keys, total = sorted(held), sum(held.values())
-    want = {}
+    out = Counter()
     for d in itertools.product(*(range(held[k] + 1) for k in keys)):
         if sum(d) == drop:
             left = tuple((k, held[k] - dk) for k, dk in zip(keys, d) if held[k] > dk)
-            want[left] = Fraction(math.prod(math.comb(held[k], dk) for k, dk in zip(keys, d)),
+            out[left] += Fraction(math.prod(math.comb(held[k], dk) for k, dk in zip(keys, d)),
                                   math.comb(total, drop))
-    assert law.probs == want
+    return out
+
+
+def test_block_close_thins_the_harvest_to_the_cap():
+    # Zero tolerance, on the real class: a block's Bin(6, 1/3) insertions
+    # join 2 held items above a cap of 3, and B = 3 items at a time leave
+    # until the harvest is within it -- the independent binomials, then a
+    # multivariate hypergeometric drop of old and new items alike.  The
+    # totals 4 to 8 reach both forms of the drop: picking the items that
+    # leave (total 6) and picking the items that stay (totals 4, 5, 7, 8).
+    held = {(-8, 7): 2}
+
+    def run():
+        s = BlockLpSampler(3, 9, 3, seed=1)
+        s._tuples[0] = (Fraction(1, 3), False) + s._tuples[0][2:]
+        s.S, s.cap = dict(held), 3
+        s.process([1, 2, 3])
+        return SampleResult.of(tuple(sorted(s.S.items())))
+
+    law = oracle.enumerate_law(run)
+    alphas = alpha_coeffs(3, 9)
+    alphas[0] = Fraction(1, 3)
+    want = Counter()
+    for vec, pr in _independent_binomials([1, 2, 3], alphas, 3).items():
+        harvest = dict(held)
+        harvest.update({(1, coord): v for coord, v in vec})
+        total = sum(harvest.values())
+        drop = 3 * -(-(total - 3) // 3) if total > 3 else 0
+        for left, pl in _hypergeometric_drop(harvest, drop).items():
+            want[left] += pr * pl
+    assert law.mass_fail == law.mass_bottom == 0
+    assert law.probs == {vec: pr for vec, pr in want.items() if pr}
+
+
+@pytest.mark.parametrize("p,values", [(4, 100), (5, 10000)])
+def test_block_closes_at_a_window_of_a_million(p, values):
+    # At W = 10^6 the block's tuple counts pass 2^63 (p = 5: B = 31623,
+    # T_1 about 3e22) and p = 4's hundred values insert about 10^10 items
+    # a block; the block still closes, with the harvest within its cap.
+    s = BlockLpSampler(10 ** 4, 10 ** 6, p, seed=3)
+    s.process([t % values + 1 for t in range(s.B)])
+    assert s._block_len == 0 and s._block_start == s.B + 1
+    assert 0 < sum(s.S.values()) <= s.cap
+    assert all(start == 1 and 1 <= coord <= values for start, coord in s.S)

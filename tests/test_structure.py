@@ -166,18 +166,22 @@ def _imported_from(tree, module):
 
 def test_float_draws_only_in_the_approximate_samplers():
     # Float binomials, exponentials and hypergeometrics -- generator methods
-    # such as numpy's .binomial( -- are drawn by the Monte-Carlo twins and
-    # smallp (approximate by design), and by no other module.  A bare
-    # binomial( is exactrand's exact one, defined there or imported from it.
+    # such as numpy's .binomial(, or bare calls -- are drawn by the
+    # Monte-Carlo twins and smallp (approximate by design), and by no other
+    # module.  The one exception is a bare binomial( that is exactrand's
+    # exact one, defined there or imported from it.
     draws = {"binomial", "exponential", "expovariate", "multivariate_hypergeometric"}
+    approximate = {"montecarlo.py", "smallp.py"}
     trees = _trees()
-    methods = {name: {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Attribute)} & draws
-               for name, tree in trees.items()}
-    callers = {name for name, called in methods.items() if called}
-    assert callers <= {"montecarlo.py", "smallp.py"}, callers
-    bare = {name for name, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in draws}
+    called = {name: [(isinstance(node.func, ast.Attribute), getattr(node.func, "attr", None)
+                      or getattr(node.func, "id", None))
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)]
+              for name, tree in trees.items()}
+    float_draws = {name for name, calls in called.items()
+                   if any(draw in draws and (method or draw != "binomial")
+                          for method, draw in calls)}
+    assert float_draws <= approximate, float_draws
+    bare = {name for name, calls in called.items() if (False, "binomial") in calls}
     exact = {name for name, tree in trees.items()
              if _defines(tree, "binomial") or "binomial" in _imported_from(tree, "exactrand")}
     assert bare <= exact and "randomorder.py" in bare, (bare, exact)
