@@ -37,6 +37,7 @@ counters that rides along with the bank.
 import functools
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .core import SampleResult, UnitUpdates, exponent
 from .exactrand import (bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, subseed,
@@ -258,9 +259,7 @@ class GSampler(UnitUpdates):
     def ingest(self, coords):
         self.bank.extend(coords)
         if self.mg is not None:
-            update = self.mg.update
-            for c in coords:
-                update(c)
+            self.mg.extend(zip(coords, repeat(1)))
 
     def _zeta_at_draw(self):
         """(zeta_exact or None, zeta_bounds or None)."""

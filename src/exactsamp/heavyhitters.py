@@ -2,12 +2,23 @@
 
 The summary keeps at most k counters.  Instead of decrementing every counter
 when a new item arrives at a full table, a global offset is incremented;
-entries whose stored count falls to the offset are dead and are evicted
-lazily via a min-heap, keeping updates O(log k) amortized even for weighted
-updates.  The heap keeps stale entries until they surface, and is rebuilt
-from the counters whenever it holds more than HEAP_SLACK entries per counter,
-so it stays O(k).  Estimates satisfy f_i - m/k <= estimate(i) <= f_i with
-probability 1.
+counts are stored shifted by it, and entries whose stored count falls to the
+offset are dead and are evicted lazily via a min-heap, keeping updates
+O(log k) amortized even for weighted updates.  The heap keeps stale entries
+until they surface, and is rebuilt from the counters whenever it holds more
+than HEAP_SLACK entries per counter, so it stays O(k).  Estimates satisfy
+f_i - m/k <= estimate(i) <= f_i with probability 1.
+
+extend(items) is the summary's one update loop, and update(key, weight) is a
+batch of one.  Between items every live count exceeds the offset, so while
+the table is full the loop keeps low, the smallest live count above the
+offset.  A new key of weight w < low is absorbed whole by the global
+decrement: the offset rises by w, every counter stays above it, so none dies
+and the new key keeps nothing.  Such an item only adds w to the offset and
+takes it from low; it touches neither the heap nor the counters.  Every
+other item (a hit, an insert, or a new key with w >= low, which kills the
+counters at the minimum and stores the rest of w) changes the counters, and
+low is read again from the heap top afterwards.
 
 The summary also keeps top, the largest value it has stored, so z_bound is
 O(1): while top > offset the counter that stored it is still there (it was
@@ -37,65 +48,61 @@ class MGSummary:
         self.top = 0  # the largest stored value
         self._heap = []  # (stored value, coord); may contain stale entries
 
-    def _evict_dead(self):
-        counts, heap, off = self.counts, self._heap, self.offset
-        while heap:
-            v, c = heap[0]
-            cur = counts.get(c)
-            if cur is None or cur != v:
-                heapq.heappop(heap)  # stale
-            elif v <= off:
-                heapq.heappop(heap)
-                del counts[c]
-            else:
-                break
-
-    def _min_effective(self):
-        counts, heap = self.counts, self._heap
-        while heap:
-            v, c = heap[0]
-            if counts.get(c) != v:
-                heapq.heappop(heap)
-            else:
-                return v - self.offset
-        return 0
-
     def update(self, coord, weight=1):
-        if weight < 1:
-            raise ValueError("weights must be positive integers")
-        self.m_seen += weight
-        counts = self.counts
-        if coord in counts:
-            v = counts[coord] + weight
-            counts[coord] = v
-            heapq.heappush(self._heap, (v, coord))
-            if v > self.top:
-                self.top = v
-        elif len(counts) < self.k:
-            v = self.offset + weight
-            counts[coord] = v
-            heapq.heappush(self._heap, (v, coord))
-            if v > self.top:
-                self.top = v
-        else:
-            # Table full: play the new weight against the global decrement.
-            low = self._min_effective()
-            if weight <= low:
-                self.offset += weight
-            else:
-                self.offset += low
-                v = self.offset + (weight - low)
-                counts[coord] = v
-                heapq.heappush(self._heap, (v, coord))
-                if v > self.top:
-                    self.top = v
-            self._evict_dead()
-        if len(self._heap) > HEAP_SLACK * len(counts):
-            # Mostly stale: rebuild from the live entries.  Each rebuild drops
-            # over (HEAP_SLACK - 1) stale entries per live one, so its cost is
-            # amortized over the pushes that made them.
-            self._heap = [(v, c) for c, v in counts.items()]
-            heapq.heapify(self._heap)
+        self.extend(((coord, weight),))
+
+    def extend(self, items):
+        """Feed (key, weight) pairs in order; weights are positive integers.
+        A bad weight raises with the pairs before it fed."""
+        counts, heap, k = self.counts, self._heap, self.k
+        off, m_seen, top = self.offset, self.m_seen, self.top
+        push, pop = heapq.heappush, heapq.heappop
+        # While the table is full, its smallest live count above off; else 0.
+        low = _smallest_live(counts, heap) - off if len(counts) == k else 0
+        try:
+            for key, w in items:
+                if 0 < w < low and key not in counts:
+                    m_seen += w
+                    off += w
+                    low -= w
+                    continue
+                if w < 1:
+                    raise ValueError("weights must be positive integers")
+                m_seen += w
+                v = counts.get(key)
+                if v is not None:
+                    v += w
+                elif len(counts) < k:
+                    v = off + w
+                else:
+                    # Full table, w >= low: the decrement by low kills the
+                    # counters at the minimum, and the rest of w is stored.
+                    off += low
+                    v = off + w - low if w > low else None
+                    while heap:
+                        hv, hc = heap[0]
+                        if counts.get(hc) != hv:
+                            pop(heap)  # stale
+                        elif hv <= off:
+                            pop(heap)
+                            del counts[hc]
+                        else:
+                            break
+                if v is not None:
+                    counts[key] = v
+                    push(heap, (v, key))
+                    if v > top:
+                        top = v
+                if len(heap) > HEAP_SLACK * len(counts):
+                    # Mostly stale: rebuild from the live entries.  Each
+                    # rebuild drops over (HEAP_SLACK - 1) stale entries per
+                    # live one, so its cost is amortized over the pushes that
+                    # made them.
+                    heap = [(v, c) for c, v in counts.items()]
+                    heapq.heapify(heap)
+                low = _smallest_live(counts, heap) - off if len(counts) == k else 0
+        finally:
+            self.offset, self.m_seen, self.top, self._heap = off, m_seen, top, heap
 
     def estimate(self, coord):
         v = self.counts.get(coord)
@@ -106,6 +113,14 @@ class MGSummary:
     def items(self):
         off = self.offset
         return {c: v - off for c, v in self.counts.items() if v > off}
+
+
+def _smallest_live(counts, heap):
+    """The smallest stored value of a nonempty table, read from the heap top
+    once the stale entries above it are popped."""
+    while counts.get(heap[0][1]) != heap[0][0]:
+        heapq.heappop(heap)
+    return heap[0][0]
 
 
 def z_bound(summary, p, n):

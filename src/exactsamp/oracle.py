@@ -18,7 +18,8 @@ them, for forks at their exact laws:
   (the real weighted_index is one randrange over the total, which the
   forking substream below enumerates just as exactly);
 * substream returns a random.Random whose uniform integer draws (randrange,
-  sample, ...) fork uniformly, and whose random() and getrandbits() raise;
+  sample -- by the pool method at every population size --, ...) fork
+  uniformly, and whose random() and getrandbits() raise;
 * bernoulli_bounds and np_substream raise: an irrational coin or a numpy
   generator cannot be forked with rational weights.
 
@@ -140,6 +141,22 @@ class _ForkingRandom(random.Random):
 
     def _randbelow(self, n):
         return self._tree.fork(n, lambda i: (i, 1, n))
+
+    def sample(self, population, k):
+        """random.sample by its pool method at every population size: the
+        same law, one fork per pick.  random.sample switches to redrawing a
+        repeated pick above a set-size threshold, and the replay, which takes
+        branch 0 at each new choice point, would redraw it forever."""
+        pool = list(population)
+        n = len(pool)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        result = []
+        for i in range(k):
+            j = self._randbelow(n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
 
     def random(self):
         raise UnforkedDraw("random() has no exact fork")

@@ -57,11 +57,8 @@ class DuplicatedExpState(UnitUpdates):
         return w
 
     def ingest(self, coords):
-        update = self.mg.update
-        for coord in coords:
-            for j, wj in enumerate(self._dup_weights(coord)):
-                if wj > 0:
-                    update((coord, j), wj)
+        self.mg.extend(((coord, j), wj) for coord in coords
+                       for j, wj in enumerate(self._dup_weights(coord)) if wj > 0)
 
     def draw(self):
         if self.mg.m_seen == 0:

@@ -3,11 +3,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactsamp.exactrand import substream
+from exactsamp.gsampler import lp_sampler
 from exactsamp.heavyhitters import HEAP_SLACK, MGSummary, mg_budget, z_bound
+from exactsamp.smallp import DuplicatedExpState
 
 
 def test_hand_example_k2():
@@ -157,6 +159,98 @@ def _scanned_z(ref):
     estimate, or 0, plus m/k."""
     best = max([0] + [v - ref.offset for v in ref.counts.values()])
     return best + Fraction(ref.m_seen, ref.k)
+
+
+def _feed_reference(ref, items, top):
+    """Feed HeapFreeMG one item at a time; returns the summary's top, the
+    largest value stored so far."""
+    for coord, w in items:
+        ref.update(coord, w)
+        top = max([top] + list(ref.counts.values()))
+    return top
+
+
+def _assert_same_state(s, ref, top):
+    assert list(s.counts.items()) == list(ref.counts.items())  # dict order too
+    assert (s.offset, s.m_seen, s.top) == (ref.offset, ref.m_seen, top)
+
+
+def _batches(items, cuts):
+    out, i = [], 0
+    for cut in cuts:
+        out.append(items[i:i + cut])
+        i += cut
+    return out + [items[i:]]
+
+
+# w < low absorbed (k = 2: both counters at 3, a new key of 1); w == low
+# killing one counter, and both; w > low storing the rest.
+@example(2, [(1, 3), (2, 3), (3, 1), (4, 2)], [4])
+@example(2, [(1, 2), (2, 2), (3, 2), (4, 1)], [1, 2])
+@example(3, [(1, 1), (2, 2), (3, 3), (4, 1), (5, 4)], [])
+@example(1, [(1, 2), (2, 5), (3, 1), (3, 1)], [0, 2])
+@given(st.integers(1, 6),
+       st.lists(st.tuples(st.integers(1, 9), st.integers(1, 6)), max_size=80),
+       st.lists(st.integers(0, 12), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_extend_in_any_split_matches_per_item_reference(k, items, cuts):
+    # extend() over a batch must leave the state that one update per item
+    # leaves: the counters in their dict order, the offset, m and top.
+    s, ref, top = MGSummary(k), HeapFreeMG(k), 0
+    for batch in _batches(items, cuts):
+        s.extend(batch)
+        top = _feed_reference(ref, batch, top)
+        _assert_same_state(s, ref, top)
+        assert len(s._heap) <= HEAP_SLACK * len(s.counts)
+        assert set(s._heap) >= {(v, c) for c, v in s.counts.items()}
+
+
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=15),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=30),
+       st.integers(0, 30), st.sampled_from([0, -2]))
+@settings(max_examples=60, deadline=None)
+def test_extend_stops_at_a_bad_weight_with_the_items_before_it_fed(k, before, batch, at, bad):
+    at = min(at, len(batch))
+    s, ref = MGSummary(k), HeapFreeMG(k)
+    s.extend(before)
+    top = _feed_reference(ref, before, 0)
+    with pytest.raises(ValueError):
+        s.extend(batch[:at] + [(7, bad)] + batch[at:])
+    top = _feed_reference(ref, batch[:at], top)
+    _assert_same_state(s, ref, top)
+    with pytest.raises(ValueError):
+        s.update(7, bad)
+    _assert_same_state(s, ref, top)
+
+
+def _zipf_stream(n, m, seed):
+    rng = substream(seed, "zipf")
+    return rng.choices(range(1, n + 1), weights=[1 / i ** 1.1 for i in range(1, n + 1)], k=m)
+
+
+@pytest.mark.parametrize("name", ["smallp", "lp2"])
+def test_sampler_summaries_match_per_item_reference(name):
+    # The samplers feed their summaries one extend() per batch of 250; the
+    # summaries must equal HeapFreeMG fed the same derived items one at a
+    # time, dict order included, which keeps every seeded draw the same.
+    stream = _zipf_stream(1000, 1500, 1)
+    if name == "smallp":
+        s = DuplicatedExpState(0.5, 32, seed=1)
+
+        def derived(coord):
+            return [((coord, j), w) for j, w in enumerate(s._dup_weights(coord)) if w > 0]
+    else:
+        s = lp_sampler(2, 1000, len(stream), seed=1)
+
+        def derived(coord):
+            return [(coord, 1)]
+    ref, top = HeapFreeMG(s.mg.k), 0
+    for i in range(0, len(stream), 250):
+        batch = stream[i:i + 250]
+        s.process(batch)
+        top = _feed_reference(ref, [item for c in batch for item in derived(c)], top)
+        _assert_same_state(s.mg, ref, top)
 
 
 def test_z_bound_matches_scan_when_every_counter_dies():

@@ -87,7 +87,8 @@ def test_per_coordinate_updates_feed_the_batch_loops():
     trees = _trees()
     for module, cls, loop in (("reservoir.py", "SamplerBank", "extend"),
                               ("f0sampler.py", "F0State", "extend"),
-                              ("smoothhist.py", "SmoothHistogram", "ingest")):
+                              ("smoothhist.py", "SmoothHistogram", "ingest"),
+                              ("heavyhitters.py", "MGSummary", "extend")):
         node = next(n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls)
         assert loop in set(_called(_function(node, "update"))), (cls, loop)
     updaters = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
