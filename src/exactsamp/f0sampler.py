@@ -27,7 +27,7 @@ from itertools import islice
 
 from .core import INDEX, SampleResult, UnitUpdates
 from .exactrand import bernoulli_fraction, subseed, substream
-from .gsampler import DrawState, first_accepted
+from .gsampler import DrawState, first_accepted, repetitions_for
 
 
 class F0State:
@@ -210,8 +210,7 @@ class TukeySampler(F0Sampler):
         if repetitions is None:
             g1 = measure.g_exact(1)
             gtau = measure.tau * measure.tau / 6  # the saturation value G(tau)
-            boost = float(gtau / g1)
-            repetitions = max(1, math.ceil(4 * boost * math.log(1.0 / delta)))
+            repetitions = repetitions_for(gtau / g1, delta)
         super().__init__(n, delta, seed, window, repetitions)
 
     def keep(self):

@@ -36,10 +36,9 @@ counters that rides along with the bank.
 
 import functools
 import math
-from fractions import Fraction
 from itertools import repeat
 
-from .core import SampleResult, UnitUpdates, exponent
+from .core import LpMeasure, SampleResult, UnitUpdates, exponent
 from .exactrand import (bernoulli_bounds, bernoulli_fraction, pow_exact, pow_scaled, subseed,
                         substream)
 from .heavyhitters import MGSummary, mg_budget, z_bound
@@ -210,27 +209,22 @@ def repetition_result(hit):
 
 
 class GSampler(UnitUpdates):
-    """measure + SamplerBank; zeta static, or Z-derived when p in (1,2]."""
+    """measure + SamplerBank; zeta is the measure's static zeta, or, for L_p
+    with p > 1, lp_zeta's p Z^{p-1} with Z read from Misra-Gries."""
 
-    def __init__(self, measure, n, m, delta=0.1, seed=0, zeta=None,
-                 repetitions=None, p=None):
+    def __init__(self, measure, n, m, delta=0.1, seed=0, repetitions=None):
         self.measure = measure
         self.n = n
         self.m_planned = m
         self.delta = delta
         self.seed = seed
-        self.p = exponent(p) if p is not None else None
+        self.p = measure.p if isinstance(measure, LpMeasure) else None
+        self.zeta = measure.zeta  # None means Z-derived at draw time
         self.mg = None
-
-        if zeta is not None:
-            zeta = Fraction(zeta)
-        elif measure.zeta is not None:
-            zeta = measure.zeta
-        self.zeta = zeta  # None means Z-derived at draw time
-        if zeta is None:
+        if self.zeta is None:
             if self.p is None:
-                raise ValueError("%s has no static zeta: pass p so that zeta = p Z^{p-1} "
-                                 "can be derived from a Misra-Gries summary" % measure.name)
+                raise ValueError("%s has no static zeta, and only L_p derives one "
+                                 "from a Misra-Gries summary" % measure.name)
             self.mg = MGSummary(mg_budget(self.p, n))
 
         if repetitions is None:
@@ -282,11 +276,7 @@ def lp_sampler(p, n, m, delta=0.1, seed=0, repetitions=None):
     p = exponent(p)
     if not (0 < p <= 2):
         raise ValueError("insertion-only L_p sampling needs p in (0, 2]")
-    from .core import lp_measure
-
-    measure = lp_measure(p)
     if p == 1:
         # Plain reservoir sampling: acceptance is identically 1.
-        return GSampler(measure, n, m, delta, seed, zeta=Fraction(1),
-                        repetitions=repetitions or 1, p=p)
-    return GSampler(measure, n, m, delta, seed, repetitions=repetitions, p=p)
+        repetitions = repetitions or 1
+    return GSampler(LpMeasure(p), n, m, delta, seed, repetitions=repetitions)

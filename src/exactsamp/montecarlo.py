@@ -1,23 +1,16 @@
 """Vectorized Monte-Carlo twins of the single-repetition sampling step.
 
 Exact-rational enumeration pins the laws down with zero tolerance on tiny
-streams; these twins replicate the identical per-repetition randomness
-(reservoir position, counter, acceptance test, random order) in bulk numpy,
-so the same laws can be checked statistically at 10^5..10^6 trials where the
-scalar samplers would be far too slow.
+streams; mc_gsampler replicates the insertion-only per-repetition randomness
+(reservoir position, counter, acceptance test) in bulk numpy, so success
+rates and laws can be checked statistically at 10^5..10^6 trials where the
+scalar samplers would be far too slow.  mc_min_stability draws the
+exponential minima behind smallp.
 """
 
 import numpy as np
 
 from .exactrand import np_substream
-from .randomorder import alpha_coeffs
-from .sliding import active_bank_start
-
-
-def conditional(hist):
-    """Normalize a coord -> count histogram to a conditional law."""
-    total = sum(hist.values())
-    return {k: v / total for k, v in hist.items() if v}
 
 
 def _strict_after(coords):
@@ -30,89 +23,25 @@ def _strict_after(coords):
     return out
 
 
-def mc_gsampler(coords, measure, zeta, trials, seed=0, W=None, inclusive=False):
-    """Histogram of one-repetition outcomes: (coord -> count, failures).
-
-    W switches on the sliding-window variant: positions are drawn from the
-    active checkpoint bank and expired samples are rejected.
-    """
+def mc_gsampler(coords, measure, zeta, trials, seed=0):
+    """Histogram of one-repetition outcomes: (coord -> count, failures)."""
     coords = list(coords)
-    t_end = len(coords)
-    start = 1 if W is None else active_bank_start(t_end, W)
-    sub = coords[start - 1:]
-    L = len(sub)
-    after = _strict_after(sub)
-    cc = after + 1 if inclusive else after
+    L = len(coords)
+    cc = _strict_after(coords)
     tops = int(cc.max()) + 2
     gtab = np.array([measure.g_float(x) for x in range(tops)])
     acc = (gtab[cc + 1] - gtab[cc]) / float(zeta)
-    if W is not None:
-        active = (start + np.arange(L)) > (t_end - W)
-        acc = np.where(active, acc, 0.0)
     rng = np_substream(seed, "mc-g")
     pos = rng.integers(0, L, size=trials)
     ok = rng.random(trials) < acc[pos]
     hist = {}
-    ids = {c: i for i, c in enumerate(sorted(set(sub)))}
-    sub_ids = np.array([ids[c] for c in sub])
-    counts = np.bincount(sub_ids[pos[ok]], minlength=len(ids))
+    ids = {c: i for i, c in enumerate(sorted(set(coords)))}
+    coord_ids = np.array([ids[c] for c in coords])
+    counts = np.bincount(coord_ids[pos[ok]], minlength=len(ids))
     for c, i in ids.items():
         if counts[i]:
             hist[c] = int(counts[i])
     return hist, trials - int(ok.sum())
-
-
-def _window_pool(freqs):
-    keys = sorted(freqs)
-    pool = np.repeat(np.arange(len(keys)), [freqs[k] for k in keys])
-    return keys, pool
-
-
-def mc_pair_l2(freqs, W, trials, seed=0, chunk=4096):
-    """Designated-pair harvest over fresh random orders of the window."""
-    keys, pool = _window_pool(freqs)
-    assert len(pool) == W
-    rng = np_substream(seed, "mc-pair")
-    hist = np.zeros(len(keys), dtype=np.int64)
-    fails = 0
-    done = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        mat = rng.permuted(np.tile(pool, (c, 1)), axis=1)
-        x, y = mat[:, 0], mat[:, 1]
-        q = 1.0 / W + (1.0 - 1.0 / W) * (x == y)
-        ok = rng.random(c) < q
-        np.add.at(hist, x[ok], 1)
-        fails += c - int(ok.sum())
-        done += c
-    return {k: int(v) for k, v in zip(keys, hist) if v}, fails
-
-
-def mc_block_lp(freqs, W, p, trials, seed=0, chunk=4096):
-    """Designated first p-tuple harvest; each trial may insert several items
-    (one Bernoulli(alpha_q) per constant prefix length q), matching the
-    expected-mass law f^p / W^p."""
-    p = int(p)
-    keys, pool = _window_pool(freqs)
-    assert len(pool) == W
-    alphas = [float(a) for a in alpha_coeffs(p, W)]
-    rng = np_substream(seed, "mc-block")
-    hist = np.zeros(len(keys), dtype=np.int64)
-    items = 0
-    done = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        mat = rng.permuted(np.tile(pool, (c, 1)), axis=1)
-        head = mat[:, :p]
-        const = np.ones(c, dtype=bool)
-        for q in range(1, p + 1):
-            if q > 1:
-                const &= head[:, q - 1] == head[:, 0]
-            ok = const & (rng.random(c) < alphas[q - 1])
-            np.add.at(hist, head[:, 0][ok], 1)
-            items += int(ok.sum())
-        done += c
-    return {k: int(v) for k, v in zip(keys, hist) if v}, trials * p - items
 
 
 def mc_min_stability(weights, trials, seed=0):

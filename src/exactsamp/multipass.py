@@ -33,7 +33,7 @@ from fractions import Fraction
 from .core import SampleResult, exponent, lp_measure, outside, parse_stream
 from .exactrand import substream, weighted_index
 from .gsampler import (AcceptanceTable, accept_increment, acceptance, first_accepted, lp_zeta,
-                       repetition_result)
+                       repetition_result, repetitions_for)
 from .heavyhitters import mg_budget
 
 
@@ -186,9 +186,7 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
     if not (1 < p <= 2):
         raise ValueError("multipass L_p sampling needs p in (1, 2]")
     if repetitions is None:
-        pf = float(p)
-        repetitions = max(1, math.ceil(
-            4 * n ** (1.0 - 1.0 / pf) * math.log(1.0 / delta)))
+        repetitions = repetitions_for(n ** (1.0 - 1.0 / float(p)), delta)
     rngs = [substream(seed, "chain", i) for i in range(repetitions)]
     chains, m, Z = _narrow(stream, gamma, n, rngs, mg_budget(p, n))
     if m == 0:

@@ -35,24 +35,17 @@ law G(f_i)/F_G, zero tolerance -- is checked on the code that ships.  Any
 random draw the enumerator cannot fork raises UnforkedDraw; the names are put
 back when the enumeration ends.
 
-Hand-written laws remain where the enumerator cannot run a sampler, or
-where the shipped sampler's law is not the one its contract states:
+order_law runs a sampler of the random-order model the same way, on a
+uniformly random order of a multiset that forks item by item (the next item
+is coordinate i with probability f/r, with r items left of which f are i),
+so the random-order contracts are checked on the real PairL2Sampler: f^2/W^2
+per pair, and the law merged over all pairs (7/10 against f^2/F_2 = 2/3 on
+the heavy coordinate at f = (2,1,1), W = 4).
 
-* gsampler_coefficients and matrix_coefficients, symbolic laws over the
-  basis {G(x)} (resp. G of row vectors), where telescoping is an identity
-  between coefficient vectors and holds for every measure, irrational G
-  included;
-* pair_l2_law, the law of one designated pair over all random orders: the
-  real PairL2Sampler draws only bernoulli_fraction and randrange, which the
-  enumerator forks, but its law merged over all pairs is biased (7/10
-  against f^2/F_2 = 2/3 on the heavy coordinate at f = (2,1,1), W = 4), so
-  the f^2/W^2 contract holds per pair only;
-* block_lp_law, the law of one designated p-tuple over all random orders:
-  the real BlockLpSampler draws only binomial, uniform_subset and a
-  substream's uniform integers, which the enumerator forks, and the harvest
-  of one block is enumerated as it ships, but a whole window forks over too
-  many tuples to enumerate its merged law, and the f^p/W^p contract is per
-  tuple.
+Hand-written laws remain only where the enumerator cannot run a sampler:
+gsampler_coefficients and matrix_coefficients, symbolic laws over the basis
+{G(x)} (resp. G of row vectors), where telescoping is an identity between
+coefficient vectors and holds for every measure, irrational G included.
 """
 
 import functools
@@ -67,7 +60,6 @@ from fractions import Fraction
 
 from . import exactrand
 from .core import FAIL, INDEX
-from .randomorder import alpha_coeffs
 
 BRANCH_BUDGET = 10 ** 6
 
@@ -335,6 +327,30 @@ def sampler_law(make, updates):
     return _law(run, tree)
 
 
+def order_law(make, freqs, length=None):
+    """The exact law of one draw of the sampler make() builds, after it has
+    processed the first length items (all of them by default) of a
+    uniformly random order of the multiset freqs (coord -> count).  The
+    order forks item by item: with r items left, of which f are coordinate
+    i, the next item is i with probability f/r."""
+    total = sum(freqs.values())
+    length = total if length is None else length
+    tree = _Tree(length)
+
+    def run():
+        left = dict(sorted(freqs.items()))
+        sampler = make()
+        for t in range(length):
+            keys = [i for i, f in left.items() if f]
+            coord = tree.fork(len(keys), lambda k: (keys[k], left[keys[k]], total - t))
+            left[coord] -= 1
+            tree.time = t + 1
+            sampler.process((coord,))
+        return sampler.draw()
+
+    return _law(run, tree)
+
+
 def _strict_after_counts(coords):
     """Per position, occurrences of the same coordinate strictly after it."""
     seen = defaultdict(int)
@@ -377,69 +393,6 @@ def matrix_coefficients(updates, d):
         out[row][tuple(v)] -= 1
     return {r: {vec: cf for vec, cf in dd.items() if cf != 0 and any(vec)}
             for r, dd in out.items()}
-
-
-def _arrangements(freqs):
-    pool = []
-    count = math.factorial(sum(freqs.values()))
-    for i in sorted(freqs):
-        pool.extend([i] * freqs[i])
-        count //= math.factorial(freqs[i])
-    _budget(count)
-    arrs = set(itertools.permutations(pool))
-    assert len(arrs) == count
-    return arrs
-
-
-def pair_l2_law(freqs, W):
-    """Law of the designated first pair, averaged over all random orders.
-
-    Under a uniform order Pr[harvest j] = f_j^2 / W^2 exactly; the multi-pair
-    merge is only asymptotically unbiased, so the single-repetition contract
-    is per pair.
-    """
-    total = sum(freqs.values())
-    if total == 0:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    if total != W or W < 2:
-        raise ValueError("pair law needs the full window (W >= 2) as input")
-    arrs = _arrangements(freqs)
-    weight = Fraction(1, len(arrs))
-    law = defaultdict(Fraction)
-    inv_w = Fraction(1, W)
-    for arr in arrs:
-        x, y = arr[0], arr[1]
-        q = inv_w + (1 - inv_w) * (1 if x == y else 0)
-        law[x] += weight * q
-    dist = ExactDistribution(probs=dict(law))
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
-
-
-def block_lp_law(freqs, W, p):
-    """Expected harvest mass of the designated first p-tuple (positions
-    1..p of the first block), averaged over random orders.  Masses total
-    F_p / W^p; the conditional is the sampler's per-tuple law."""
-    p = int(p)
-    total = sum(freqs.values())
-    if total == 0:
-        return ExactDistribution(mass_bottom=Fraction(1))
-    if total != W or W < p:
-        raise ValueError("block law needs the full window (W >= p) as input")
-    alphas = alpha_coeffs(p, W)
-    arrs = _arrangements(freqs)
-    weight = Fraction(1, len(arrs))
-    law = defaultdict(Fraction)
-    for arr in arrs:
-        head = arr[:p]
-        for q in range(1, p + 1):
-            if all(h == head[0] for h in head[:q]):
-                law[head[0]] += weight * alphas[q - 1]
-    dist = ExactDistribution(probs=dict(law))
-    dist.mass_fail = 1 - sum(law.values(), Fraction(0))
-    dist.check()
-    return dist
 
 
 @dataclass

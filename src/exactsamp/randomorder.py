@@ -66,25 +66,25 @@ def alpha_coeffs(p, W):
     return [Fraction(row[q] * falling(W, q), W ** p) for q in range(1, p + 1)]
 
 
-def check_cap_config(n, W, C=CAP_CONSTANT):
-    if n ** C <= W:
+def check_cap_config(n, W):
+    if n ** CAP_CONSTANT <= W:
         raise ValueError("cap constant too small: need n^C > W (n=%d, W=%d, C=%d)"
-                         % (n, W, C))
+                         % (n, W, CAP_CONSTANT))
 
 
 class PairL2Sampler(UnitUpdates):
     """Adjacent-pair L2 sampler for random-order streams of length W."""
 
-    def __init__(self, n, W, seed=0, C=CAP_CONSTANT):
-        check_cap_config(n, W, C)
+    def __init__(self, n, W, seed=0):
+        check_cap_config(n, W)
         self.n = n
         self.W = W
         self.seed = seed
         self.rng = substream(seed, "pairs")
         self._q = Fraction(1, W)  # the outright-harvest probability
         log_n = max(1, math.ceil(math.log(max(n, 2))))
-        self.cap = 2 * C * log_n
-        self.downsample = C * log_n
+        self.cap = 2 * CAP_CONSTANT * log_n
+        self.downsample = CAP_CONSTANT * log_n
         self.t = 0
         self._pending = None  # first element of the current pair, with time
         self.S = []  # (coord, harvest time)
@@ -125,10 +125,10 @@ class PairL2Sampler(UnitUpdates):
 class BlockLpSampler(UnitUpdates):
     """Block p-tuple sampler for random-order streams, integer p >= 3."""
 
-    def __init__(self, n, W, p, seed=0, C=CAP_CONSTANT):
+    def __init__(self, n, W, p, seed=0):
         if p != int(p) or p < 3:
             raise ValueError("block sampler needs integer p >= 3")
-        check_cap_config(n, W, C)
+        check_cap_config(n, W)
         self.n = n
         self.W = W
         self.p = int(p)

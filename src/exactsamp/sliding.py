@@ -33,13 +33,12 @@ def active_bank_start(t, W):
 
 
 class CheckpointedSampler(UnitUpdates):
-    def __init__(self, measure, W, n=None, delta=0.1, seed=0, zeta=None,
-                 repetitions=None):
+    def __init__(self, measure, W, n=None, delta=0.1, seed=0, repetitions=None):
         self.measure = measure
         self.W = W
         self.n = n  # None: coordinates are not checked
         self.seed = seed
-        self.zeta = Fraction(zeta) if zeta is not None else measure.zeta
+        self.zeta = measure.zeta
         # A subclass may read zeta at each draw instead (_zeta_at_draw).
         if self.zeta is None and type(self) is CheckpointedSampler:
             raise ValueError("checkpointed sampler needs a static zeta")

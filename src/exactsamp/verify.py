@@ -1,11 +1,11 @@
 """Verification battery: exact-law and statistical checks with JSON reports.
 
-Each check compares a sampler law against its target.  Exact checks
-enumerate the shipped samplers over every branch of their random choices
-(oracle.sampler_law, oracle.enumerate_law), or use a hand-written law where
-the sampler draws what cannot be forked (random order), and demand equality;
-statistical checks run a histogram of real draws (or a Monte-Carlo twin)
-through the chi-square / total-variation test.
+Each check compares a sampler law against its target.  The standing
+battery is exact: it enumerates the shipped samplers over every branch of
+their random choices (oracle.sampler_law, oracle.enumerate_law, and
+oracle.order_law over the random orders of a window) and demands equality.
+verify_statistical runs a histogram of draws through the chi-square /
+total-variation test, for checks at scales the enumerator cannot reach.
 """
 
 import json
@@ -18,6 +18,7 @@ from .core import Update, huber_measure, lp_measure
 from .gsampler import GSampler
 from .matrixsampler import L1RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
+from .randomorder import PairL2Sampler
 from .sliding import CheckpointedSampler, SlidingLpSampler
 
 
@@ -70,9 +71,9 @@ def verify_statistical(sampler, stream_id, histogram, target, alpha=1e-4,
                         notes="n=%d dof=%d" % (n, rep.dof))
 
 
-def default_battery(seed=0, trials=200000):
-    """A small standing battery covering every sampler family.  The exact
-    checks enumerate the shipped samplers at R = 1 (oracle.sampler_law)."""
+def default_battery():
+    """A small standing battery covering every sampler family, each check an
+    enumeration of a shipped sampler (at R = 1 where it has repetitions)."""
     reports = []
     l1 = lp_measure(1)
     l2 = lp_measure(2)
@@ -83,16 +84,13 @@ def default_battery(seed=0, trials=200000):
     }
 
     # Exact targets need rational G, so the numeric battery sticks to L1,
-    # L2 (zeta = 2 * max f), and Huber; irrational measures are covered by
-    # the symbolic coefficient checks in the test suite.
+    # L2 (zeta = 2Z from Misra-Gries) and Huber; irrational measures are
+    # covered by the symbolic coefficient checks in the test suite.
     for sid, coords in streams.items():
         freqs = Counter(coords)
-        zmax = max(freqs.values())
-        for name, meas, zeta in (("l1", l1, l1.zeta),
-                                 ("l2", l2, 2 * zmax),
-                                 ("huber", huber_measure(2), Fraction(1))):
+        for name, meas in (("l1", l1), ("l2", l2), ("huber", huber_measure(2))):
             law = oracle.sampler_law(
-                lambda: GSampler(meas, 3, len(coords), zeta=zeta, repetitions=1), coords)
+                lambda: GSampler(meas, 3, len(coords), repetitions=1), coords)
             target = oracle.target_distribution(freqs, meas)
             reports.append(verify_exact("gsampler/%s" % name, sid, law, target))
 
@@ -116,19 +114,13 @@ def default_battery(seed=0, trials=200000):
     target = oracle.target_distribution(Counter(r for r, _ in cells), l1)
     reports.append(verify_exact("matrix/l1-row", "m5", law, target))
 
-    # Random order: exact expected-harvest laws plus Monte-Carlo twins.
+    # Random order: the first pair of the real PairL2Sampler, over every
+    # order of the window, harvests j with probability f_j^2/W^2.
     win = {1: 2, 2: 1, 3: 1}
-    W = sum(win.values())
-    law = oracle.pair_l2_law(win, W)
+    law = oracle.order_law(lambda: PairL2Sampler(3, 4), win, length=2)
     target = oracle.ExactDistribution(
         probs={i: Fraction(f * f, 16) for i, f in win.items()})
-    target.mass_fail = 1 - sum(target.probs.values(), Fraction(0))
     reports.append(verify_exact("pair-l2", "win4", law, target))
-    from . import montecarlo  # here, so that importing the CLI skips numpy
-
-    hist, _ = montecarlo.mc_pair_l2(win, W, trials, seed=seed)
-    reports.append(verify_statistical("pair-l2/mc", "win4", hist,
-                                      law.conditional(), tv_bound=0.02))
 
     # Multipass exact laws, one chain.
     freqs = {1: 3, 3: 1, 4: 2}
@@ -145,8 +137,8 @@ def default_battery(seed=0, trials=200000):
     return reports
 
 
-def run_battery(reports=None, seed=0, trials=200000):
-    reports = default_battery(seed, trials) if reports is None else reports
+def run_battery(reports=None):
+    reports = default_battery() if reports is None else reports
     return reports, all(r.ok for r in reports)
 
 

@@ -4,8 +4,10 @@ Each test pins one headline guarantee at its stated tolerance:
 
  1. exact conditional laws (zero tolerance) on exhaustive tiny-stream
     batteries for every sampler family, enumerated over every branch of the
-    real samplers' random choices (oracle.sampler_law), plus the symbolic
-    telescoping identities for every measure;
+    real samplers' random choices at the zeta they ship with
+    (oracle.sampler_law, and oracle.order_law over every order of a
+    random-order window), plus the symbolic telescoping identities for every
+    measure;
  2. per-repetition success-probability lower bounds within 4 sigma;
  3. large-scale distribution fidelity (chi-square p > 0.01, TV <= 0.005)
     on a 100-coordinate Zipf(1.2) stream;
@@ -17,7 +19,7 @@ Each test pins one headline guarantee at its stated tolerance:
  8. multipass pass counts exactly ceil(1/gamma);
  9. duplicated-exponential sampler TV <= 0.05 plus the min-stability law;
 10. the inclusive-counter mutant, injected into the real reservoir bank, is
-    rejected by the exactness battery.
+    rejected by the exactness battery at the shipped zeta.
 """
 
 import itertools
@@ -43,7 +45,7 @@ from exactsamp.gsampler import GSampler, lp_zeta
 from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
-from exactsamp.randomorder import alpha_coeffs, falling
+from exactsamp.randomorder import PairL2Sampler, alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
 from exactsamp.smallp import DuplicatedExpState
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
@@ -90,19 +92,17 @@ def freq_vectors(n, total_max):
 
 def test_exact_laws_insertion_only_exhaustive():
     # Every insertion-only stream with m <= 6, n <= 3: the law of one draw of
-    # the real GSampler at R = 1, enumerated over every branch of its random
-    # choices, must condition to G(f_i)/F_G as exact rationals.
-    l1 = lp_measure(1)
-    l2 = lp_measure(2)
-    hub = huber_measure(2)
+    # the real GSampler at R = 1 and its shipped zeta (L_2's 2Z from
+    # Misra-Gries), enumerated over every branch of its random choices, must
+    # condition to G(f_i)/F_G as exact rationals.
+    measures = (lp_measure(1), lp_measure(2), huber_measure(2))
     checked = 0
     for m in range(1, 7):
         for coords in all_streams(3, m):
             freqs = Counter(coords)
-            zmax = 2 * max(freqs.values())
-            for meas, zeta in ((l1, 1), (l2, zmax), (hub, 1)):
+            for meas in measures:
                 law = oracle.sampler_law(
-                    lambda: GSampler(meas, 3, m, zeta=zeta, repetitions=1), coords)
+                    lambda: GSampler(meas, 3, m, repetitions=1), coords)
                 target = oracle.target_distribution(freqs, meas)
                 assert law.conditional() == target.probs, (coords, meas.name)
             checked += 1
@@ -203,19 +203,20 @@ def test_exact_laws_sliding_window():
 
 
 def test_exact_laws_random_order():
-    # Designated first pair / first p-tuple: harvest law is exactly f^p/W^p
-    # for every window composition with W <= 6 and p in {2, 3}.
+    # The first pair of the real PairL2Sampler, over every order of the
+    # window, harvests coordinate j with probability exactly f_j^2/W^2, for
+    # every window composition with W <= 6.  (The per-tuple law of
+    # BlockLpSampler is the alpha identity of test_randomorder, and its
+    # harvest counts are enumerated on the real class there.)
+    checked = 0
     for W in range(2, 7):
         for fv in freq_vectors(W, W):
             if sum(fv.values()) != W:
                 continue
-            law = oracle.pair_l2_law(fv, W)
-            for i, f in fv.items():
-                assert law.probs[i] == Fraction(f * f, W * W), (fv, W)
-            if W >= 3:
-                law = oracle.block_lp_law(fv, W, 3)
-                for i, f in fv.items():
-                    assert law.probs[i] == Fraction(f ** 3, W ** 3), (fv, W)
+            law = oracle.order_law(lambda: PairL2Sampler(W, W), fv, length=2)
+            assert law.probs == {i: Fraction(f * f, W * W) for i, f in fv.items()}, (fv, W)
+            checked += 1
+    assert checked == 636
 
 
 def _freq_updates(fv):
@@ -250,9 +251,8 @@ def test_exact_laws_multipass():
 TRIALS_BOUNDS = 100000
 
 
-def _success_rate(coords, measure, zeta, seed, W=None):
-    _, fails = montecarlo.mc_gsampler(coords, measure, zeta, TRIALS_BOUNDS,
-                                      seed=seed, W=W)
+def _success_rate(coords, measure, zeta, seed):
+    _, fails = montecarlo.mc_gsampler(coords, measure, zeta, TRIALS_BOUNDS, seed=seed)
     return 1.0 - fails / TRIALS_BOUNDS
 
 
@@ -631,8 +631,8 @@ def test_min_stability_unit():
 
 def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
     # The literal-pseudocode counter also counts the sampled occurrence.
-    # Injected into the real bank, the enumerated GSampler law must miss the
-    # target.
+    # Injected into the real bank, the enumerated GSampler law at its shipped
+    # zeta = 2Z must miss the target.
     effective = SamplerBank.effective
 
     def inclusive(self, i):
@@ -642,22 +642,21 @@ def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
     monkeypatch.setattr(SamplerBank, "effective", inclusive)
     l2 = lp_measure(2)
 
-    def law_of(coords, zeta):
+    def law_of(coords):
         return oracle.sampler_law(
-            lambda: GSampler(l2, 2, len(coords), zeta=zeta, repetitions=1), coords)
+            lambda: GSampler(l2, 2, len(coords), repetitions=1), coords)
 
     rejected = 0
     for m in range(1, 7):
         for coords in all_streams(2, m):
             freqs = Counter(coords)
-            zeta = 3 * max(freqs.values())  # large enough for both variants
             target = oracle.target_distribution(freqs, l2)
-            if law_of(coords, zeta).conditional() != target.probs:
+            if law_of(coords).conditional() != target.probs:
                 rejected += 1
     # Single-coordinate and symmetric streams can coincide; every stream with
     # two distinct frequencies must be rejected.
     assert rejected > 0
-    law = law_of([1, 1, 2], 9)
+    law = law_of([1, 1, 2])
     # The mutant telescopes to G(f+1) - G(1): (8, 3)/11 instead of (4, 1)/5.
     assert law.conditional() == {1: Fraction(8, 11), 2: Fraction(3, 11)}
     assert law.conditional() != oracle.target_distribution({1: 2, 2: 1}, l2).probs

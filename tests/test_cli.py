@@ -97,8 +97,7 @@ def test_multipass_and_smallp(tmp_path, capsys):
 
 def test_verify_writes_reports(tmp_path, capsys):
     out_path = str(tmp_path / "reports.json")
-    code, out, _ = run(capsys, ["verify", "--trials", "20000",
-                                "--out", out_path])
+    code, out, _ = run(capsys, ["verify", "--out", out_path])
     assert code == 0
     with open(out_path) as fh:
         reports = json.load(fh)

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from exactsamp import gsampler
-from exactsamp.core import Update, huber_measure, l1l2_measure, lp_measure
-from exactsamp.f0sampler import F0Sampler
+from exactsamp import gsampler, multipass
+from exactsamp.core import (
+    MeasureFunction, Update, huber_measure, l1l2_measure, lp_measure, tukey_measure,
+)
+from exactsamp.f0sampler import F0Sampler, TukeySampler
 from exactsamp.gsampler import (
     GSampler, accept_increment, first_accepted, lp_sampler, lp_zeta, repetitions_for,
 )
@@ -74,7 +76,7 @@ def test_float_exponent_read_as_its_decimal():
     # Fraction(1.1) has a 2^51 denominator, and n raised to it never returned.
     p = Fraction(11, 10)
     assert lp_sampler(1.1, 10, 10, repetitions=3).p == p
-    assert GSampler(lp_measure(1.1), 10, 10, repetitions=3, p=1.1).p == p
+    assert GSampler(lp_measure(1.1), 10, 10, repetitions=3).p == p
     assert lp_measure(1.1).p == p
     assert SlidingLpSampler(1.1, W=5, n=10, repetitions=3).p == p
     assert mg_budget(1.1, 10 ** 6) == mg_budget(p, 10 ** 6) == 4
@@ -83,6 +85,35 @@ def test_float_exponent_read_as_its_decimal():
 def test_repetitions_for_monotone():
     assert repetitions_for(1, 0.1) <= repetitions_for(10, 0.1)
     assert repetitions_for(1, 0.1) <= repetitions_for(1, 0.01)
+
+
+def test_default_repetitions_pinned(monkeypatch):
+    # multipass_lp_draw and TukeySampler size R with repetitions_for,
+    # ceil(4 ratio ln(1/delta)) at ratio n^{1-1/p} and G(tau)/G(1): the
+    # default R on a small grid, so a change to either sizing shows.
+    chains = []
+
+    def narrow(stream, gamma, n, rngs, k=None):
+        chains.append(len(rngs))
+        return [], 0, None
+
+    monkeypatch.setattr(multipass, "_narrow", narrow)
+    got = {}
+    for n in (4, 100, 10 ** 4):
+        for p in (Fraction(5, 4), Fraction(3, 2), Fraction(2)):
+            multipass.multipass_lp_draw(None, Fraction(1, 2), p, n, 0.1)
+            multipass.multipass_lp_draw(None, Fraction(1, 2), p, n, 0.01)
+            got[n, p] = tuple(chains[-2:])
+    assert got == {
+        (4, Fraction(5, 4)): (13, 25), (4, Fraction(3, 2)): (15, 30), (4, 2): (19, 37),
+        (100, Fraction(5, 4)): (24, 47), (100, Fraction(3, 2)): (43, 86), (100, 2): (93, 185),
+        (10 ** 4, Fraction(5, 4)): (59, 117), (10 ** 4, Fraction(3, 2)): (199, 397),
+        (10 ** 4, 2): (922, 1843)}
+    tukey = {(tau, delta): TukeySampler(tukey_measure(tau), 10, delta).R
+             for tau in (1, 2, Fraction(5, 2), 7) for delta in (0.1, 0.01)}
+    assert tukey == {(1, 0.1): 10, (1, 0.01): 19, (2, 0.1): 16, (2, 0.01): 32,
+                     (Fraction(5, 2), 0.1): 23, (Fraction(5, 2), 0.01): 46,
+                     (7, 0.1): 154, (7, 0.01): 308}
 
 
 @pytest.mark.parametrize("measure,p", [
@@ -136,7 +167,7 @@ def test_z_derived_gsampler_builds_its_own_summary():
     # Built directly, without lp_sampler: the Misra-Gries summary behind the
     # Z-derived zeta must exist, or the draw fails on a missing summary.
     p = Fraction(3, 2)
-    s = GSampler(lp_measure(p), 50, 100, p=p)
+    s = GSampler(lp_measure(p), 50, 100)
     assert s.mg is not None and s.mg.k == mg_budget(p, 50)
     s.process([1, 2, 2, 3, 3, 3] * 10)
     assert s.draw().outcome in ("index", "fail")
@@ -144,8 +175,13 @@ def test_z_derived_gsampler_builds_its_own_summary():
 
 
 def test_z_derived_gsampler_without_p_is_rejected():
-    with pytest.raises(ValueError, match="pass p"):
-        GSampler(lp_measure(Fraction(3, 2)), 50, 100)
+    # Only L_p derives zeta from Misra-Gries; a measure with no static zeta
+    # and no exponent p has no increment bound.
+    class Unbounded(MeasureFunction):
+        name = "unbounded"
+
+    with pytest.raises(ValueError, match="no static zeta"):
+        GSampler(Unbounded(), 50, 100)
 
 
 # Per-unit laws over (sample, accepted); sample None is a unit without a
@@ -200,7 +236,7 @@ def test_draw_stops_at_first_accepted_repetition(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(gsampler, "accept_increment", counting)
-    s = GSampler(lp_measure(1), n=10, m=50, zeta=1, repetitions=1000, seed=4)
+    s = GSampler(lp_measure(1), n=10, m=50, repetitions=1000, seed=4)
     for k in range(5):
         s.process([k % 10 + 1, (3 * k) % 10 + 1] * 5)
         calls.clear()

@@ -12,6 +12,7 @@ from exactsamp.core import SampleResult, Update, huber_measure, lp_measure, tuke
 from exactsamp.gsampler import GSampler
 from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
+from exactsamp.randomorder import PairL2Sampler
 from exactsamp.oracle import (
     BranchBudgetExceeded,
     UnforkedDraw,
@@ -28,21 +29,23 @@ def ups(coords):
     return [Update(c) for c in coords]
 
 
-def gsampler_law(coords, measure, zeta, n=3):
+def gsampler_law(coords, measure, n=3):
     """Law of one draw of the real GSampler at R = 1."""
-    return sampler_law(lambda: GSampler(measure, n, len(coords), zeta=zeta, repetitions=1),
-                       coords)
+    return sampler_law(lambda: GSampler(measure, n, len(coords), repetitions=1), coords)
 
 
 def test_frozen_gsampler_example():
-    law = gsampler_law([1, 1, 2], lp_measure(2), zeta=3)
-    assert law.probs == {1: Fraction(4, 9), 2: Fraction(1, 9)}
-    assert law.mass_fail == Fraction(4, 9)
+    # The shipped zeta = 2Z: Misra-Gries with k = 2 counters gives
+    # Z = max estimate + m/k = 2 + 3/2 = 7/2, so zeta = 7, and index i has
+    # mass G(f_i)/(zeta m) = f_i^2/21.
+    law = gsampler_law([1, 1, 2], lp_measure(2))
+    assert law.probs == {1: Fraction(4, 21), 2: Fraction(1, 21)}
+    assert law.mass_fail == Fraction(16, 21)
     assert law.conditional() == {1: Fraction(4, 5), 2: Fraction(1, 5)}
 
 
 def test_empty_stream_bottom():
-    law = gsampler_law([], lp_measure(1), zeta=1)
+    law = gsampler_law([], lp_measure(1))
     assert law.mass_bottom == 1
 
 
@@ -212,17 +215,10 @@ def test_skip_forks_over_the_rest_of_the_stream_only():
 
 
 def test_pair_law_example():
-    law = oracle.pair_l2_law({1: 2, 2: 2}, 4)
+    # The real PairL2Sampler's first pair, over every order of the window.
+    law = oracle.order_law(lambda: PairL2Sampler(4, 4), {1: 2, 2: 2}, length=2)
     assert law.probs == {1: Fraction(1, 4), 2: Fraction(1, 4)}
     assert law.conditional() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-
-
-def test_block_law_total_mass():
-    freqs = {1: 3, 2: 2, 3: 1}
-    W, p = 6, 3
-    law = oracle.block_lp_law(freqs, W, p)
-    for i, f in freqs.items():
-        assert law.probs[i] == Fraction(f ** p, W ** p)
 
 
 def test_multipass_l1_law():
@@ -241,15 +237,17 @@ def test_multipass_lp_law_conditional():
 
 
 def test_branch_budget(monkeypatch):
-    with pytest.raises(BranchBudgetExceeded):
-        oracle.pair_l2_law({i: 2 for i in range(1, 10)}, 18)
     # The enumerator counts leaves: 2^(m-1) reservoir paths times 2 coins.
+    # The shipped zeta = 2Z, Z = 2 + 6/2 = 5 (Misra-Gries, k = 2), so index
+    # i has mass G(f_i)/(zeta m) = f_i^2/60.
     monkeypatch.setattr(oracle, "BRANCH_BUDGET", 63)
     with pytest.raises(BranchBudgetExceeded):
-        gsampler_law([1, 2, 1, 3, 1, 2], lp_measure(2), zeta=6)
+        gsampler_law([1, 2, 1, 3, 1, 2], lp_measure(2))
+    with pytest.raises(BranchBudgetExceeded):
+        oracle.order_law(lambda: PairL2Sampler(9, 18), {i: 2 for i in range(1, 10)})
     monkeypatch.setattr(oracle, "BRANCH_BUDGET", 64)
-    assert gsampler_law([1, 2, 1, 3, 1, 2], lp_measure(2), zeta=6).probs == \
-        {1: Fraction(1, 4), 2: Fraction(1, 9), 3: Fraction(1, 36)}
+    assert gsampler_law([1, 2, 1, 3, 1, 2], lp_measure(2)).probs == \
+        {1: Fraction(3, 20), 2: Fraction(1, 15), 3: Fraction(1, 60)}
 
 
 def _irrational_gsampler_draw():

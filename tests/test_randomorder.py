@@ -15,7 +15,7 @@ from exactsamp.randomorder import (
     falling,
     stirling2,
 )
-from exactsamp import montecarlo, oracle
+from exactsamp import oracle
 
 
 def test_stirling_identity():
@@ -36,13 +36,18 @@ def test_alpha_example():
 
 
 def test_alpha_sums_to_fp_over_wp():
-    # Per-tuple harvest mass: sum over q with constant prefixes gives f^p/W^p
-    # when applied over random orders (checked via the oracle law).
-    for W, p in [(4, 3), (6, 3), (5, 4)]:
-        freqs = {1: W - 1, 2: 1}
-        law = oracle.block_lp_law(freqs, W, p)
-        for i, f in freqs.items():
-            assert law.probs[i] == Fraction(f ** p, W ** p)
+    # Per-tuple harvest mass, on the shipped coefficients: under a uniformly
+    # random order, a tuple of p distinct positions has its first q entries
+    # all equal to coordinate i with probability (f)_q/(W)_q, and inserts i
+    # with probability alpha_q for each such q, so its mass on i is
+    # sum_q alpha_q (f)_q/(W)_q, which must be f^p/W^p for every f <= W.
+    for p in range(3, 7):
+        for W in range(p, 13):
+            alphas = alpha_coeffs(p, W)
+            for f in range(W + 1):
+                mass = sum(a * Fraction(falling(f, q), falling(W, q))
+                           for q, a in enumerate(alphas, 1))
+                assert mass == Fraction(f ** p, W ** p), (p, W, f)
 
 
 def test_cap_config():
@@ -67,43 +72,13 @@ def test_pair_all_one_coordinate():
     assert res.outcome == "index" and res.index == 1
 
 
-def merged_pair_law(freqs, W):
-    """Exact conditional law of the full pair sampler (uniform merge over all
-    harvested pairs).  The merge conditions on the whole harvest set, which
-    skews the per-pair f^2/W^2 law by O(1/W); this enumeration reproduces the
-    implementation's actual law."""
-    import itertools
-
-    pool = []
-    for i in sorted(freqs):
-        pool.extend([i] * freqs[i])
-    arrs = set(itertools.permutations(pool))
-    weight = Fraction(1, len(arrs))
-    law = Counter()
-    inv_w = Fraction(1, W)
-    for arr in arrs:
-        pairs = [(arr[k], arr[k + 1]) for k in range(0, W - 1, 2)]
-        qs = [Fraction(1) if x == y else inv_w for x, y in pairs]
-        for mask in range(1, 1 << len(pairs)):
-            prob = Fraction(1)
-            picked = []
-            for j, q in enumerate(qs):
-                if mask >> j & 1:
-                    prob *= q
-                    picked.append(pairs[j][0])
-                else:
-                    prob *= 1 - q
-            for x in picked:
-                law[x] += weight * prob / len(picked)
-    total = sum(law.values())
-    return {i: v / total for i, v in law.items()}
-
-
 def test_merged_pair_law_is_biased():
-    # W=4, f=(2,1,1): the merged conditional is 7/10 on the heavy coordinate,
-    # not f^2/F2 = 4/6; only the designated single pair obeys f^2/W^2.
-    law = merged_pair_law({1: 2, 2: 1, 3: 1}, 4)
-    assert law[1] == Fraction(7, 10)
+    # The real class over every order of the window, W=4, f=(2,1,1): the
+    # merged conditional (a uniform pick among all harvested pairs) is 7/10
+    # on the heavy coordinate, not f^2/F2 = 4/6; only the designated single
+    # pair obeys f^2/W^2.
+    law = oracle.order_law(lambda: PairL2Sampler(3, 4), {1: 2, 2: 1, 3: 1}).conditional()
+    assert law == {1: Fraction(7, 10), 2: Fraction(3, 20), 3: Fraction(3, 20)}
     assert law[1] != Fraction(4, 6)
 
 
@@ -117,17 +92,10 @@ def test_pair_conditional_law():
         res = s.draw()
         if res.outcome == "index":
             hist[res.index] += 1
-    target = {i: float(v) for i, v in merged_pair_law(freqs, W).items()}
+    law = oracle.order_law(lambda: PairL2Sampler(3, W), freqs)  # every order, real class
+    target = {i: float(v) for i, v in law.conditional().items()}
     rep = oracle.gof_test(dict(hist), target)
     assert rep.pvalue > 1e-4, rep
-
-
-def test_pair_mc_twin_matches_oracle():
-    freqs = {1: 2, 2: 1, 3: 1}
-    law = oracle.pair_l2_law(freqs, 4)
-    hist, _ = montecarlo.mc_pair_l2(freqs, 4, 200000, seed=5)
-    rep = oracle.gof_test(hist, {k: float(v) for k, v in law.conditional().items()})
-    assert rep.pvalue > 1e-4
 
 
 def test_pair_expiry():
@@ -166,14 +134,6 @@ def test_block_conditional_law_symmetric():
             hist[res.index] += 1
     n_idx = hist[1] + hist[2]
     assert abs(hist[1] / n_idx - 0.5) < 4 * math.sqrt(0.25 / n_idx)
-
-
-def test_block_mc_twin_matches_oracle():
-    freqs = {1: 3, 2: 2, 3: 1}
-    law = oracle.block_lp_law(freqs, 6, 3)
-    hist, _ = montecarlo.mc_block_lp(freqs, 6, 3, 200000, seed=6)
-    rep = oracle.gof_test(hist, {k: float(v) for k, v in law.conditional().items()})
-    assert rep.pvalue > 1e-4
 
 
 def test_downsample_keeps_harvest_uniformity():

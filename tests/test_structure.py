@@ -14,8 +14,11 @@ the only other one.  Float binomials, exponentials and hypergeometrics are
 drawn only by the Monte-Carlo twins and smallp, which is approximate by
 design; BlockLpSampler draws exactrand's exact binomial.  Importing the
 package or its CLI loads neither numpy nor scipy, and neither does running
-the block sampler: numpy is imported at module level by the Monte-Carlo twins
-alone, and elsewhere only inside exactrand.np_substream.
+the block sampler or the exact-only verify battery: numpy is imported at
+module level by the Monte-Carlo twins alone, and elsewhere only inside
+exactrand.np_substream.  No sampler constructor takes a zeta, exponent or
+cap-constant override, so the exact-law checks run the zeta that ships, and
+no hand-written random-order law, nor a numpy twin of one, is left.
 The sliding L_p sampler runs on the checkpoint banks,
 with no numpy and no suffix-minimum structure.  Every L_p sampler takes its
 zeta from one rule, gsampler.lp_zeta, and no degraded-estimate path or
@@ -154,6 +157,30 @@ def test_one_lp_zeta_rule():
     assert not {"pow_scaled", "pow_exact"} & set(_names(trees["sliding.py"]))
 
 
+def _init_params(tree, cls):
+    node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    init = _function(node, "__init__")
+    return {arg.arg for arg in init.args.args + init.args.kwonlyargs}
+
+
+def test_override_knobs_and_law_mirrors_stay_removed():
+    # The exact-law checks run the shipped classes at the zeta they ship
+    # with: no constructor takes a zeta, exponent or cap-constant override,
+    # and no hand-written random-order law, nor a numpy twin of one, is left.
+    trees = _trees()
+    gone = {"oracle.py": {"pair_l2_law", "block_lp_law", "_arrangements"},
+            "montecarlo.py": {"mc_pair_l2", "mc_block_lp", "_window_pool", "conditional"}}
+    for module, names in gone.items():
+        assert not [name for name in names if _defines(trees[module], name)], module
+    for module, cls, knobs in (("gsampler.py", "GSampler", {"zeta", "p", "C"}),
+                               ("sliding.py", "CheckpointedSampler", {"zeta", "C"}),
+                               ("randomorder.py", "PairL2Sampler", {"zeta", "C"}),
+                               ("randomorder.py", "BlockLpSampler", {"zeta", "C"})):
+        assert not _init_params(trees[module], cls) & knobs, cls
+    mc = _function(trees["montecarlo.py"], "mc_gsampler")
+    assert not {"W", "inclusive"} & {arg.arg for arg in mc.args.args}
+
+
 def test_float_uniforms_only_outside_the_samplers():
     callers = {name for name, tree in _trees().items() if "random" in set(_called(tree))}
     assert callers <= {"cli.py", "montecarlo.py"}, callers
@@ -215,6 +242,19 @@ def test_block_sampler_and_its_cli_load_no_numpy(tmp_path):
             "             '--p', '3', '--trials', '3']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
     subprocess.run([sys.executable, "-c", code, stream], env=env, check=True, timeout=120)
+
+
+def test_verify_cli_loads_no_numpy(tmp_path):
+    # The verify battery is exact: `exactsamp verify --out ...` passes and
+    # imports neither numpy nor scipy.
+    out = str(tmp_path / "reports.json")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys\n"
+            "from exactsamp.cli import main\n"
+            "assert main(['verify', '--out', sys.argv[1]]) == 0\n"
+            "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code, out], env=env, check=True, timeout=120)
 
 
 def _numpy_import_sites(node, fn=None):
