@@ -5,6 +5,10 @@ measure functions G (L_p moments and M-estimators), a branch enumerator that
 runs the shipped samplers with every random primitive forked at its exact
 law, so their laws are checked with zero tolerance on tiny inputs, and
 Monte-Carlo harnesses for statistical checks at scale.
+
+Importing the package loads the samplers alone.  The enumerator's names
+(ExactDistribution, enumerate_law, gof_test, sampler_law,
+target_distribution) load exactsamp.oracle on first use.
 """
 
 from .core import (
@@ -33,18 +37,22 @@ from .f0sampler import F0Sampler, TukeySampler
 from .gsampler import GSampler, lp_sampler, repetitions_for
 from .matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
-from .oracle import (
-    ExactDistribution,
-    enumerate_law,
-    gof_test,
-    sampler_law,
-    target_distribution,
-)
 from .randomorder import BlockLpSampler, PairL2Sampler
 from .sliding import CheckpointedSampler, SlidingLpSampler
 from .smallp import DuplicatedExpState
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    ["ExactDistribution", "enumerate_law", "gof_test", "sampler_law", "target_distribution"])
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "BlockLpSampler",

@@ -16,9 +16,8 @@ one fixed-point logarithm (exactrand.root_scaled, pow_scaled, log_scaled).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
 
 from .exactrand import log_scaled, pow_bounds, pow_exact, pow_scaled, root_scaled, scaled
 
@@ -26,31 +25,79 @@ MODELS = ("insertion_only", "sliding_window", "strict_turnstile", "random_order"
 INCREMENT_MEMO = 1 << 12  # states whose increment_exact a measure keeps
 
 
-@dataclass(frozen=True)
-class Update:
-    coord: int
-    delta: int = 1
-    time: int = 0
-    col: Optional[int] = None  # set in matrix mode; coord is then the row
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class StreamConfig:
-    n: int
-    model: str = "insertion_only"
-    W: Optional[int] = None
-    seed: int = 0
-    d: Optional[int] = None  # matrix column count
+class Record:
+    """A frozen record with value semantics, as a frozen dataclass has.
 
-    def __post_init__(self):
-        if self.n < 1:
+    A subclass names its fields, in order, in __slots__ and sets them in its
+    own __init__ through object.__setattr__.  Records are equal, and hash
+    alike, when they are of one class and their fields are equal; the repr
+    is Name(field=value, ...); assigning or deleting a field raises
+    AttributeError; pickle and copy rebuild a record through its __init__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = staticmethod(attrgetter(*cls.__slots__))  # the field tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Update(Record):
+    """One stream update; col is set in matrix mode, where coord is the row."""
+
+    __slots__ = ("coord", "delta", "time", "col")
+
+    def __init__(self, coord, delta=1, time=0, col=None):
+        _set(self, "coord", coord)
+        _set(self, "delta", delta)
+        _set(self, "time", time)
+        _set(self, "col", col)
+
+
+class StreamConfig(Record):
+    """A stream's universe size n and model; W is the window of the
+    sliding_window model and d the column count of the matrix model."""
+
+    __slots__ = ("n", "model", "W", "seed", "d")
+
+    def __init__(self, n, model="insertion_only", W=None, seed=0, d=None):
+        if n < 1:
             raise ValueError("universe size must be >= 1")
-        if self.model not in MODELS:
-            raise ValueError("unknown stream model: %r" % (self.model,))
-        if self.model == "sliding_window" and (self.W is None or self.W < 1):
+        if model not in MODELS:
+            raise ValueError("unknown stream model: %r" % (model,))
+        if model == "sliding_window" and (W is None or W < 1):
             raise ValueError("sliding_window model needs W >= 1")
-        if self.model == "matrix" and (self.d is None or self.d < 1):
+        if model == "matrix" and (d is None or d < 1):
             raise ValueError("matrix model needs d >= 1")
+        _set(self, "n", n)
+        _set(self, "model", model)
+        _set(self, "W", W)
+        _set(self, "seed", seed)
+        _set(self, "d", d)
 
 
 def exponent(p):
@@ -120,12 +167,17 @@ BOTTOM = "bottom"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    outcome: str  # INDEX / BOTTOM / FAIL
-    index: Optional[int] = None
-    frequency: Optional[int] = None
-    repetition: Optional[int] = None  # the first accepting repetition, where set
+class SampleResult(Record):
+    """A draw's outcome (INDEX / BOTTOM / FAIL), its index and frequency
+    where set, and the first accepting repetition, where set."""
+
+    __slots__ = ("outcome", "index", "frequency", "repetition")
+
+    def __init__(self, outcome, index=None, frequency=None, repetition=None):
+        _set(self, "outcome", outcome)
+        _set(self, "index", index)
+        _set(self, "frequency", frequency)
+        _set(self, "repetition", repetition)
 
     @classmethod
     def of(cls, index, frequency=None, repetition=None):
@@ -383,10 +435,15 @@ def builtin_measures(p=Fraction(1, 2), tau=Fraction(2)):
     ]
 
 
-@dataclass(frozen=True)
-class StreamError:
-    position: int  # 1-based update index, 0 for header-level problems
-    message: str
+class StreamError(Record):
+    """A stream's first violation of its model: position is the 1-based
+    update index, 0 for header-level problems."""
+
+    __slots__ = ("position", "message")
+
+    def __init__(self, position, message):
+        _set(self, "position", position)
+        _set(self, "message", message)
 
 
 def validate_stream(config, updates):

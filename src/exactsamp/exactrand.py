@@ -32,6 +32,11 @@ np_substream derives a numpy Generator from (seed, ids) the same way.  Only
 the Monte-Carlo twins draw from one, and it imports numpy in its body, so
 importing the package, or running any sampler, loads no numpy.
 
+Substream seeds are 128-bit BLAKE2b digests of repr((seed, ids)).  blake2b
+is taken from _blake2, the module hashlib takes it from (as random takes
+its sha512 from _sha512), so the import loads no OpenSSL; the digests are
+hashlib.blake2b's.
+
 The scaled-integer cores give such brackets: root_scaled and pow_scaled for
 x**(1/n) and base**exp with one integer root, log_scaled for ln(y) by a
 fixed-point series.  root_bounds and pow_bounds are the rational forms of the
@@ -39,15 +44,20 @@ first two, for callers off the draw path.
 """
 
 import functools
-import hashlib
 import math
 import random
 from fractions import Fraction
 
+try:
+    # hashlib's own blake2b, without the OpenSSL module hashlib loads
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 
 def _digest(seed, ids):
     payload = repr((int(seed), ids)).encode()
-    return hashlib.blake2b(payload, digest_size=16).digest()
+    return blake2b(payload, digest_size=16).digest()
 
 
 def substream(seed, *ids):
@@ -374,14 +384,18 @@ def bernoulli_bounds(refine, rng, start_prec=16):
     u is the integer prefix U of its first j bits, u in [U, U+1) 2^-j; at
     scale 2^k that is [U << (k-j), (U+1) << (k-j)).  The draw is decided once
     that interval lies on one side of [lo, hi], takes another bit while it is
-    wider than [lo, hi], and doubles k otherwise.
+    wider than [lo, hi], and doubles k otherwise.  A lower end above 2^k,
+    a q that is certainly above 1, raises ValueError.
     """
     k = start_prec
     lo, hi = refine(k)
     U = j = 0
     while True:
         s = k - j
-        if (U + 1) << s <= lo:
+        if (U + 1) << s <= lo:  # always taken at once when lo > 2^k
+            if lo > 1 << k:
+                raise ValueError("a probability bracket [%d, %d] / 2^%d lies above 1"
+                                 % (lo, hi, k))
             return True
         if U << s >= hi:
             return False

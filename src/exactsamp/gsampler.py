@@ -75,10 +75,19 @@ def accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table=None):
 
 def acceptance(measure, c, zeta_exact, zeta_bounds):
     """The probability (G(c+1) - G(c)) / zeta: the quotient when it is
-    rational, else its refine(k), which keeps each bracket it computes."""
+    rational, else its refine(k), which keeps each bracket it computes.
+
+    zeta must bound the increment.  A rational quotient above 1 raises
+    ValueError here, and a bracket whose lower end is above 1 raises it in
+    bernoulli_bounds: the test would accept with probability 1 instead, and
+    the telescoping law would be biased."""
     inc = measure.increment_exact(c)
     if inc is not None and zeta_exact is not None:
-        return inc / zeta_exact
+        q = inc / zeta_exact
+        if q.numerator > q.denominator:
+            raise ValueError("zeta %s is below the increment %s of %s at c = %d"
+                             % (zeta_exact, inc, measure.name, c))
+        return q
     brackets = {}
 
     def refine(k):

@@ -1,11 +1,9 @@
-"""Verification battery: exact-law and statistical checks with JSON reports.
+"""Verification battery: exact-law checks with JSON reports.
 
 Each check compares a sampler law against its target.  The standing
 battery is exact: it enumerates the shipped samplers over every branch of
 their random choices (oracle.sampler_law, oracle.enumerate_law, and
 oracle.order_law over the random orders of a window) and demands equality.
-verify_statistical runs a histogram of draws through the chi-square /
-total-variation test, for checks at scales the enumerator cannot reach.
 """
 
 import json
@@ -58,17 +56,6 @@ def verify_exact(sampler, stream_id, law, target):
     match = cond == tcond
     return VerifyReport(sampler, stream_id, cond, tcond, exact_match=match,
                         ok=match)
-
-
-def verify_statistical(sampler, stream_id, histogram, target, alpha=1e-4,
-                       tv_bound=None):
-    rep = oracle.gof_test(histogram, target)
-    n = rep.n_samples
-    cond = {k: v / n for k, v in histogram.items()}
-    ok = rep.pvalue >= alpha and (tv_bound is None or rep.tv <= tv_bound)
-    return VerifyReport(sampler, stream_id, cond, dict(target),
-                        pvalue=rep.pvalue, tv=rep.tv, ok=ok,
-                        notes="n=%d dof=%d" % (n, rep.dof))
 
 
 def default_battery():

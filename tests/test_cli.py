@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +107,24 @@ def test_verify_writes_reports(tmp_path, capsys):
     assert reports and all(r["ok"] for r in reports)
     assert {"sampler", "stream_id", "conditional_law", "target_law",
             "exact_match", "pvalue", "tv", "ok"} <= set(reports[0])
+
+
+def test_sample_loads_no_enumerator(tmp_path):
+    # Only `exactsamp verify` imports the verify battery and its enumerator.
+    import exactsamp
+
+    stream = str(tmp_path / "u.jsonl")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(exactsamp.__file__))))
+    code = ("import sys\n"
+            "from exactsamp.cli import main\n"
+            "assert main(['generate', '--kind', 'uniform', '--n', '5', '--m', '40',\n"
+            "             '--out', sys.argv[1]]) == 0\n"
+            "assert main(['sample', '--stream', sys.argv[1], '--sampler', 'lp', '--p', '2',\n"
+            "             '--trials', '3']) == 0\n"
+            "loaded = {'exactsamp.oracle', 'exactsamp.verify'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code, stream], env=env, check=True, timeout=120)
 
 
 def test_bench_runs(capsys):

@@ -1,6 +1,8 @@
+import copy
 import decimal
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactsamp.core import (
+    SampleResult,
     StreamConfig,
     StreamError,
     Update,
@@ -129,6 +132,57 @@ def test_config_validation():
         StreamConfig(n=2, model="matrix")
     with pytest.raises(ValueError):
         StreamConfig(n=2, model="bogus")
+
+
+# Each record class: a positional construction, the same record by keyword,
+# the fields in order with their defaults filled in, and its repr.
+RECORDS = [
+    (Update, (3,), dict(coord=3), (3, 1, 0, None),
+     "Update(coord=3, delta=1, time=0, col=None)"),
+    (Update, (2, -1, 5, 4), dict(col=4, time=5, delta=-1, coord=2), (2, -1, 5, 4),
+     "Update(coord=2, delta=-1, time=5, col=4)"),
+    (StreamConfig, (7,), dict(n=7), (7, "insertion_only", None, 0, None),
+     "StreamConfig(n=7, model='insertion_only', W=None, seed=0, d=None)"),
+    (StreamConfig, (7, "sliding_window", 3, 9), dict(W=3, seed=9, model="sliding_window", n=7),
+     (7, "sliding_window", 3, 9, None),
+     "StreamConfig(n=7, model='sliding_window', W=3, seed=9, d=None)"),
+    (SampleResult, ("fail",), dict(outcome="fail"), ("fail", None, None, None),
+     "SampleResult(outcome='fail', index=None, frequency=None, repetition=None)"),
+    (SampleResult, ("index", 4, 2, 0), dict(repetition=0, frequency=2, index=4, outcome="index"),
+     ("index", 4, 2, 0), "SampleResult(outcome='index', index=4, frequency=2, repetition=0)"),
+    (StreamError, (3, "zero delta"), dict(message="zero delta", position=3), (3, "zero delta"),
+     "StreamError(position=3, message='zero delta')"),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, fields, text", RECORDS)
+def test_records_keep_frozen_dataclass_semantics(cls, args, kwargs, fields, text):
+    rec = cls(*args)
+    assert rec == cls(**kwargs) == cls(*fields)
+    assert tuple(getattr(rec, name) for name in cls.__slots__) == fields
+    assert hash(rec) == hash(cls(**kwargs)) and len({rec, cls(**kwargs)}) == 1
+    assert repr(rec) == text
+    assert rec != fields and not rec == fields  # a record is not its tuple
+    for other_cls, other_args, *_ in RECORDS:
+        if other_cls is not cls:
+            assert rec != other_cls(*other_args)
+    name = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, name, 1)
+    with pytest.raises(AttributeError):
+        delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert getattr(rec, name) == fields[0]
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(twin) is cls and twin == rec and repr(twin) == text
+
+
+def test_records_differ_by_value():
+    assert Update(1) != Update(2) and Update(1) != Update(1, time=1)
+    assert SampleResult.fail() != SampleResult.bottom()
+    assert SampleResult.of(2, repetition=1) == SampleResult("index", 2, None, 1)
+    assert StreamError(1, "a") != StreamError(2, "a")
 
 
 def test_frequencies_window():

@@ -39,6 +39,16 @@ def test_substream_deterministic_and_distinct():
     assert a != c
 
 
+def test_substreams_are_seeded_by_hashlib_blake2b():
+    # exactrand takes blake2b from _blake2 so that importing it loads no
+    # OpenSSL; it is hashlib's own, so every substream and subseed is kept.
+    import hashlib
+
+    assert exactrand.blake2b is hashlib.blake2b
+    assert exactrand.subseed(7, "bank") == 3120071199415226484
+    assert substream(1, "draws").getrandbits(64) == 7060824520749491811
+
+
 def test_weighted_index_consumes_one_randrange():
     # Weights (0, 3, 0, 1): the four values of randrange(4) land on
     # indices 1, 1, 1, 3, and a zero weight is never picked.

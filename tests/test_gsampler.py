@@ -9,7 +9,8 @@ import pytest
 
 from exactsamp import gsampler, multipass
 from exactsamp.core import (
-    MeasureFunction, Update, huber_measure, l1l2_measure, lp_measure, tukey_measure,
+    HuberMeasure, MeasureFunction, Update, huber_measure, l1l2_measure, lp_measure,
+    tukey_measure,
 )
 from exactsamp.f0sampler import F0Sampler, TukeySampler
 from exactsamp.gsampler import (
@@ -267,11 +268,46 @@ def test_draw_time_flat_in_repetitions():
     assert t4096 <= 3.0 * t64, (t64, t4096)
 
 
+def test_zeta_below_an_increment_is_rejected():
+    # Huber(1) with zeta = 1/4 would accept its c = 0 increment G(1) = 1/2
+    # with "probability" 2, and sample {2/3, 1/3} on [1, 1, 2] against the
+    # target {3/4, 1/4}: the draw raises instead.
+    class LowZetaHuber(HuberMeasure):
+        def __init__(self):
+            super().__init__(1)
+            self.zeta = Fraction(1, 4)
+
+    make = lambda: GSampler(LowZetaHuber(), 2, 3, repetitions=1)
+    with pytest.raises(ValueError, match="below the increment"):
+        oracle.sampler_law(make, [1, 1, 2])
+    s = make()
+    s.process([1, 1, 2])
+    with pytest.raises(ValueError, match="below the increment"):
+        s.draw()  # every increment on this stream, 1/2 or 1, is above zeta
+    # Huber(1) at its own zeta = 1 is exact on the same stream.
+    law = oracle.sampler_law(lambda: GSampler(huber_measure(1), 2, 3, repetitions=1), [1, 1, 2])
+    assert law.conditional() == {1: Fraction(3, 4), 2: Fraction(1, 4)}
+
+
+def test_bracket_above_one_is_rejected():
+    # (8^{3/2} - 7^{3/2}) / (3/2 sqrt(7/3)) is about 1.79: the irrational test
+    # raises on the first bracket, whose lower end is above 2^k.
+    meas = lp_measure(Fraction(3, 2))
+    zeta_exact, zeta_bounds = lp_zeta(Fraction(7, 3), Fraction(3, 2))
+    with pytest.raises(ValueError, match="above 1"):
+        accept_increment(meas, 7, zeta_exact, zeta_bounds, random.Random(0))
+    # c = 1: (2^{3/2} - 1) / (3/2 sqrt(7/3)) is about 0.80, a fair test.
+    rng = random.Random(0)
+    assert {accept_increment(meas, 1, zeta_exact, zeta_bounds, rng) for _ in range(64)} \
+        == {True, False}
+
+
 def test_irrational_zeta_accept_within_3x_of_rational():
-    # zeta = 2 sqrt(F_2), F_2 = 10^6 + 3, runs on scaled-integer brackets;
-    # zeta = 2Z with Z = 1000 is rational.  Same increments 2c + 1 < zeta.
+    # zeta = 2 sqrt(F_2), F_2 = 10^6 + 3, runs on scaled-integer brackets
+    # (lp_zeta's p Z^{p-1} at p = 3/2 and Z = 16 F_2 / 9); zeta = 2Z with
+    # Z = 1000 is rational.  Same increments 2c + 1 < zeta.
     meas = lp_measure(2)
-    irrational = lp_zeta(Fraction(10 ** 6 + 3), Fraction(3, 2))
+    irrational = lp_zeta(Fraction(16 * (10 ** 6 + 3), 9), Fraction(3, 2))
     rational = lp_zeta(Fraction(1000), Fraction(2))
     assert irrational[0] is None and rational[1] is None
     rng = random.Random(3)

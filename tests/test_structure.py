@@ -16,7 +16,9 @@ design; BlockLpSampler draws exactrand's exact binomial.  Importing the
 package or its CLI loads neither numpy nor scipy, and neither does running
 the block sampler or the exact-only verify battery: numpy is imported at
 module level by the Monte-Carlo twins alone, and elsewhere only inside
-exactrand.np_substream.  No sampler constructor takes a zeta, exponent or
+exactrand.np_substream.  Importing the package loads neither hashlib's OpenSSL
+module, nor dataclasses, nor the enumerator, which loads on first use of its
+names.  No sampler constructor takes a zeta, exponent or
 cap-constant override, so the exact-law checks run the zeta that ships, and
 no hand-written random-order law, nor a numpy twin of one, is left.
 The sliding L_p sampler runs on the checkpoint banks,
@@ -222,6 +224,26 @@ def test_package_and_cli_import_no_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import exactsamp, exactsamp.cli, sys; "
             "loaded = {'numpy', 'scipy'} & set(sys.modules); assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_package_import_loads_only_the_samplers():
+    # Importing the package loads no OpenSSL hashlib, no dataclasses and no
+    # enumerator; the enumerator's names load it on first use, and
+    # `from exactsamp import *` still binds every name of __all__.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import exactsamp\n"
+            "added = set(sys.modules) - before\n"
+            "loaded = {'hashlib', '_hashlib', 'dataclasses', 'exactsamp.oracle'} & added\n"
+            "assert not loaded, loaded\n"
+            "assert exactsamp.enumerate_law.__module__ == 'exactsamp.oracle'\n"
+            "assert 'exactsamp.oracle' in sys.modules\n"
+            "names = {}\n"
+            "exec('from exactsamp import *', names)\n"
+            "assert set(exactsamp.__all__) <= set(names), set(exactsamp.__all__) - set(names)\n"
+            "assert names['ExactDistribution'] is sys.modules['exactsamp.oracle'].ExactDistribution\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 

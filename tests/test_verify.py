@@ -32,14 +32,6 @@ def test_verify_exact_pass_and_fail():
     assert not bad.ok and bad.exact_match is False
 
 
-def test_verify_statistical_flags_wrong_target():
-    hist = {1: 7500, 2: 2500}
-    ok = verify.verify_statistical("s", "x", hist, {1: 0.75, 2: 0.25})
-    assert ok.ok
-    bad = verify.verify_statistical("s", "x", hist, {1: 0.5, 2: 0.5})
-    assert not bad.ok
-
-
 def test_report_json_round_trips():
     rep = verify.VerifyReport("s", "x", {1: Fraction(1, 2)}, {1: 0.5},
                               exact_match=True, ok=True)
