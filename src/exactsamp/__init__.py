@@ -3,8 +3,7 @@
 The package provides reservoir-based samplers for a family of concave
 measure functions G (L_p moments and M-estimators), a branch enumerator that
 runs the shipped samplers with every random primitive forked at its exact
-law, so their laws are checked with zero tolerance on tiny inputs, and
-Monte-Carlo harnesses for statistical checks at scale.
+law, so their laws are checked with zero tolerance on tiny inputs.
 
 Importing the package loads the samplers alone.  The enumerator's names
 (ExactDistribution, enumerate_law, gof_test, sampler_law,

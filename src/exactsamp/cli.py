@@ -14,7 +14,6 @@ from .core import (
     StreamConfig,
     Update,
     fair_measure,
-    frequencies,
     huber_measure,
     l1l2_measure,
     lp_measure,

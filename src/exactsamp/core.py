@@ -5,9 +5,9 @@ G(0) = 0.  Samplers accept with probability (G(c+1) - G(c)) / zeta, so each
 measure carries an increment bound zeta and a deterministic lower bound on
 F_G = sum_i G(f_i) used to size repetition counts.
 
-G is evaluated three ways: exact rationals where the value is rational
-(`g_exact`), certified brackets otherwise (`g_bounds`), and plain floats for
-the bulk harnesses (`g_float`).  A bracket is in scaled integers, the one
+G is evaluated two ways: exact rationals where the value is rational
+(`g_exact`), and certified brackets otherwise (`g_bounds`); no float value
+of G is kept.  A bracket is in scaled integers, the one
 contract of every irrational acceptance test (see exactrand): g_bounds(x, k)
 returns integers (lo, hi) with lo <= G(x) 2^k <= hi and hi - lo bounded by a
 constant of the measure, and increment_bounds(c, k) does the same for
@@ -215,10 +215,6 @@ class MeasureFunction:
             raise NotImplementedError
         return scaled(exact, exact, k)
 
-    def g_float(self, x):
-        lo, hi = self.g_bounds(x, 40)
-        return (lo + hi) / 2 ** 41
-
     def fg_lower_bound(self, m):
         """Deterministic rational lower bound on F_G given total mass m."""
         raise NotImplementedError
@@ -280,9 +276,6 @@ class LpMeasure(MeasureFunction):
     def g_bounds(self, x, k):
         return pow_scaled(x, self.p, k)
 
-    def g_float(self, x):
-        return float(x) ** float(self.p)
-
     def fg_lower_bound(self, m):
         if m == 0:
             return Fraction(0)
@@ -321,9 +314,6 @@ class L1L2Measure(MEstimatorMeasure):
         lo, hi = root_scaled(4 + 2 * x * x, 2, k)
         return lo - (2 << k), hi - (2 << k)
 
-    def g_float(self, x):
-        return math.sqrt(4.0 + 2.0 * x * x) - 2.0
-
 
 class FairMeasure(MEstimatorMeasure):
     """G(x) = tau*x - tau^2 * ln(1 + x/tau), zeta = tau."""
@@ -349,10 +339,6 @@ class FairMeasure(MEstimatorMeasure):
         llo, lhi = log_scaled(Fraction(a + b * x, a), k + g)
         lin, den = a * b * x << (k + g), b * b << g
         return (lin - a * a * lhi) // den, -((a * a * llo - lin) // den)
-
-    def g_float(self, x):
-        tau = float(self.tau)
-        return tau * x - tau * tau * math.log1p(x / tau)
 
 
 class HuberMeasure(MEstimatorMeasure):
@@ -474,16 +460,14 @@ def validate_stream(config, updates):
     return None
 
 
-def frequencies(config, updates, window_end=None):
+def frequencies(config, updates):
     """Net frequency vector as a dict coord -> count.
 
-    In sliding-window mode only the last W updates (up to window_end, default
-    the stream end) contribute.
+    In sliding-window mode only the last W updates contribute.
     """
     ups = list(updates)
     if config.model == "sliding_window":
-        end = len(ups) if window_end is None else window_end
-        ups = ups[max(0, end - config.W):end]
+        ups = ups[max(0, len(ups) - config.W):]
     freq = {}
     for u in ups:
         freq[u.coord] = freq.get(u.coord, 0) + u.delta

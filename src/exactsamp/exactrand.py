@@ -28,9 +28,10 @@ Every random choice a sampler makes goes through the primitives here:
 oracle.enumerate_law swaps these primitives for forks at their exact laws,
 so it can run the shipped samplers over every branch of their choices.
 
-np_substream derives a numpy Generator from (seed, ids) the same way.  Only
-the Monte-Carlo twins draw from one, and it imports numpy in its body, so
-importing the package, or running any sampler, loads no numpy.
+np_substream derives a numpy Generator from (seed, ids) the same way.  No
+sampler draws from one; the tests' numpy simulations do.  It imports numpy
+in its body, so importing the package, or running any sampler, loads no
+numpy.
 
 Substream seeds are 128-bit BLAKE2b digests of repr((seed, ids)).  blake2b
 is taken from _blake2, the module hashlib takes it from (as random takes
@@ -74,7 +75,7 @@ def subseed(seed, *ids):
 
 def np_substream(seed, *ids):
     """A numpy Generator derived the same way, for the float draws of the
-    Monte-Carlo twins."""
+    tests' simulations."""
     import numpy as np  # here, so that importing the package skips numpy
 
     raw = _digest(seed, ids)

@@ -64,9 +64,6 @@ class L2RowMeasure(RowMeasure):
     def g_bounds(self, vec, k):
         return root_scaled(sum(x * x for x in vec), 2, k)
 
-    def g_float(self, vec):
-        return math.sqrt(float(sum(x * x for x in vec)))
-
     def fg_lower_bound(self, m):
         # ||x||_2 >= ||x||_1 / sqrt(d) would need d; the safe stream-length
         # bound ||x||_2 >= ||x||_1^{1/2} ... simplest valid: each row's norm is

@@ -46,6 +46,11 @@ Hand-written laws remain only where the enumerator cannot run a sampler:
 gsampler_coefficients and matrix_coefficients, symbolic laws over the basis
 {G(x)} (resp. G of row vectors), where telescoping is an identity between
 coefficient vectors and holds for every measure, irrational G included.
+
+target_distribution is the exact target {G(f_i)/F_G} of rational G.
+gof_test, a chi-square and total-variation report, serves the tests that
+draw from a real sampler; no float restatement of a sampler, or of G, is
+kept.
 """
 
 import functools
@@ -57,6 +62,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import ModuleType
 
 from . import exactrand
 from .core import FAIL, INDEX
@@ -114,13 +120,6 @@ def target_distribution(freqs, measure):
         gvals[i] = v
     fg = sum(gvals.values(), Fraction(0))
     return ExactDistribution(probs={i: v / fg for i, v in gvals.items()})
-
-
-def target_float(freqs, measure):
-    freqs = {i: f for i, f in freqs.items() if f != 0}
-    gvals = {i: measure.g_float(f) for i, f in freqs.items()}
-    fg = sum(gvals.values())
-    return {i: v / fg for i, v in gvals.items()}
 
 
 class _ForkingRandom(random.Random):
@@ -260,10 +259,12 @@ class _Tree:
 @contextmanager
 def _swapped(stand_ins):
     """Bind each named exactrand primitive to stand_ins[name] at every
-    exactsamp module that binds it, and put the originals back afterwards."""
-    prefix = __name__.rpartition(".")[0]
-    modules = [m for k, m in list(sys.modules.items())
-               if m is not None and (k == prefix or k.startswith(prefix + "."))]
+    exactsamp module that binds it, and put the originals back afterwards.
+    The modules are the package and its loaded submodules, each bound on
+    the package as an attribute by its import."""
+    package = sys.modules[__package__]
+    modules = [package] + [m for m in vars(package).values() if isinstance(m, ModuleType)
+                           and m.__name__.startswith(__package__ + ".")]
     saved = []
     try:
         for name, stand_in in stand_ins.items():

@@ -107,9 +107,8 @@ class PairL2Sampler(UnitUpdates):
             for _ in range(self.downsample):
                 self.S.pop(self.rng.randrange(len(self.S)))
 
-    def expire(self, now=None):
-        now = self.t if now is None else now
-        cutoff = now - self.W
+    def expire(self):
+        cutoff = self.t - self.W
         self.S = [(c, t) for c, t in self.S if t > cutoff]
 
     def draw(self):
@@ -209,9 +208,8 @@ class BlockLpSampler(UnitUpdates):
         self._block_len = 0
         self._block_start = self.t + 1
 
-    def expire(self, now=None):
-        now = self.t if now is None else now
-        cutoff = now - self.W
+    def expire(self):
+        cutoff = self.t - self.W
         self.S = {k: v for k, v in self.S.items() if k[0] > cutoff}
 
     def draw(self):

@@ -8,7 +8,7 @@ oracle.order_law over the random orders of a window) and demands equality.
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
@@ -27,8 +27,6 @@ class VerifyReport:
     conditional_law: dict
     target_law: dict
     exact_match: bool = None
-    pvalue: float = None
-    tv: float = None
     ok: bool = False
     notes: str = ""
 
@@ -42,8 +40,6 @@ class VerifyReport:
             "conditional_law": fmt(self.conditional_law),
             "target_law": fmt(self.target_law),
             "exact_match": self.exact_match,
-            "pvalue": self.pvalue,
-            "tv": self.tv,
             "ok": self.ok,
             "notes": self.notes,
         }

@@ -8,16 +8,20 @@ Each test pins one headline guarantee at its stated tolerance:
     (oracle.sampler_law, and oracle.order_law over every order of a
     random-order window), plus the symbolic telescoping identities for every
     measure;
- 2. per-repetition success-probability lower bounds within 4 sigma;
- 3. large-scale distribution fidelity (chi-square p > 0.01, TV <= 0.005)
-    on a 100-coordinate Zipf(1.2) stream;
+ 2. per-repetition success probability: exactly F_G/(zeta m) at the
+    sampler's own zeta on every tiny stream of item 1, and exact lower
+    bounds on the shipped Misra-Gries and smooth-histogram zeta;
+ 3. fidelity at scale: at the zeta each measure ships with, every increment
+    of a 100-coordinate Zipf(1.2) stream is accepted with probability at
+    most 1, which is all the telescoping law needs beyond item 1; and the
+    laws of the real F0 and Tukey samplers, enumerated exactly;
  4. deterministic frequency / normalizer bounds on fuzzed streams, zero
     violations;
  5. support-sampler failure rate <= 0.4;
  6. random-order failure rate <= 0.34 at window 10^4;
  7. shared-counter bank throughput at R=1024 within 2x of R=64;
  8. multipass pass counts exactly ceil(1/gamma);
- 9. duplicated-exponential sampler TV <= 0.05 plus the min-stability law;
+ 9. duplicated-exponential sampler TV <= 0.05;
 10. the inclusive-counter mutant, injected into the real reservoir bank, is
     rejected by the exactness battery at the shipped zeta.
 """
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from exactsamp import montecarlo, oracle
+from exactsamp import oracle
 from exactsamp.core import (
     Update,
     huber_measure,
@@ -39,9 +43,9 @@ from exactsamp.core import (
     lp_measure,
     tukey_measure,
 )
-from exactsamp.exactrand import np_substream, substream
-from exactsamp.f0sampler import F0State
-from exactsamp.gsampler import GSampler, lp_zeta
+from exactsamp.exactrand import np_substream, pow_bounds, substream
+from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
+from exactsamp.gsampler import GSampler, acceptance, lp_zeta
 from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
@@ -94,17 +98,25 @@ def test_exact_laws_insertion_only_exhaustive():
     # Every insertion-only stream with m <= 6, n <= 3: the law of one draw of
     # the real GSampler at R = 1 and its shipped zeta (L_2's 2Z from
     # Misra-Gries), enumerated over every branch of its random choices, must
-    # condition to G(f_i)/F_G as exact rationals.
+    # condition to G(f_i)/F_G as exact rationals.  Its one repetition must
+    # succeed with probability exactly F_G/(zeta m), at the zeta the sampler
+    # reads for its draw, and never return bottom on a nonempty stream.
     measures = (lp_measure(1), lp_measure(2), huber_measure(2))
     checked = 0
     for m in range(1, 7):
         for coords in all_streams(3, m):
             freqs = Counter(coords)
             for meas in measures:
-                law = oracle.sampler_law(
-                    lambda: GSampler(meas, 3, m, repetitions=1), coords)
+                make = lambda: GSampler(meas, 3, m, repetitions=1)
+                law = oracle.sampler_law(make, coords)
                 target = oracle.target_distribution(freqs, meas)
                 assert law.conditional() == target.probs, (coords, meas.name)
+                sampler = make()
+                sampler.process(coords)
+                zeta, _ = sampler._zeta_at_draw()
+                fg = sum(meas.g_exact(f) for f in freqs.values())
+                assert law.mass_fail == 1 - fg / (zeta * m), (coords, meas.name)
+                assert law.mass_bottom == 0, (coords, meas.name)
             checked += 1
     assert checked == sum(3 ** m for m in range(1, 7))
 
@@ -245,162 +257,144 @@ def test_exact_laws_multipass():
 
 
 # ---------------------------------------------------------------------------
-# 2. success-probability lower bounds (4 sigma over 1e5 trials)
+# 2. per-repetition success: exact lower bounds on the shipped zeta
+#
+# A repetition of the insertion-only sampler succeeds with probability
+# exactly F_G/(zeta m) (item 1 enumerates it), and a live repetition of the
+# sliding one with F_G(window)/(zeta W).  At p = 3/2 both sides are
+# irrational and are compared as rational brackets at 2^-64, lower ends
+# against upper ends; at p = 2 the brackets are exact.
+
+PRECISION = 64
 
 
-TRIALS_BOUNDS = 100000
-
-
-def _success_rate(coords, measure, zeta, seed):
-    _, fails = montecarlo.mc_gsampler(coords, measure, zeta, TRIALS_BOUNDS, seed=seed)
-    return 1.0 - fails / TRIALS_BOUNDS
-
-
-def _sigma(p):
-    return math.sqrt(max(p * (1 - p), 1e-12) / TRIALS_BOUNDS)
-
-
-def test_success_bound_framework():
-    # Per-repetition acceptance is F_G/(zeta m); measured rate must sit at or
-    # above that bound within 4 sigma.
-    freqs = zipf_freqs(20, 60)
-    coords = freq_stream(freqs, seed=1)
-    m = len(coords)
-    for meas, zeta in ((huber_measure(2), 1.0), (l1l2_measure(), 3.0),
-                       (lp_measure(Fraction(1, 2)), 1.0)):
-        fg = sum(meas.g_float(f) for f in freqs.values())
-        bound = fg / (zeta * m)
-        rate = _success_rate(coords, meas, zeta, seed=11)
-        assert rate >= bound - 4 * _sigma(bound), (meas.name, rate, bound)
-
-
-def _zeta_float(zeta_exact, zeta_bounds):
-    """The float of lp_zeta's zeta, exact or bracketed."""
+def _zeta_upper(zeta_exact, zeta_bounds):
+    """A rational upper bound on lp_zeta's zeta, equal to it when rational."""
     if zeta_exact is not None:
-        return float(zeta_exact)
-    lo, hi = zeta_bounds(40)
-    return (lo + hi) / 2 ** 41
+        return zeta_exact
+    return Fraction(zeta_bounds(PRECISION)[1], 1 << PRECISION)
+
+
+def _lower(base, exp):
+    """A rational lower bound on base**exp."""
+    return pow_bounds(base, exp, PRECISION)[0]
+
+
+def _fp_lower(freqs, p):
+    """A rational lower bound on F_p of the frequencies freqs."""
+    return sum(_lower(f, p) for f in freqs.values())
+
+
+def _mg_zeta(coords, p, n):
+    """lp_zeta at the Z of the Misra-Gries summary the sampler keeps."""
+    mg = MGSummary(mg_budget(p, n))
+    mg.extend((c, 1) for c in coords)
+    return lp_zeta(z_bound(mg, p, n), p)
+
+
+def _accepts_at_most_one(measure, c, zeta_exact, zeta_bounds):
+    """Whether acceptance gives state c a probability of at most 1: a
+    rational one (a quotient above 1 raises), or a bracket whose lower end
+    at 2^-64 is at most 2^64."""
+    try:
+        q = acceptance(measure, c, zeta_exact, zeta_bounds)
+    except ValueError:
+        return False
+    return q(PRECISION)[0] <= 1 << PRECISION if callable(q) else q <= 1
 
 
 def test_success_bound_lp_above_one():
-    # p in (1, 2] with the shipped zeta = p Z^{p-1}: acceptance
-    # >= 1/(4 n^{1-1/p}).
+    # p in (1, 2] with the shipped zeta = p Z^{p-1}:
+    # F_p/(zeta m) >= 1/(4 n^{1-1/p}), i.e. 4 F_p n^{1-1/p} >= zeta m.
     n = 100
     freqs = zipf_freqs(n, 300)
     coords = freq_stream(freqs, seed=2)
+    m = len(coords)
     for p in (Fraction(3, 2), Fraction(2)):
-        meas = lp_measure(p)
-        mg = MGSummary(mg_budget(p, n))
-        for c in coords:
-            mg.update(c)
-        zeta = _zeta_float(*lp_zeta(z_bound(mg, p, n), p))
-        bound = 1.0 / (4.0 * n ** (1.0 - 1.0 / float(p)))
-        rate = _success_rate(coords, meas, zeta, seed=13)
-        assert rate >= bound - 4 * _sigma(bound), (p, rate, bound)
+        zeta_hi = _zeta_upper(*_mg_zeta(coords, p, n))
+        lhs = 4 * _fp_lower(freqs, p) * _lower(n, 1 - 1 / p)
+        assert lhs >= zeta_hi * m, (p, float(lhs), float(zeta_hi * m))
 
 
 def test_success_bound_sliding_lp():
-    # Sliding L_p acceptance ((c+1)^p - c^p)/zeta with the shipped
-    # zeta = p max_f^{p-1} of the bracket row: conditioned on drawing an
-    # active sample, success >= 1/(p 2^{p-1} W^{1-1/p}).
+    # Sliding L_p with the shipped zeta = p max_f^{p-1} of the bracket row:
+    # every state c < f of the window is accepted with probability at most
+    # 1, and a live repetition succeeds with probability
+    # F_p(window)/(zeta W) >= 1/(p 2^{p-1} W^{1-1/p}), i.e.
+    # p 2^{p-1} W^{1-1/p} F_p(window) >= zeta W.
     W = 64
     freqs = zipf_freqs(10, 60)
     coords = freq_stream(freqs, seed=3) * 3  # length 3x window-ish suffixes
+    window = Counter(coords[-W:])
     for p in (Fraction(3, 2), Fraction(2)):
         hist = SmoothHistogram(p, W)
-        for c in coords:
-            hist.update(c)
-        row = hist.bracket()
-        suffix = coords[row.t_start - 1:]
-        after = np.array(montecarlo._strict_after(suffix))
-        t_abs = row.t_start + np.arange(len(suffix))
-        active = t_abs > len(coords) - W
-        zeta = _zeta_float(*lp_zeta(Fraction(row.est.max_f), p))
-        pf = float(p)
-        acc = ((after + 1.0) ** pf - after.astype(float) ** pf) / zeta
-        acc_active = acc[active]
-        assert np.all(acc_active <= 1.0 + 1e-12)
-        rng = np_substream(17, "sw-bound")
-        pos = rng.integers(0, len(acc_active), size=TRIALS_BOUNDS)
-        rate = float((rng.random(TRIALS_BOUNDS) < acc_active[pos]).mean())
-        bound = 1.0 / (pf * 2.0 ** (pf - 1.0) * W ** (1.0 - 1.0 / pf))
-        assert rate >= bound - 4 * _sigma(bound), (p, rate, bound)
+        hist.ingest(coords)
+        zeta = lp_zeta(Fraction(hist.bracket().est.max_f), p)
+        meas = lp_measure(p)
+        assert all(_accepts_at_most_one(meas, c, *zeta) for c in range(max(window.values())))
+        zeta_hi = _zeta_upper(*zeta)
+        lhs = p * _lower(2, p - 1) * _lower(W, 1 - 1 / p) * _fp_lower(window, p)
+        assert lhs >= zeta_hi * W, (p, float(lhs), float(zeta_hi * W))
 
 
 # ---------------------------------------------------------------------------
-# 3. distribution fidelity at scale: chi-square p > 0.01, TV <= 0.005
-
-
-FIDELITY_DRAWS = 1000000
-
-
-def _collect_successes(coords, measure, zeta, want, seed):
-    """Merge mc batches until `want` successful draws are collected."""
-    hist = Counter()
-    got = 0
-    batch = 2000000
-    k = 0
-    while got < want:
-        h, _ = montecarlo.mc_gsampler(coords, measure, zeta, batch, seed=seed + k)
-        for c, v in h.items():
-            hist[c] += v
-        got = sum(hist.values())
-        k += 1
-        assert k < 80, "success rate too low to be usable"
-    return dict(hist)
+# 3. fidelity at scale, and the support samplers' exact laws
 
 
 def test_fidelity_zipf_battery():
+    # The law telescopes to G(f_i)/F_G for every measure and stream (item 1
+    # enumerates it, and the symbolic battery covers irrational G) provided
+    # zeta bounds every increment a repetition reads.  So at the zeta each
+    # case ships with -- the measure's static zeta, or p Z^{p-1} from the
+    # stream's Misra-Gries Z -- every state c < f_max = 300 of the stream
+    # must be accepted with probability at most 1.
     n = 100
     freqs = zipf_freqs(n, 300)
     coords = freq_stream(freqs, seed=4)
-    m = len(coords)
-    mgz = {}
-    for p in (Fraction(3, 2), Fraction(2)):
-        mg = MGSummary(mg_budget(p, n))
-        for c in coords:
-            mg.update(c)
-        mgz[p] = _zeta_float(*lp_zeta(z_bound(mg, p, n), p))
+    fmax = max(freqs.values())
+    assert fmax == 300
     cases = [
-        ("lp-0.5", lp_measure(Fraction(1, 2)), 1.0),
-        ("lp-1", lp_measure(1), 1.0),
-        ("lp-1.5", lp_measure(Fraction(3, 2)), mgz[Fraction(3, 2)]),
-        ("lp-2", lp_measure(2), mgz[Fraction(2)]),
-        ("l1l2", l1l2_measure(), 3.0),
-        ("fair-1", fair_measure(1), 1.0),
-        ("huber-1", huber_measure(1), 1.0),
-        ("tukey-2", tukey_measure(2), float(tukey_measure(2).zeta)),
+        ("lp-0.5", lp_measure(Fraction(1, 2))),
+        ("lp-1", lp_measure(1)),
+        ("lp-1.5", lp_measure(Fraction(3, 2))),
+        ("lp-2", lp_measure(2)),
+        ("l1l2", l1l2_measure()),
+        ("fair-1", fair_measure(1)),
+        ("huber-1", huber_measure(1)),
+        ("tukey-2", tukey_measure(2)),
     ]
-    for idx, (tag, meas, zeta) in enumerate(cases):
-        target = oracle.target_float(freqs, meas)
-        hist = _collect_successes(coords, meas, zeta, FIDELITY_DRAWS,
-                                  seed=1000 * (idx + 1))
-        rep = oracle.gof_test(hist, target)
-        assert rep.pvalue > 0.01, (tag, rep)
-        assert rep.tv <= 0.005, (tag, rep)
+    for tag, meas in cases:
+        zeta = (meas.zeta, None) if meas.zeta is not None else _mg_zeta(coords, meas.p, n)
+        above = [c for c in range(fmax) if not _accepts_at_most_one(meas, c, *zeta)]
+        assert not above, (tag, above[:5])
 
 
 def test_fidelity_f0_uniform_support():
-    # Support sampling over the same stream: every coordinate appears, so the
-    # target is uniform over [1, 100].  The draw is a uniform element of a
-    # uniformly random 2*sqrt(n)-subset, simulated directly.
-    n = 100
-    subset = 20  # 2 * ceil(sqrt(100))
-    rng = np_substream(23, "f0-fid")
-    hist = np.zeros(n, dtype=np.int64)
-    base = np.arange(n)
-    done = 0
-    chunk = 8192
-    while done < FIDELITY_DRAWS:
-        c = min(chunk, FIDELITY_DRAWS - done)
-        mat = rng.permuted(np.tile(base, (c, 1)), axis=1)[:, :subset]
-        picks = mat[np.arange(c), rng.integers(0, subset, size=c)]
-        np.add.at(hist, picks, 1)
-        done += c
-    rep = oracle.gof_test({i + 1: int(v) for i, v in enumerate(hist)},
-                          {i: 1.0 / n for i in range(1, n + 1)})
-    assert rep.pvalue > 0.01, rep
-    assert rep.tv <= 0.005, rep
+    # One draw of the real F0Sampler and TukeySampler at R = 1, enumerated
+    # over every branch, the instance's random subset S included (at n = 7,
+    # |S| = 6, so S misses a coordinate).  F0 is uniform over the (window)
+    # support, and Tukey's law is G(f_i)/F_G.
+    tukey = tukey_measure(2)
+    cases = [
+        (None, 7, [1, 1], None),
+        (None, 7, [1, 2, 3, 3, 4], None),
+        (None, 7, [1, 2, 3, 3, 4, 5], 3),
+        (tukey, 4, [1, 1, 2], None),
+        (tukey, 5, [1, 2, 2, 2, 3, 4], None),
+        (tukey, 5, [1, 2, 2, 2, 3, 4], 3),
+    ]
+    for meas, n, coords, W in cases:
+        if meas is None:
+            make = lambda: F0Sampler(n, window=W, repetitions=1)
+        else:
+            make = lambda: TukeySampler(meas, n, window=W, repetitions=1)
+        law = oracle.sampler_law(make, coords)
+        freqs = Counter(coords[len(coords) - W:] if W else coords)
+        if meas is None:
+            want = {i: Fraction(1, len(freqs)) for i in freqs}
+        else:
+            want = oracle.target_distribution(freqs, meas).probs
+        assert law.conditional() == want, (meas, n, coords, W)
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +610,6 @@ def test_smallp_tv_bound():
     assert n_idx > 0
     tv = abs(hist[1] / n_idx - 0.5)
     assert tv <= 0.05, (dict(hist), tv)
-
-
-def test_min_stability_unit():
-    trials = 100000
-    hist = montecarlo.mc_min_stability([3.0, 1.0], trials, seed=59)
-    frac = hist[0] / trials
-    assert abs(frac - 0.75) < 4 * math.sqrt(0.75 * 0.25 / trials)
 
 
 # ---------------------------------------------------------------------------

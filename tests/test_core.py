@@ -1,6 +1,5 @@
 import copy
 import decimal
-import math
 import os
 import pickle
 import subprocess
@@ -57,10 +56,13 @@ def test_g_zero_is_zero():
 
 
 def test_l1l2_value():
+    # G(2) = 2 (sqrt(3) - 1) = sqrt(12) - 2: the bracket at 2^-40 holds it,
+    # compared in integers as (lo + 2^41)^2 <= 12 4^40 <= (hi + 2^41)^2.
     m = l1l2_measure()
-    v = m.g_float(2)
-    assert abs(v - (2 * (math.sqrt(3) - 1))) < 1e-12
-    assert m.g_float(2) - m.g_float(1) < 3
+    lo, hi = m.g_bounds(2, 40)
+    assert 0 <= hi - lo <= 2
+    assert (lo + (2 << 40)) ** 2 <= 12 << 80 <= (hi + (2 << 40)) ** 2
+    assert m.increment_bounds(1, 40)[1] < 3 << 40
 
 
 @pytest.mark.parametrize("meas", builtin_measures())

@@ -5,7 +5,6 @@ import pytest
 
 from exactsamp.exactrand import substream
 from exactsamp.smallp import PRECISION, DuplicatedExpState
-from exactsamp import montecarlo
 
 
 def test_rejects_bad_p():
@@ -78,14 +77,6 @@ def test_single_coordinate_always_reported():
     # Success needs one duplicate key to dominate the other D-1, which
     # happens with constant (not certain) probability.
     assert hits >= 20
-
-
-def test_min_stability_law():
-    # argmin Exp(1)/w_i picks i with prob w_i / sum w: weights (3,1) -> 3/4.
-    trials = 40000
-    hist = montecarlo.mc_min_stability([3.0, 1.0], trials, seed=9)
-    frac = hist[0] / trials
-    assert abs(frac - 0.75) < 4 * math.sqrt(0.75 * 0.25 / trials)
 
 
 def test_two_coordinate_law_moderate():

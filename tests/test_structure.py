@@ -4,27 +4,27 @@ The reservoir skip is defined in exactrand.py and called at one site of
 reservoir.py alone, the bank's one replacement loop, where a bank seeds one
 generator for all its units and keeps no refcounts, every per-coordinate
 update is a batch of one for the class's ingest loop, `.random(` is
-called only by the two harnesses that draw floats on purpose (the CLI's
-stream generator and the Monte-Carlo twins), so every random choice of a
-sampler goes through a primitive that the branch enumerator forks,
+called only by the CLI's stream generator, which draws floats on purpose,
+so every random choice of a sampler goes through a primitive that the
+branch enumerator forks,
 interval-refined Bernoulli draws are run only by the exact increment test
 (gsampler.accept_increment) and by exactrand itself, and every sampler of a
 unit-delta stream shares one process(), with MatrixSampler's (row, col) form
 the only other one.  Float binomials, exponentials and hypergeometrics are
-drawn only by the Monte-Carlo twins and smallp, which is approximate by
-design; BlockLpSampler draws exactrand's exact binomial.  Importing the
-package or its CLI loads neither numpy nor scipy, and neither does running
-the block sampler or the exact-only verify battery: numpy is imported at
-module level by the Monte-Carlo twins alone, and elsewhere only inside
-exactrand.np_substream.  Importing the package loads neither hashlib's OpenSSL
-module, nor dataclasses, nor the enumerator, which loads on first use of its
-names.  No sampler constructor takes a zeta, exponent or
+drawn only by smallp, which is approximate by design; BlockLpSampler draws
+exactrand's exact binomial.  Importing the package or its CLI loads neither
+numpy nor scipy, and neither does running the block sampler or the
+exact-only verify battery: numpy is imported only inside
+exactrand.np_substream, which no sampler calls.  No Monte-Carlo twin of a
+sampler and no float evaluation of G is left, and no module keeps a
+module-level import it does not use.  Importing the package loads neither
+hashlib's OpenSSL module, nor dataclasses, nor the enumerator, which loads
+on first use of its names.  No sampler constructor takes a zeta, exponent or
 cap-constant override, so the exact-law checks run the zeta that ships, and
-no hand-written random-order law, nor a numpy twin of one, is left.
-The sliding L_p sampler runs on the checkpoint banks,
-with no numpy and no suffix-minimum structure.  Every L_p sampler takes its
-zeta from one rule, gsampler.lp_zeta, and no degraded-estimate path or
-hand-written sliding law is left.  The multipass samplers read
+no hand-written random-order law is left.  The sliding L_p sampler runs on
+the checkpoint banks, with no numpy and no suffix-minimum structure.  Every
+L_p sampler takes its zeta from one rule, gsampler.lp_zeta, and no
+degraded-estimate path or hand-written sliding law is left.  The multipass samplers read
 the stream at one site, the scan that every chain and the Z narrowing share.
 z_bound and F0State.draw cost O(1) in the counters and the subset: neither
 loops over them."""
@@ -165,27 +165,36 @@ def _init_params(tree, cls):
     return {arg.arg for arg in init.args.args + init.args.kwonlyargs}
 
 
+MODULES = {"__init__.py", "cli.py", "core.py", "exactrand.py", "f0sampler.py", "gsampler.py",
+           "heavyhitters.py", "matrixsampler.py", "multipass.py", "oracle.py", "randomorder.py",
+           "reservoir.py", "sliding.py", "smallp.py", "smoothhist.py", "verify.py"}
+
+
 def test_override_knobs_and_law_mirrors_stay_removed():
     # The exact-law checks run the shipped classes at the zeta they ship
     # with: no constructor takes a zeta, exponent or cap-constant override,
-    # and no hand-written random-order law, nor a numpy twin of one, is left.
+    # and no hand-written random-order law, Monte-Carlo twin of a sampler or
+    # float evaluation of G is left.  The package is the modules below, G is
+    # evaluated by g_exact and g_bounds alone, and the one target law is the
+    # exact one.
     trees = _trees()
-    gone = {"oracle.py": {"pair_l2_law", "block_lp_law", "_arrangements"},
-            "montecarlo.py": {"mc_pair_l2", "mc_block_lp", "_window_pool", "conditional"}}
-    for module, names in gone.items():
-        assert not [name for name in names if _defines(trees[module], name)], module
+    assert set(trees) == MODULES, set(trees) ^ MODULES
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not {"pair_l2_law", "block_lp_law", "_arrangements"} & defined
+    assert not [name for name in defined if name.startswith("mc_")]
+    assert {name for name in defined if name.startswith("g_")} == {"g_exact", "g_bounds"}
+    assert {name for name in defined if name.startswith("target_")} == {"target_distribution"}
     for module, cls, knobs in (("gsampler.py", "GSampler", {"zeta", "p", "C"}),
                                ("sliding.py", "CheckpointedSampler", {"zeta", "C"}),
                                ("randomorder.py", "PairL2Sampler", {"zeta", "C"}),
                                ("randomorder.py", "BlockLpSampler", {"zeta", "C"})):
         assert not _init_params(trees[module], cls) & knobs, cls
-    mc = _function(trees["montecarlo.py"], "mc_gsampler")
-    assert not {"W", "inclusive"} & {arg.arg for arg in mc.args.args}
 
 
 def test_float_uniforms_only_outside_the_samplers():
     callers = {name for name, tree in _trees().items() if "random" in set(_called(tree))}
-    assert callers <= {"cli.py", "montecarlo.py"}, callers
+    assert callers <= {"cli.py"}, callers
 
 
 def _imported_from(tree, module):
@@ -196,12 +205,12 @@ def _imported_from(tree, module):
 
 def test_float_draws_only_in_the_approximate_samplers():
     # Float binomials, exponentials and hypergeometrics -- generator methods
-    # such as numpy's .binomial(, or bare calls -- are drawn by the
-    # Monte-Carlo twins and smallp (approximate by design), and by no other
-    # module.  The one exception is a bare binomial( that is exactrand's
-    # exact one, defined there or imported from it.
+    # such as numpy's .binomial(, or bare calls -- are drawn by smallp
+    # (approximate by design), and by no other module.  The one exception is
+    # a bare binomial( that is exactrand's exact one, defined there or
+    # imported from it.
     draws = {"binomial", "exponential", "expovariate", "multivariate_hypergeometric"}
-    approximate = {"montecarlo.py", "smallp.py"}
+    approximate = {"smallp.py"}
     trees = _trees()
     called = {name: [(isinstance(node.func, ast.Attribute), getattr(node.func, "attr", None)
                       or getattr(node.func, "id", None))
@@ -293,12 +302,45 @@ def _numpy_import_sites(node, fn=None):
 
 
 def test_numpy_imported_only_where_it_is_drawn_from():
-    # montecarlo imports numpy at module level; every other module that uses
-    # it imports it inside the function that draws (exactrand.np_substream).
+    # No module imports numpy at module level: exactrand imports it inside
+    # the one function that draws from it (np_substream).
     sites = {name: list(_numpy_import_sites(tree)) for name, tree in _trees().items()}
     sites = {name: fns for name, fns in sites.items() if fns}
-    assert sites == {"montecarlo.py": [None], "exactrand.py": ["np_substream"]}, sites
+    assert sites == {"exactrand.py": ["np_substream"]}, sites
     assert "np" not in set(_names(_trees()["randomorder.py"]))
+
+
+def _module_imports(tree):
+    """(name bound, line) of each import outside every function and class."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _exported(tree):
+    """The names listed in the module's __all__."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
+def test_no_unused_module_level_imports():
+    # Every name a module imports at module level is read somewhere in it,
+    # or re-exported through __all__.
+    unused = {}
+    for module, tree in _trees().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= _exported(tree)
+        names = sorted((line, name) for name, line in _module_imports(tree) if name not in read)
+        if names:
+            unused[module] = names
+    assert not unused, unused
 
 
 def test_interval_bernoulli_only_in_the_exact_increment_test():

@@ -2,24 +2,7 @@ import io
 import json
 from fractions import Fraction
 
-from exactsamp import montecarlo, oracle, verify
-from exactsamp.core import lp_measure
-from exactsamp.gsampler import GSampler
-
-
-def test_mc_gsampler_twin_matches_oracle_law():
-    # The real GSampler at its shipped zeta = 2Z, Z = 2 + 3/2 (Misra-Gries,
-    # k = 2), so zeta = 7 and the masses are G(f_i)/(zeta m) = f_i^2/21.
-    coords = [1, 1, 2]
-    meas = lp_measure(2)
-    law = oracle.sampler_law(lambda: GSampler(meas, 2, len(coords), repetitions=1), coords)
-    assert law.probs == {1: Fraction(4, 21), 2: Fraction(1, 21)}
-    hist, fails = montecarlo.mc_gsampler(coords, meas, 7, 200000, seed=4)
-    rep = oracle.gof_test(hist, {k: float(v) for k, v in law.conditional().items()})
-    assert rep.pvalue > 1e-4
-    # Unconditional fail mass is 16/21.
-    total = sum(hist.values()) + fails
-    assert abs(fails / total - 16 / 21) < 0.01
+from exactsamp import oracle, verify
 
 
 def test_verify_exact_pass_and_fail():
