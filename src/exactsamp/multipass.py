@@ -7,13 +7,14 @@ a single coordinate and the chunk-selection probabilities telescope to
 f_i / F_1.
 
 For p in (1,2] the same passes drive R parallel frequency-proportional chains
-and, beside them, narrow the universe to the chunks of mass >= m/ceil(n^{1-1/p}),
-yielding a deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}).  Each
-chain's sample (i, f_i) passes the usual acceptance ((c+1)^p - c^p) / (p Z^{p-1})
-with c a uniform strictly-after occurrence count: the insertion-only samplers'
-exact test (gsampler.accept_increment with the L_p measure) at the one L_p
-zeta rule (gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the
-first accepting one (gsampler.first_accepted).
+(drawn in chain order on one generator) and, beside them, narrow the universe
+to the chunks of mass >= m/ceil(n^{1-1/p}), yielding a deterministic Z with
+max f <= Z <= max f + m/ceil(n^{1-1/p}).  Each chain's sample (i, f_i) passes
+the usual acceptance ((c+1)^p - c^p) / (p Z^{p-1}) with c a uniform
+strictly-after occurrence count: the insertion-only samplers' exact test
+(gsampler.accept_increment with the L_p measure) at the one L_p zeta rule
+(gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the first
+accepting one (gsampler.first_accepted).
 
 Every pass is one scan of the stream (_chunk_sums), shared by all chains and
 the Z narrowing: an update finds its cell by bisection (directly when the
@@ -126,18 +127,19 @@ def _chunk_sums(stream, cells, n, q):
     return m, dict(zip(cells, sums))
 
 
-def _narrow(stream, gamma, n, rngs, k=None):
+def _narrow(stream, gamma, n, chains=0, rng=None, k=None):
     """ceil(1/gamma) passes of chunk narrowing, one _chunk_sums scan each.
 
-    Each rng drives one chain that picks a chunk of its cell with probability
-    proportional to the chunk's sum.  With k given, the passes also follow
-    the heavy chunks (mass >= m/k) down to single coordinates.  Returns the
-    chains' (coord, f) (empty when m = 0), m, and Z = max(m/k, heaviest
-    single coordinate reached) when k is given, else None.
+    Each of the chains picks a chunk of its cell with probability
+    proportional to the chunk's sum, the chains in order on the one rng.
+    With k given, the passes also follow the heavy chunks (mass >= m/k)
+    down to single coordinates.  Returns the chains' (coord, f) (empty when
+    m = 0), m, and Z = max(m/k, heaviest single coordinate reached) when k
+    is given, else None.
     """
     q = chunk_count(n, gamma)
-    cells = [(1, n)] * len(rngs)
-    f = [None] * len(rngs)
+    cells = [(1, n)] * chains
+    f = [None] * chains
     heavy = [(1, n)] if k else []
     m, thr, best = None, Fraction(0), 0
     for _ in range(passes_for(gamma)):
@@ -151,7 +153,7 @@ def _narrow(stream, gamma, n, rngs, k=None):
                 break
             if k:
                 thr = Fraction(m, k)
-        for i, rng in enumerate(rngs):
+        for i in range(chains):
             j = weighted_index(sums[cells[i]], rng)
             f[i] = sums[cells[i]][j]
             cells[i] = _chunk(cells[i], j, q)
@@ -160,13 +162,13 @@ def _narrow(stream, gamma, n, rngs, k=None):
         heavy = [iv for iv, _ in heavy_sums]
         best = max([best] + [s for (a, b), s in heavy_sums if a == b])
     assert not m or all(lo == hi for lo, hi in cells)
-    chains = [(lo, fi) for (lo, _), fi in zip(cells, f)] if m else []
-    return chains, m, (max(Fraction(best), thr) if k else None)
+    ends = [(lo, fi) for (lo, _), fi in zip(cells, f)] if m else []
+    return ends, m, (max(Fraction(best), thr) if k else None)
 
 
 def multipass_l1_draw(stream, gamma, n, seed=0):
     """(SampleResult, frequency). Exactly ceil(1/gamma) passes."""
-    chains, m, _ = _narrow(stream, gamma, n, [substream(seed, "l1")])
+    chains, m, _ = _narrow(stream, gamma, n, 1, substream(seed, "l1"))
     if m == 0:
         return SampleResult.bottom(), 0
     coord, f = chains[0]
@@ -176,7 +178,7 @@ def multipass_l1_draw(stream, gamma, n, seed=0):
 def narrow_z(stream, gamma, p, n):
     """Deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}),
     in ceil(1/gamma) passes of heavy-chunk narrowing."""
-    return _narrow(stream, gamma, n, [], mg_budget(p, n))[2]
+    return _narrow(stream, gamma, n, k=mg_budget(p, n))[2]
 
 
 def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
@@ -187,8 +189,8 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
         raise ValueError("multipass L_p sampling needs p in (1, 2]")
     if repetitions is None:
         repetitions = repetitions_for(n ** (1.0 - 1.0 / float(p)), delta)
-    rngs = [substream(seed, "chain", i) for i in range(repetitions)]
-    chains, m, Z = _narrow(stream, gamma, n, rngs, mg_budget(p, n))
+    chains, m, Z = _narrow(stream, gamma, n, repetitions, substream(seed, "chains"),
+                           mg_budget(p, n))
     if m == 0:
         return SampleResult.bottom()
     zeta_exact, zeta_bounds = lp_zeta(Z, p)

@@ -4,7 +4,13 @@ Pair sampler (L2): the stream is split into disjoint adjacent pairs
 (u_1,u_2), (u_3,u_4), ...  For each pair, with probability 1/W the first
 element is harvested outright; otherwise it is harvested only on a collision
 (both elements equal).  Under a uniformly random order each pair harvests
-coordinate j with probability exactly f_j^2/W^2.
+coordinate j with probability exactly f_j^2/W^2.  The outright coins are
+drawn per group of G = max(1, W // 2) consecutive pairs (a window's worth),
+fixed by stream time: when a group's first pair completes, K = Bin(G, 1/W)
+and a uniform K-subset of the group's offsets name its outright pairs.
+Pr[subset = A] = (1/W)^|A| (1 - 1/W)^(G - |A|), the law of G independent
+1/W coins, so a pair pays only its collision test, and since the groups
+depend on stream time alone, every batch split leaves the same state.
 
 Block sampler (integer p > 2): the stream is split into blocks of
 B = ceil(W^{1-1/(p-1)}) consecutive elements.  Conceptually every ordered
@@ -36,7 +42,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import SampleResult, UnitUpdates
-from .exactrand import bernoulli_fraction, binomial, substream, uniform_subset, weighted_index
+from .exactrand import binomial, substream, uniform_subset, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
 
@@ -82,24 +88,33 @@ class PairL2Sampler(UnitUpdates):
         self.seed = seed
         self.rng = substream(seed, "pairs")
         self._q = Fraction(1, W)  # the outright-harvest probability
+        self.G = max(1, W // 2)  # pairs per group of outright coins
         log_n = max(1, math.ceil(math.log(max(n, 2))))
         self.cap = 2 * CAP_CONSTANT * log_n
         self.downsample = CAP_CONSTANT * log_n
         self.t = 0
-        self._pending = None  # first element of the current pair, with time
+        self._pending = None  # first element of the current pair
+        self._group_end = 0  # the last pair of the current group
+        self._outright = set()  # the current group's outright pairs
         self.S = []  # (coord, harvest time)
 
     def ingest(self, coords):
-        q, rng = self._q, self.rng
+        t, first, rng, G = self.t, self._pending, self.rng, self.G
+        group_end, outright = self._group_end, self._outright
         for coord in coords:
-            self.t += 1
-            if self._pending is None:
-                self._pending = (coord, self.t)
+            t += 1
+            if first is None:
+                first = coord
                 continue
-            first, t_first = self._pending
-            self._pending = None
-            if bernoulli_fraction(q, rng) or first == coord:
-                self._harvest(first, t_first)
+            k = t // 2  # pair k is updates 2k - 1 and 2k
+            if k > group_end:  # the first pair of the next group
+                outright = {k + i for i in uniform_subset(G, binomial(G, self._q, rng), rng)}
+                group_end = k + G - 1
+            if k in outright or first == coord:
+                self._harvest(first, t - 1)
+            first = None
+        self.t, self._pending = t, first
+        self._group_end, self._outright = group_end, outright
 
     def _harvest(self, coord, t):
         self.S.append((coord, t))

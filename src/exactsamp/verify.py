@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .core import Update, huber_measure, lp_measure
+from .core import Update, huber_measure, lp_measure, tukey_measure
+from .f0sampler import F0Sampler, TukeySampler
 from .gsampler import GSampler
 from .matrixsampler import L1RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
@@ -55,8 +56,11 @@ def verify_exact(sampler, stream_id, law, target):
 
 
 def default_battery():
-    """A small standing battery covering every sampler family, each check an
-    enumeration of a shipped sampler (at R = 1 where it has repetitions)."""
+    """A small standing battery, each check an enumeration of a shipped
+    sampler (at R = 1 where it has repetitions): GSampler, the sliding
+    samplers, MatrixSampler, F0Sampler, TukeySampler, PairL2Sampler and the
+    multipass draws.  BlockLpSampler is checked in the test suite only,
+    where its harvest counts are enumerated; smallp is approximate."""
     reports = []
     l1 = lp_measure(1)
     l2 = lp_measure(2)
@@ -96,6 +100,17 @@ def default_battery():
                              [Update(r, col=c) for r, c in cells])
     target = oracle.target_distribution(Counter(r for r, _ in cells), l1)
     reports.append(verify_exact("matrix/l1-row", "m5", law, target))
+
+    # Support samplers, R = 1, the instance's random subset S forked too (at
+    # n = 7 it holds 6, so it can miss coordinate 1).  F0 is uniform over the
+    # support; Tukey is G(f_i)/F_G.
+    law = oracle.sampler_law(lambda: F0Sampler(7, repetitions=1), [1, 1])
+    target = oracle.ExactDistribution(probs={1: Fraction(1)})
+    reports.append(verify_exact("f0", "n=7/[1,1]", law, target))
+    tukey = tukey_measure(2)
+    law = oracle.sampler_law(lambda: TukeySampler(tukey, 4, repetitions=1), [1, 1, 2])
+    target = oracle.target_distribution(Counter([1, 1, 2]), tukey)
+    reports.append(verify_exact("tukey", "n=4/[1,1,2]", law, target))
 
     # Random order: the first pair of the real PairL2Sampler, over every
     # order of the window, harvests j with probability f_j^2/W^2.

@@ -195,8 +195,7 @@ def test_tukey_draws_equal_per_call_tests(coords, seed, window):
 
 def _multipass_lp_reference(updates, gamma, p, n, seed, R):
     stream = ReplayableStream(updates)
-    rngs = [substream(seed, "chain", i) for i in range(R)]
-    chains, m, Z = _narrow(stream, gamma, n, rngs, mg_budget(p, n))
+    chains, m, Z = _narrow(stream, gamma, n, R, substream(seed, "chains"), mg_budget(p, n))
     if m == 0:
         return SampleResult.bottom()
     zeta_exact, zeta_bounds = lp_zeta(Z, p)

@@ -94,8 +94,8 @@ def test_default_repetitions_pinned(monkeypatch):
     # default R on a small grid, so a change to either sizing shows.
     chains = []
 
-    def narrow(stream, gamma, n, rngs, k=None):
-        chains.append(len(rngs))
+    def narrow(stream, gamma, n, R=0, rng=None, k=None):
+        chains.append(R)
         return [], 0, None
 
     monkeypatch.setattr(multipass, "_narrow", narrow)

@@ -65,7 +65,8 @@ def _fingerprint(s):
         st_ = s.state
         out["f0"] = (st_.t, st_._freq, list(st_.T.items()), list(st_._ring or ()),
                      list(st_._log), st_._leaves)
-    for attr in ("t", "S", "_pending", "_block", "_block_len", "_block_start"):
+    for attr in ("t", "S", "_pending", "_group_end", "_outright", "_block", "_block_len",
+                 "_block_start"):
         if hasattr(s, attr):
             out[attr] = getattr(s, attr)
     if hasattr(s, "rng"):
@@ -167,20 +168,13 @@ def test_rejection_names_the_first_bad_update(name):
         s.process([outside, deletion])
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLERS))
-def test_draws_seed_no_generator(monkeypatch, name):
-    # A sampler builds its draw generator once: after construction, draws
-    # make no exactrand.substream call, whichever module binds it.
+def count_substream_calls(monkeypatch):
+    """A list that collects the arguments of every exactrand.substream call
+    from now on, whichever exactsamp module binds it."""
     import sys
 
     from exactsamp import exactrand
 
-    s = SAMPLERS[name]()
-    pairs = [(c % N + 1, c % D + 1) for c in range(0, 60, 7)]
-    if name == "matrix":
-        s.process([Update(r, col=c) for r, c in pairs])
-    else:
-        s.process([r for r, _ in pairs])
     calls = []
 
     def counting_substream(*args):
@@ -191,6 +185,20 @@ def test_draws_seed_no_generator(monkeypatch, name):
     for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "exactsamp"]:
         if getattr(mod, "substream", None) is real:
             monkeypatch.setattr(mod, "substream", counting_substream)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_draws_seed_no_generator(monkeypatch, name):
+    # A sampler builds its draw generator once: after construction, draws
+    # make no exactrand.substream call, whichever module binds it.
+    s = SAMPLERS[name]()
+    pairs = [(c % N + 1, c % D + 1) for c in range(0, 60, 7)]
+    if name == "matrix":
+        s.process([Update(r, col=c) for r, c in pairs])
+    else:
+        s.process([r for r, _ in pairs])
+    calls = count_substream_calls(monkeypatch)
     for _ in range(5):
         s.draw()
     assert not calls, calls

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_ingest import count_substream_calls
 
 from exactsamp.core import Update
 from exactsamp.multipass import (
@@ -136,10 +137,10 @@ def test_narrow_z_bounds():
         gamma = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1][case % 4]
         p = [Fraction(3, 2), 2][case % 2]
         k = mg_budget(p, n)
-        rngs = [substream(case, "chain", i) for i in range(rng.randrange(1, 8))]
-        chains, m, z = _narrow(ReplayableStream(stream), gamma, n, rngs, k)
+        R = rng.randrange(1, 8)
+        chains, m, z = _narrow(ReplayableStream(stream), gamma, n, R, substream(case, "chains"), k)
         assert m == sum(freqs.values())
-        assert len(chains) == (len(rngs) if m else 0)
+        assert len(chains) == (R if m else 0)
         assert all(f == freqs[i] > 0 for i, f in chains)
         assert z == narrow_z(ReplayableStream(stream), gamma, p, n)
         assert z == closed_z(freqs, n, p)
@@ -193,8 +194,7 @@ def test_chunks_reach_single_coordinates_despite_float_rounding():
     stream = [Update(2), Update(2), Update(n)]
     z = narrow_z(ReplayableStream(stream), gamma, 2, n)
     assert z == 2 == closed_z({2: 2, n: 1}, n, 2)
-    chains, m, _ = _narrow(ReplayableStream(stream), gamma, n,
-                           [substream(s, "chain", 0) for s in range(8)])
+    chains, m, _ = _narrow(ReplayableStream(stream), gamma, n, 8, substream(0, "chains"))
     assert m == 3 and all(f == {2: 2, n: 1}[i] for i, f in chains)
 
 
@@ -208,6 +208,19 @@ def test_lp_rejects_bad_p():
 def test_lp_empty_bottom():
     res = multipass_lp_draw(ReplayableStream([]), Fraction(1, 2), 2, 4, seed=0)
     assert res.outcome == "bottom"
+
+
+def test_lp_draw_seeds_as_many_generators_at_any_R(monkeypatch):
+    # The chains share one generator: one draw makes as many substream calls
+    # at R = 64 as at R = 1.
+    calls = count_substream_calls(monkeypatch)
+    counts = []
+    for R in (1, 64):
+        calls.clear()
+        multipass_lp_draw(ReplayableStream(ups({1: 3, 2: 1, 5: 2, 7: 4})), Fraction(1, 2), 2, 8,
+                          seed=3, repetitions=R)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
 
 
 def test_lp_empirical_law_p2():

@@ -106,6 +106,52 @@ def test_pair_expiry():
         assert t > s.t - s.W
 
 
+@pytest.mark.parametrize("W", [4, 5, 6])
+def test_pair_outright_harvests_are_independent_coins(W):
+    # Zero tolerance, on the real class: with no collisions a pair is
+    # harvested only outright, and the pairs harvested over 2G + 1 pairs
+    # (two group boundaries, the last group cut short) have the law of one
+    # independent 1/W coin per pair.
+    pairs = 2 * max(1, W // 2) + 1
+
+    def run():
+        s = PairL2Sampler(3, W, seed=1)
+        s.process([1, 2] * pairs)
+        return SampleResult.of(tuple(t // 2 + 1 for _, t in s.S))
+
+    law = oracle.enumerate_law(run)
+    q = Fraction(1, W)
+    want = {}
+    for r in range(pairs + 1):
+        for harvested in itertools.combinations(range(1, pairs + 1), r):
+            want[harvested] = q ** r * (1 - q) ** (pairs - r)
+    assert law.mass_fail == law.mass_bottom == 0
+    assert law.probs == want
+
+
+def test_pair_ingest_draws_once_per_group():
+    # The outright coins cost a few generator calls per group of W/2 pairs,
+    # not one exact coin per pair: 10^4 collision-free pairs at W = 10^3
+    # make at most one call per 50 pairs.
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def call(*args):
+                self.calls += 1
+                return method(*args)
+            return call
+
+    s = PairL2Sampler(3, 10 ** 3, seed=1)
+    s.rng = counting = Counting(s.rng)
+    s.process([1, 2] * 10 ** 4)
+    assert s.t == 2 * 10 ** 4 and s._pending is None
+    assert counting.calls <= 10 ** 4 // 50, counting.calls
+
+
 def test_block_rejects_bad_p():
     with pytest.raises(ValueError):
         BlockLpSampler(3, 8, 2)

@@ -29,7 +29,8 @@ def test_default_battery_all_ok():
     assert ok, [r.to_json() for r in reports if not r.ok]
     assert all(r.exact_match for r in reports)  # every report is an enumeration
     fams = {r.sampler.split("/")[0] for r in reports}
-    assert {"gsampler", "sw-gsampler", "sliding-lp", "pair-l2", "multipass-l1"} <= fams
+    assert {"gsampler", "sw-gsampler", "sliding-lp", "pair-l2", "multipass-l1", "f0",
+            "tukey"} <= fams
     # Sliding L_p is checked exactly at p = 1 and p = 2 on every stream and W.
     sliding = {(r.sampler, r.stream_id) for r in reports if r.exact_match}
     assert {(name, "%s/W=%d" % (sid, W)) for name in ("sliding-lp/l1", "sliding-lp/l2")
