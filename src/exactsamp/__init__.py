@@ -6,8 +6,9 @@ runs the shipped samplers with every random primitive forked at its exact
 law, so their laws are checked with zero tolerance on tiny inputs.
 
 Importing the package loads the samplers alone.  The enumerator's names
-(ExactDistribution, enumerate_law, gof_test, sampler_law,
-target_distribution) load exactsamp.oracle on first use.
+(ExactDistribution, enumerate_law, sampler_law, target_distribution) load
+exactsamp.oracle on first use.  The package imports neither numpy nor scipy;
+the tests' statistical helpers live under tests/.
 """
 
 from .core import (
@@ -43,7 +44,7 @@ from .smallp import DuplicatedExpState
 __version__ = "0.1.0"
 
 _ORACLE_NAMES = frozenset(
-    ["ExactDistribution", "enumerate_law", "gof_test", "sampler_law", "target_distribution"])
+    ["ExactDistribution", "enumerate_law", "sampler_law", "target_distribution"])
 
 
 def __getattr__(name):
@@ -81,7 +82,6 @@ __all__ = [
     "enumerate_law",
     "fair_measure",
     "frequencies",
-    "gof_test",
     "huber_measure",
     "l1l2_measure",
     "lp_measure",

@@ -1,4 +1,4 @@
-"""Command-line front end: stream generation, sampling, verification, bench.
+"""Command-line front end: stream generation, sampling and verification.
 
 Exit codes: 0 success, 1 verification/sampling failure, 2 usage or stream
 format errors.
@@ -32,19 +32,13 @@ from .sliding import CheckpointedSampler, SlidingLpSampler
 from .smallp import DuplicatedExpState
 
 
-def make_measure(args):
-    name = args.measure
-    if name == "lp":
-        return lp_measure(Fraction(args.p))
-    if name == "l1l2":
-        return l1l2_measure()
-    if name == "fair":
-        return fair_measure(Fraction(args.tau))
-    if name == "huber":
-        return huber_measure(Fraction(args.tau))
-    if name == "tukey":
-        return tukey_measure(Fraction(args.tau))
-    raise SystemExit(2)
+MEASURES = {
+    "lp": lambda args: lp_measure(args.p),
+    "l1l2": lambda args: l1l2_measure(),
+    "fair": lambda args: fair_measure(Fraction(args.tau)),
+    "huber": lambda args: huber_measure(Fraction(args.tau)),
+    "tukey": lambda args: tukey_measure(Fraction(args.tau)),
+}
 
 
 def _gen_updates(kind, n, m, rng, alpha=1.1):
@@ -52,8 +46,8 @@ def _gen_updates(kind, n, m, rng, alpha=1.1):
         return [Update(rng.randrange(n) + 1, time=t + 1) for t in range(m)]
     if kind == "zipf":
         weights = [1.0 / (i + 1) ** alpha for i in range(n)]
-        return [Update(rng.choices(range(1, n + 1), weights)[0], time=t + 1)
-                for t in range(m)]
+        coords = rng.choices(range(1, n + 1), weights, k=m)
+        return [Update(c, time=t + 1) for t, c in enumerate(coords)]
     if kind == "single-heavy":
         ups = []
         for t in range(m):
@@ -75,79 +69,57 @@ def cmd_generate(args):
         ups = [Update(rng.randrange(args.n) + 1, col=rng.randrange(args.d) + 1,
                       time=t + 1) for t in range(args.m)]
     else:
-        kind = args.kind
-        model = "insertion_only"
-        W = None
-        if kind == "sliding-trace":
-            W = args.window or max(1, args.m // 4)
-            model = "sliding_window"
-            kind = "uniform"
-        elif args.window:
+        model, W = "insertion_only", None
+        if args.window:
             model, W = "sliding_window", args.window
-        elif kind == "shuffled":
+        elif args.kind == "shuffled":
             model = "random_order"
         config = StreamConfig(n=args.n, model=model, W=W)
-        ups = _gen_updates(kind, args.n, args.m, rng, args.alpha)
+        ups = _gen_updates(args.kind, args.n, args.m, rng, args.alpha)
     write_stream(args.out, config, ups)
     print("wrote %d updates to %s" % (len(ups), args.out))
     return 0
 
 
+# name -> the sampler it builds from (args, stream config, stream length, seed);
+# each is fed the stream with one process() call and drawn from once.
+SAMPLERS = {
+    "gsampler": lambda a, c, m, seed: GSampler(MEASURES[a.measure](a), c.n, m, a.delta, seed),
+    "lp": lambda a, c, m, seed: lp_sampler(a.p, c.n, m, a.delta, seed),
+    "f0": lambda a, c, m, seed: F0Sampler(c.n, a.delta, seed, window=c.W),
+    "tukey": lambda a, c, m, seed: TukeySampler(MEASURES["tukey"](a), c.n, a.delta, seed,
+                                                window=c.W),
+    "matrix": lambda a, c, m, seed: MatrixSampler(ROW_MEASURES[a.row_measure](), c.n, c.d, m,
+                                                  a.delta, seed),
+    "sliding": lambda a, c, m, seed: CheckpointedSampler(MEASURES[a.measure](a), c.W, c.n,
+                                                         a.delta, seed),
+    "sliding-lp": lambda a, c, m, seed: SlidingLpSampler(a.p, c.W, c.n, a.delta, seed),
+    "pair": lambda a, c, m, seed: PairL2Sampler(c.n, c.W or m, seed),
+    "block": lambda a, c, m, seed: BlockLpSampler(c.n, c.W or m, int(a.p), seed),
+    "smallp": lambda a, c, m, seed: DuplicatedExpState(float(a.p), a.duplication, seed),
+}
+
+
 def _build_and_draw(args, config, updates, seed):
-    name = args.sampler
-    n, m = config.n, len(updates)
-    if name == "gsampler":
-        measure = make_measure(args)
-        s = GSampler(measure, n, m, args.delta, seed)
-        s.process(updates)
-        return s.draw()
-    if name == "lp":
-        s = lp_sampler(Fraction(args.p), n, m, args.delta, seed)
-        s.process(updates)
-        return s.draw()
-    if name == "f0":
-        s = F0Sampler(n, args.delta, seed, window=config.W)
-        s.process(updates)
-        return s.draw()
-    if name == "tukey":
-        s = TukeySampler(tukey_measure(Fraction(args.tau)), n, args.delta, seed,
-                         window=config.W)
-        s.process(updates)
-        return s.draw()
-    if name == "matrix":
-        measure = ROW_MEASURES[args.row_measure]()
-        s = MatrixSampler(measure, n, config.d, m, args.delta, seed)
-        s.process(updates)
-        return s.draw()
-    if name == "sliding":
-        measure = make_measure(args)
-        s = CheckpointedSampler(measure, config.W, n, args.delta, seed)
-        s.process(updates)
-        return s.draw()
-    if name == "sliding-lp":
-        s = SlidingLpSampler(Fraction(args.p), config.W, n, args.delta, seed)
-        s.process(updates)
-        return s.draw()
-    if name == "pair":
-        s = PairL2Sampler(n, config.W or m, seed)
-        s.process(updates)
-        return s.draw()
-    if name == "block":
-        s = BlockLpSampler(n, config.W or m, int(args.p), seed)
-        s.process(updates)
-        return s.draw()
-    if name == "multipass":
+    if args.sampler == "multipass":  # draws in passes over the whole stream
         stream = ReplayableStream(updates)
-        p = Fraction(args.p)
-        if p == 1:
-            res, _ = multipass_l1_draw(stream, Fraction(args.gamma), n, seed)
+        if args.p == 1:
+            res, _ = multipass_l1_draw(stream, Fraction(args.gamma), config.n, seed)
             return res
-        return multipass_lp_draw(stream, Fraction(args.gamma), p, n, args.delta, seed)
-    if name == "smallp":
-        st = DuplicatedExpState(float(args.p), args.duplication, seed)
-        st.process(updates)
-        return st.draw()
-    raise SystemExit(2)
+        return multipass_lp_draw(stream, Fraction(args.gamma), args.p, config.n, args.delta, seed)
+    sampler = SAMPLERS[args.sampler](args, config, len(updates), seed)
+    sampler.process(updates)
+    return sampler.draw()
+
+
+def _usage_error(args, config):
+    """Why the sampler cannot run on this stream, or None."""
+    if args.sampler == "matrix" and config.d is None:
+        return "--sampler matrix needs a matrix stream (a header with d=<columns>)"
+    if args.sampler in ("sliding", "sliding-lp") and config.W is None:
+        return ("--sampler %s needs a window: a sliding-window stream or --window W"
+                % args.sampler)
+    return None
 
 
 def cmd_sample(args):
@@ -163,6 +135,10 @@ def cmd_sample(args):
     if err is not None:
         print("invalid stream (position %d): %s" % (err.position, err.message),
               file=sys.stderr)
+        return 2
+    usage = _usage_error(args, config)
+    if usage is not None:
+        print("error: %s" % usage, file=sys.stderr)
         return 2
     outcomes = {"index": 0, "bottom": 0, "fail": 0}
     hist = {}
@@ -214,22 +190,8 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_bench(args):
-    rng = substream(args.seed, "bench")
-    ups = _gen_updates("uniform", args.n, args.m, rng)
-    sampler = lp_sampler(Fraction(args.p), args.n, args.m, seed=args.seed)
-    t0 = time.perf_counter()
-    sampler.process(ups)
-    res = sampler.draw()
-    dt = time.perf_counter() - t0
-    print("R=%d  %d updates in %.3fs (%.0f/s)  draw=%s"
-          % (sampler.R, args.m, dt, args.m / dt, res.outcome))
-    return 0
-
-
 def _add_measure_args(sp):
-    sp.add_argument("--measure", default="lp",
-                    choices=["lp", "l1l2", "fair", "huber", "tukey"])
+    sp.add_argument("--measure", default="lp", choices=list(MEASURES))
     sp.add_argument("--p", default="1", help="L_p exponent (rational, e.g. 3/2)")
     sp.add_argument("--tau", default="2", help="M-estimator scale")
 
@@ -240,8 +202,7 @@ def main(argv=None):
 
     g = sub.add_parser("generate", help="write a stream file")
     g.add_argument("--kind", required=True,
-                   choices=["uniform", "zipf", "single-heavy", "shuffled",
-                            "sliding-trace", "matrix"])
+                   choices=["uniform", "zipf", "single-heavy", "shuffled", "matrix"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--d", type=int, default=4, help="matrix column count")
@@ -253,9 +214,7 @@ def main(argv=None):
 
     s = sub.add_parser("sample", help="run a sampler over a stream file")
     s.add_argument("--stream", required=True)
-    s.add_argument("--sampler", required=True,
-                   choices=["gsampler", "lp", "f0", "tukey", "matrix", "sliding",
-                            "sliding-lp", "pair", "block", "multipass", "smallp"])
+    s.add_argument("--sampler", required=True, choices=[*SAMPLERS, "multipass"])
     _add_measure_args(s)
     s.add_argument("--row-measure", default="l2_row", choices=sorted(ROW_MEASURES))
     s.add_argument("--delta", type=float, default=0.1)
@@ -276,13 +235,6 @@ def main(argv=None):
     v.add_argument("--out", default=None, help="also write JSON reports here")
     v.add_argument("--format", default="table", choices=["json", "table"])
     v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bench", help="updates/sec for the L_p sampler")
-    b.add_argument("--n", type=int, default=1000)
-    b.add_argument("--m", type=int, default=100000)
-    b.add_argument("--p", default="1")
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
 
     args = ap.parse_args(argv)
     if hasattr(args, "p"):

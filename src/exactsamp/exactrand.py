@@ -28,11 +28,6 @@ Every random choice a sampler makes goes through the primitives here:
 oracle.enumerate_law swaps these primitives for forks at their exact laws,
 so it can run the shipped samplers over every branch of their choices.
 
-np_substream derives a numpy Generator from (seed, ids) the same way.  No
-sampler draws from one; the tests' numpy simulations do.  It imports numpy
-in its body, so importing the package, or running any sampler, loads no
-numpy.
-
 Substream seeds are 128-bit BLAKE2b digests of repr((seed, ids)).  blake2b
 is taken from _blake2, the module hashlib takes it from (as random takes
 its sha512 from _sha512), so the import loads no OpenSSL; the digests are
@@ -71,16 +66,6 @@ def subseed(seed, *ids):
     substream(seed, *ids), a function of (seed, ids) alone rather than a
     random draw."""
     return random.Random(int.from_bytes(_digest(seed, ids), "big")).getrandbits(64)
-
-
-def np_substream(seed, *ids):
-    """A numpy Generator derived the same way, for the float draws of the
-    tests' simulations."""
-    import numpy as np  # here, so that importing the package skips numpy
-
-    raw = _digest(seed, ids)
-    key = int.from_bytes(raw[:8], "big")
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def skip(r, rng):

@@ -56,6 +56,7 @@ class F0State:
         self._leaves = 0  # times a coordinate left the support (window mode)
         self._members = {}  # S -> [S & support, self._changes() when it was current]
 
+    # Kept for perfbench's layer tracer, which wraps this method by name.
     def update(self, coord):
         self.extend((coord,))
 

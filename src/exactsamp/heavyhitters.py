@@ -48,6 +48,7 @@ class MGSummary:
         self.top = 0  # the largest stored value
         self._heap = []  # (stored value, coord); may contain stale entries
 
+    # Kept for perfbench's layer tracer, which wraps this method by name.
     def update(self, coord, weight=1):
         self.extend(((coord, weight),))
 

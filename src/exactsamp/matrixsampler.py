@@ -100,19 +100,22 @@ class MatrixSampler:
         self.process((Update(row, col=col),))
 
     def process(self, updates):
-        """Feed entry updates (row, col) in order.  A batch with a deletion or
-        an entry outside [1, n] x [1, d] raises ValueError before any of it
-        is fed, so the sampler is left as it was."""
+        """Feed entry updates (row, col) in order.  A batch with a deletion,
+        an update with no column or an entry outside [1, n] x [1, d] raises
+        ValueError before any of it is fed, so the sampler is left as it
+        was."""
         if not isinstance(updates, (list, tuple)):
             updates = list(updates)
         rows, cols = [u.coord for u in updates], [u.col for u in updates]
         n, d = self.n, self.d
-        if rows and ({u.delta for u in updates} - {1} or not (
+        if rows and ({u.delta for u in updates} - {1} or None in cols or not (
                 1 <= min(rows) and max(rows) <= n and 1 <= min(cols) and max(cols) <= d)):
             for u in updates:  # raise on the first update out of the model
                 if u.delta != 1:
                     raise ValueError("MatrixSampler takes unit insertions, got delta %d"
                                      % u.delta)
+                if u.col is None:
+                    raise ValueError("update to row %r has no column" % (u.coord,))
                 if not (1 <= u.coord <= n and 1 <= u.col <= d):
                     raise ValueError("entry (%r, %r) outside [1, %d] x [1, %d]"
                                      % (u.coord, u.col, n, d))

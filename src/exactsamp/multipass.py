@@ -175,6 +175,7 @@ def multipass_l1_draw(stream, gamma, n, seed=0):
     return SampleResult.of(coord, frequency=f), f
 
 
+# No draw calls this; perfbench's layer tracer wraps it by name.
 def narrow_z(stream, gamma, p, n):
     """Deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}),
     in ceil(1/gamma) passes of heavy-chunk narrowing."""

@@ -20,8 +20,8 @@ them, for forks at their exact laws:
 * substream returns a random.Random whose uniform integer draws (randrange,
   sample -- by the pool method at every population size --, ...) fork
   uniformly, and whose random() and getrandbits() raise;
-* bernoulli_bounds and np_substream raise: an irrational coin or a numpy
-  generator cannot be forked with rational weights.
+* bernoulli_bounds raises: an irrational coin cannot be forked with
+  rational weights.
 
 The skip, the binomial and the subset fork at the laws that exactrand.skip,
 exactrand.binomial and exactrand.uniform_subset themselves draw exactly,
@@ -47,10 +47,9 @@ gsampler_coefficients and matrix_coefficients, symbolic laws over the basis
 {G(x)} (resp. G of row vectors), where telescoping is an identity between
 coefficient vectors and holds for every measure, irrational G included.
 
-target_distribution is the exact target {G(f_i)/F_G} of rational G.
-gof_test, a chi-square and total-variation report, serves the tests that
-draw from a real sampler; no float restatement of a sampler, or of G, is
-kept.
+target_distribution is the exact target {G(f_i)/F_G} of rational G.  No
+float restatement of a sampler, or of G, is kept; the chi-square report for
+the tests that draw from a real sampler many times lives with the tests.
 """
 
 import functools
@@ -252,8 +251,7 @@ class _Tree:
                 "weighted_index": self.weighted_index,
                 "substream": self.substream,
                 "subseed": functools.lru_cache(None)(exactrand.subseed),
-                "bernoulli_bounds": _unforked("bernoulli_bounds"),
-                "np_substream": _unforked("np_substream")}
+                "bernoulli_bounds": _unforked("bernoulli_bounds")}
 
 
 @contextmanager
@@ -395,59 +393,3 @@ def matrix_coefficients(updates, d):
     return {r: {vec: cf for vec, cf in dd.items() if cf != 0 and any(vec)}
             for r, dd in out.items()}
 
-
-@dataclass
-class GofReport:
-    n_samples: int
-    statistic: float
-    dof: int
-    pvalue: float
-    tv: float
-    pooled_cells: int
-
-
-def gof_test(histogram, target, min_expected=50):
-    """Chi-square goodness of fit plus total-variation distance.
-
-    histogram: coord -> observed count; target: coord -> probability
-    (Fraction or float).  Cells with expected count below min_expected are
-    pooled into one.
-    """
-    if not histogram or sum(histogram.values()) == 0:
-        raise ValueError("empty histogram")
-    n = sum(histogram.values())
-    keys = set(histogram) | set(target)
-    obs, exp = [], []
-    tv = 0.0
-    for k in sorted(keys):
-        p = float(target.get(k, 0.0))
-        o = histogram.get(k, 0)
-        tv += abs(o / n - p)
-        if p == 0.0:
-            if o:
-                return GofReport(n, float("inf"), 0, 0.0, tv / 2, 0)
-            continue
-        obs.append(o)
-        exp.append(p * n)
-    # Pool small expected cells.
-    big_o, big_e, pool_o, pool_e = [], [], 0.0, 0.0
-    for o, e in sorted(zip(obs, exp), key=lambda t: t[1]):
-        if e < min_expected:
-            pool_o += o
-            pool_e += e
-        else:
-            big_o.append(o)
-            big_e.append(e)
-    if pool_e > 0:
-        big_o.append(pool_o)
-        big_e.append(pool_e)
-    # Normalize tiny float drift in expected totals.
-    scale = n / sum(big_e)
-    big_e = [e * scale for e in big_e]
-    dof = len(big_o) - 1
-    if dof <= 0:
-        return GofReport(n, 0.0, 0, 1.0, tv / 2, len(big_o))
-    stat = sum((o - e) ** 2 / e for o, e in zip(big_o, big_e))
-    from scipy.stats import chi2  # here, so that importing the package skips scipy
-
-    return GofReport(n, stat, dof, float(chi2.sf(stat, dof)), tv / 2, len(big_o))

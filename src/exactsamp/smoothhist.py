@@ -61,6 +61,7 @@ class SmoothHistogram:
         self.rows = []
         self.t = 0
 
+    # Kept for perfbench's layer tracer, which wraps this method by name.
     def update(self, coord):
         self.ingest((coord,))
 

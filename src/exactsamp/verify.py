@@ -27,9 +27,7 @@ class VerifyReport:
     stream_id: str
     conditional_law: dict
     target_law: dict
-    exact_match: bool = None
-    ok: bool = False
-    notes: str = ""
+    ok: bool
 
     def to_json(self):
         def fmt(d):
@@ -40,9 +38,7 @@ class VerifyReport:
             "stream_id": self.stream_id,
             "conditional_law": fmt(self.conditional_law),
             "target_law": fmt(self.target_law),
-            "exact_match": self.exact_match,
             "ok": self.ok,
-            "notes": self.notes,
         }
 
 
@@ -50,9 +46,7 @@ def verify_exact(sampler, stream_id, law, target):
     """Compare an enumerated ExactDistribution against the target law."""
     cond = law.conditional()
     tcond = target.conditional()
-    match = cond == tcond
-    return VerifyReport(sampler, stream_id, cond, tcond, exact_match=match,
-                        ok=match)
+    return VerifyReport(sampler, stream_id, cond, tcond, cond == tcond)
 
 
 def default_battery():
@@ -135,8 +129,8 @@ def default_battery():
     return reports
 
 
-def run_battery(reports=None):
-    reports = default_battery() if reports is None else reports
+def run_battery():
+    reports = default_battery()
     return reports, all(r.ok for r in reports)
 
 

@@ -33,6 +33,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from statcheck import np_substream
 
 from exactsamp import oracle
 from exactsamp.core import (
@@ -43,7 +44,7 @@ from exactsamp.core import (
     lp_measure,
     tukey_measure,
 )
-from exactsamp.exactrand import np_substream, pow_bounds, substream
+from exactsamp.exactrand import pow_bounds, substream
 from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
 from exactsamp.gsampler import GSampler, acceptance, lp_zeta
 from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from statcheck import gof_test
 
 from exactsamp import exactrand
 from exactsamp.exactrand import (
@@ -16,7 +17,6 @@ from exactsamp.exactrand import (
     binomial,
     integer_nthroot,
     log_scaled,
-    np_substream,
     pow_bounds,
     pow_exact,
     pow_fixed,
@@ -201,8 +201,6 @@ def test_binomial_edges_draw_nothing():
     (200, Fraction(2, 5), 10000),  # a mean of 80: drawn by rejection
     (10 ** 12, Fraction(1, 10 ** 5), 2000)])  # a mean of 10^7
 def test_binomial_matches_its_pmf(M, q, draws):
-    from exactsamp import oracle
-
     rng = substream(61, "binomial", M)
     # Cells a quarter of a standard deviation wide (single values for small
     # means), over six deviations each side; the target's floats only weigh
@@ -219,7 +217,7 @@ def test_binomial_matches_its_pmf(M, q, draws):
         pmf = math.exp(math.lgamma(M + 1) - math.lgamma(j + 1) - math.lgamma(M - j + 1)
                        + j * lq + (M - j) * lr)
         target[j // width] = target.get(j // width, 0) + pmf
-    rep = oracle.gof_test(hist, target)
+    rep = gof_test(hist, target)
     assert rep.pvalue > 1e-3, rep
 
 
@@ -365,10 +363,6 @@ def test_uniform_subset_is_uniform():
     assert len(big) == 5 and all(0 <= x < 3 * 10 ** 22 for x in big)
     assert uniform_subset(4, 4, substream(2)) == {0, 1, 2, 3}
     assert uniform_subset(10 ** 30, 0, substream(3)) == set()
-
-
-def test_np_substream_deterministic():
-    assert np_substream(3, "a").random() == np_substream(3, "a").random()
 
 
 def test_bernoulli_fraction_edges():

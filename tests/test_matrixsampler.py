@@ -155,6 +155,19 @@ def test_deletion_rejected():
         s.process([Update(1, col=1), Update(1, col=1, delta=-1)])
 
 
+def test_update_without_column_rejected():
+    # A row-only update raises ValueError, not TypeError, and the batch
+    # leaves the sampler as it was.
+    s = MatrixSampler(L1RowMeasure(), 2, 2, 4, repetitions=3)
+    s.process(ups([(1, 1), (2, 2)]))
+    before = (s.bank.r_seen, s.bank.snapshot(), s.bank.rng.getstate(), s.counts, list(s.unit_col),
+              list(s.unit_snap))
+    with pytest.raises(ValueError, match="no column"):
+        s.process([Update(1, col=2), Update(2)])
+    assert (s.bank.r_seen, s.bank.snapshot(), s.bank.rng.getstate(), s.counts, s.unit_col,
+            s.unit_snap) == before
+
+
 def test_ingest_flat_in_repetitions():
     # d = 8 columns, Zipf-like rows: an update must not cost O(R).
     rng = substream(3, "matrix-flat")

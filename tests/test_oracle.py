@@ -17,11 +17,9 @@ from exactsamp.oracle import (
     BranchBudgetExceeded,
     UnforkedDraw,
     enumerate_law,
-    gof_test,
     sampler_law,
     target_distribution,
 )
-from exactsamp.exactrand import np_substream
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 
 
@@ -268,7 +266,6 @@ UNFORKED = {
     "random": lambda: exactrand.substream(0).random(),
     "getrandbits": lambda: exactrand.substream(0).getrandbits(8),
     "uniform": lambda: exactrand.substream(0).uniform(0, 1),
-    "np_substream": lambda: exactrand.np_substream(0),
     "bernoulli_bounds": lambda: exactrand.bernoulli_bounds(lambda k: (1, 2),
                                                            exactrand.substream(0)),
     "skip_without_stream_length": lambda: exactrand.skip(1, exactrand.substream(0)),
@@ -286,39 +283,3 @@ def test_unforked_draws_raise_and_names_come_back(name):
     for mod, names in zip(modules, before):
         assert all(vars(mod).get(k) is v for k, v in names.items()), mod.__name__
 
-
-def test_gof_calibration():
-    # Histograms drawn from the target itself should pass most of the time.
-    rng = np_substream(0, "gof")
-    target = {1: 0.5, 2: 0.3, 3: 0.2}
-    passes = 0
-    for _ in range(40):
-        draw = rng.multinomial(20000, [0.5, 0.3, 0.2])
-        hist = {k + 1: int(v) for k, v in enumerate(draw)}
-        if gof_test(hist, target).pvalue > 0.01:
-            passes += 1
-    assert passes >= 37
-
-
-def test_gof_power():
-    rng = np_substream(0, "gofp")
-    draw = rng.multinomial(10 ** 6, [0.4, 0.4, 0.2])
-    hist = {k + 1: int(v) for k, v in enumerate(draw)}
-    rep = gof_test(hist, {1: 0.5, 2: 0.3, 3: 0.2})
-    assert rep.pvalue < 1e-6
-    assert rep.tv > 0.05
-
-
-def test_gof_zero_prob_cell():
-    rep = gof_test({1: 100, 2: 5}, {1: 1.0})
-    assert rep.pvalue == 0.0
-
-
-def test_gof_rejects_empty():
-    with pytest.raises(ValueError):
-        gof_test({}, {1: 1.0})
-
-
-def test_gof_tv_identity():
-    rep = gof_test({1: 500, 2: 500}, {1: 0.5, 2: 0.5})
-    assert rep.tv == 0.0

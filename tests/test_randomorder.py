@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from statcheck import gof_test
 
 from exactsamp.core import SampleResult
 from exactsamp.exactrand import substream
@@ -94,7 +95,7 @@ def test_pair_conditional_law():
             hist[res.index] += 1
     law = oracle.order_law(lambda: PairL2Sampler(3, W), freqs)  # every order, real class
     target = {i: float(v) for i, v in law.conditional().items()}
-    rep = oracle.gof_test(dict(hist), target)
+    rep = gof_test(dict(hist), target)
     assert rep.pvalue > 1e-4, rep
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from statcheck import gof_test
 
 from exactsamp.exactrand import skip, substream
-from exactsamp.oracle import gof_test
 from exactsamp.reservoir import SamplerBank
 
 

@@ -1,11 +1,12 @@
 import time
 from collections import Counter
 
+from statcheck import gof_test
+
 from exactsamp.core import huber_measure, lp_measure
 from exactsamp.exactrand import substream
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler, active_bank_start
 from exactsamp.smoothhist import SmoothHistogram
-from exactsamp import oracle
 
 
 def test_active_bank_start():
@@ -83,7 +84,7 @@ def test_window_covers_stream_matches_gsampler_law():
         res = s.draw()
         if res.outcome == "index":
             hist[res.index] += 1
-    rep = oracle.gof_test(dict(hist), {1: 0.5, 2: 0.25, 3: 0.25})
+    rep = gof_test(dict(hist), {1: 0.5, 2: 0.25, 3: 0.25})
     assert rep.pvalue > 1e-4
 
 
@@ -100,7 +101,7 @@ def test_conditional_law_matches_window_target():
     meas = huber_measure(2)
     g = {i: float(meas.g_exact(f)) for i, f in {2: 1, 3: 2, 1: 1}.items()}
     tot = sum(g.values())
-    rep = oracle.gof_test(dict(hist), {i: v / tot for i, v in g.items()})
+    rep = gof_test(dict(hist), {i: v / tot for i, v in g.items()})
     assert rep.pvalue > 1e-4
 
 
@@ -117,7 +118,7 @@ def test_sliding_lp_conditional_law():
             hist[res.index] += 1
         else:
             fails += 1
-    rep = oracle.gof_test(dict(hist), {1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
+    rep = gof_test(dict(hist), {1: 1 / 3, 2: 1 / 3, 3: 1 / 3})
     assert rep.pvalue > 1e-4
 
 
@@ -131,7 +132,7 @@ def test_sliding_lp_skewed_window():
         res = s.draw()
         if res.outcome == "index":
             hist[res.index] += 1
-    rep = oracle.gof_test(dict(hist), {1: 0.8, 2: 0.2})
+    rep = gof_test(dict(hist), {1: 0.8, 2: 0.2})
     assert rep.pvalue > 1e-4
 
 

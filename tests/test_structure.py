@@ -14,15 +14,17 @@ the only other one.  Float binomials, exponentials and hypergeometrics are
 drawn only by smallp, which is approximate by design; BlockLpSampler draws
 exactrand's exact binomial.  Importing the package or its CLI loads neither
 numpy nor scipy, and neither does running the block sampler or the
-exact-only verify battery: numpy is imported only inside
-exactrand.np_substream, which no sampler calls.  No Monte-Carlo twin of a
+exact-only verify battery: no module of the package imports either, even
+inside a function.  The tests' chi-square report and numpy generator
+(gof_test, GofReport, np_substream) live under tests/, and the bench
+command (cmd_bench) is gone.  No Monte-Carlo twin of a
 sampler and no float evaluation of G is left, and no module keeps a
 module-level import it does not use.  Importing the package loads neither
 hashlib's OpenSSL module, nor dataclasses, nor the enumerator, which loads
 on first use of its names.  No sampler constructor takes a zeta, exponent or
 cap-constant override, so the exact-law checks run the zeta that ships, and
 no hand-written random-order law is left.  The sliding L_p sampler runs on
-the checkpoint banks, with no numpy and no suffix-minimum structure.  Every
+the checkpoint banks, with no suffix-minimum structure.  Every
 L_p sampler takes its zeta from one rule, gsampler.lp_zeta, and no
 degraded-estimate path or hand-written sliding law is left.  The multipass samplers read
 the stream at one site, the scan that every chain and the Z narrowing share.
@@ -121,11 +123,9 @@ def test_reservoir_seeds_one_generator_per_bank():
 
 
 def test_sliding_lp_runs_on_the_checkpoint_banks():
-    # One reservoir mechanism: the sliding L_p sampler draws no numpy
-    # priorities, and no module keeps a second suffix-sampling structure.
+    # One reservoir mechanism: no module keeps a second suffix-sampling
+    # structure.
     trees = _trees()
-    names = set(_names(trees["sliding.py"]))
-    assert not names & {"numpy", "np", "np_substream"}, names & {"numpy", "np", "np_substream"}
     classes = [name for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) and node.name == "SuffixMinima"]
     assert not classes, classes
@@ -225,7 +225,6 @@ def test_float_draws_only_in_the_approximate_samplers():
              if _defines(tree, "binomial") or "binomial" in _imported_from(tree, "exactrand")}
     assert bare <= exact and "randomorder.py" in bare, (bare, exact)
     assert [name for name, tree in trees.items() if _defines(tree, "binomial")] == ["exactrand.py"]
-    assert "np_substream" not in set(_names(trees["randomorder.py"]))
 
 
 def test_package_and_cli_import_no_numpy():
@@ -288,26 +287,28 @@ def test_verify_cli_loads_no_numpy(tmp_path):
     subprocess.run([sys.executable, "-c", code, out], env=env, check=True, timeout=120)
 
 
-def _numpy_import_sites(node, fn=None):
-    """The enclosing function's name, None at module level, of each numpy
-    import under node."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            modules = [alias.name for alias in child.names]
-        else:
-            modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
-        if any(module.split(".")[0] == "numpy" for module in modules):
-            yield fn
-        yield from _numpy_import_sites(child, child.name if isinstance(child, ast.FunctionDef) else fn)
-
-
-def test_numpy_imported_only_where_it_is_drawn_from():
-    # No module imports numpy at module level: exactrand imports it inside
-    # the one function that draws from it (np_substream).
-    sites = {name: list(_numpy_import_sites(tree)) for name, tree in _trees().items()}
-    sites = {name: fns for name, fns in sites.items() if fns}
-    assert sites == {"exactrand.py": ["np_substream"]}, sites
-    assert "np" not in set(_names(_trees()["randomorder.py"]))
+def test_package_imports_no_numpy_or_scipy_and_ships_no_test_helpers():
+    # No module imports numpy or scipy, at module level or inside a function,
+    # and the tests' statistical helpers and the retired bench command stay
+    # out of the package.
+    trees = _trees()
+    imported = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            roots = {module.split(".")[0] for module in modules} & {"numpy", "scipy"}
+            if roots:
+                imported.setdefault(name, set()).update(roots)
+    assert not imported, imported
+    helpers = {"gof_test", "GofReport", "np_substream", "cmd_bench"}
+    defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in helpers}
+    assert not defined, defined
 
 
 def _module_imports(tree):

@@ -10,14 +10,13 @@ def test_verify_exact_pass_and_fail():
                                  mass_fail=Fraction(1, 4))
     b = oracle.ExactDistribution(probs={1: Fraction(1, 2), 2: Fraction(1, 2)})
     good = verify.verify_exact("s", "x", a, a)
-    assert good.ok and good.exact_match
+    assert good.ok
     bad = verify.verify_exact("s", "x", a, b)
-    assert not bad.ok and bad.exact_match is False
+    assert not bad.ok
 
 
 def test_report_json_round_trips():
-    rep = verify.VerifyReport("s", "x", {1: Fraction(1, 2)}, {1: 0.5},
-                              exact_match=True, ok=True)
+    rep = verify.VerifyReport("s", "x", {1: Fraction(1, 2)}, {1: 0.5}, ok=True)
     blob = json.dumps(rep.to_json())
     back = json.loads(blob)
     assert back["sampler"] == "s" and back["ok"] is True
@@ -27,12 +26,11 @@ def test_report_json_round_trips():
 def test_default_battery_all_ok():
     reports, ok = verify.run_battery()
     assert ok, [r.to_json() for r in reports if not r.ok]
-    assert all(r.exact_match for r in reports)  # every report is an enumeration
     fams = {r.sampler.split("/")[0] for r in reports}
     assert {"gsampler", "sw-gsampler", "sliding-lp", "pair-l2", "multipass-l1", "f0",
             "tukey"} <= fams
     # Sliding L_p is checked exactly at p = 1 and p = 2 on every stream and W.
-    sliding = {(r.sampler, r.stream_id) for r in reports if r.exact_match}
+    sliding = {(r.sampler, r.stream_id) for r in reports}
     assert {(name, "%s/W=%d" % (sid, W)) for name in ("sliding-lp/l1", "sliding-lp/l2")
             for sid in ("s1", "s2", "s3") for W in (2, 4)} <= sliding
     buf = io.StringIO()
