@@ -70,7 +70,7 @@ def cmd_generate(args):
                       time=t + 1) for t in range(args.m)]
     else:
         model, W = "insertion_only", None
-        if args.window:
+        if args.window is not None:
             model, W = "sliding_window", args.window
         elif args.kind == "shuffled":
             model = "random_order"
@@ -128,7 +128,7 @@ def cmd_sample(args):
     except (OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    if args.window:
+    if args.window is not None:
         config = StreamConfig(n=config.n, model="sliding_window",
                               W=args.window, d=config.d)
     err = validate_stream(config, updates)
@@ -153,11 +153,10 @@ def cmd_sample(args):
         if res.outcome == "index":
             hist[res.index] = hist.get(res.index, 0) + 1
     dt = time.perf_counter() - t0
-    n_trials = max(args.trials, 1)
     report = {
         "outcome_counts": outcomes,
         "histogram": {str(k): v for k, v in sorted(hist.items())},
-        "fail_rate": outcomes["fail"] / n_trials,
+        "fail_rate": outcomes["fail"] / args.trials,
         "wall_time_s": dt,
         "updates_per_s": len(updates) * args.trials / dt if dt > 0 else None,
     }
@@ -190,6 +189,22 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+def _integer_at_least(low):
+    """An argparse type: an integer >= low, else a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid integer: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+    return parse
+
+
+POSITIVE, NONNEGATIVE = _integer_at_least(1), _integer_at_least(0)
+
+
 def _add_measure_args(sp):
     sp.add_argument("--measure", default="lp", choices=list(MEASURES))
     sp.add_argument("--p", default="1", help="L_p exponent (rational, e.g. 3/2)")
@@ -203,10 +218,10 @@ def main(argv=None):
     g = sub.add_parser("generate", help="write a stream file")
     g.add_argument("--kind", required=True,
                    choices=["uniform", "zipf", "single-heavy", "shuffled", "matrix"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--d", type=int, default=4, help="matrix column count")
-    g.add_argument("--window", type=int, default=None, help="sliding window W")
+    g.add_argument("--n", type=POSITIVE, required=True)
+    g.add_argument("--m", type=NONNEGATIVE, required=True)
+    g.add_argument("--d", type=POSITIVE, default=4, help="matrix column count")
+    g.add_argument("--window", type=POSITIVE, default=None, help="sliding window W")
     g.add_argument("--alpha", type=float, default=1.1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -221,9 +236,9 @@ def main(argv=None):
     s.add_argument("--passes-gamma", dest="gamma", default="1/2",
                    help="multipass chunk exponent gamma (rational)")
     s.add_argument("--duplication", type=int, default=256)
-    s.add_argument("--trials", type=int, default=1,
+    s.add_argument("--trials", type=POSITIVE, default=1,
                    help="independent seeded draws")
-    s.add_argument("--window", type=int, default=None,
+    s.add_argument("--window", type=POSITIVE, default=None,
                    help="treat the stream as sliding-window with this W")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--strict", action="store_true",

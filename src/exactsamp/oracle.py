@@ -21,7 +21,7 @@ them, for forks at their exact laws:
   sample -- by the pool method at every population size --, ...) fork
   uniformly, and whose random() and getrandbits() raise;
 * bernoulli_bounds raises: an irrational coin cannot be forked with
-  rational weights.
+  rational weights -- except the acceptance coin of symbolic_law below.
 
 The skip, the binomial and the subset fork at the laws that exactrand.skip,
 exactrand.binomial and exactrand.uniform_subset themselves draw exactly,
@@ -42,10 +42,21 @@ so the random-order contracts are checked on the real PairL2Sampler: f^2/W^2
 per pair, and the law merged over all pairs (7/10 against f^2/F_2 = 2/3 on
 the heavy coordinate at f = (2,1,1), W = 4).
 
-Hand-written laws remain only where the enumerator cannot run a sampler:
-gsampler_coefficients and matrix_coefficients, symbolic laws over the basis
-{G(x)} (resp. G of row vectors), where telescoping is an identity between
-coefficient vectors and holds for every measure, irrational G included.
+symbolic_law and symbolic_sampler_law run a sampler the same way with its
+acceptance coin kept symbolic, so the samplers whose coin is irrational
+(Fair, L1-L2, L_p at fractional p, L2 rows) are checked on the code that
+ships too.  gsampler.acceptance is swapped, wherever it is bound, for a
+stand-in that returns the coin of state c, x_c = (G(after) - G(before))/zeta
+with (before, after) = measure.step(c), left unevaluated; bernoulli_bounds
+forks that coin into accept and reject, weighted x_c and 1 - x_c.  At R = 1
+a leaf meets at most one coin (a second one raises UnforkedDraw), so the law
+of each outcome is a linear form over the x_c, and in_g_basis writes zeta
+times it over the basis {G(x)}.  Every leaf must read one zeta.  A sampler
+reads G only through its coins, so one enumeration per stream certifies
+every measure whose zeta comes from the same source: GSampler's index i is
+{f_i: 1/m} for Fair (a static zeta) and for L_{3/2} (Misra-Gries) alike.
+That zeta bounds every increment is a separate condition, which the
+stand-in does not check.
 
 target_distribution is the exact target {G(f_i)/F_G} of rational G.  No
 float restatement of a sampler, or of G, is kept; the chi-square report for
@@ -63,8 +74,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import ModuleType
 
-from . import exactrand
-from .core import FAIL, INDEX
+from . import exactrand, gsampler
+from .core import BOTTOM, FAIL, INDEX
 
 BRANCH_BUDGET = 10 ** 6
 
@@ -100,10 +111,6 @@ class ExactDistribution:
         if total == 0:
             return {}
         return {i: v / total for i, v in self.probs.items() if v > 0}
-
-
-def _coords(updates):
-    return [u.coord if hasattr(u, "coord") else u for u in updates]
 
 
 def target_distribution(freqs, measure):
@@ -155,10 +162,21 @@ class _ForkingRandom(random.Random):
         raise UnforkedDraw("getrandbits() is forked only inside bernoulli_fraction")
 
 
-def _unforked(name):
-    def draw(*args, **kwargs):
-        raise UnforkedDraw("%s has no exact fork" % name)
-    return draw
+ONE = "1"  # the constant term of a linear form over the acceptance coins
+
+
+class _Coin:
+    """What symbolic acceptance returns in place of a refine: the coin x_c of
+    state c at zeta = (zeta_exact, zeta_bounds), which the enumerator's
+    bernoulli_bounds forks.  It has no bracket to give."""
+
+    __slots__ = ("c", "zeta")
+
+    def __init__(self, c, zeta):
+        self.c, self.zeta = c, zeta
+
+    def __call__(self, k):
+        raise UnforkedDraw("the symbolic coin of state %r has no bracket" % (self.c,))
 
 
 class _Tree:
@@ -169,12 +187,15 @@ class _Tree:
     run's probability is kept as an integer fraction num / den.
     """
 
-    def __init__(self, horizon):
+    def __init__(self, horizon, symbolic=False):
         self.horizon = horizon  # the stream length, for skip
+        self.symbolic = symbolic  # whether acceptance returns a _Coin
         self.time = None  # the time of the update being fed, where told
         self.path = []  # per choice point: [branch taken, number of branches]
         self.depth = 0
         self.num = self.den = 1
+        self.coin = None  # this leaf's (state c, accepted), once it meets a coin
+        self.zeta = None  # the zeta of every coin
         self.rng = _ForkingRandom(self)
 
     def fork(self, n, branch):
@@ -199,7 +220,7 @@ class _Tree:
         if not path:
             return False
         path[-1][0] += 1
-        self.depth, self.num, self.den = 0, 1, 1
+        self.depth, self.num, self.den, self.coin = 0, 1, 1, None
         return True
 
     def skip(self, r, rng):
@@ -242,35 +263,60 @@ class _Tree:
     def substream(self, seed, *ids):
         return self.rng
 
+    def acceptance(self, measure, c, zeta_exact, zeta_bounds):
+        return _Coin(c, (zeta_exact, zeta_bounds))
+
+    def bernoulli_bounds(self, refine, rng):
+        """The symbolic coin forks into accept and reject at weight 1 each:
+        its weight, x_c or 1 - x_c, goes into the leaf's form (see _law).
+        Any other refine, and a second coin on one leaf, whose form would
+        not be linear in the x_c, raise UnforkedDraw."""
+        if not isinstance(refine, _Coin):
+            raise UnforkedDraw("bernoulli_bounds has no exact fork")
+        if self.coin is not None:
+            raise UnforkedDraw("a second acceptance coin on one leaf")
+        if self.zeta is None:
+            self.zeta = refine.zeta
+        assert refine.zeta == self.zeta, "coins at zeta %r and %r" % (self.zeta, refine.zeta)
+        accepted = self.fork(2, lambda i: (i == 0, 1, 1))
+        self.coin = refine.c, accepted
+        return accepted
+
     def stand_ins(self):
-        """What replaces each exactrand primitive during the runs.  subseed
-        keeps its values, memoized: it is a function of its arguments alone,
-        and every substream it seeds is forked anyway."""
-        return {"skip": self.skip, "bernoulli_fraction": self.bernoulli_fraction,
-                "binomial": self.binomial, "uniform_subset": self.uniform_subset,
-                "weighted_index": self.weighted_index,
-                "substream": self.substream,
-                "subseed": functools.lru_cache(None)(exactrand.subseed),
-                "bernoulli_bounds": _unforked("bernoulli_bounds")}
+        """What replaces each primitive during the runs, under the module
+        that defines it.  subseed keeps its values, memoized: it is a
+        function of its arguments alone, and every substream it seeds is
+        forked anyway."""
+        swaps = {exactrand: {
+            "skip": self.skip, "bernoulli_fraction": self.bernoulli_fraction,
+            "binomial": self.binomial, "uniform_subset": self.uniform_subset,
+            "weighted_index": self.weighted_index, "substream": self.substream,
+            "subseed": functools.lru_cache(None)(exactrand.subseed),
+            "bernoulli_bounds": self.bernoulli_bounds}}
+        if self.symbolic:
+            swaps[gsampler] = {"acceptance": self.acceptance}
+        return swaps
 
 
 @contextmanager
 def _swapped(stand_ins):
-    """Bind each named exactrand primitive to stand_ins[name] at every
-    exactsamp module that binds it, and put the originals back afterwards.
-    The modules are the package and its loaded submodules, each bound on
-    the package as an attribute by its import."""
+    """Bind each name of stand_ins, {home module: {name: stand-in}}, to its
+    stand-in at every exactsamp module that binds the home module's
+    original, and put the originals back afterwards.  The modules are the
+    package and its loaded submodules, each bound on the package as an
+    attribute by its import."""
     package = sys.modules[__package__]
     modules = [package] + [m for m in vars(package).values() if isinstance(m, ModuleType)
                            and m.__name__.startswith(__package__ + ".")]
     saved = []
     try:
-        for name, stand_in in stand_ins.items():
-            original = getattr(exactrand, name)
-            for mod in modules:
-                if mod.__dict__.get(name) is original:
-                    saved.append((mod, name, original))
-                    setattr(mod, name, stand_in)
+        for home, names in stand_ins.items():
+            for name, stand_in in names.items():
+                original = getattr(home, name)
+                for mod in modules:
+                    if mod.__dict__.get(name) is original:
+                        saved.append((mod, name, original))
+                        setattr(mod, name, stand_in)
         yield
     finally:
         for mod, name, original in saved:
@@ -285,12 +331,23 @@ def enumerate_law(run, horizon=None):
     UnforkedDraw on a random draw with no exact fork and BranchBudgetExceeded
     above BRANCH_BUDGET leaves.
     """
-    return _law(run, _Tree(horizon))
+    return _distribution(_law(run, _Tree(horizon)))
+
+
+def symbolic_law(run, horizon=None):
+    """enumerate_law with the acceptance coin kept symbolic: per outcome (an
+    index, FAIL or BOTTOM) the linear form {term: weight} of its
+    probability, where a term is ONE or the state c of a coin, read as x_c.
+    A second coin on one leaf raises UnforkedDraw."""
+    return _law(run, _Tree(horizon, symbolic=True))
 
 
 def _law(run, tree):
-    """enumerate_law on the choice tree given."""
-    law = ExactDistribution()
+    """The law of run() over every leaf of tree, as symbolic_law gives it.
+    A leaf adds its weight w to its outcome's form: at ONE when it met no
+    coin, w x_c when it met coin c and accepted, w (1 - x_c) when it
+    rejected.  Zero terms are dropped."""
+    forms = defaultdict(lambda: defaultdict(Fraction))
     leaves = 0
     with _swapped(tree.stand_ins()):
         while True:
@@ -298,23 +355,54 @@ def _law(run, tree):
             _budget(leaves)
             res = run()
             w = Fraction(tree.num, tree.den)
-            if res.outcome == INDEX:
-                law.probs[res.index] = law.probs.get(res.index, 0) + w
-            elif res.outcome == FAIL:
-                law.mass_fail += w
-            else:
-                law.mass_bottom += w
+            form = forms[res.index if res.outcome == INDEX else res.outcome]
+            c, accepted = tree.coin or (ONE, True)
+            form[c] += w if accepted else -w
+            if not accepted:
+                form[ONE] += w
             if not tree.next():
                 break
+    return {outcome: {term: w for term, w in form.items() if w}
+            for outcome, form in forms.items()}
+
+
+def _distribution(forms):
+    """The ExactDistribution of a law that met no coin."""
+    law = ExactDistribution()
+    for outcome, form in forms.items():
+        (w,) = form.values()  # the term ONE alone
+        if outcome == FAIL:
+            law.mass_fail = w
+        elif outcome == BOTTOM:
+            law.mass_bottom = w
+        else:
+            law.probs[outcome] = w
     law.check()
     return law
 
 
-def sampler_law(make, updates):
-    """The exact law of one draw of the sampler make() builds, after it has
-    processed updates, one per process call, each at its stream time."""
+def in_g_basis(form, measure):
+    """zeta times a form of coins, over the basis {G(x)}: x -> coefficient.
+
+    Coin c is x_c = (G(after) - G(before))/zeta with (before, after) =
+    measure.step(c), a scalar or a row vector (a tuple here).  Terms in
+    G(0) = 0 and zero coefficients are dropped; a constant term raises
+    ValueError, having no form over {G(x)}."""
+    out = defaultdict(Fraction)
+    for c, w in form.items():
+        if c == ONE:
+            raise ValueError("a constant term has no G-basis form")
+        before, after = measure.step(c)
+        out[tuple(after) if isinstance(after, list) else after] += w
+        out[before] -= w
+    return {x: w for x, w in out.items() if w and (any(x) if isinstance(x, tuple) else x)}
+
+
+def _fed(make, updates, symbolic):
+    """_law of one draw of the sampler make() builds, after it has processed
+    updates, one per process call, each at its stream time."""
     updates = list(updates)
-    tree = _Tree(len(updates))
+    tree = _Tree(len(updates), symbolic)
 
     def run():
         sampler = make()
@@ -324,6 +412,18 @@ def sampler_law(make, updates):
         return sampler.draw()
 
     return _law(run, tree)
+
+
+def sampler_law(make, updates):
+    """The exact law of one draw of the sampler make() builds, after it has
+    processed updates, one per process call, each at its stream time."""
+    return _distribution(_fed(make, updates, False))
+
+
+def symbolic_sampler_law(make, updates):
+    """sampler_law with the acceptance coin kept symbolic, as symbolic_law
+    gives it."""
+    return _fed(make, updates, True)
 
 
 def order_law(make, freqs, length=None):
@@ -347,49 +447,4 @@ def order_law(make, freqs, length=None):
             sampler.process((coord,))
         return sampler.draw()
 
-    return _law(run, tree)
-
-
-def _strict_after_counts(coords):
-    """Per position, occurrences of the same coordinate strictly after it."""
-    seen = defaultdict(int)
-    out = [0] * len(coords)
-    for t in range(len(coords) - 1, -1, -1):
-        out[t] = seen[coords[t]]
-        seen[coords[t]] += 1
-    return out
-
-
-def gsampler_coefficients(updates, inclusive=False):
-    """Symbolic law: coord -> {x: coeff} meaning
-    law[coord] * (m * zeta) = sum coeff[x] * G(x).  Exact telescoping holds
-    iff this equals {f_coord: 1} per coordinate (G(0) terms dropped)."""
-    coords = _coords(updates)
-    m = len(coords)
-    out = defaultdict(lambda: defaultdict(Fraction))
-    for coord, after in zip(coords, _strict_after_counts(coords)):
-        c = after + 1 if inclusive else after
-        out[coord][c + 1] += 1
-        out[coord][c] -= 1
-    return {i: {x: v for x, v in d.items() if v != 0 and x != 0}
-            for i, d in out.items()}
-
-
-def matrix_coefficients(updates, d):
-    """Symbolic law over the basis {G(v)} for row vectors v (as tuples):
-    law[row] * (m * zeta) = sum coeff[v] * G(v); telescoping holds iff this
-    equals {row vector of row: 1} (zero vectors dropped)."""
-    ups = [(u.coord, u.col) for u in updates]
-    out = defaultdict(lambda: defaultdict(Fraction))
-    for t, (row, col) in enumerate(ups):
-        v = [0] * d
-        for r2, c2 in ups[t + 1:]:
-            if r2 == row:
-                v[c2 - 1] += 1
-        plus = list(v)
-        plus[col - 1] += 1
-        out[row][tuple(plus)] += 1
-        out[row][tuple(v)] -= 1
-    return {r: {vec: cf for vec, cf in dd.items() if cf != 0 and any(vec)}
-            for r, dd in out.items()}
-
+    return _distribution(_law(run, tree))

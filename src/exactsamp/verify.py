@@ -65,8 +65,9 @@ def default_battery():
     }
 
     # Exact targets need rational G, so the numeric battery sticks to L1,
-    # L2 (zeta = 2Z from Misra-Gries) and Huber; irrational measures are
-    # covered by the symbolic coefficient checks in the test suite.
+    # L2 (zeta = 2Z from Misra-Gries) and Huber; the test suite checks the
+    # irrational measures on the same samplers with the acceptance coin kept
+    # symbolic (oracle.symbolic_sampler_law).
     for sid, coords in streams.items():
         freqs = Counter(coords)
         for name, meas in (("l1", l1), ("l2", l2), ("huber", huber_measure(2))):

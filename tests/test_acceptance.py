@@ -6,8 +6,9 @@ Each test pins one headline guarantee at its stated tolerance:
     batteries for every sampler family, enumerated over every branch of the
     real samplers' random choices at the zeta they ship with
     (oracle.sampler_law, and oracle.order_law over every order of a
-    random-order window), plus the symbolic telescoping identities for every
-    measure;
+    random-order window), and with the acceptance coin kept symbolic
+    (oracle.symbolic_sampler_law), which covers the measures whose coin is
+    irrational;
  2. per-repetition success probability: exactly F_G/(zeta m) at the
     sampler's own zeta on every tiny stream of item 1, and exact lower
     bounds on the shipped Misra-Gries and smooth-histogram zeta;
@@ -23,7 +24,8 @@ Each test pins one headline guarantee at its stated tolerance:
  8. multipass pass counts exactly ceil(1/gamma);
  9. duplicated-exponential sampler TV <= 0.05;
 10. the inclusive-counter mutant, injected into the real reservoir bank, is
-    rejected by the exactness battery at the shipped zeta.
+    rejected by the exactness battery at the shipped zeta and by the
+    symbolic sweep.
 """
 
 import itertools
@@ -37,6 +39,8 @@ from statcheck import np_substream
 
 from exactsamp import oracle
 from exactsamp.core import (
+    BOTTOM,
+    FAIL,
     Update,
     huber_measure,
     l1l2_measure,
@@ -47,7 +51,7 @@ from exactsamp.core import (
 from exactsamp.exactrand import pow_bounds, substream
 from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
 from exactsamp.gsampler import GSampler, acceptance, lp_zeta
-from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
+from exactsamp.matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
 from exactsamp.randomorder import PairL2Sampler, alpha_coeffs, falling
@@ -122,15 +126,42 @@ def test_exact_laws_insertion_only_exhaustive():
     assert checked == sum(3 ** m for m in range(1, 7))
 
 
+def _g_forms(forms, measure):
+    """index -> the G-basis form of its probability in a symbolic law."""
+    return {i: oracle.in_g_basis(form, measure) for i, form in forms.items()
+            if i not in (FAIL, BOTTOM)}
+
+
+def _g_proportional(forms, freqs, measure):
+    """The kappa > 0 with which a symbolic law gives every index i of freqs
+    exactly kappa G(f_i), and no other index anything; None if there is
+    none."""
+    got = _g_forms(forms, measure)
+    i = next(iter(freqs))
+    kappa = got.get(i, {}).get(freqs[i])
+    ok = kappa is not None and kappa > 0 and got == {i: {f: kappa} for i, f in freqs.items()}
+    return kappa if ok else None
+
+
 def test_exact_laws_symbolic_all_measures():
-    # The same battery symbolically: law * (m * zeta) must equal {f_i: 1}
-    # in the G-basis, which certifies exactness for every measure function
-    # (including irrational G) at once.
-    for m in range(1, 11):
-        for coords in all_streams(3, m):
-            coeffs = oracle.gsampler_coefficients(coords)
-            freqs = Counter(coords)
-            assert coeffs == {i: {f: Fraction(1)} for i, f in freqs.items()}, coords
+    # The real GSampler at R = 1 with its acceptance coin kept symbolic:
+    # index i's probability, over the basis {G(x)} and times zeta, must be
+    # exactly G(f_i)/m.  The sampler reads G only through its coins, so one
+    # enumeration certifies every measure of the same zeta source,
+    # irrational G included: a static zeta (Fair) and the Misra-Gries
+    # p Z^{p-1} (L_{3/2}).  Every stream with m <= 6 over 3 coordinates,
+    # and 20 seeded streams per m = 7..10.
+    rng = substream(0, "symbolic-streams")
+    streams = [coords for m in range(1, 7) for coords in all_streams(3, m)]
+    streams += [[rng.randrange(3) + 1 for _ in range(m)] for m in range(7, 11) for _ in range(20)]
+    for meas in (fair_measure(2), lp_measure(Fraction(3, 2))):
+        for coords in streams:
+            m = len(coords)
+            forms = oracle.symbolic_sampler_law(
+                lambda: GSampler(meas, 3, m, repetitions=1), coords)
+            want = {i: {f: Fraction(1, m)} for i, f in Counter(coords).items()}
+            assert _g_forms(forms, meas) == want, (coords, meas.name)
+            assert BOTTOM not in forms, (coords, meas.name)
 
 
 def _matrix_updates(cells):
@@ -139,6 +170,7 @@ def _matrix_updates(cells):
 
 def test_exact_laws_matrix():
     l1row = L1RowMeasure()
+    l2row = L2RowMeasure()
 
     def row_vectors(cells):
         vecs = {}
@@ -156,10 +188,14 @@ def test_exact_laws_matrix():
         assert law.conditional() == {r: Fraction(f, total) for r, f in rows.items()}, cells
 
     def check_symbolic(cells):
-        # Symbolic row-vector telescoping covers arbitrary row measures.
-        coeffs = oracle.matrix_coefficients(_matrix_updates(cells), d=3)
-        assert coeffs == {r: {tuple(v): Fraction(1)}
-                          for r, v in row_vectors(cells).items()}, cells
+        # The real MatrixSampler with L2 rows, its coin kept symbolic: row
+        # r's form is G(row vector of r)/m, for every row measure of a static
+        # zeta.
+        forms = oracle.symbolic_sampler_law(
+            lambda: MatrixSampler(l2row, 3, 3, len(cells), repetitions=1),
+            _matrix_updates(cells))
+        want = {r: {tuple(v): Fraction(1, len(cells))} for r, v in row_vectors(cells).items()}
+        assert _g_forms(forms, l2row) == want, cells
 
     cellset = [(r, c) for r in range(1, 4) for c in range(1, 4)]
     # Exhaustive over every order for m <= 4.
@@ -167,28 +203,21 @@ def test_exact_laws_matrix():
         for cells in itertools.product(cellset, repeat=m):
             check_law(list(cells))
             check_symbolic(list(cells))
-    # Every frequency matrix with 5 <= m <= 8 in canonical order, plus seeded
-    # random orders (the law is order-invariant; full order enumeration at
-    # m = 8 is 9^8 streams and out of runtime budget).
+    # 20 seeded orders per m = 5..8.
     rng = substream(0, "matrix-orders")
-    for fv in freq_vectors(9, 8):
-        m = sum(fv.values())
-        if m < 5:
-            continue
-        cells = []
-        for k, f in fv.items():
-            cells.extend([cellset[k - 1]] * f)
-        check_symbolic(list(cells))
-        for _ in range(2):
-            rng.shuffle(cells)
-            check_symbolic(list(cells))
+    for m in range(5, 9):
+        for _ in range(20):
+            check_symbolic([cellset[rng.randrange(9)] for _ in range(m)])
 
 
 def test_exact_laws_sliding_window():
     # One draw of the real CheckpointedSampler at R = 1, every branch, for
-    # every stream with m <= 4 and W <= 6.
+    # every stream with m <= 4 and W <= 6; at Fair its coin is kept symbolic,
+    # and index i's form must be kappa G(f_i) over the window, with one
+    # kappa > 0 for every i.
     l1 = lp_measure(1)
     hub = huber_measure(2)
+    fair = fair_measure(2)
     for m in range(1, 5):
         for coords in all_streams(3, m):
             for W in range(1, 7):
@@ -198,9 +227,14 @@ def test_exact_laws_sliding_window():
                         lambda: CheckpointedSampler(meas, W, 3, repetitions=1), coords)
                     target = oracle.target_distribution(winfreq, meas)
                     assert law.conditional() == target.probs, (coords, W, meas.name)
+                forms = oracle.symbolic_sampler_law(
+                    lambda: CheckpointedSampler(fair, W, 3, repetitions=1), coords)
+                assert _g_proportional(forms, winfreq, fair), (coords, W)
     # The real SlidingLpSampler at R = 1 on the same streams, at p = 1, 2
-    # and 3, whose zeta = p max_f^{p-1} of the bracket row is rational.
+    # and 3, whose zeta = p max_f^{p-1} of the bracket row is rational, and
+    # symbolically at p = 3/2, where it is not.
     checked = Counter()
+    lp32 = lp_measure(Fraction(3, 2))
     for m in range(1, 5):
         for coords in all_streams(3, m):
             for W in range(1, 7):
@@ -212,7 +246,11 @@ def test_exact_laws_sliding_window():
                     want = {i: Fraction(f ** p, fp) for i, f in winfreq.items()}
                     assert law.conditional() == want, (coords, W, p)
                     checked[p] += 1
-    assert checked == {1: 720, 2: 720, 3: 720}
+                forms = oracle.symbolic_sampler_law(
+                    lambda: SlidingLpSampler(lp32.p, W, 3, repetitions=1), coords)
+                assert _g_proportional(forms, winfreq, lp32), (coords, W)
+                checked[lp32.p] += 1
+    assert checked == {1: 720, 2: 720, 3: 720, Fraction(3, 2): 720}
 
 
 def test_exact_laws_random_order():
@@ -247,6 +285,9 @@ def test_exact_laws_multipass():
                 law = oracle.enumerate_law(lambda: multipass_l1_draw(stream, gamma, n)[0])
                 assert law.conditional() == {i: Fraction(f, m)
                                              for i, f in fv.items()}, (fv, gamma)
+    # At p = 2, and symbolically at p = 3/2: index i's form must be
+    # kappa G(f_i), with one kappa > 0 for every i.
+    lp32 = lp_measure(Fraction(3, 2))
     for n in (2, 4):
         for fv in freq_vectors(n, 5):
             f2 = sum(f * f for f in fv.values())
@@ -255,6 +296,9 @@ def test_exact_laws_multipass():
                 lambda: multipass_lp_draw(stream, Fraction(1, 2), 2, n, repetitions=1))
             assert law.conditional() == {i: Fraction(f * f, f2)
                                          for i, f in fv.items()}, fv
+            forms = oracle.symbolic_law(
+                lambda: multipass_lp_draw(stream, Fraction(1, 2), lp32.p, n, repetitions=1))
+            assert _g_proportional(forms, fv, lp32), fv
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +540,39 @@ def _ro_window_pool():
     return pool
 
 
+def _no_collision(fv):
+    """Pr[no pair (2k - 1, 2k) of a uniformly random order of the multiset fv
+    holds two equal items], counted over all W! orders."""
+    items = [i for i in sorted(fv) for _ in range(fv[i])]
+    orders = list(itertools.permutations(items))
+    clean = sum(all(o[k] != o[k + 1] for k in range(0, len(o) - 1, 2)) for o in orders)
+    return Fraction(clean, len(orders))
+
+
 def test_random_order_fail_rate_pairs():
-    # Pair harvests fire on a 1/W coin or on a collision; with a Zipf window
-    # collisions are abundant, so the empty-harvest probability is far below
+    # A pair sampler over a window of W items harvests on a collision or on
+    # one of its floor(W/2) outright 1/W coins, which one group draws, so
+    # Pr[fail] = Pr[no collision] (1 - 1/W)^floor(W/2).  The real
+    # PairL2Sampler, enumerated over every order of every window with
+    # W <= 5, and of two at W = 6 (all distinct, and f = (3, 2, 1)), fails
+    # with exactly that probability.
+    windows = [fv for W in range(2, 6) for fv in freq_vectors(W, W) if sum(fv.values()) == W]
+    assert len(windows) == 174
+    windows += [{i: 1 for i in range(1, 7)}, {1: 3, 2: 2, 3: 1}]
+    for fv in windows:
+        W = sum(fv.values())
+        law = oracle.order_law(lambda: PairL2Sampler(W, W), fv)
+        assert law.mass_fail == _no_collision(fv) * (1 - Fraction(1, W)) ** (W // 2), fv
+    # On the Zipf window, no pair collides only if the f copies of the
+    # heaviest coordinate fall in f distinct pairs, with probability
+    # C(W/2, f) 2^f / C(W, f): an exact bound on the failure rate, far below
     # the 1/3 allowance.
-    pool = _ro_window_pool()
-    rng = np_substream(43, "ro-pair")
-    no_coin = (1.0 - 1.0 / RO_W) ** (RO_W // 2)
-    fails = 0
-    done = 0
-    chunk = 200
-    while done < RO_TRIALS:
-        c = min(chunk, RO_TRIALS - done)
-        mat = rng.permuted(np.tile(pool, (c, 1)), axis=1)
-        collisions = (mat[:, ::2] == mat[:, 1::2]).sum(axis=1)
-        # Fail requires zero collisions AND every 1/W coin to miss.
-        maybe = collisions == 0
-        fails += int((maybe & (rng.random(c) < no_coin)).sum())
-        done += c
-    assert fails / RO_TRIALS <= 0.34, fails
+    f = int(np.bincount(_ro_window_pool()).max())
+    assert f == 2776
+    half = RO_W // 2
+    bound = (Fraction(math.comb(half, f) * 2 ** f, math.comb(RO_W, f))
+             * (1 - Fraction(1, RO_W)) ** half)
+    assert bound <= Fraction(34, 100), float(bound)
 
 
 def test_random_order_fail_rate_blocks():
@@ -648,3 +706,16 @@ def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
     # The mutant telescopes to G(f+1) - G(1): (8, 3)/11 instead of (4, 1)/5.
     assert law.conditional() == {1: Fraction(8, 11), 2: Fraction(3, 11)}
     assert law.conditional() != oracle.target_distribution({1: 2, 2: 1}, l2).probs
+    # The symbolic sweep rejects it on every stream, for every measure of a
+    # static zeta at once: with the coin kept symbolic, index i's form is
+    # (G(f_i + 1) - G(1))/m instead of G(f_i)/m.
+    fair = fair_measure(2)
+
+    def g_forms(coords):
+        return _g_forms(oracle.symbolic_sampler_law(
+            lambda: GSampler(fair, 2, len(coords), repetitions=1), coords), fair)
+
+    for coords in all_streams(2, 3):
+        want = {i: {f: Fraction(1, 3)} for i, f in Counter(coords).items()}
+        assert g_forms(coords) != want, coords
+    assert g_forms([1, 1, 2])[1] == {3: Fraction(1, 3), 1: Fraction(-1, 3)}

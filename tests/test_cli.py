@@ -166,6 +166,35 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--window", "-3"],
+    ["sample", "--window", "0"],
+    ["sample", "--trials", "-2"],
+    ["generate", "--window", "-3"],
+    ["generate", "--n", "0"],
+    ["generate", "--m", "-1"],
+    ["generate", "--kind", "matrix", "--d", "0"],
+], ids=" ".join)
+def test_out_of_range_counts_exit_2(argv, tmp_path, capsys):
+    # A count below its least value is a usage error: exit 2 with argparse's
+    # message, before any stream is read or written.
+    stream = str(tmp_path / "u.jsonl")
+    assert main(["generate", "--kind", "uniform", "--n", "3", "--m", "20", "--out", stream]) == 0
+    capsys.readouterr()
+    if argv[0] == "sample":
+        argv = argv + ["--stream", stream, "--sampler", "pair"]
+    else:
+        defaults = {"--kind": "uniform", "--n": "3", "--m": "20",
+                    "--out": str(tmp_path / "g.jsonl")}
+        argv = argv + [x for k, v in defaults.items() if k not in argv for x in (k, v)]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    err = capsys.readouterr().err
+    assert e.value.code == 2, err
+    assert "usage:" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "g.jsonl")
+
+
 def test_sample_deletion_to_insertion_only_sampler_exit_2(tmp_path, capsys):
     from exactsamp.core import StreamConfig, Update, write_stream
 

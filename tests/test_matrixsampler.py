@@ -108,17 +108,22 @@ class _RowAsScalar:
 
 
 def test_oracle_symbolic_l2_rows():
+    # The real sampler with its L2-row coin kept symbolic: zeta times row
+    # r's probability is ||row r||_2 / m, over the basis of row vectors.
     combos = [
         [(1, 1), (1, 2), (2, 1)],
         [(1, 1), (2, 2), (2, 2), (1, 1)],
     ]
+    l2 = L2RowMeasure()
     for combo in combos:
-        coeffs = oracle.matrix_coefficients(ups(combo), d=2)
+        forms = oracle.symbolic_sampler_law(
+            lambda: MatrixSampler(l2, 2, 2, len(combo), repetitions=1), ups(combo))
         rows = {}
         for r, c in combo:
             v = rows.setdefault(r, [0, 0])
             v[c - 1] += 1
-        assert coeffs == {r: {tuple(v): Fraction(1)} for r, v in rows.items()}
+        assert {r: oracle.in_g_basis(forms[r], l2) for r in rows} == \
+            {r: {tuple(v): Fraction(1, len(combo))} for r, v in rows.items()}, combo
 
 
 def test_fail_rate_bounded():

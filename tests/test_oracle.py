@@ -4,13 +4,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from exactsamp import exactrand, oracle
-from exactsamp.core import SampleResult, Update, huber_measure, lp_measure, tukey_measure
+from exactsamp import exactrand, gsampler, multipass, oracle
+from exactsamp.core import (BOTTOM, FAIL, SampleResult, Update, fair_measure, huber_measure,
+                            lp_measure, tukey_measure)
 from exactsamp.gsampler import GSampler
-from exactsamp.matrixsampler import L1RowMeasure, MatrixSampler
+from exactsamp.matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
 from exactsamp.randomorder import PairL2Sampler
 from exactsamp.oracle import (
@@ -124,29 +123,67 @@ def test_target_zero_freqs_dropped():
 
 
 def test_symbolic_coefficients_telescope():
+    # The real GSampler with its coin kept symbolic: zeta times index i's
+    # probability is G(f_i)/m over the basis {G(x)}, for every measure of a
+    # static zeta.
     coords = [1, 2, 1, 1, 3, 2]
-    freqs = {1: 3, 2: 2, 3: 1}
-    coeffs = oracle.gsampler_coefficients(ups(coords))
-    assert coeffs == {i: {f: Fraction(1)} for i, f in freqs.items()}
+    fair = fair_measure(2)
+    forms = oracle.symbolic_sampler_law(lambda: GSampler(fair, 3, 6, repetitions=1), coords)
+    assert {i: oracle.in_g_basis(forms[i], fair) for i in (1, 2, 3)} == \
+        {1: {3: Fraction(1, 6)}, 2: {2: Fraction(1, 6)}, 3: {1: Fraction(1, 6)}}
+    assert set(forms) == {1, 2, 3, FAIL}
 
 
-def test_mutant_coefficients_differ():
-    coords = [1, 1, 2]
-    good = oracle.gsampler_coefficients(ups(coords))
-    bad = oracle.gsampler_coefficients(ups(coords), inclusive=True)
-    assert good != bad
-    # The mutant law telescopes to G(f_i + 1) - G(1) instead of G(f_i).
-    assert bad[1] == {3: Fraction(1), 1: Fraction(-1)}
+def _forms_sum(forms):
+    total = {}
+    for form in forms.values():
+        for term, w in form.items():
+            total[term] = total.get(term, 0) + w
+    return {term: w for term, w in total.items() if w}
 
 
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=9))
-@settings(max_examples=80)
-def test_symbolic_telescoping_any_stream(coords):
-    freqs = {}
-    for c in coords:
-        freqs[c] = freqs.get(c, 0) + 1
-    assert oracle.gsampler_coefficients(ups(coords)) == \
-        {i: {f: Fraction(1)} for i, f in freqs.items()}
+def test_symbolic_forms_sum_to_one():
+    # Every coin's accept and reject weights cancel: the forms of all the
+    # outcomes sum to the constant 1, on each kind of coin state and zeta.
+    stream = ReplayableStream(ups([1, 1, 2]))
+    laws = [
+        oracle.symbolic_sampler_law(
+            lambda: GSampler(lp_measure(Fraction(3, 2)), 3, 3, repetitions=1), [1, 1, 2]),
+        oracle.symbolic_sampler_law(lambda: SlidingLpSampler(Fraction(3, 2), 2, 3,
+                                                             repetitions=1), [1, 1, 2, 1]),
+        oracle.symbolic_sampler_law(
+            lambda: MatrixSampler(L2RowMeasure(), 2, 2, 3, repetitions=1),
+            [Update(1, col=1), Update(1, col=2), Update(2, col=1)]),
+        oracle.symbolic_law(
+            lambda: multipass_lp_draw(stream, Fraction(1, 2), Fraction(3, 2), 4, repetitions=1)),
+        oracle.symbolic_sampler_law(lambda: GSampler(lp_measure(2), 3, 0, repetitions=1), []),
+    ]
+    for forms in laws:
+        assert _forms_sum(forms) == {oracle.ONE: 1}, forms
+    assert laws[-1] == {BOTTOM: {oracle.ONE: 1}}
+
+
+def test_symbolic_coins_read_one_zeta():
+    # zeta is a function of the stream, so every leaf must read the same
+    # one; a run whose zeta varies from leaf to leaf is refused.
+    fair = fair_measure(2)
+
+    def run():
+        rng = exactrand.substream(0)
+        zeta = Fraction(2 + rng.randrange(2))
+        accepted = gsampler.accept_increment(fair, 0, zeta, None, rng)
+        return SampleResult.of(1) if accepted else SampleResult.fail()
+
+    with pytest.raises(AssertionError, match="coins at zeta"):
+        oracle.symbolic_law(run)
+
+
+def test_second_coin_on_one_leaf_raises():
+    # At R = 2 a leaf whose first repetition rejects tests the second one:
+    # its weight would be a product of two coins, not a linear form.
+    with pytest.raises(UnforkedDraw, match="second acceptance coin"):
+        oracle.symbolic_sampler_law(lambda: GSampler(fair_measure(2), 3, 2, repetitions=2),
+                                    [1, 2])
 
 
 def test_matrix_law_l1_rows():
@@ -156,9 +193,14 @@ def test_matrix_law_l1_rows():
 
 
 def test_matrix_coefficients_telescope():
+    # The real MatrixSampler, coin kept symbolic: zeta times row r's
+    # probability is G(row vector of r)/m, over the basis of row vectors.
     stream = [Update(1, col=1), Update(1, col=2), Update(2, col=1)]
-    coeffs = oracle.matrix_coefficients(stream, d=2)
-    assert coeffs == {1: {(1, 1): Fraction(1)}, 2: {(1, 0): Fraction(1)}}
+    l2row = L2RowMeasure()
+    forms = oracle.symbolic_sampler_law(lambda: MatrixSampler(l2row, 2, 2, 3, repetitions=1),
+                                        stream)
+    assert {r: oracle.in_g_basis(forms[r], l2row) for r in (1, 2)} == \
+        {1: {(1, 1): Fraction(1, 3)}, 2: {(1, 0): Fraction(1, 3)}}
 
 
 def test_sw_law_matches_window_target():
@@ -276,10 +318,15 @@ UNFORKED = {
 
 @pytest.mark.parametrize("name", sorted(UNFORKED))
 def test_unforked_draws_raise_and_names_come_back(name):
+    # Each draw raises with the coin kept symbolic too, and every swapped
+    # name, gsampler.acceptance included, is put back.
     modules = [m for k, m in sys.modules.items() if k.startswith("exactsamp") and m is not None]
     before = [dict(vars(m)) for m in modules]
-    with pytest.raises(UnforkedDraw):
-        enumerate_law(lambda: UNFORKED[name]() and SampleResult.bottom())
-    for mod, names in zip(modules, before):
-        assert all(vars(mod).get(k) is v for k, v in names.items()), mod.__name__
+    acceptance = gsampler.acceptance
+    for law in (enumerate_law, oracle.symbolic_law):
+        with pytest.raises(UnforkedDraw):
+            law(lambda: UNFORKED[name]() and SampleResult.bottom())
+        for mod, names in zip(modules, before):
+            assert all(vars(mod).get(k) is v for k, v in names.items()), mod.__name__
+    assert gsampler.acceptance is acceptance and multipass.acceptance is acceptance
 

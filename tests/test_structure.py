@@ -23,7 +23,7 @@ module-level import it does not use.  Importing the package loads neither
 hashlib's OpenSSL module, nor dataclasses, nor the enumerator, which loads
 on first use of its names.  No sampler constructor takes a zeta, exponent or
 cap-constant override, so the exact-law checks run the zeta that ships, and
-no hand-written random-order law is left.  The sliding L_p sampler runs on
+no hand-written random-order law or telescoping coefficients are left.  The sliding L_p sampler runs on
 the checkpoint banks, with no suffix-minimum structure.  Every
 L_p sampler takes its zeta from one rule, gsampler.lp_zeta, and no
 degraded-estimate path or hand-written sliding law is left.  The multipass samplers read
@@ -173,15 +173,16 @@ MODULES = {"__init__.py", "cli.py", "core.py", "exactrand.py", "f0sampler.py", "
 def test_override_knobs_and_law_mirrors_stay_removed():
     # The exact-law checks run the shipped classes at the zeta they ship
     # with: no constructor takes a zeta, exponent or cap-constant override,
-    # and no hand-written random-order law, Monte-Carlo twin of a sampler or
-    # float evaluation of G is left.  The package is the modules below, G is
+    # and no hand-written random-order law or telescoping coefficients,
+    # Monte-Carlo twin of a sampler or float evaluation of G is left.  The package is the modules below, G is
     # evaluated by g_exact and g_bounds alone, and the one target law is the
     # exact one.
     trees = _trees()
     assert set(trees) == MODULES, set(trees) ^ MODULES
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
-    assert not {"pair_l2_law", "block_lp_law", "_arrangements"} & defined
+    assert not {"pair_l2_law", "block_lp_law", "_arrangements", "gsampler_coefficients",
+                "matrix_coefficients", "_strict_after_counts"} & defined
     assert not [name for name in defined if name.startswith("mc_")]
     assert {name for name in defined if name.startswith("g_")} == {"g_exact", "g_bounds"}
     assert {name for name in defined if name.startswith("target_")} == {"target_distribution"}
