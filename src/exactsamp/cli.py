@@ -35,9 +35,9 @@ from .smallp import DuplicatedExpState
 MEASURES = {
     "lp": lambda args: lp_measure(args.p),
     "l1l2": lambda args: l1l2_measure(),
-    "fair": lambda args: fair_measure(Fraction(args.tau)),
-    "huber": lambda args: huber_measure(Fraction(args.tau)),
-    "tukey": lambda args: tukey_measure(Fraction(args.tau)),
+    "fair": lambda args: fair_measure(args.tau),
+    "huber": lambda args: huber_measure(args.tau),
+    "tukey": lambda args: tukey_measure(args.tau),
 }
 
 
@@ -95,7 +95,7 @@ SAMPLERS = {
                                                          a.delta, seed),
     "sliding-lp": lambda a, c, m, seed: SlidingLpSampler(a.p, c.W, c.n, a.delta, seed),
     "pair": lambda a, c, m, seed: PairL2Sampler(c.n, c.W or m, seed),
-    "block": lambda a, c, m, seed: BlockLpSampler(c.n, c.W or m, int(a.p), seed),
+    "block": lambda a, c, m, seed: BlockLpSampler(c.n, c.W or m, a.p, seed),
     "smallp": lambda a, c, m, seed: DuplicatedExpState(float(a.p), a.duplication, seed),
 }
 
@@ -104,9 +104,9 @@ def _build_and_draw(args, config, updates, seed):
     if args.sampler == "multipass":  # draws in passes over the whole stream
         stream = ReplayableStream(updates)
         if args.p == 1:
-            res, _ = multipass_l1_draw(stream, Fraction(args.gamma), config.n, seed)
+            res, _ = multipass_l1_draw(stream, args.gamma, config.n, seed)
             return res
-        return multipass_lp_draw(stream, Fraction(args.gamma), args.p, config.n, args.delta, seed)
+        return multipass_lp_draw(stream, args.gamma, args.p, config.n, args.delta, seed)
     sampler = SAMPLERS[args.sampler](args, config, len(updates), seed)
     sampler.process(updates)
     return sampler.draw()
@@ -182,7 +182,8 @@ def cmd_verify(args):
     else:
         for r in reports:
             status = "ok" if r.ok else "FAIL"
-            print("%-4s %-20s %-12s exact" % (status, r.sampler, r.stream_id))
+            fail = "symbolic" if r.mass_fail is None else r.mass_fail
+            print("%-4s %-20s %-12s %-18s fail=%s" % (status, r.sampler, r.stream_id, r.checks, fail))
     if args.out:
         with open(args.out, "w") as fh:
             verify_mod.dump_reports(reports, fh)
@@ -205,10 +206,29 @@ def _integer_at_least(low):
 POSITIVE, NONNEGATIVE = _integer_at_least(1), _integer_at_least(0)
 
 
+def _rational(text):
+    """An argparse type: a rational such as 3/2 or 0.5, else a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid rational: %r" % text) from None
+
+
+def _probability(text):
+    """An argparse type: a float strictly between 0 and 1, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid number: %r" % text) from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must be in (0, 1), got %r" % text)
+    return value
+
+
 def _add_measure_args(sp):
     sp.add_argument("--measure", default="lp", choices=list(MEASURES))
-    sp.add_argument("--p", default="1", help="L_p exponent (rational, e.g. 3/2)")
-    sp.add_argument("--tau", default="2", help="M-estimator scale")
+    sp.add_argument("--p", type=_rational, default="1", help="L_p exponent (rational, e.g. 3/2)")
+    sp.add_argument("--tau", type=_rational, default="2", help="M-estimator scale")
 
 
 def main(argv=None):
@@ -232,8 +252,9 @@ def main(argv=None):
     s.add_argument("--sampler", required=True, choices=[*SAMPLERS, "multipass"])
     _add_measure_args(s)
     s.add_argument("--row-measure", default="l2_row", choices=sorted(ROW_MEASURES))
-    s.add_argument("--delta", type=float, default=0.1)
-    s.add_argument("--passes-gamma", dest="gamma", default="1/2",
+    s.add_argument("--delta", type=_probability, default=0.1,
+                   help="failure probability the repetitions are sized for, in (0, 1)")
+    s.add_argument("--passes-gamma", dest="gamma", type=_rational, default="1/2",
                    help="multipass chunk exponent gamma (rational)")
     s.add_argument("--duplication", type=int, default=256)
     s.add_argument("--trials", type=POSITIVE, default=1,
@@ -252,8 +273,6 @@ def main(argv=None):
     v.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    if hasattr(args, "p"):
-        args.p = Fraction(args.p)
     return args.func(args)
 
 

@@ -176,7 +176,7 @@ class F0Sampler(UnitUpdates):
 
     def __init__(self, n, delta=0.1, seed=0, window=None, repetitions=None):
         if repetitions is None:
-            repetitions = max(1, math.ceil(2 * math.log(1.0 / delta)))
+            repetitions = repetitions_for(Fraction(1, 2), delta)  # ceil(2 ln(1/delta))
         self.R = repetitions
         self.seed = seed
         self.n = n

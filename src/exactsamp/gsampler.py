@@ -49,7 +49,10 @@ LP_ZETA_MEMO = 64  # (Z, p) pairs whose lp_zeta is kept
 
 
 def repetitions_for(ratio, delta):
-    """ceil(C * ratio * ln(1/delta)) with ratio >= zeta*m/F_G."""
+    """ceil(C * ratio * ln(1/delta)) with ratio >= zeta*m/F_G, at least 1.
+    Raises ValueError unless 0 < delta < 1."""
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1), got %r" % (delta,))
     return max(1, math.ceil(R_SIZING_CONSTANT * float(ratio) * math.log(1.0 / delta)))
 
 

@@ -59,17 +59,21 @@ class ReplayableStream:
 
 
 def passes_for(gamma):
+    """ceil(1/gamma) exactly for rational gamma; ValueError unless gamma > 0."""
     g = Fraction(gamma)
-    return int(-(-1 // g))  # ceil(1/gamma) exactly for rational gamma
+    if g <= 0:
+        raise ValueError("gamma must be positive, got %s" % g)
+    return int(-(-1 // g))
 
 
 def chunk_count(n, gamma):
     """ceil(n^gamma) chunks per cell (at least 2), raised where float rounding
     falls short so that ceil(1/gamma) passes always end on single coordinates."""
-    if float(gamma) >= 1:
+    passes = passes_for(gamma)
+    if passes == 1:
         return n
     q = max(2, math.ceil(n ** float(gamma) - 1e-9))
-    while q ** passes_for(gamma) < n:
+    while q ** passes < n:
         q += 1
     return q
 

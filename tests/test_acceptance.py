@@ -3,10 +3,11 @@
 Each test pins one headline guarantee at its stated tolerance:
 
  1. exact conditional laws (zero tolerance) on exhaustive tiny-stream
-    batteries for every sampler family, enumerated over every branch of the
-    real samplers' random choices at the zeta they ship with
+    batteries for every sampler family, by the checkers of exactsamp.verify
+    that `exactsamp verify` runs too: each enumerates every branch of the
+    real sampler's random choices at the zeta it ships with
     (oracle.sampler_law, and oracle.order_law over every order of a
-    random-order window), and with the acceptance coin kept symbolic
+    random-order window), or with the acceptance coin kept symbolic
     (oracle.symbolic_sampler_law), which covers the measures whose coin is
     irrational;
  2. per-repetition success probability: exactly F_G/(zeta m) at the
@@ -37,10 +38,8 @@ from fractions import Fraction
 import numpy as np
 from statcheck import np_substream
 
-from exactsamp import oracle
+from exactsamp import oracle, verify
 from exactsamp.core import (
-    BOTTOM,
-    FAIL,
     Update,
     huber_measure,
     l1l2_measure,
@@ -49,15 +48,13 @@ from exactsamp.core import (
     tukey_measure,
 )
 from exactsamp.exactrand import pow_bounds, substream
-from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
-from exactsamp.gsampler import GSampler, acceptance, lp_zeta
-from exactsamp.matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
+from exactsamp.f0sampler import F0State
+from exactsamp.gsampler import acceptance, lp_zeta
 from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
 from exactsamp.randomorder import PairL2Sampler, alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
 from exactsamp.smallp import DuplicatedExpState
-from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 from exactsamp.smoothhist import SmoothHistogram
 
 
@@ -110,37 +107,10 @@ def test_exact_laws_insertion_only_exhaustive():
     checked = 0
     for m in range(1, 7):
         for coords in all_streams(3, m):
-            freqs = Counter(coords)
             for meas in measures:
-                make = lambda: GSampler(meas, 3, m, repetitions=1)
-                law = oracle.sampler_law(make, coords)
-                target = oracle.target_distribution(freqs, meas)
-                assert law.conditional() == target.probs, (coords, meas.name)
-                sampler = make()
-                sampler.process(coords)
-                zeta, _ = sampler._zeta_at_draw()
-                fg = sum(meas.g_exact(f) for f in freqs.values())
-                assert law.mass_fail == 1 - fg / (zeta * m), (coords, meas.name)
-                assert law.mass_bottom == 0, (coords, meas.name)
+                assert verify.gsampler(meas, coords).ok, (coords, meas.name)
             checked += 1
     assert checked == sum(3 ** m for m in range(1, 7))
-
-
-def _g_forms(forms, measure):
-    """index -> the G-basis form of its probability in a symbolic law."""
-    return {i: oracle.in_g_basis(form, measure) for i, form in forms.items()
-            if i not in (FAIL, BOTTOM)}
-
-
-def _g_proportional(forms, freqs, measure):
-    """The kappa > 0 with which a symbolic law gives every index i of freqs
-    exactly kappa G(f_i), and no other index anything; None if there is
-    none."""
-    got = _g_forms(forms, measure)
-    i = next(iter(freqs))
-    kappa = got.get(i, {}).get(freqs[i])
-    ok = kappa is not None and kappa > 0 and got == {i: {f: kappa} for i, f in freqs.items()}
-    return kappa if ok else None
 
 
 def test_exact_laws_symbolic_all_measures():
@@ -156,100 +126,47 @@ def test_exact_laws_symbolic_all_measures():
     streams += [[rng.randrange(3) + 1 for _ in range(m)] for m in range(7, 11) for _ in range(20)]
     for meas in (fair_measure(2), lp_measure(Fraction(3, 2))):
         for coords in streams:
-            m = len(coords)
-            forms = oracle.symbolic_sampler_law(
-                lambda: GSampler(meas, 3, m, repetitions=1), coords)
-            want = {i: {f: Fraction(1, m)} for i, f in Counter(coords).items()}
-            assert _g_forms(forms, meas) == want, (coords, meas.name)
-            assert BOTTOM not in forms, (coords, meas.name)
-
-
-def _matrix_updates(cells):
-    return [Update(r, col=c) for r, c in cells]
+            assert verify.gsampler_symbolic(meas, coords).ok, (coords, meas.name)
 
 
 def test_exact_laws_matrix():
-    l1row = L1RowMeasure()
-    l2row = L2RowMeasure()
-
-    def row_vectors(cells):
-        vecs = {}
-        for r, c in cells:
-            vecs.setdefault(r, [0, 0, 0])[c - 1] += 1
-        return vecs
-
-    def check_law(cells):
-        # One draw of the real MatrixSampler at R = 1, every branch.
-        law = oracle.sampler_law(
-            lambda: MatrixSampler(l1row, 3, 3, len(cells), repetitions=1),
-            _matrix_updates(cells))
-        rows = Counter(r for r, _ in cells)
-        total = sum(rows.values())
-        assert law.conditional() == {r: Fraction(f, total) for r, f in rows.items()}, cells
-
-    def check_symbolic(cells):
-        # The real MatrixSampler with L2 rows, its coin kept symbolic: row
-        # r's form is G(row vector of r)/m, for every row measure of a static
-        # zeta.
-        forms = oracle.symbolic_sampler_law(
-            lambda: MatrixSampler(l2row, 3, 3, len(cells), repetitions=1),
-            _matrix_updates(cells))
-        want = {r: {tuple(v): Fraction(1, len(cells))} for r, v in row_vectors(cells).items()}
-        assert _g_forms(forms, l2row) == want, cells
-
+    # One draw of the real MatrixSampler at R = 1, every branch, with L1 rows
+    # (row r with its share of the updates) and, its coin kept symbolic,
+    # with L2 rows (row r's form is G(row vector of r)/m, for every row
+    # measure of a static zeta).  Exhaustive over every order of 3 x 3 cells
+    # for m <= 4, and 20 seeded orders per m = 5..8 symbolically.
     cellset = [(r, c) for r in range(1, 4) for c in range(1, 4)]
-    # Exhaustive over every order for m <= 4.
     for m in range(1, 5):
         for cells in itertools.product(cellset, repeat=m):
-            check_law(list(cells))
-            check_symbolic(list(cells))
-    # 20 seeded orders per m = 5..8.
+            assert verify.matrix(list(cells)).ok, cells
+            assert verify.matrix_symbolic(list(cells)).ok, cells
     rng = substream(0, "matrix-orders")
     for m in range(5, 9):
         for _ in range(20):
-            check_symbolic([cellset[rng.randrange(9)] for _ in range(m)])
+            cells = [cellset[rng.randrange(9)] for _ in range(m)]
+            assert verify.matrix_symbolic(cells).ok, cells
 
 
 def test_exact_laws_sliding_window():
     # One draw of the real CheckpointedSampler at R = 1, every branch, for
     # every stream with m <= 4 and W <= 6; at Fair its coin is kept symbolic,
     # and index i's form must be kappa G(f_i) over the window, with one
-    # kappa > 0 for every i.
-    l1 = lp_measure(1)
-    hub = huber_measure(2)
-    fair = fair_measure(2)
-    for m in range(1, 5):
-        for coords in all_streams(3, m):
-            for W in range(1, 7):
-                winfreq = Counter(coords[max(0, m - W):])
-                for meas in (l1, hub):
-                    law = oracle.sampler_law(
-                        lambda: CheckpointedSampler(meas, W, 3, repetitions=1), coords)
-                    target = oracle.target_distribution(winfreq, meas)
-                    assert law.conditional() == target.probs, (coords, W, meas.name)
-                forms = oracle.symbolic_sampler_law(
-                    lambda: CheckpointedSampler(fair, W, 3, repetitions=1), coords)
-                assert _g_proportional(forms, winfreq, fair), (coords, W)
-    # The real SlidingLpSampler at R = 1 on the same streams, at p = 1, 2
-    # and 3, whose zeta = p max_f^{p-1} of the bracket row is rational, and
-    # symbolically at p = 3/2, where it is not.
+    # kappa > 0 for every i.  The real SlidingLpSampler at R = 1 on the same
+    # streams, at p = 1, 2 and 3, whose zeta = p max_f^{p-1} of the bracket
+    # row is rational, and symbolically at p = 3/2, where it is not.
+    l1, hub, fair = lp_measure(1), huber_measure(2), fair_measure(2)
     checked = Counter()
-    lp32 = lp_measure(Fraction(3, 2))
     for m in range(1, 5):
         for coords in all_streams(3, m):
             for W in range(1, 7):
-                winfreq = Counter(coords[max(0, m - W):])
+                for meas in (l1, hub):
+                    assert verify.checkpointed(meas, coords, W).ok, (coords, W, meas.name)
+                assert verify.checkpointed_symbolic(fair, coords, W).ok, (coords, W)
                 for p in (1, 2, 3):
-                    law = oracle.sampler_law(
-                        lambda: SlidingLpSampler(p, W, 3, repetitions=1), coords)
-                    fp = sum(f ** p for f in winfreq.values())
-                    want = {i: Fraction(f ** p, fp) for i, f in winfreq.items()}
-                    assert law.conditional() == want, (coords, W, p)
+                    assert verify.sliding_lp(p, coords, W).ok, (coords, W, p)
                     checked[p] += 1
-                forms = oracle.symbolic_sampler_law(
-                    lambda: SlidingLpSampler(lp32.p, W, 3, repetitions=1), coords)
-                assert _g_proportional(forms, winfreq, lp32), (coords, W)
-                checked[lp32.p] += 1
+                assert verify.sliding_lp_symbolic(Fraction(3, 2), coords, W).ok, (coords, W)
+                checked[Fraction(3, 2)] += 1
     assert checked == {1: 720, 2: 720, 3: 720, Fraction(3, 2): 720}
 
 
@@ -264,41 +181,23 @@ def test_exact_laws_random_order():
         for fv in freq_vectors(W, W):
             if sum(fv.values()) != W:
                 continue
-            law = oracle.order_law(lambda: PairL2Sampler(W, W), fv, length=2)
-            assert law.probs == {i: Fraction(f * f, W * W) for i, f in fv.items()}, (fv, W)
+            assert verify.pair_l2(fv, W).ok, (fv, W)
             checked += 1
     assert checked == 636
 
 
-def _freq_updates(fv):
-    return [Update(i) for i in sorted(fv) for _ in range(fv[i])]
-
-
 def test_exact_laws_multipass():
     # One draw of the real multipass samplers (one chain), every branch.
-    gammas = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
     for n in (2, 3, 4, 6, 8):
         for fv in freq_vectors(n, 6):
-            m = sum(fv.values())
-            stream = ReplayableStream(_freq_updates(fv))
-            for gamma in gammas:
-                law = oracle.enumerate_law(lambda: multipass_l1_draw(stream, gamma, n)[0])
-                assert law.conditional() == {i: Fraction(f, m)
-                                             for i, f in fv.items()}, (fv, gamma)
+            for gamma in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                assert verify.multipass_l1(fv, n, gamma).ok, (fv, gamma)
     # At p = 2, and symbolically at p = 3/2: index i's form must be
     # kappa G(f_i), with one kappa > 0 for every i.
-    lp32 = lp_measure(Fraction(3, 2))
     for n in (2, 4):
         for fv in freq_vectors(n, 5):
-            f2 = sum(f * f for f in fv.values())
-            stream = ReplayableStream(_freq_updates(fv))
-            law = oracle.enumerate_law(
-                lambda: multipass_lp_draw(stream, Fraction(1, 2), 2, n, repetitions=1))
-            assert law.conditional() == {i: Fraction(f * f, f2)
-                                         for i, f in fv.items()}, fv
-            forms = oracle.symbolic_law(
-                lambda: multipass_lp_draw(stream, Fraction(1, 2), lp32.p, n, repetitions=1))
-            assert _g_proportional(forms, fv, lp32), fv
+            assert verify.multipass_lp(2, fv, n, Fraction(1, 2)).ok, fv
+            assert verify.multipass_lp_symbolic(Fraction(3, 2), fv, n, Fraction(1, 2)).ok, fv
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +327,8 @@ def test_fidelity_f0_uniform_support():
         (tukey, 5, [1, 2, 2, 2, 3, 4], None),
         (tukey, 5, [1, 2, 2, 2, 3, 4], 3),
     ]
-    for meas, n, coords, W in cases:
-        if meas is None:
-            make = lambda: F0Sampler(n, window=W, repetitions=1)
-        else:
-            make = lambda: TukeySampler(meas, n, window=W, repetitions=1)
-        law = oracle.sampler_law(make, coords)
-        freqs = Counter(coords[len(coords) - W:] if W else coords)
-        if meas is None:
-            want = {i: Fraction(1, len(freqs)) for i in freqs}
-        else:
-            want = oracle.target_distribution(freqs, meas).probs
-        assert law.conditional() == want, (meas, n, coords, W)
+    for case in cases:
+        assert verify.support(*case).ok, case
 
 
 # ---------------------------------------------------------------------------
@@ -686,36 +575,27 @@ def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
         return s, t_s, c + 1
 
     monkeypatch.setattr(SamplerBank, "effective", inclusive)
+
+    def laws(check, measure, coords):
+        rep = check(measure, coords, n=2)
+        return rep.conditional_law, rep.target_law
+
     l2 = lp_measure(2)
-
-    def law_of(coords):
-        return oracle.sampler_law(
-            lambda: GSampler(l2, 2, len(coords), repetitions=1), coords)
-
-    rejected = 0
-    for m in range(1, 7):
-        for coords in all_streams(2, m):
-            freqs = Counter(coords)
-            target = oracle.target_distribution(freqs, l2)
-            if law_of(coords).conditional() != target.probs:
-                rejected += 1
+    rejected = sum(got != want for got, want in (laws(verify.gsampler, l2, coords)
+                                                 for m in range(1, 7)
+                                                 for coords in all_streams(2, m)))
     # Single-coordinate and symmetric streams can coincide; every stream with
     # two distinct frequencies must be rejected.
     assert rejected > 0
-    law = law_of([1, 1, 2])
+    got, want = laws(verify.gsampler, l2, [1, 1, 2])
     # The mutant telescopes to G(f+1) - G(1): (8, 3)/11 instead of (4, 1)/5.
-    assert law.conditional() == {1: Fraction(8, 11), 2: Fraction(3, 11)}
-    assert law.conditional() != oracle.target_distribution({1: 2, 2: 1}, l2).probs
+    assert got == {1: Fraction(8, 11), 2: Fraction(3, 11)} != want
     # The symbolic sweep rejects it on every stream, for every measure of a
     # static zeta at once: with the coin kept symbolic, index i's form is
     # (G(f_i + 1) - G(1))/m instead of G(f_i)/m.
     fair = fair_measure(2)
-
-    def g_forms(coords):
-        return _g_forms(oracle.symbolic_sampler_law(
-            lambda: GSampler(fair, 2, len(coords), repetitions=1), coords), fair)
-
     for coords in all_streams(2, 3):
-        want = {i: {f: Fraction(1, 3)} for i, f in Counter(coords).items()}
-        assert g_forms(coords) != want, coords
-    assert g_forms([1, 1, 2])[1] == {3: Fraction(1, 3), 1: Fraction(-1, 3)}
+        got, want = laws(verify.gsampler_symbolic, fair, coords)
+        assert got != want, coords
+    got, _ = laws(verify.gsampler_symbolic, fair, [1, 1, 2])
+    assert got[1] == {3: Fraction(1, 3), 1: Fraction(-1, 3)}

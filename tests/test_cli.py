@@ -105,7 +105,8 @@ def test_verify_writes_reports(tmp_path, capsys):
     with open(out_path) as fh:
         reports = json.load(fh)
     assert reports and all(r["ok"] for r in reports)
-    assert {"sampler", "stream_id", "conditional_law", "target_law", "ok"} == set(reports[0])
+    assert {"sampler", "stream_id", "checks", "conditional_law", "target_law", "mass_fail",
+            "mass_fail_target", "ok"} == set(reports[0])
 
 
 def test_sample_loads_no_enumerator(tmp_path):
@@ -174,10 +175,19 @@ def test_usage_error_exit_2():
     ["generate", "--n", "0"],
     ["generate", "--m", "-1"],
     ["generate", "--kind", "matrix", "--d", "0"],
+    ["sample", "--delta", "0"],
+    ["sample", "--delta", "1"],
+    ["sample", "--delta", "5"],
+    ["sample", "--delta", "-1"],
+    ["sample", "--p", "abc"],
+    ["sample", "--p", "1/0"],
+    ["sample", "--tau", "abc"],
+    ["sample", "--passes-gamma", "abc"],
 ], ids=" ".join)
 def test_out_of_range_counts_exit_2(argv, tmp_path, capsys):
-    # A count below its least value is a usage error: exit 2 with argparse's
-    # message, before any stream is read or written.
+    # A count below its least value, a delta outside (0, 1) and a rational
+    # that does not parse are usage errors: exit 2 with argparse's message,
+    # before any stream is read or written.
     stream = str(tmp_path / "u.jsonl")
     assert main(["generate", "--kind", "uniform", "--n", "3", "--m", "20", "--out", stream]) == 0
     capsys.readouterr()
@@ -205,3 +215,27 @@ def test_sample_deletion_to_insertion_only_sampler_exit_2(tmp_path, capsys):
                                 "--measure", "huber", "--tau", "2"])
     assert code == 2
     assert "delta -1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--passes-gamma", "0"],
+    ["--passes-gamma=-1/2"],
+    ["--p", "2", "--passes-gamma=-1/2"],
+], ids=" ".join)
+def test_nonpositive_passes_gamma_exit_2(argv, tmp_path, capsys):
+    # gamma = 0 crashed with a traceback (exit 1); a negative gamma never
+    # returned.
+    stream = str(tmp_path / "u.jsonl")
+    run(capsys, ["generate", "--kind", "uniform", "--n", "4", "--m", "20", "--out", stream])
+    code, _, err = run(capsys, ["sample", "--stream", stream, "--sampler", "multipass"] + argv)
+    assert code == 2 and "gamma must be positive" in err, err
+
+
+def test_block_sampler_refuses_fractional_p_exit_2(tmp_path, capsys):
+    # --p 7/2 was truncated to p = 3 and sampled without a word.
+    stream = str(tmp_path / "s.jsonl")
+    run(capsys, ["generate", "--kind", "shuffled", "--n", "4", "--m", "40", "--out", stream])
+    code, _, err = run(capsys, ["sample", "--stream", stream, "--sampler", "block", "--p", "7/2"])
+    assert code == 2 and "integer p >= 3" in err, err
+    code, _, _ = run(capsys, ["sample", "--stream", stream, "--sampler", "block", "--p", "3"])
+    assert code == 0

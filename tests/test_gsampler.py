@@ -89,10 +89,21 @@ def test_repetitions_for_monotone():
     assert repetitions_for(1, 0.1) <= repetitions_for(1, 0.01)
 
 
+@pytest.mark.parametrize("delta", [0, 1, 5, -1, float("nan")])
+def test_repetitions_for_needs_delta_in_unit_interval(delta):
+    # delta = 0 divided by zero, delta >= 1 sized R = 1 silently, and a
+    # negative delta failed in math.log.
+    with pytest.raises(ValueError, match="delta must be in"):
+        repetitions_for(1, delta)
+    with pytest.raises(ValueError, match="delta must be in"):
+        F0Sampler(10, delta)
+
+
 def test_default_repetitions_pinned(monkeypatch):
-    # multipass_lp_draw and TukeySampler size R with repetitions_for,
-    # ceil(4 ratio ln(1/delta)) at ratio n^{1-1/p} and G(tau)/G(1): the
-    # default R on a small grid, so a change to either sizing shows.
+    # multipass_lp_draw, TukeySampler and F0Sampler size R with
+    # repetitions_for, ceil(4 ratio ln(1/delta)) at ratio n^{1-1/p},
+    # G(tau)/G(1) and 1/2: the default R on a small grid, so a change to any
+    # sizing shows.
     chains = []
 
     def narrow(stream, gamma, n, R=0, rng=None, k=None):
@@ -116,6 +127,8 @@ def test_default_repetitions_pinned(monkeypatch):
     assert tukey == {(1, 0.1): 10, (1, 0.01): 19, (2, 0.1): 16, (2, 0.01): 32,
                      (Fraction(5, 2), 0.1): 23, (Fraction(5, 2), 0.01): 46,
                      (7, 0.1): 154, (7, 0.01): 308}
+    f0 = {delta: F0Sampler(10, delta).R for delta in (0.5, 0.1, 0.05, 1e-3, 1e-9)}
+    assert f0 == {0.5: 2, 0.1: 5, 0.05: 6, 1e-3: 14, 1e-9: 42}
 
 
 @pytest.mark.parametrize("measure,p", [

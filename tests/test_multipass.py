@@ -36,6 +36,18 @@ def test_passes_for():
     assert passes_for(0.5) == 2
 
 
+@pytest.mark.parametrize("gamma", [Fraction(0), Fraction(-1, 2)])
+def test_gamma_must_be_positive(gamma):
+    # gamma = 0 divided by zero; a negative gamma made chunk_count loop on
+    # q ** passes_for(gamma) < n forever.
+    stream = ReplayableStream(ups({1: 2, 3: 1}))
+    for run in (lambda: passes_for(gamma), lambda: chunk_count(4, gamma),
+                lambda: multipass_l1_draw(stream, gamma, 4),
+                lambda: multipass_lp_draw(stream, gamma, 2, 4)):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            run()
+
+
 def test_chunk_count():
     assert chunk_count(4, 0.5) == 2
     assert chunk_count(9, Fraction(1, 2)) == 3

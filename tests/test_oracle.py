@@ -304,28 +304,40 @@ def _irrational_sliding_lp_draw():
     return s.draw()
 
 
+# name -> (draw, stream length for the reservoir skip, what the enumerator
+# says); the two sampler draws reach their irrational acceptance coin.
 UNFORKED = {
-    "random": lambda: exactrand.substream(0).random(),
-    "getrandbits": lambda: exactrand.substream(0).getrandbits(8),
-    "uniform": lambda: exactrand.substream(0).uniform(0, 1),
-    "bernoulli_bounds": lambda: exactrand.bernoulli_bounds(lambda k: (1, 2),
-                                                           exactrand.substream(0)),
-    "skip_without_stream_length": lambda: exactrand.skip(1, exactrand.substream(0)),
-    "gsampler_irrational": _irrational_gsampler_draw,
-    "sliding_lp": _irrational_sliding_lp_draw,
+    "random": (lambda: exactrand.substream(0).random(), None, r"random\(\) has no"),
+    "getrandbits": (lambda: exactrand.substream(0).getrandbits(8), None, "getrandbits"),
+    "uniform": (lambda: exactrand.substream(0).uniform(0, 1), None, r"random\(\) has no"),
+    "bernoulli_bounds": (lambda: exactrand.bernoulli_bounds(lambda k: (1, 2),
+                                                            exactrand.substream(0)),
+                         None, "bernoulli_bounds has no exact fork"),
+    "skip_without_stream_length": (lambda: exactrand.skip(1, exactrand.substream(0)), None,
+                                   "skip needs the stream length"),
+    "gsampler_irrational": (_irrational_gsampler_draw, 2, "bernoulli_bounds has no exact fork"),
+    "sliding_lp": (_irrational_sliding_lp_draw, 3, "bernoulli_bounds has no exact fork"),
 }
+COIN_DRAWS = {"gsampler_irrational", "sliding_lp"}
 
 
 @pytest.mark.parametrize("name", sorted(UNFORKED))
 def test_unforked_draws_raise_and_names_come_back(name):
-    # Each draw raises with the coin kept symbolic too, and every swapped
-    # name, gsampler.acceptance included, is put back.
+    # Each draw raises, except that with the coin kept symbolic the two
+    # irrational coins fork, and each index's form has a coin term.  Every
+    # swapped name, gsampler.acceptance included, is put back.
+    draw, horizon, says = UNFORKED[name]
     modules = [m for k, m in sys.modules.items() if k.startswith("exactsamp") and m is not None]
     before = [dict(vars(m)) for m in modules]
     acceptance = gsampler.acceptance
     for law in (enumerate_law, oracle.symbolic_law):
-        with pytest.raises(UnforkedDraw):
-            law(lambda: UNFORKED[name]() and SampleResult.bottom())
+        if law is oracle.symbolic_law and name in COIN_DRAWS:
+            forms = law(draw, horizon)
+            indices = [form for i, form in forms.items() if i not in (FAIL, BOTTOM)]
+            assert indices and all(set(form) - {oracle.ONE} for form in indices), forms
+        else:
+            with pytest.raises(UnforkedDraw, match=says):
+                law(draw, horizon)
         for mod, names in zip(modules, before):
             assert all(vars(mod).get(k) is v for k, v in names.items()), mod.__name__
     assert gsampler.acceptance is acceptance and multipass.acceptance is acceptance
