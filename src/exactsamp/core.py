@@ -112,6 +112,12 @@ def outside(coord, n):
     return ValueError("coordinate %r outside [1, %d]" % (coord, n))
 
 
+def check_window(W):
+    """Raise ValueError for a sliding window W of fewer than one update."""
+    if W < 1:
+        raise ValueError("window W must be >= 1, got %r" % (W,))
+
+
 class UnitUpdates:
     """process() for the samplers of unit-delta streams.
 

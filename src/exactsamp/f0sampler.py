@@ -10,11 +10,13 @@ reported with the index.  In sliding-window mode the window's counts, which
 the state keeps exactly from a ring of the last W updates, give the support
 and its size directly, so no T is kept there.
 
-T, the window ring and the active frequencies depend on the stream alone, so
-the R instances of a sampler share one F0State, updated once per update, and
-each instance is only its subset S, passed to F0State.draw.  The state keeps
-U for every subset it hands out, between draws, from a log of the
-coordinates that joined or left the support, so a draw does not rescan S.
+T, the window ring and the counts depend on the stream alone, so the R
+instances of a sampler share one F0State, updated once per update.  The
+state draws every instance's S at construction and keeps it only as an index
+from each coordinate to the U sets of the instances whose S holds it: a
+coordinate that joins or leaves the support updates those sets, so a draw
+reads its U as it is.  In insertion-only mode only the coordinates of T and
+of the subsets are counted, since a draw returns no other.
 
 The Tukey sampler accepts an F0 draw (i, f_i) with probability G(f_i)/G(tau),
 turning uniform-over-support into G(f_i)/F_G exactly.
@@ -23,38 +25,36 @@ turning uniform-over-support into G(f_i)/F_G exactly.
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import islice
 
-from .core import INDEX, SampleResult, UnitUpdates
-from .exactrand import bernoulli_fraction, subseed, substream
+from .core import INDEX, SampleResult, UnitUpdates, check_window
+from .exactrand import bernoulli_fraction, subseed, substream, uniform_subset
 from .gsampler import DrawState, first_accepted, repetitions_for
 
 
 class F0State:
-    """The stream state of an F0 instance: T or the window ring, and the
-    active frequencies.  The instance's subset S comes from subset(seed).
+    """The stream state of the F0 instances seeded by seeds: T or the window
+    ring, the counts, and U[k] = S_k & support for instance k, whose subset
+    S_k is uniform_subset(n, size, substream(seeds[k], "subset")) shifted
+    to [1, n]."""
 
-    The state also keeps U = S & support for every subset it registered.  An
-    update appends to a log only when a coordinate joins or leaves the
-    support.  A draw folds the changes since S's last draw into its U when
-    there are fewer of them than |S|, and otherwise rescans S & support,
-    scanning the smaller of the two; so the log keeps only the last |S|
-    changes.
-    """
-
-    def __init__(self, n, window=None):
+    def __init__(self, n, seeds, window=None):
+        if window is not None:
+            check_window(window)
         self.n = n
         self.window = window
         self.cap = math.isqrt(n) + (0 if math.isqrt(n) ** 2 == n else 1)
         self.size = min(2 * self.cap, n)  # |S|
-        self.T = {}  # coord -> time first seen (insertion-only mode)
+        self.U = [set() for _ in seeds]
+        holders = {}  # coord -> the U sets of the instances whose S holds it
+        for seed, members in zip(seeds, self.U):
+            for c in uniform_subset(n, self.size, substream(seed, "subset")):
+                holders[c + 1] = holders.get(c + 1, ()) + (members,)
+        self._holders = holders
+        self.T = set()  # the first cap distinct coordinates (insertion-only mode)
         self.t = 0
-        # Window bookkeeping: ring of recent updates + active frequency map.
         self._ring = deque() if window is not None else None
+        # The window's counts, or in insertion-only mode those of T and the subsets.
         self._freq = {}
-        self._log = deque(maxlen=self.size)  # latest coordinates to join or leave the support
-        self._leaves = 0  # times a coordinate left the support (window mode)
-        self._members = {}  # S -> [S & support, self._changes() when it was current]
 
     # Kept for perfbench's layer tracer, which wraps this method by name.
     def update(self, coord):
@@ -62,19 +62,22 @@ class F0State:
 
     def extend(self, coords):
         """Feed a batch of coordinates in order."""
-        freq, log = self._freq, self._log
+        freq, holders = self._freq, self._holders
         t = self.t
         if self.window is None:
-            T, cap = self.T, self.cap
+            T = self.T
+            room = self.cap - len(T)
             for coord in coords:
                 t += 1
                 if coord in freq:
                     freq[coord] += 1
-                else:
-                    freq[coord] = 1
-                    log.append(coord)  # joins the support
-                    if len(T) < cap:
-                        T[coord] = t
+                elif room or coord in holders:
+                    freq[coord] = 1  # joins the support
+                    if room:
+                        T.add(coord)
+                        room -= 1
+                    for members in holders.get(coord, ()):
+                        members.add(coord)
             self.t = t
             return
         ring, window = self._ring, self.window
@@ -83,8 +86,9 @@ class F0State:
             if coord in freq:
                 freq[coord] += 1
             else:
-                freq[coord] = 1
-                log.append(coord)  # joins the support
+                freq[coord] = 1  # joins the support
+                for members in holders.get(coord, ()):
+                    members.add(coord)
             ring.append(coord)
             if len(ring) > window:
                 old = ring.popleft()
@@ -92,81 +96,23 @@ class F0State:
                 if left:
                     freq[old] = left
                 else:
-                    del freq[old]
-                    log.append(old)  # leaves the support
-                    self._leaves += 1
+                    del freq[old]  # leaves the support
+                    for members in holders.get(old, ()):
+                        members.discard(old)
         self.t = t
 
-    def _changes(self):
-        """The number of support changes so far: each coordinate in the
-        support joined once more than it left."""
-        return len(self._freq) + 2 * self._leaves
-
-    def active_frequencies(self):
-        return dict(self._freq)
-
-    def subset(self, seed):
-        """An instance's random subset S of [n], of size min(2 cap, n),
-        registered so that the state keeps S & support."""
-        rng = substream(seed, "subset")
-        S = frozenset(rng.sample(range(1, self.n + 1), self.size))
-        self._record(S)
-        return S
-
-    def _record(self, S):
-        """[S & support, self._changes() when it was current], registering S
-        if it is new: empty and current while the support is empty, and due
-        for a rescan otherwise."""
-        rec = self._members.get(S)
-        if rec is None:
-            rec = self._members[S] = [set(), self._changes() if not self._freq else -1]
-        return rec
-
-    def _current_members(self, S):
-        """S & support, brought up to date from the log or by a rescan."""
-        rec = self._record(S)
-        members, pos = rec
-        changes = self._changes()
-        pending = changes - pos
-        freq = self._freq
-        if pending >= len(S) or pending > len(self._log):
-            # Scan the smaller of S and the support.
-            if len(S) < len(freq):
-                members = rec[0] = freq.keys() & S
-            else:
-                members = rec[0] = {c for c in freq if c in S}
-        else:
-            # The pending changes are the log's last ones; a coordinate's
-            # membership is read from the current support, so their order
-            # does not matter.
-            for c in islice(reversed(self._log), pending):
-                if c in S:
-                    if c in freq:
-                        members.add(c)
-                    else:
-                        members.discard(c)
-        rec[1] = changes
-        return members
-
-    def draw(self, S, rng):
-        """One draw of the instance with subset S."""
-        freq = self._freq
-        if not freq:
+    def draw(self, k, rng):
+        """One draw of instance k."""
+        if not self.t:
             return SampleResult.bottom()
-        if self.window is not None:
-            small = len(freq) < self.cap
-        else:
-            small = len(self.T) < self.cap  # then T is the whole support
-        if small:
-            # Small support: uniform over the (active) support.
-            support = sorted(freq)
-            i = support[rng.randrange(len(support))]
-            return SampleResult.of(i, frequency=freq[i])
-        members = sorted(self._current_members(S))
-        if not members:
+        # Small support: uniform over all of it, which T holds in
+        # insertion-only mode while it has room.
+        support = self.T if self.window is None else self._freq
+        pool = sorted(support if len(support) < self.cap else self.U[k])
+        if not pool:
             return SampleResult.fail()
-        i = members[rng.randrange(len(members))]
-        return SampleResult.of(i, frequency=freq[i])
+        i = pool[rng.randrange(len(pool))]
+        return SampleResult.of(i, frequency=self._freq[i])
 
 
 class F0Sampler(UnitUpdates):
@@ -180,9 +126,7 @@ class F0Sampler(UnitUpdates):
         self.R = repetitions
         self.seed = seed
         self.n = n
-        self.state = F0State(n, window)
-        self.subsets = [self.state.subset(subseed(seed, "rep", i))
-                        for i in range(self.R)]
+        self.state = F0State(n, [subseed(seed, "rep", i) for i in range(self.R)], window)
         self.draw_state = DrawState(seed, repetitions)
 
     def ingest(self, coords):
@@ -195,10 +139,10 @@ class F0Sampler(UnitUpdates):
 
     def draw(self):
         # The instances share one stream state: all are empty or none is.
-        if not self.state._freq:
+        if not self.state.t:
             return SampleResult.bottom()
         rng = self.draw_state.rng
-        hits = (self.state.draw(S, rng) for S in self.subsets)
+        hits = (self.state.draw(k, rng) for k in range(self.R))
         return first_accepted(((res, res.frequency) for res in hits if res.outcome == INDEX),
                               self.keep()) or SampleResult.fail()
 

@@ -17,9 +17,11 @@ them, for forks at their exact laws:
   weight w_i / sum(w), one branch per index instead of one per unit of mass
   (the real weighted_index is one randrange over the total, which the
   forking substream below enumerates just as exactly);
-* substream returns a random.Random whose uniform integer draws (randrange,
-  sample -- by the pool method at every population size --, ...) fork
-  uniformly, and whose random() and getrandbits() raise;
+* substream returns a random.Random whose uniform integer draws
+  (randrange, randint, choice, ...) fork uniformly, and whose random() and
+  getrandbits() raise.  Its sample() is not forked: above a set-size
+  threshold it redraws a repeated pick, which the replay below would redraw
+  forever, so the samplers draw subsets with uniform_subset;
 * bernoulli_bounds raises: an irrational coin cannot be forked with
   rational weights -- except the acceptance coin of symbolic_law below.
 
@@ -138,22 +140,6 @@ class _ForkingRandom(random.Random):
 
     def _randbelow(self, n):
         return self._tree.fork(n, lambda i: (i, 1, n))
-
-    def sample(self, population, k):
-        """random.sample by its pool method at every population size: the
-        same law, one fork per pick.  random.sample switches to redrawing a
-        repeated pick above a set-size threshold, and the replay, which takes
-        branch 0 at each new choice point, would redraw it forever."""
-        pool = list(population)
-        n = len(pool)
-        if not 0 <= k <= n:
-            raise ValueError("Sample larger than population or is negative")
-        result = []
-        for i in range(k):
-            j = self._randbelow(n - i)
-            result.append(pool[j])
-            pool[j] = pool[n - i - 1]
-        return result
 
     def random(self):
         raise UnforkedDraw("random() has no exact fork")

@@ -41,7 +41,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import SampleResult, UnitUpdates
+from .core import SampleResult, UnitUpdates, check_window
 from .exactrand import binomial, substream, uniform_subset, weighted_index
 
 CAP_CONSTANT = 8  # C in the |S| <= 2 C log n cap; needs n^C > W
@@ -73,6 +73,7 @@ def alpha_coeffs(p, W):
 
 
 def check_cap_config(n, W):
+    check_window(W)
     if n ** CAP_CONSTANT <= W:
         raise ValueError("cap constant too small: need n^C > W (n=%d, W=%d, C=%d)"
                          % (n, W, CAP_CONSTANT))

@@ -19,7 +19,7 @@ max_f <= L_p(suffix) <= 2 L_p(window), so zeta <= p 2^{p-1} L_p(window)^{p-1}.
 
 from fractions import Fraction
 
-from .core import SampleResult, UnitUpdates, exponent, lp_measure
+from .core import SampleResult, UnitUpdates, check_window, exponent, lp_measure
 from .exactrand import subseed
 from .gsampler import DrawState, first_accepted, lp_zeta, repetition_result, repetitions_for
 from .reservoir import SamplerBank
@@ -34,6 +34,7 @@ def active_bank_start(t, W):
 
 class CheckpointedSampler(UnitUpdates):
     def __init__(self, measure, W, n=None, delta=0.1, seed=0, repetitions=None):
+        check_window(W)
         self.measure = measure
         self.W = W
         self.n = n  # None: coordinates are not checked
@@ -101,6 +102,7 @@ class SlidingLpSampler(CheckpointedSampler):
         p = exponent(p)
         if p < 1:
             raise ValueError("sliding L_p sampling needs p >= 1")
+        check_window(W)
         if repetitions is None:
             pf = float(p)
             bound = pf * 2.0 ** (pf - 1.0) * W ** (1.0 - 1.0 / pf)

@@ -7,8 +7,8 @@ returns a VerifyReport that compares the law against its target:
 
 * exact rationals (oracle.sampler_law, order_law, enumerate_law) where the
   acceptance coin is rational: the conditional law must equal the target,
-  and where a fail-mass rule is known the fail mass must meet it and the
-  bottom mass be 0;
+  and where a fail-mass rule is known (GSampler, F0, Tukey, the first
+  pair's harvest) the fail mass must meet it and the bottom mass be 0;
 * the coin kept symbolic (oracle.symbolic_sampler_law, symbolic_law) where
   it is not: index i's form, times zeta over the basis {G(x)}, must be
   kappa G(f_i), with kappa = 1/m where the sampler fixes it and one
@@ -20,13 +20,14 @@ sweeps call the same checkers on every tiny input.
 """
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import oracle
 from .core import BOTTOM, FAIL, Update, fair_measure, huber_measure, lp_measure, tukey_measure
-from .f0sampler import F0Sampler, TukeySampler
+from .f0sampler import F0Sampler, F0State, TukeySampler
 from .gsampler import GSampler
 from .matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
@@ -196,15 +197,24 @@ def multipass_lp_symbolic(p, fv, n, gamma):
 
 def support(measure, n, coords, W=None):
     """F0Sampler (measure None), uniform over the (window) support, or
-    TukeySampler, G(f_i)/F_G; the instance's random subset S is forked too."""
-    freqs = _window(coords, W)
+    TukeySampler, G(f_i)/F_G; the instance's random subset S is forked too.
+
+    With s the support size and K = |S|, the draw reads S only when s >=
+    cap, and S misses the support with probability q0 = C(n - s, K)/C(n, K).
+    So F0 fails with q0 (0 below cap), and Tukey, which keeps a uniform hit
+    i with probability G(f_i)/G(tau), with 1 - (1 - q0) F_G/(s G(tau))."""
+    freqs, state = _window(coords, W), F0State(n, ())  # for cap and K = |S|
+    s, K = len(freqs), state.size
+    fail = Fraction(math.comb(n - s, K) if s >= state.cap else 0, math.comb(n, K))
     if measure is None:
         make = lambda: F0Sampler(n, window=W, repetitions=1)
-        target = oracle.ExactDistribution(probs={i: Fraction(1, len(freqs)) for i in freqs})
+        target = oracle.ExactDistribution(probs={i: Fraction(1, s) for i in freqs})
     else:
         make = lambda: TukeySampler(measure, n, window=W, repetitions=1)
         target = target_distribution(freqs, measure)
-    return verify_exact(oracle.sampler_law(make, coords), target)
+        fg = sum(measure.g_exact(f) for f in freqs.values())
+        fail = 1 - (1 - fail) * fg / (s * measure.g_exact(measure.tau))
+    return verify_exact(oracle.sampler_law(make, coords), target, fail)
 
 
 CHECKERS = (gsampler, gsampler_symbolic, matrix, matrix_symbolic, checkpointed,
@@ -235,7 +245,9 @@ QUICK = [
     ("matrix/l1-row", "m5", matrix, (_M5, 2, 2)),
     ("matrix/l2-row", "m5", matrix_symbolic, (_M5, 2, 2)),
     ("f0", "n=7/[1,1]", support, (None, 7, [1, 1])),
+    ("f0", "n=9/[1,2,3]", support, (None, 9, [1, 2, 3])),
     ("tukey", "n=4/[1,1,2]", support, (tukey_measure(2), 4, [1, 1, 2])),
+    ("tukey", "n=9/[1,2,2,3]", support, (tukey_measure(2), 9, [1, 2, 2, 3])),
     ("pair-l2", "win4", pair_l2, ({1: 2, 2: 1, 3: 1}, 3)),
     ("multipass-l1", "g=1/2", multipass_l1, (_MULTIPASS, 4, _HALF)),
     ("multipass-l1", "g=1", multipass_l1, (_MULTIPASS, 4, Fraction(1))),

@@ -317,18 +317,25 @@ def test_fidelity_f0_uniform_support():
     # One draw of the real F0Sampler and TukeySampler at R = 1, enumerated
     # over every branch, the instance's random subset S included (at n = 7,
     # |S| = 6, so S misses a coordinate).  F0 is uniform over the (window)
-    # support, and Tukey's law is G(f_i)/F_G.
+    # support, and Tukey's law is G(f_i)/F_G; both fail at the rule's mass.
+    # At n = 9 (cap 3, |S| = 6) S misses a support of 3 with probability
+    # 1/84, so the fail path is taken: F0 fails with 1/84, Tukey with
+    # 779/2688.
     tukey = tukey_measure(2)
     cases = [
         (None, 7, [1, 1], None),
         (None, 7, [1, 2, 3, 3, 4], None),
         (None, 7, [1, 2, 3, 3, 4, 5], 3),
+        (None, 9, [1, 2, 3], None),
         (tukey, 4, [1, 1, 2], None),
         (tukey, 5, [1, 2, 2, 2, 3, 4], None),
         (tukey, 5, [1, 2, 2, 2, 3, 4], 3),
+        (tukey, 9, [1, 2, 2, 3], None),
     ]
     for case in cases:
         assert verify.support(*case).ok, case
+    assert verify.support(None, 9, [1, 2, 3]).mass_fail == Fraction(1, 84)
+    assert verify.support(tukey, 9, [1, 2, 2, 3]).mass_fail == Fraction(779, 2688)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +390,10 @@ def test_f0_fail_rate_all_distinct():
     # All-distinct stream: the support contains every tracked subset member,
     # so a draw can never fail regardless of the subset choice.
     n = 10000
-    st = F0State(n)
-    S = st.subset(41)
+    st = F0State(n, [41])
     for c in range(1, n + 1):
         st.update(c)
-    fails = sum(st.draw(S, substream(t, "d")).outcome == "fail"
+    fails = sum(st.draw(0, substream(t, "d")).outcome == "fail"
                 for t in range(10000))
     assert fails == 0
 
@@ -400,10 +406,10 @@ def test_f0_fail_rate_sqrt_support():
     fails = 0
     trials = 10000
     for t in range(trials):
-        st = F0State(n)
+        st = F0State(n, [100000 + t])
         for c in support:
             st.update(c)
-        if st.draw(st.subset(100000 + t), substream(t, "d2")).outcome == "fail":
+        if st.draw(0, substream(t, "d2")).outcome == "fail":
             fails += 1
     rate = fails / trials
     assert rate <= 0.4, rate

@@ -231,6 +231,17 @@ def test_nonpositive_passes_gamma_exit_2(argv, tmp_path, capsys):
     assert code == 2 and "gamma must be positive" in err, err
 
 
+@pytest.mark.parametrize("sampler", ["pair", "block"])
+def test_window_sampler_on_an_empty_stream_exit_2(sampler, tmp_path, capsys):
+    # With no --window these samplers take W = the stream length; on a
+    # stream of no updates that was a ZeroDivisionError traceback (exit 1).
+    stream = str(tmp_path / "empty.jsonl")
+    run(capsys, ["generate", "--kind", "shuffled", "--n", "4", "--m", "0", "--out", stream])
+    code, _, err = run(capsys, ["sample", "--stream", stream, "--sampler", sampler, "--p", "3"])
+    assert code == 2 and "window W must be >= 1" in err, err
+    assert "Traceback" not in err
+
+
 def test_block_sampler_refuses_fractional_p_exit_2(tmp_path, capsys):
     # --p 7/2 was truncated to p = 3 and sampled without a word.
     stream = str(tmp_path / "s.jsonl")

@@ -27,6 +27,9 @@ from exactsamp.core import (
     write_stream,
 )
 from exactsamp.exactrand import log_scaled, scaled
+from exactsamp.f0sampler import F0Sampler, TukeySampler
+from exactsamp.randomorder import BlockLpSampler, PairL2Sampler
+from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 from exactsamp import gsampler
 from exactsamp.gsampler import lp_zeta
 from exactsamp.matrixsampler import L2RowMeasure
@@ -134,6 +137,26 @@ def test_config_validation():
         StreamConfig(n=2, model="matrix")
     with pytest.raises(ValueError):
         StreamConfig(n=2, model="bogus")
+
+
+WINDOWED = {
+    "pair": lambda W: PairL2Sampler(5, W),
+    "block": lambda W: BlockLpSampler(5, W, 3),
+    "sliding_lp": lambda W: SlidingLpSampler(2, W, 5),
+    "checkpointed": lambda W: CheckpointedSampler(huber_measure(2), W, 5),
+    "f0": lambda W: F0Sampler(5, window=W),
+    "tukey": lambda W: TukeySampler(tukey_measure(2), 5, window=W),
+}
+
+
+@pytest.mark.parametrize("W", [0, -3])
+@pytest.mark.parametrize("name", sorted(WINDOWED))
+def test_windowed_constructors_reject_a_window_below_one(name, W):
+    # A window of no updates was a ZeroDivisionError, a complex-power
+    # TypeError, a "zero F_G lower bound", or a sampler that drew BOTTOM or
+    # FAIL on a nonempty stream.
+    with pytest.raises(ValueError, match="window W must be >= 1"):
+        WINDOWED[name](W)
 
 
 # Each record class: a positional construction, the same record by keyword,

@@ -120,12 +120,12 @@ def _matrix_reference(s):
 
 
 def _tukey_reference(s):
-    if not s.state._freq:
+    if not s.state.t:
         return SampleResult.bottom()
     rng = _clone(s)
     g_cap = s.measure.tau * s.measure.tau / 6
-    for S in s.subsets:
-        res = s.state.draw(S, rng)
+    for k in range(s.R):
+        res = s.state.draw(k, rng)
         if res.outcome == "index" and bernoulli_fraction(
                 Fraction(s.measure.g_exact(res.frequency)) / g_cap, rng):
             return res

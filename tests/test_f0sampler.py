@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from statcheck import gof_test
 
 from exactsamp.core import SampleResult, tukey_measure
-from exactsamp.exactrand import bernoulli_fraction, substream
+from exactsamp.exactrand import bernoulli_fraction, substream, uniform_subset
 from exactsamp.f0sampler import F0Sampler, F0State, TukeySampler
 from exactsamp import oracle
 
@@ -60,42 +60,35 @@ def test_sliding_window_never_expired():
     W = 4
     stream = [1, 2, 3, 4, 5, 6, 7, 8]
     for t in range(200):
-        st = F0State(16, window=W)
+        st = F0State(16, [t], window=W)
         for c in stream:
             st.update(c)
-        res = st.draw(st.subset(t), __import__("random").Random(t))
+        res = st.draw(0, __import__("random").Random(t))
         if res.outcome == "index":
             assert res.index in stream[-W:]
 
 
-def _draw_scanning_support(st, S, rng):
+def _subset(n, seed):
+    """Instance seed's subset S, as F0State draws it."""
+    return {c + 1 for c in uniform_subset(n, F0State(n, ()).size, substream(seed, "subset"))}
+
+
+def _draw_scanning_support(freq, cap, S, rng):
     """F0State.draw as it was written with S & support taken by scanning the
-    whole support."""
-    freq = st.active_frequencies()
+    whole support, whose counts are freq."""
     if not freq:
         return SampleResult.bottom()
-    small = len(freq) < st.cap if st.window is not None else len(st.T) < st.cap
-    if small:
-        support = sorted(freq)
-        i = support[rng.randrange(len(support))]
-        return SampleResult.of(i, frequency=freq[i])
-    members = sorted(c for c in freq if c in S)
+    members = sorted(freq if len(freq) < cap else (c for c in freq if c in S))
     if not members:
         return SampleResult.fail()
     i = members[rng.randrange(len(members))]
     return SampleResult.of(i, frequency=freq[i])
 
 
-def _branch(st, S):
-    """Whether a draw with S now folds the support log or rescans S & support."""
-    pending = st._changes() - st._members[S][1]
-    return "rescan" if pending >= len(S) or pending > len(st._log) else "fold"
-
-
 def test_draw_matches_support_scan_fuzzed():
-    # The state keeps S & support between draws.  Draws after every few
-    # updates, and after bursts longer than |S|, must equal a scan of the
-    # whole support, for subsets registered before and after the updates,
+    # The state keeps S & support as coordinates join and leave it.  Draws
+    # after every few updates, and after bursts longer than |S|, must equal
+    # a scan of the whole (window) support, counted here, for two instances,
     # through expiries in window mode.
     rng = substream(0, "f0-fuzz")
     seen = Counter()
@@ -103,25 +96,25 @@ def test_draw_matches_support_scan_fuzzed():
         n = rng.randrange(4, 120)
         window = rng.choice([None, rng.randrange(1, 3 * n)])
         mode = "window" if window else "insertion-only"
-        st = F0State(n, window=window)
-        subsets = {"before": st.subset(t)}
+        seeds = [t, t + 10 ** 6]
+        st = F0State(n, seeds, window=window)
+        subsets = [_subset(n, seed) for seed in seeds]
+        coords = []
         number = 0
         for _ in range(rng.randrange(1, 12)):
             burst = rng.choice([rng.randrange(0, 5), rng.randrange(0, 4 * n)])
             for _ in range(burst):
-                st.update(rng.randrange(n) + 1)
-            if "after" not in subsets and rng.randrange(3) == 0:
-                subsets["after"] = st.subset(t + 10 ** 6)
-            for when, S in subsets.items():
+                coords.append(rng.randrange(n) + 1)
+                st.update(coords[-1])
+            freq = Counter(coords[-window:] if window else coords)
+            for k, S in enumerate(subsets):
                 number += 1
-                large = st.active_frequencies() and not (
-                    len(st.active_frequencies()) < st.cap if window else len(st.T) < st.cap)
-                if large:
-                    seen[mode, when, _branch(st, S)] += 1
-                    seen[mode, len(S) < len(st.active_frequencies())] += 1
-                got = st.draw(S, substream(t, "d", number))
-                assert got == _draw_scanning_support(st, S, substream(t, "d", number))
-    assert len(seen) == 12 and min(seen.values()) > 20, seen
+                got = st.draw(k, substream(t, "d", number))
+                assert got == _draw_scanning_support(freq, st.cap, S, substream(t, "d", number))
+                if freq:
+                    branch = "small" if len(freq) < st.cap else "large"
+                    seen[mode, branch, len(S) < len(freq)] += 1
+    assert len(seen) == 6 and min(seen.values()) > 20, seen
 
 
 def test_draw_flat_in_universe():
@@ -129,20 +122,19 @@ def test_draw_flat_in_universe():
     # (|S| = 2000): with S & support kept between draws, a draw after a few
     # repeated updates does not scan S.
     def best_draw_time(n):
-        st = F0State(n)
-        S = st.subset(3)
+        st = F0State(n, [3])
         st_rng = substream(n, "f0-flat")
         support = st_rng.sample(range(1, n + 1), 2000)
         for c in support:
             st.update(c)
         rng = substream(n, "d")
-        st.draw(S, rng)
+        st.draw(0, rng)
         best = float("inf")
         for _ in range(5):
             t0 = time.perf_counter()
             for i in range(200):
                 st.update(support[i])
-                st.draw(S, rng)
+                st.draw(0, rng)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -151,11 +143,23 @@ def test_draw_flat_in_universe():
     assert large <= 3.0 * small, (small, large)
 
 
+def test_insertion_only_state_counts_only_tracked_coordinates():
+    # A draw returns a coordinate of T or of an instance's subset, so only
+    # those are counted: after 4n uniform updates over n = 10^5, which reach
+    # about 98% of [n], at most cap + R |S| = 317 + 8 * 634 coordinates.
+    n, seeds = 10 ** 5, range(8)
+    st = F0State(n, seeds)
+    rng = substream(5, "f0-space")
+    st.extend(rng.randrange(n) + 1 for _ in range(4 * n))
+    assert set(st._freq) <= set(st.T).union(*(_subset(n, seed) for seed in seeds))
+    assert len(st._freq) <= st.cap + len(seeds) * st.size == 5389, len(st._freq)
+
+
 def test_sliding_window_frequencies_active_only():
-    st = F0State(9, window=2)
+    st = F0State(9, [0], window=2)
     for c in [1, 1, 2]:
         st.update(c)
-    assert st.active_frequencies() == {1: 1, 2: 1}
+    assert st._freq == {1: 1, 2: 1}
 
 
 def test_tukey_frozen_example():
@@ -198,14 +202,14 @@ def test_tukey_single_support():
         assert res.index == 3
 
 
-def _independent_draw(states, subsets, rng, keep):
+def _independent_draw(states, rng, keep):
     """A draw over R separately built and separately fed instances, on rng, a
     clone of the sampler's draw generator taken before its draw: the first
     instance that hits and passes keep(f, rng)."""
-    if not states[0].active_frequencies():
+    if not states[0].t:
         return SampleResult.bottom()
-    for state, S in zip(states, subsets):
-        res = state.draw(S, rng)
+    for state in states:
+        res = state.draw(0, rng)
         if res.outcome == "index" and keep(res.frequency, rng):
             return res
     return SampleResult.fail()
@@ -226,9 +230,8 @@ def test_shared_state_draws_equal_independent_instances(n, coords, window, R, se
     else:
         s = F0Sampler(n, seed=seed, window=window, repetitions=R)
         keep = lambda f, rng: True
-    states = [F0State(n, window) for _ in range(R)]
-    subsets = [state.subset(substream(seed, "rep", i).getrandbits(64))
-               for i, state in enumerate(states)]
+    states = [F0State(n, [substream(seed, "rep", i).getrandbits(64)], window)
+              for i in range(R)]
     for k in range(0, len(coords) + 1, 20):
         chunk = coords[k:k + 20]
         s.process(chunk)
@@ -237,4 +240,4 @@ def test_shared_state_draws_equal_independent_instances(n, coords, window, R, se
                 state.update(c)
         rng = random.Random()
         rng.setstate(s.draw_state.rng.getstate())
-        assert s.draw() == _independent_draw(states, subsets, rng, keep)
+        assert s.draw() == _independent_draw(states, rng, keep)

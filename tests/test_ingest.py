@@ -63,8 +63,7 @@ def _fingerprint(s):
         out["hist"] = [(r.t_start, r.est.counts, r.est.value) for r in s.hist.rows]
     if hasattr(s, "state"):
         st_ = s.state
-        out["f0"] = (st_.t, st_._freq, list(st_.T.items()), list(st_._ring or ()),
-                     list(st_._log), st_._leaves)
+        out["f0"] = (st_.t, st_._freq, st_.T, list(st_._ring or ()), st_.U)
     for attr in ("t", "S", "_pending", "_group_end", "_outright", "_block", "_block_len",
                  "_block_start"):
         if hasattr(s, attr):

@@ -99,15 +99,6 @@ def test_uniform_subset_forks_uniformly():
                              for s in itertools.combinations(range(N), K)}, (N, K)
 
 
-def test_sample_forks_above_the_set_size_threshold():
-    # range(30) is past random.sample's set-size threshold (21 for k = 2),
-    # where it redraws a repeated pick; the fork samples by the pool method
-    # at every size, so the enumeration ends on every ordered pair.
-    law = enumerate_law(lambda: SampleResult.of(
-        tuple(exactrand.substream(0).sample(range(30), 2))))
-    assert law.probs == {pair: Fraction(1, 870) for pair in itertools.permutations(range(30), 2)}
-
-
 def test_target_distribution_examples():
     t = target_distribution({1: 2, 2: 1}, lp_measure(2))
     assert t.probs == {1: Fraction(4, 5), 2: Fraction(1, 5)}

@@ -29,7 +29,8 @@ L_p sampler takes its zeta from one rule, gsampler.lp_zeta, and no
 degraded-estimate path or hand-written sliding law is left.  The multipass samplers read
 the stream at one site, the scan that every chain and the Z narrowing share.
 z_bound and F0State.draw cost O(1) in the counters and the subset: neither
-loops over them."""
+loops over them.  No module calls random.sample: F0State draws its subsets
+with exactrand.uniform_subset, once, at construction."""
 
 import ast
 import os
@@ -196,6 +197,25 @@ def test_override_knobs_and_law_mirrors_stay_removed():
 def test_float_uniforms_only_outside_the_samplers():
     callers = {name for name, tree in _trees().items() if "random" in set(_called(tree))}
     assert callers <= {"cli.py"}, callers
+
+
+def test_subsets_come_from_uniform_subset_alone():
+    # No module calls random.sample, so the enumerator forks no ordered
+    # picks and keeps no sample() of its own; F0State draws each instance's
+    # subset once, at construction, and keeps no join/leave log, late
+    # registration or second copy of the counts.
+    trees = _trees()
+    callers = {name for name, tree in trees.items() if "sample" in set(_called(tree))}
+    assert not callers, callers
+    forking = next(node for node in ast.walk(trees["oracle.py"])
+                   if isinstance(node, ast.ClassDef) and node.name == "_ForkingRandom")
+    assert "sample" not in {f.name for f in forking.body if isinstance(f, ast.FunctionDef)}
+    state = next(node for node in trees["f0sampler.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "F0State")
+    assert {"update", "draw"} <= {f.name for f in state.body if isinstance(f, ast.FunctionDef)}
+    assert not {"_log", "_leaves", "_changes", "_record", "_current_members", "subset",
+                "active_frequencies"} & set(_names(trees["f0sampler.py"]))
+    assert "uniform_subset" in set(_called(state))
 
 
 def _imported_from(tree, module):
@@ -387,9 +407,9 @@ def test_z_bound_scans_no_counters():
 
 
 def test_f0_draw_does_not_iterate_its_subset():
-    # F0State keeps S & support between draws; draw(self, S, rng) reads it
-    # from the state (which rescans only when |S| or more changes are
-    # pending) and never loops over S itself.
+    # F0State keeps S & support as coordinates join and leave the support;
+    # draw(self, k, rng) reads instance k's from the state and never loops
+    # over the instance's subset.
     state = next(node for node in _trees()["f0sampler.py"].body
                  if isinstance(node, ast.ClassDef) and node.name == "F0State")
     fn = _function(state, "draw")
