@@ -19,10 +19,12 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .exactrand import log_scaled, pow_bounds, pow_exact, pow_scaled, root_scaled, scaled
+from .exactrand import (integer_nthroot, log_scaled, pow_bounds, pow_exact, pow_scaled,
+                        root_scaled, scaled)
 
 MODELS = ("insertion_only", "sliding_window", "strict_turnstile", "random_order", "matrix")
-INCREMENT_MEMO = 1 << 12  # states whose increment_exact a measure keeps
+INCREMENT_MEMO = 1 << 12  # states whose increment_ratio a measure keeps
+_MISSING = object()
 
 
 _set = object.__setattr__
@@ -103,7 +105,10 @@ class StreamConfig(Record):
 def exponent(p):
     """The exponent p as an exact Fraction.  A float is read through its
     shortest decimal repr, so 1.1 gives 11/10 as the string "1.1" does, not
-    its binary value, whose 2^51 denominator makes every power of it huge."""
+    its binary value, whose 2^51 denominator makes every power of it huge.
+    A Fraction is returned as it is."""
+    if isinstance(p, Fraction):
+        return p
     return Fraction(repr(float(p))) if isinstance(p, float) else Fraction(p)
 
 
@@ -141,8 +146,12 @@ class UnitUpdates:
             coords = [u.coord for u in updates]
             deltas = {u.delta for u in updates}
         except AttributeError:  # bare coordinates, alone or among Updates
-            coords = [getattr(u, "coord", u) for u in updates]
-            deltas = {getattr(u, "delta", 1) for u in updates}
+            if set(map(type, updates)) <= {int}:
+                # All bare ints: checked by min and max, and fed as they are.
+                coords, deltas = updates, set()
+            else:
+                coords = [getattr(u, "coord", u) for u in updates]
+                deltas = {getattr(u, "delta", 1) for u in updates}
         n = self.n
         if (deltas - {1}
                 or (n is not None and coords and not (1 <= min(coords) and max(coords) <= n))):
@@ -209,7 +218,10 @@ class MeasureFunction:
 
     name = "abstract"
     zeta = None
-    _increments = None  # c -> increment_exact(c), at most INCREMENT_MEMO states
+    # Every increment is rational, so that a test at a rational zeta is
+    # decided on integers without a table (gsampler.DrawState).
+    rational_increments = False
+    _increments = None  # c -> increment_ratio(c), at most INCREMENT_MEMO states
 
     def g_exact(self, x):
         raise NotImplementedError
@@ -230,26 +242,33 @@ class MeasureFunction:
         strictly-after state c."""
         return c, c + 1
 
-    def increment_exact(self, c):
-        """G(after) - G(before) as a Fraction, or None when it is irrational.
-        The measure keeps the results in a memo, cleared once it holds
-        INCREMENT_MEMO states, so that a draw whose acceptance table is new
-        (a new zeta) pays one division per distinct c."""
+    def increment_ratio(self, c):
+        """G(after) - G(before) as integers (num, den) with den > 0, not
+        necessarily reduced, or None when it is irrational.  The measure
+        keeps the results in a memo, cleared once it holds INCREMENT_MEMO
+        states, so that the draws pay for each distinct c once."""
         memo = self._increments
-        if memo is None or len(memo) >= INCREMENT_MEMO:
+        if memo is None:
             memo = self._increments = {}
-        elif c in memo:
-            return memo[c]
-        inc = memo[c] = self._increment_exact(c)
+        else:
+            inc = memo.get(c, _MISSING)
+            if inc is not _MISSING:
+                return inc
+            if len(memo) >= INCREMENT_MEMO:
+                memo.clear()
+        inc = memo[c] = self._increment_ratio(c)
         return inc
 
-    def _increment_exact(self, c):
+    def _increment_ratio(self, c):
+        """increment_ratio from g_exact; a measure with an integer form of G
+        overrides it."""
         before, after = self.step(c)
         a = self.g_exact(after)
         b = self.g_exact(before)
         if a is None or b is None:
             return None
-        return a - b
+        d = a - b
+        return d.numerator, d.denominator
 
     def increment_bounds(self, c, k):
         """Integers (lo, hi) with lo <= (G(after) - G(before)) 2^k <= hi."""
@@ -271,6 +290,7 @@ class LpMeasure(MeasureFunction):
             raise ValueError("p must be positive")
         self.p = p
         self.name = "lp(%s)" % p
+        self.rational_increments = p.denominator == 1
         if p <= 1:
             self.zeta = Fraction(1)  # x^p - (x-1)^p <= 1 for p in (0,1]
         else:
@@ -278,6 +298,15 @@ class LpMeasure(MeasureFunction):
 
     def g_exact(self, x):
         return pow_exact(x, self.p)
+
+    def _increment_ratio(self, c):
+        """(c+1)^p - c^p over 1, when both powers are integers: for p = a/b
+        an integer x^p is the exact b-th root of x^a, and is irrational
+        otherwise."""
+        a, b = self.p.numerator, self.p.denominator
+        hi, hi_exact = integer_nthroot((c + 1) ** a, b)
+        lo, lo_exact = integer_nthroot(c ** a, b)
+        return (hi - lo, 1) if hi_exact and lo_exact else None
 
     def g_bounds(self, x, k):
         return pow_scaled(x, self.p, k)
@@ -348,7 +377,11 @@ class FairMeasure(MEstimatorMeasure):
 
 
 class HuberMeasure(MEstimatorMeasure):
-    """G(x) = x^2/(2 tau) for x <= tau, else x - tau/2; zeta = 1."""
+    """G(x) = x^2/(2 tau) for x <= tau, else x - tau/2; zeta = 1.  With
+    tau = a/b, 2ab G(x) is the integer x^2 b^2 for x <= tau and
+    a (2bx - a) above it."""
+
+    rational_increments = True
 
     def __init__(self, tau):
         tau = Fraction(tau)
@@ -364,12 +397,25 @@ class HuberMeasure(MEstimatorMeasure):
             return Fraction(x * x * b, 2 * a)
         return Fraction(2 * b * x - a, 2 * b)
 
+    def _scaled(self, x):
+        """2ab G(x), an integer."""
+        a, b = self.tau.numerator, self.tau.denominator
+        return x * x * b * b if x * b <= a else a * (2 * b * x - a)
+
+    def _increment_ratio(self, c):
+        a, b = self.tau.numerator, self.tau.denominator
+        return self._scaled(c + 1) - self._scaled(c), 2 * a * b
+
     def fg_lower_bound(self, m):
         return self.g_exact(1) * m
 
 
 class TukeyMeasure(MEstimatorMeasure):
-    """G(x) = tau^2/6 * (1 - (1 - x^2/tau^2)^3) for x <= tau, else tau^2/6."""
+    """G(x) = tau^2/6 * (1 - (1 - x^2/tau^2)^3) for x <= tau, else tau^2/6.
+    With tau = a/b, G(x)/G(tau) = (a^6 - max(a^2 - x^2 b^2, 0)^3)/a^6, and
+    G(tau) = a^6 / (6 a^4 b^2)."""
+
+    rational_increments = True
 
     def __init__(self, tau):
         tau = Fraction(tau)
@@ -380,6 +426,8 @@ class TukeyMeasure(MEstimatorMeasure):
         # G caps at tau^2/6 and its slope is at most tau, so both bound the
         # one-step increment.
         self.zeta = min(tau, tau * tau / 6)
+        a, b = tau.numerator, tau.denominator
+        self._a2, self._b2, self._a6 = a * a, b * b, a ** 6
 
     def g_exact(self, x):
         x = Fraction(x)
@@ -388,6 +436,17 @@ class TukeyMeasure(MEstimatorMeasure):
         if x >= tau:
             return cap
         return cap * (1 - (1 - x * x / (tau * tau)) ** 3)
+
+    def _scaled(self, x):
+        """a^6 G(x)/G(tau), an integer."""
+        return self._a6 - max(self._a2 - x * x * self._b2, 0) ** 3
+
+    def cap_ratio(self, x):
+        """G(x)/G(tau) as integers (num, den)."""
+        return self._scaled(x), self._a6
+
+    def _increment_ratio(self, c):
+        return self._scaled(c + 1) - self._scaled(c), 6 * self._a2 * self._a2 * self._b2
 
     def fg_lower_bound(self, m):
         # G saturates, so G(x) >= G(1)*x fails (e.g. G(2) < 2 G(1) at tau=2).

@@ -11,6 +11,8 @@ Every random choice a sampler makes goes through the primitives here:
 * Bernoulli draws whose success probability is honored exactly: the
   probability is compared bit-by-bit against a lazily extended uniform
   bitstream, so no float rounding ever enters an output distribution.
+  A rational probability is an integer pair (bernoulli_ratio), unreduced
+  as its caller computed it, so no Fraction enters that loop either.
   An irrational probability q is given by refine(k) -> integers (lo, hi)
   with lo <= q 2^k <= hi, and bernoulli_bounds compares them against the
   integer prefix of the uniform, doubling k until the comparison is
@@ -338,27 +340,36 @@ def weighted_index(weights, rng):
 
 
 def bernoulli_fraction(q, rng):
-    """Return True with probability exactly q (a Fraction in [0,1]).
+    """Return True with probability exactly q (a Fraction in [0,1]):
+    bernoulli_ratio on its numerator and denominator."""
+    return bernoulli_ratio(q.numerator, q.denominator, rng)
 
-    Compares the binary expansion of q against fresh uniform bits; expected
-    number of bits consumed is 2.
+
+def bernoulli_ratio(num, den, rng):
+    """Return True with probability exactly num/den, for integers num and
+    den > 0 (num <= 0 never, num >= den always).
+
+    Compares the binary expansion of num/den against fresh uniform bits, one
+    getrandbits(1) per bit; expected number of bits consumed is 2.  The
+    expansion, and the step at which it terminates, are those of the reduced
+    fraction, so an unreduced pair draws the same bits and returns the same
+    outcome as Fraction(num, den) would.
     """
-    num, den = q.numerator, q.denominator
     if num <= 0:
         return False
     if num >= den:
         return True
     while True:
-        num *= 2
-        bit_q, num = divmod(num, den)
-        bit_u = rng.getrandbits(1)
-        if bit_u < bit_q:
-            return True
-        if bit_u > bit_q:
+        num <<= 1
+        if num >= den:  # the next bit of num/den is 1: u below it wins
+            num -= den
+            if not rng.getrandbits(1):
+                return True
+        elif rng.getrandbits(1):  # the bit is 0 and u's is 1: u is above
             return False
-        if num == 0:
-            # q's expansion terminated; u > q from here on (u == q has
-            # probability zero and we resolve it as False).
+        if not num:
+            # The expansion terminated; u > num/den from here on (equality
+            # has probability zero and resolves as False).
             return False
 
 
@@ -368,27 +379,30 @@ def bernoulli_bounds(refine, rng, start_prec=16):
     as k grows.
 
     u is the integer prefix U of its first j bits, u in [U, U+1) 2^-j; at
-    scale 2^k that is [U << (k-j), (U+1) << (k-j)).  The draw is decided once
-    that interval lies on one side of [lo, hi], takes another bit while it is
-    wider than [lo, hi], and doubles k otherwise.  A lower end above 2^k,
-    a q that is certainly above 1, raises ValueError.
+    scale 2^k that is [a, a + w) with a = U << (k-j) and w = 1 << (k-j).  The
+    draw is decided once that interval lies on one side of [lo, hi], takes
+    another bit while it is wider than [lo, hi] (w halves, and a gains w
+    when the bit is 1), and doubles k otherwise (a and w scale by 2^k).  A
+    lower end above 2^k, a q that is certainly above 1, raises ValueError.
     """
     k = start_prec
     lo, hi = refine(k)
-    U = j = 0
+    a, w = 0, 1 << k
     while True:
-        s = k - j
-        if (U + 1) << s <= lo:  # always taken at once when lo > 2^k
+        if a + w <= lo:  # always taken at once when lo > 2^k
             if lo > 1 << k:
                 raise ValueError("a probability bracket [%d, %d] / 2^%d lies above 1"
                                  % (lo, hi, k))
             return True
-        if U << s >= hi:
+        if a >= hi:
             return False
-        if hi - lo < 1 << s:
-            U = U << 1 | rng.getrandbits(1)
-            j += 1
+        if hi - lo < w:
+            w >>= 1
+            if rng.getrandbits(1):
+                a += w
         else:
+            a <<= k
+            w <<= k
             k *= 2
             lo, hi = refine(k)
 

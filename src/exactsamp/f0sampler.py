@@ -27,8 +27,8 @@ from collections import deque
 from fractions import Fraction
 
 from .core import INDEX, SampleResult, UnitUpdates, check_window
-from .exactrand import bernoulli_fraction, subseed, substream, uniform_subset
-from .gsampler import DrawState, first_accepted, repetitions_for
+from .exactrand import bernoulli_ratio, subseed, substream, uniform_subset
+from .gsampler import DrawState, accept_and_pick, repetitions_for
 
 
 class F0State:
@@ -127,24 +127,28 @@ class F0Sampler(UnitUpdates):
         self.seed = seed
         self.n = n
         self.state = F0State(n, [subseed(seed, "rep", i) for i in range(self.R)], window)
-        self.draw_state = DrawState(seed, repetitions)
+        self.draw_state = DrawState(substream(seed, "draws"), repetitions)
 
     def ingest(self, coords):
         self.state.extend(coords)
 
     def keep(self):
-        """keep(f), whether a draw keeps a hit of frequency f: always, for
+        """keep(hit), whether a draw keeps an instance's hit: always, for
         uniform support sampling."""
-        return lambda f: True
+        return lambda hit: True
 
     def draw(self):
         # The instances share one stream state: all are empty or none is.
         if not self.state.t:
             return SampleResult.bottom()
-        rng = self.draw_state.rng
-        hits = (self.state.draw(k, rng) for k in range(self.R))
-        return first_accepted(((res, res.frequency) for res in hits if res.outcome == INDEX),
-                              self.keep()) or SampleResult.fail()
+        rng, draw = self.draw_state.rng, self.state.draw
+
+        def state(k):
+            res = draw(k, rng)
+            return res if res.outcome == INDEX else None
+
+        hit = accept_and_pick(self.R, state, self.keep())
+        return SampleResult.fail() if hit is None else hit[1]
 
 
 class TukeySampler(F0Sampler):
@@ -159,9 +163,13 @@ class TukeySampler(F0Sampler):
         super().__init__(n, delta, seed, window, repetitions)
 
     def keep(self):
-        """keep(f): a hit of frequency f is kept with probability
-        G(f)/G(tau), from a table of these per distinct f that draws share."""
-        g, g_cap = self.measure.g_exact, self.measure.tau * self.measure.tau / 6
-        table = self.draw_state.table_at(g_cap, lambda f: Fraction(g(f)) / g_cap)
-        rng = self.draw_state.rng
-        return lambda f: bernoulli_fraction(table[f], rng)
+        """keep(hit): a hit of frequency f is kept with probability
+        G(f)/G(tau), an integer pair (TukeyMeasure.cap_ratio) decided by
+        bernoulli_ratio on the draw generator."""
+        cap_ratio, rng = self.measure.cap_ratio, self.draw_state.rng
+
+        def keep(hit):
+            num, den = cap_ratio(hit.frequency)
+            return bernoulli_ratio(num, den, rng)
+
+        return keep

@@ -20,8 +20,8 @@ other item (a hit, an insert, or a new key with w >= low, which kills the
 counters at the minimum and stores the rest of w) changes the counters, and
 low is read again from the heap top afterwards.
 
-The summary also keeps top, the largest value it has stored, so z_bound is
-O(1): while top > offset the counter that stored it is still there (it was
+The summary also keeps top, the largest value it has stored, so z_bound
+(and z_ratio, its integer pair, which the draws read) is O(1): while top > offset the counter that stored it is still there (it was
 neither raised past top nor, since eviction needs its value <= offset,
 evicted), and once top <= offset every counter is dead.
 """
@@ -124,19 +124,26 @@ def _smallest_live(counts, heap):
     return heap[0][0]
 
 
+def z_ratio(summary):
+    """z_bound as integers (num, den): Z = E + m/k = (E k + m)/k, with E the
+    largest estimate, in O(1)."""
+    k = summary.k
+    return max(summary.top - summary.offset, 0) * k + summary.m_seen, k
+
+
 def z_bound(summary, p, n):
     """Z with max_i f_i <= Z <= max_i f_i + m/n^{1-1/p}, from a summary built
     with k = ceil(n^{1-1/p}) counters, in O(1): the largest estimate is
     top - offset, or 0 when every counter is dead."""
-    return max(summary.top - summary.offset, 0) + Fraction(summary.m_seen, summary.k)
+    return Fraction(*z_ratio(summary))
 
 
 def mg_budget(p, n):
     """Counter budget k = ceil(n^{1-1/p}) for the Z bound, exactly, for a
-    rational p >= 1 (one integer root of n^a, (p-1)/p = a/b)."""
+    rational p = a/b >= 1: one integer root, n^{1-1/p} = (n^{a-b})^{1/a}."""
     p = exponent(p)
     if p < 1:
         raise ValueError("Z bound applies for p >= 1")
-    e = 1 - 1 / p
-    r, exact = integer_nthroot(n ** e.numerator, e.denominator)
+    a, b = p.numerator, p.denominator
+    r, exact = integer_nthroot(n ** (a - b), a)
     return max(r if exact else r + 1, 1)

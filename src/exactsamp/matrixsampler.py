@@ -10,7 +10,7 @@ update costs O(d) per unit that samples it and O(1) otherwise, whatever R is.
 At draw time a repetition accepts with probability (G(v + e_c) - G(v)) / zeta
 (gsampler.accept_increment), which telescopes along each row to
 G(m_i)/(zeta m).  A draw returns the first accepting repetition
-(gsampler.first_accepted).
+(gsampler.accept_and_pick).
 """
 
 import math
@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import sub
 
 from .core import MeasureFunction, SampleResult, Update
-from .exactrand import root_bounds, root_scaled
-from .gsampler import DrawState, first_accepted, repetition_result, repetitions_for
+from .exactrand import root_bounds, root_scaled, substream
+from .gsampler import DrawState, accept_and_pick, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 
 
@@ -30,7 +30,7 @@ class RowMeasure(MeasureFunction):
     increment state is c = (v, col).  v may be a list, so row measures keep
     no memo of increments."""
 
-    increment_exact = MeasureFunction._increment_exact
+    increment_ratio = MeasureFunction._increment_ratio
 
     def step(self, c):
         v, col = c
@@ -42,6 +42,10 @@ class RowMeasure(MeasureFunction):
 class L1RowMeasure(RowMeasure):
     name = "l1_row"
     zeta = Fraction(1)
+    rational_increments = True
+
+    def increment_ratio(self, c):
+        return 1, 1  # ||v + e_col||_1 - ||v||_1
 
     def g_exact(self, vec):
         return Fraction(sum(vec))
@@ -89,7 +93,7 @@ class MatrixSampler:
             ratio = measure.zeta * max(m, 1) / fg
             repetitions = repetitions_for(ratio, delta)
         self.R = repetitions
-        self.draw_state = DrawState(seed, repetitions, measure)
+        self.draw_state = DrawState(substream(seed, "draws"), repetitions, measure)
         # The units draw their skips from the bank's one generator.
         self.bank = SamplerBank(repetitions, seed)
         self.counts = {}  # row -> column counts, kept while the bank tracks the row
@@ -160,7 +164,12 @@ class MatrixSampler:
     def draw(self):
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
-        accept = self.draw_state.accept(self.measure.zeta, None)
-        live = (((i, row), (self.after(i), self.unit_col[i]))
-                for i, row in enumerate(self.bank.unit_s) if row is not None)
-        return repetition_result(first_accepted(live, accept))
+        unit_s, unit_col, after = self.bank.unit_s, self.unit_col, self.after
+        zeta = self.measure.zeta
+
+        def state(i):
+            return None if unit_s[i] is None else (after(i), unit_col[i])
+
+        accept = self.draw_state.accept((zeta.numerator, zeta.denominator), None)
+        hit = accept_and_pick(self.R, state, accept)
+        return repetition_result(hit, unit_s.__getitem__)

@@ -13,8 +13,8 @@ max f <= Z <= max f + m/ceil(n^{1-1/p}).  Each chain's sample (i, f_i) passes
 the usual acceptance ((c+1)^p - c^p) / (p Z^{p-1}) with c a uniform
 strictly-after occurrence count: the insertion-only samplers' exact test
 (gsampler.accept_increment with the L_p measure) at the one L_p zeta rule
-(gsampler.lp_zeta).  The chains are i.i.d., so the draw returns the first
-accepting one (gsampler.first_accepted).
+(gsampler.lp_zeta, at Z as an integer pair).  The chains are i.i.d., so the
+draw returns the first accepting one (gsampler.accept_and_pick).
 
 Every pass is one scan of the stream (_chunk_sums), shared by all chains and
 the Z narrowing: an update finds its cell by bisection (directly when the
@@ -33,8 +33,7 @@ from fractions import Fraction
 
 from .core import SampleResult, exponent, lp_measure, outside, parse_stream
 from .exactrand import substream, weighted_index
-from .gsampler import (AcceptanceTable, accept_increment, acceptance, first_accepted, lp_zeta,
-                       repetition_result, repetitions_for)
+from .gsampler import DrawState, accept_and_pick, lp_zeta, repetition_result, repetitions_for
 from .heavyhitters import mg_budget
 
 
@@ -198,14 +197,13 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
                            mg_budget(p, n))
     if m == 0:
         return SampleResult.bottom()
-    zeta_exact, zeta_bounds = lp_zeta(Z, p)
-    measure = lp_measure(p)
-    rng = substream(seed, "accept")
-    table = AcceptanceTable(lambda c: acceptance(measure, c, zeta_exact, zeta_bounds), repetitions)
+    draws = DrawState(substream(seed, "accept"), repetitions, lp_measure(p))
+    rng = draws.rng
 
-    def accept(f):
-        c = f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f
-        return accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table)
+    def state(i):
+        f = chains[i][1]
+        return f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f
 
-    live = (((idx, coord), f) for idx, (coord, f) in enumerate(chains))
-    return repetition_result(first_accepted(live, accept))
+    accept = draws.accept(*lp_zeta((Z.numerator, Z.denominator), p))
+    return repetition_result(accept_and_pick(len(chains), state, accept),
+                             lambda i: chains[i][0])

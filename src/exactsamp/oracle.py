@@ -10,7 +10,8 @@ them, for forks at their exact laws:
   every later outcome shares.  sampler_law feeds one update per process
   call and tells the enumerator the stream time t, so a bank at position r
   forks over r+1 .. last = r + (m - t) alone, however late it started;
-* bernoulli_fraction(q) forks with weights q and 1 - q;
+* bernoulli_ratio(num, den) forks with weights num/den and 1 - num/den, and
+  so does bernoulli_fraction(q), which draws through it;
 * binomial(M, q) forks over 0 .. M with weights C(M, j) q^j (1 - q)^(M - j);
 * uniform_subset(N, K) forks over the C(N, K) subsets, each 1/C(N, K);
 * weighted_index(w) forks over the indices of positive weight, index i with
@@ -145,7 +146,7 @@ class _ForkingRandom(random.Random):
         raise UnforkedDraw("random() has no exact fork")
 
     def getrandbits(self, k):
-        raise UnforkedDraw("getrandbits() is forked only inside bernoulli_fraction")
+        raise UnforkedDraw("getrandbits() is forked only inside bernoulli_ratio")
 
 
 ONE = "1"  # the constant term of a linear form over the acceptance coins
@@ -224,11 +225,10 @@ class _Tree:
 
         return self.fork(last - r + 1, branch)
 
-    def bernoulli_fraction(self, q, rng):
-        if q <= 0 or q >= 1:
-            return q >= 1
-        a, b = q.numerator, q.denominator
-        return self.fork(2, lambda i: (True, a, b) if i == 0 else (False, b - a, b))
+    def bernoulli_ratio(self, num, den, rng):
+        if num <= 0 or num >= den:
+            return num >= den
+        return self.fork(2, lambda i: (True, num, den) if i == 0 else (False, den - num, den))
 
     def binomial(self, M, q, rng):
         if q <= 0 or q >= 1:
@@ -274,7 +274,7 @@ class _Tree:
         function of its arguments alone, and every substream it seeds is
         forked anyway."""
         swaps = {exactrand: {
-            "skip": self.skip, "bernoulli_fraction": self.bernoulli_fraction,
+            "skip": self.skip, "bernoulli_ratio": self.bernoulli_ratio,
             "binomial": self.binomial, "uniform_subset": self.uniform_subset,
             "weighted_index": self.weighted_index, "substream": self.substream,
             "subseed": functools.lru_cache(None)(exactrand.subseed),

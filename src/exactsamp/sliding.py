@@ -17,11 +17,10 @@ f_i^p / F_p(window) as above.  R is sized for the factor-2 invariant:
 max_f <= L_p(suffix) <= 2 L_p(window), so zeta <= p 2^{p-1} L_p(window)^{p-1}.
 """
 
-from fractions import Fraction
-
 from .core import SampleResult, UnitUpdates, check_window, exponent, lp_measure
-from .exactrand import subseed
-from .gsampler import DrawState, first_accepted, lp_zeta, repetition_result, repetitions_for
+from .exactrand import subseed, substream
+from .gsampler import (DrawState, accept_and_pick, fraction_zeta, lp_zeta, repetition_result,
+                       repetitions_for)
 from .reservoir import SamplerBank
 from .smoothhist import SmoothHistogram
 
@@ -40,7 +39,7 @@ class CheckpointedSampler(UnitUpdates):
         self.n = n  # None: coordinates are not checked
         self.seed = seed
         self.zeta = measure.zeta
-        # A subclass may read zeta at each draw instead (_zeta_at_draw).
+        # A subclass may read zeta at each draw instead (_draw_zeta).
         if self.zeta is None and type(self) is CheckpointedSampler:
             raise ValueError("checkpointed sampler needs a static zeta")
         if repetitions is None:
@@ -52,7 +51,7 @@ class CheckpointedSampler(UnitUpdates):
             repetitions = repetitions_for(2 * self.zeta * W / fg, delta)
         self.R = repetitions
         self.t = 0
-        self.draw_state = DrawState(seed, repetitions, measure)
+        self.draw_state = DrawState(substream(seed, "draws"), repetitions, measure)
         self.banks = []  # (start_time, SamplerBank), two most recent
 
     def ingest(self, coords):
@@ -84,17 +83,22 @@ class CheckpointedSampler(UnitUpdates):
         if self.t == 0:
             return SampleResult.bottom()
         bank = self._draw_bank()
-        accept = self.draw_state.accept(*self._zeta_at_draw())
-        cutoff = self.t - self.W
-        live = (((i, s), c)
-                for i, (s, t_s, c) in enumerate(map(bank.effective, range(self.R)))
-                if s is not None and t_s > cutoff)
-        return repetition_result(first_accepted(live, accept))
+        effective, cutoff = bank.effective, self.t - self.W
+
+        def state(i):
+            s, t_s, c = effective(i)
+            return c if s is not None and t_s > cutoff else None
+
+        hit = accept_and_pick(self.R, state, self.draw_state.accept(*self._draw_zeta()))
+        return repetition_result(hit, bank.unit_s.__getitem__)
+
+    def _draw_zeta(self):
+        """(zeta_exact or None, zeta_bounds or None) of a draw now, as
+        accept_increment takes them, a rational zeta as an integer pair."""
+        return (self.zeta.numerator, self.zeta.denominator), None
 
     def _zeta_at_draw(self):
-        """(zeta_exact or None, zeta_bounds or None), as accept_increment
-        takes them."""
-        return self.zeta, None
+        return fraction_zeta(*self._draw_zeta())
 
 
 class SlidingLpSampler(CheckpointedSampler):
@@ -115,6 +119,7 @@ class SlidingLpSampler(CheckpointedSampler):
         super().ingest(coords)
         self.hist.ingest(coords)
 
-    def _zeta_at_draw(self):
-        """lp_zeta at Z = the bracket row's largest frequency."""
-        return lp_zeta(Fraction(self.hist.bracket().est.max_f), self.p)
+    def _draw_zeta(self):
+        """lp_zeta at Z = the bracket row's largest frequency: 2 max_f at
+        p = 2."""
+        return lp_zeta((self.hist.bracket().est.max_f, 1), self.p)

@@ -238,13 +238,13 @@ def _mg_zeta(coords, p, n):
 
 def _accepts_at_most_one(measure, c, zeta_exact, zeta_bounds):
     """Whether acceptance gives state c a probability of at most 1: a
-    rational one (a quotient above 1 raises), or a bracket whose lower end
-    at 2^-64 is at most 2^64."""
+    rational one, an integer pair (num, den) (a quotient above 1 raises), or
+    a bracket whose lower end at 2^-64 is at most 2^64."""
     try:
         q = acceptance(measure, c, zeta_exact, zeta_bounds)
     except ValueError:
         return False
-    return q(PRECISION)[0] <= 1 << PRECISION if callable(q) else q <= 1
+    return q(PRECISION)[0] <= 1 << PRECISION if callable(q) else q[0] <= q[1]
 
 
 def test_success_bound_lp_above_one():

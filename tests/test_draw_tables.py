@@ -1,19 +1,27 @@
-"""A sampler's acceptance table changes no outcome.
+"""A draw's integer tests and acceptance tables change no outcome.
 
-Each sampler keeps one table, from each distinct state c to its probability,
-across its draws while zeta is the same (an equal exact rational, or the
-bounds function that lp_zeta memoizes per (Z, p)), and passes it to
-every accept_increment call.  The references below are the draw loops
-without it: one exact test per live repetition, each computing its
-probability afresh with _accept_without_table (accept_increment as it was
-before the table, reading no memo of increments), and a SampleResult built
-for every candidate.  Run on the same fed sampler with a clone of its draw
-generator taken before the draw, both must return the same result, draw
-after draw.
+A rational test -- a rational zeta and a measure whose increments are all
+rational (L_p at integer p, Huber, Tukey, L1 rows), and Tukey's keep --
+runs on integer pairs: each test computes its pair afresh and decides it
+with bernoulli_ratio, so such a draw builds no Fraction and no table.  The
+draws whose tests take brackets (an irrational zeta, or irrational
+increments: L_{1/2}, Fair, L1-L2, L2 rows) keep one table per sampler, from
+each distinct state c to its probability, across their draws while zeta is
+the same (an equal rational, or the bounds function that lp_zeta memoizes
+per (Z, p)), and pass it to every accept_increment call.
+
+The references below are the draw loops without either: one exact test per
+live repetition, each computing its probability afresh as a Fraction with
+_accept_without_table (accept_increment as it was before the table, reading
+no memo of increments) and deciding it with bernoulli_fraction, and a
+SampleResult built for every candidate.  Run on the same fed sampler with a
+clone of its draw generator taken before the draw, both must return the same
+result, draw after draw.
 """
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -237,10 +245,12 @@ def _counting(monkeypatch):
 
 
 def test_draw_computes_each_distinct_probability_once(monkeypatch):
-    # 400 distinct coordinates once each: nearly every repetition holds
-    # c = 0, so a draw runs many tests.  Z, hence zeta = 2Z, is unchanged
-    # between the draws, so the 20 draws share one table and compute each
-    # distinct c's probability once, when it is first tested.
+    # L_{3/2}: 400 distinct coordinates once each, so nearly every
+    # repetition holds c = 0 and a draw runs many tests.  Its increments
+    # (c+1)^{3/2} - c^{3/2} are irrational, so the tests read a table, and
+    # Z, hence zeta = (3/2) sqrt(Z), is unchanged between the draws, so the
+    # 20 draws share one table and compute each distinct c's probability
+    # once, when it is first tested.
     from exactsamp import gsampler
 
     computed = _counting(monkeypatch)
@@ -252,7 +262,7 @@ def test_draw_computes_each_distinct_probability_once(monkeypatch):
         return real_accept(measure, c, *args)
 
     monkeypatch.setattr(gsampler, "accept_increment", counting_accept)
-    s = lp_sampler(2, n=1000, m=400, seed=5, repetitions=400)
+    s = lp_sampler(Fraction(3, 2), n=1000, m=400, seed=5, repetitions=400)
     s.process(range(1, 401))
     for _ in range(20):
         s.draw()
@@ -261,9 +271,9 @@ def test_draw_computes_each_distinct_probability_once(monkeypatch):
 
 
 SHARED_TABLE_SAMPLERS = {
-    "huber": lambda: GSampler(huber_measure(2), n=1000, m=400, seed=5, repetitions=400),
+    "fair": lambda: GSampler(fair_measure(2), n=1000, m=400, seed=5, repetitions=400),
     "lp_half": lambda: lp_sampler(Fraction(1, 2), n=1000, m=400, seed=5, repetitions=400),
-    "checkpointed": lambda: CheckpointedSampler(huber_measure(2), W=1000, seed=5,
+    "checkpointed": lambda: CheckpointedSampler(fair_measure(2), W=1000, seed=5,
                                                 repetitions=400),
     "matrix": lambda: MatrixSampler(L2RowMeasure(), n=1000, d=1, m=400, seed=5,
                                     repetitions=400),
@@ -273,9 +283,9 @@ SHARED_TABLE_SAMPLERS = {
 @pytest.mark.parametrize("name", sorted(SHARED_TABLE_SAMPLERS))
 def test_draws_on_an_unchanged_state_share_one_table(monkeypatch, name):
     # 400 distinct coordinates (rows) once each: every repetition holds the
-    # same state c, so a draw runs many tests of one probability.  zeta is
-    # static, so the first draw computes that probability once and the next
-    # 20 compute none.
+    # same state c, so a draw runs many tests of one probability, an
+    # irrational one.  zeta is static, so the first draw computes that
+    # probability once and the next 20 compute none.
     s = SHARED_TABLE_SAMPLERS[name]()
     if name == "matrix":
         s.process([Update(r, col=1) for r in range(1, 401)])
@@ -337,5 +347,91 @@ def test_increment_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(core, "INCREMENT_MEMO", 16)
     for meas in (lp_measure(2), huber_measure(2), lp_measure(Fraction(1, 2))):
         for c in list(range(100)) + list(range(10)):
-            assert meas.increment_exact(c) == _increment(meas, c)
+            ratio = meas.increment_ratio(c)
+            assert (ratio and Fraction(*ratio)) == _increment(meas, c)
             assert len(meas._increments) <= 16
+
+
+@contextmanager
+def _fractions_built():
+    """The arguments of every Fraction built inside the block."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting_new))
+        yield built
+
+
+RATIONAL_SAMPLERS = {
+    "l2": lambda: lp_sampler(2, n=100, m=300, seed=3, repetitions=60),
+    "huber": lambda: GSampler(huber_measure(Fraction(21, 2)), n=100, m=300, seed=3,
+                              repetitions=60),
+    "sliding_l2": lambda: SlidingLpSampler(2, W=40, n=100, seed=3, repetitions=60),
+    "tukey": lambda: TukeySampler(tukey_measure(Fraction(7, 2)), n=100, seed=3, repetitions=8),
+}
+
+
+def _skewed(seed, m):
+    """m updates over [1, 100], heavy-tailed: clipped at 100, which takes
+    about two fifths of them, then coordinates 1, 2, 3, ... in falling
+    shares."""
+    rng = random.Random(seed)
+    return [min(int(rng.paretovariate(0.2)), 100) for _ in range(m)]
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_SAMPLERS))
+def test_rational_draws_build_no_fraction_and_no_table(name):
+    # Skewed updates over 100 coordinates, three draws after every 10: the
+    # frequencies, so the tests' states c, keep growing, and the L2
+    # samplers' Z (Misra-Gries or the bracket row's max_f), hence zeta,
+    # changes between draws.  The draws build no Fraction and no table.
+    coords = _skewed(11, 300)
+    s = RATIONAL_SAMPLERS[name]()
+    zetas, results = set(), set()
+    for k in range(0, len(coords), 10):
+        s.process(coords[k:k + 10])
+        if name in ("l2", "sliding_l2"):
+            zetas.add(s._draw_zeta())
+        with _fractions_built() as built:
+            results |= {s.draw() for _ in range(3)}
+        assert built == [], (k, built[:5])
+    assert name not in ("l2", "sliding_l2") or len(zetas) > 5, zetas
+    assert len(results) > 3, results
+    assert s.draw_state.table is None
+
+
+def test_multipass_rational_tests_build_no_fraction(monkeypatch):
+    # multipass_lp_draw at p = 2: the narrowing passes give Z as a Fraction
+    # (the value narrow_z reports); the chains' tests after them, at
+    # zeta = 2Z taken as an integer pair, build none.
+    from exactsamp import multipass
+
+    narrow, new = multipass._narrow, Fraction.__new__
+    narrowed_yet, built = [False], []
+
+    def counting_new(cls, *args, **kwargs):
+        if narrowed_yet[0]:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def narrowed(*args, **kwargs):
+        got = narrow(*args, **kwargs)
+        narrowed_yet[0] = True
+        return got
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(multipass, "_narrow", narrowed)
+    updates = [Update(c) for c in _skewed(12, 400)]
+    indices = set()
+    for seed in range(5):
+        narrowed_yet[0] = False
+        res = multipass_lp_draw(ReplayableStream(updates), Fraction(1, 2), 2, 100, seed=seed,
+                                repetitions=40)
+        assert narrowed_yet[0] and built == [], (seed, built[:5])
+        indices.add(res.index)
+    assert len(indices) > 1, indices

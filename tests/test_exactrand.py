@@ -14,6 +14,7 @@ from exactsamp import exactrand
 from exactsamp.exactrand import (
     bernoulli_bounds,
     bernoulli_fraction,
+    bernoulli_ratio,
     binomial,
     integer_nthroot,
     log_scaled,
@@ -380,6 +381,58 @@ def test_bernoulli_fraction_empirical():
     # 4 sigma band
     sigma = math.sqrt(n * float(q) * (1 - float(q)))
     assert abs(hits - n * float(q)) < 4 * sigma
+
+
+def _bernoulli_reference(q, rng):
+    """The bit-by-bit Bernoulli(q) of a reduced Fraction q, written out:
+    compare q's binary expansion against one getrandbits(1) per bit."""
+    num, den = q.numerator, q.denominator
+    if num <= 0:
+        return False
+    if num >= den:
+        return True
+    while True:
+        bit_q, num = divmod(2 * num, den)
+        bit_u = rng.getrandbits(1)
+        if bit_u != bit_q:
+            return bit_u < bit_q
+        if num == 0:
+            return False
+
+
+def test_bernoulli_ratio_draws_the_bits_of_the_reduced_fraction():
+    # Seeded pairs 0 <= a <= b, each scaled by a random factor g so that it
+    # is unreduced: bernoulli_ratio(a g, b g), bernoulli_fraction(a/b) and
+    # the reference on a/b return the same outcome and leave clones of one
+    # generator in the same state.
+    pairs = random.Random(25)
+    outcomes = Counter()
+    for i in range(3000):
+        b = pairs.randrange(1, 1 << pairs.choice((2, 8, 40, 130)))
+        a = pairs.choice((0, b, pairs.randrange(b + 1)))
+        g = pairs.randrange(1, 1 << pairs.choice((1, 16, 64)))
+        rng = random.Random(i)
+        state = rng.getstate()
+        clones = [random.Random() for _ in range(3)]
+        for clone in clones:
+            clone.setstate(state)
+        got = {bernoulli_ratio(a * g, b * g, clones[0]),
+               bernoulli_fraction(Fraction(a, b), clones[1]),
+               _bernoulli_reference(Fraction(a, b), clones[2])}
+        assert len(got) == 1, (a, b, g)
+        assert clones[0].getstate() == clones[1].getstate() == clones[2].getstate(), (a, b, g)
+        outcomes[got.pop()] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_bernoulli_ratio_edges():
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert bernoulli_ratio(0, 5, rng) is False
+    assert bernoulli_ratio(-3, 5, rng) is False
+    assert bernoulli_ratio(5, 5, rng) is True
+    assert bernoulli_ratio(7, 5, rng) is True
+    assert rng.getstate() == state  # no bits drawn
 
 
 def test_bernoulli_bounds_matches_fraction():

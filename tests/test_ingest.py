@@ -167,6 +167,59 @@ def test_rejection_names_the_first_bad_update(name):
         s.process([outside, deletion])
 
 
+def _first_rejection(s, batch):
+    """The message of the first update of batch out of the sampler's model,
+    None when there is none: a delta other than 1, or a coordinate outside
+    [1, n] when the sampler has an n."""
+    for u in batch:
+        delta, coord = getattr(u, "delta", 1), getattr(u, "coord", u)
+        if delta != 1:
+            return "%s takes unit insertions, got delta %d" % (type(s).__name__, delta)
+        if s.n is not None and not 1 <= coord <= s.n:
+            return "coordinate %r outside [1, %d]" % (coord, s.n)
+    return None
+
+
+BATCHES = {
+    "ints": [1, 5, 2, N],
+    "ints_below": [1, 0, 2],
+    "ints_above": [3, N + 1, 2],
+    "updates": [Update(1), Update(5), Update(N)],
+    "updates_delta": [Update(1), Update(5, delta=2), Update(N + 1)],
+    "updates_outside": [Update(1), Update(N + 1), Update(5, delta=0)],
+    "mixed": [1, Update(5), N, Update(2)],
+    "mixed_delta": [1, Update(5, delta=-1), N + 1],
+    "mixed_outside": [Update(1), 0, Update(5, delta=2)],
+    "mixed_outside_update": [4, Update(N + 1), Update(5, delta=2)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCHES))
+def test_every_batch_kind_is_checked_alike(kind):
+    # Bare ints, Update objects and batches that mix them: an accepted batch
+    # leaves the sampler as one update(coord) per item does, and a rejected
+    # one raises the message of its first bad update and changes nothing.
+    batch = BATCHES[kind]
+    for name, make in SAMPLERS.items():
+        if name == "matrix":
+            continue
+        s, ref = make(), make()
+        s.process([3, 4])
+        ref.process([3, 4])
+        want = _first_rejection(s, batch)
+        if want is None:
+            s.process(batch)
+            s.process(tuple(batch))
+            for u in batch * 2:
+                ref.update(getattr(u, "coord", u))
+        else:
+            with pytest.raises(ValueError) as err:
+                s.process(batch)
+            assert str(err.value) == want, (name, kind)
+        assert _fingerprint(s) == _fingerprint(ref), (name, kind)
+        assert _draws(s) == _draws(ref), (name, kind)
+
+
 def count_substream_calls(monkeypatch):
     """A list that collects the arguments of every exactrand.substream call
     from now on, whichever exactsamp module binds it."""

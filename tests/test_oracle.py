@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactsamp import exactrand, gsampler, multipass, oracle
+from exactsamp import exactrand, gsampler, oracle
 from exactsamp.core import (BOTTOM, FAIL, SampleResult, Update, fair_measure, huber_measure,
                             lp_measure, tukey_measure)
 from exactsamp.gsampler import GSampler
@@ -80,6 +80,15 @@ def test_primitives_fork_at_exact_laws():
     assert vars(exactrand) == before  # every swapped name is back
     assert law.probs == {2 * k + 1: Fraction(2, 21) for k in range(3)} | \
         {2 * k: Fraction(5, 21) for k in range(3)}
+
+
+def test_bernoulli_ratio_forks_at_its_unreduced_weights():
+    # An unreduced pair (a g, b g) forks at a/b and 1 - a/b.
+    for a, b, g in ((2, 7, 3), (0, 4, 5), (4, 4, 2), (5, 12, 6)):
+        law = enumerate_law(lambda: SampleResult.of(1) if exactrand.bernoulli_ratio(
+            a * g, b * g, exactrand.substream(0)) else SampleResult.fail())
+        assert law.probs.get(1, 0) == Fraction(a, b), (a, b)
+        assert law.mass_fail == 1 - Fraction(a, b), (a, b)
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(3, 4)])
@@ -331,5 +340,5 @@ def test_unforked_draws_raise_and_names_come_back(name):
                 law(draw, horizon)
         for mod, names in zip(modules, before):
             assert all(vars(mod).get(k) is v for k, v in names.items()), mod.__name__
-    assert gsampler.acceptance is acceptance and multipass.acceptance is acceptance
+    assert gsampler.acceptance is acceptance
 

@@ -8,7 +8,9 @@ called only by the CLI's stream generator, which draws floats on purpose,
 so every random choice of a sampler goes through a primitive that the
 branch enumerator forks,
 interval-refined Bernoulli draws are run only by the exact increment test
-(gsampler.accept_increment) and by exactrand itself, and every sampler of a
+(gsampler.accept_increment) and by exactrand itself, the exact acceptance
+draws take no Fraction, every draw walks its repetitions in the one
+accept-and-pick loop (gsampler.accept_and_pick), and every sampler of a
 unit-delta stream shares one process(), with MatrixSampler's (row, col) form
 the only other one.  Float binomials, exponentials and hypergeometrics are
 drawn only by smallp, which is approximate by design; BlockLpSampler draws
@@ -30,9 +32,14 @@ degraded-estimate path or hand-written sliding law is left.  The multipass sampl
 the stream at one site, the scan that every chain and the Z narrowing share.
 z_bound and F0State.draw cost O(1) in the counters and the subset: neither
 loops over them.  No module calls random.sample: F0State draws its subsets
-with exactrand.uniform_subset, once, at construction."""
+with exactrand.uniform_subset, once, at construction.  Every function and
+method that perfbench's layer tracer wraps by name is in the package, with
+the call shape its wrapper passes on."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
@@ -385,9 +392,12 @@ def test_multipass_reads_the_stream_at_one_site():
 
 
 def test_exact_acceptance_loops_take_no_fraction():
-    # The irrational acceptance test runs on scaled integers end to end.
+    # The irrational acceptance test runs on scaled integers end to end, and
+    # the rational one on integer pairs.
     trees = _trees()
-    for module, name in (("exactrand.py", "bernoulli_bounds"), ("gsampler.py", "accept_increment")):
+    for module, name in (("exactrand.py", "bernoulli_bounds"), ("exactrand.py", "bernoulli_ratio"),
+                         ("gsampler.py", "accept_increment"),
+                         ("gsampler.py", "accept_and_pick")):
         fn = next(node for node in ast.walk(trees[module])
                   if isinstance(node, ast.FunctionDef) and node.name == name)
         assert "Fraction" not in set(_names(fn)), name
@@ -421,3 +431,63 @@ def test_f0_draw_does_not_iterate_its_subset():
               and getattr(node.func, "id", None) in ("sorted", "list", "set", "tuple")
               and any(isinstance(a, ast.Name) and a.id == subset for a in node.args)]
     assert not copies
+
+
+DRAW_SITES = [("gsampler.py", "GSampler"), ("sliding.py", "CheckpointedSampler"),
+              ("matrixsampler.py", "MatrixSampler"), ("f0sampler.py", "F0Sampler"),
+              ("multipass.py", None)]
+
+
+def test_one_accept_and_pick_loop():
+    # gsampler.accept_and_pick is the one loop over repetitions that tests
+    # and picks; every draw calls it and loops over nothing itself.
+    trees = _trees()
+    defs = [name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "accept_and_pick"]
+    assert defs == ["gsampler.py"], defs
+    for module, cls in DRAW_SITES:
+        tree = trees[module]
+        if cls is None:
+            fn = _function(tree, "multipass_lp_draw")
+        else:
+            klass = next(node for node in tree.body
+                         if isinstance(node, ast.ClassDef) and node.name == cls)
+            fn = _function(klass, "draw")
+        assert "accept_and_pick" in set(_called(fn)), (module, cls)
+        assert not any(isinstance(node, LOOPS) for node in ast.walk(fn)), (module, cls)
+
+
+def _layertrace():
+    """perfbench's layer tracer, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("_layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve_in_the_package():
+    # `run.py --trace 1` wraps each traced name where the package binds it.
+    # Every name must be there, as a function, and a special wrapper calls
+    # its function with the arguments of its own named parameters (e.g.
+    # bernoulli_fraction(q, rng)), then any it passes on, which the function
+    # must take.
+    lt = _layertrace()
+    tracer = lt.Tracer()
+    assert set(lt.Tracer.SPECIAL) <= {attr for _, attr in lt.FUNCTIONS}
+    for mod, attr in lt.FUNCTIONS:
+        fn = getattr(importlib.import_module("exactsamp." + mod), attr, None)
+        assert inspect.isfunction(fn), (mod, attr)
+        special = lt.Tracer.SPECIAL.get(attr)
+        if special is not None:
+            wrapper = getattr(tracer, special)("%s.%s" % (mod, attr), fn)
+            params = inspect.signature(wrapper).parameters.values()
+            shape = [object() for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+            if any(p.kind is p.VAR_POSITIONAL for p in params):
+                inspect.signature(fn).bind_partial(*shape)  # and the rest passed on
+            else:
+                inspect.signature(fn).bind(*shape)
+    for mod, cls, attr in lt.METHODS:
+        klass = getattr(importlib.import_module("exactsamp." + mod), cls, None)
+        assert isinstance(klass, type), (mod, cls)
+        assert inspect.isfunction(vars(klass).get(attr)), (mod, cls, attr)
