@@ -5,11 +5,16 @@ once per leaf of the tree of its random choices.  During the runs the random
 primitives of exactrand are swapped, at every exactsamp module that binds
 them, for forks at their exact laws:
 
-* skip(r) forks over the updates still to come, Pr[J = j] = r/(j (j-1)),
-  plus one branch for "beyond the stream" (Pr[J > last] = r/last), which
-  every later outcome shares.  sampler_law feeds one update per process
-  call and tells the enumerator the stream time t, so a bank at position r
-  forks over r+1 .. last = r + (m - t) alone, however late it started;
+* skip(r) forks over the bank's positions still to come, Pr[J = j] =
+  r/(j (j-1)), plus one branch for "beyond the stream" (Pr[J > last] =
+  r/last), which every later outcome shares.  sampler_law feeds one update
+  per process call and tells the enumerator the stream time, and each
+  substream remembers the time at which it was made, so a bank made with
+  the update at time b forks over r+1 .. last = m - b + 1 alone, however
+  late it started.  A bank with horizon H skips from H while it holds a
+  position below H, so r may exceed its position; the positions past its
+  last update are still the one "beyond" branch (the only one when r >=
+  last);
 * bernoulli_ratio(num, den) forks with weights num/den and 1 - num/den, and
   so does bernoulli_fraction(q), which draws through it;
 * binomial(M, q) forks over 0 .. M with weights C(M, j) q^j (1 - q)^(M - j);
@@ -133,11 +138,14 @@ def target_distribution(freqs, measure):
 
 class _ForkingRandom(random.Random):
     """A substream whose uniform integer draws fork; other draws raise.  It
-    keeps no state, so one instance serves every substream of a run."""
+    keeps no state but start, the stream time at which it was made (1
+    before the stream), which skip reads, so one instance serves every
+    substream made at one time."""
 
-    def __init__(self, tree):
+    def __init__(self, tree, start):
         super().__init__(0)
         self._tree = tree
+        self.start = start
 
     def _randbelow(self, n):
         return self._tree.fork(n, lambda i: (i, 1, n))
@@ -183,7 +191,7 @@ class _Tree:
         self.num = self.den = 1
         self.coin = None  # this leaf's (state c, accepted), once it meets a coin
         self.zeta = None  # the zeta of every coin
-        self.rng = _ForkingRandom(self)
+        self.rngs = {}  # start time -> the _ForkingRandom of substreams made then
 
     def fork(self, n, branch):
         """The value of this run's branch among n > 0, where branch(i) gives
@@ -208,22 +216,23 @@ class _Tree:
             return False
         path[-1][0] += 1
         self.depth, self.num, self.den, self.coin = 0, 1, 1, None
+        self.time = None  # the next leaf builds its sampler before the stream
         return True
 
     def skip(self, r, rng):
-        """J forked over r+1 .. last, plus one branch beyond, where last is r
-        plus the updates still to come after the one at self.time.  With no
-        time told, the bank is taken to have started with the stream
-        (time = r)."""
+        """J forked over r+1 .. last, plus one branch beyond, where last is
+        the bank's position at the stream's last update: a bank whose
+        generator was made at stream time b (1 with no time told) holds
+        position 1 there.  With r >= last, beyond is the only branch."""
         if self.horizon is None:
             raise UnforkedDraw("skip needs the stream length")
-        last = r + self.horizon - (r if self.time is None else self.time)
+        last = self.horizon - rng.start + 1
 
         def branch(i):
             j = r + 1 + i
-            return (j, r, j * (j - 1)) if j <= last else (j, r, last)
+            return (j, r, j * (j - 1)) if j <= last else (j, r, j - 1)
 
-        return self.fork(last - r + 1, branch)
+        return self.fork(max(last - r, 0) + 1, branch)
 
     def bernoulli_ratio(self, num, den, rng):
         if num <= 0 or num >= den:
@@ -247,7 +256,11 @@ class _Tree:
         return self.fork(len(live), lambda k: (live[k], weights[live[k]], total))
 
     def substream(self, seed, *ids):
-        return self.rng
+        start = self.time or 1
+        rng = self.rngs.get(start)
+        if rng is None:
+            rng = self.rngs[start] = _ForkingRandom(self, start)
+        return rng
 
     def acceptance(self, measure, c, zeta_exact, zeta_bounds):
         return _Coin(c, (zeta_exact, zeta_bounds))

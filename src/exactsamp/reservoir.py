@@ -23,6 +23,19 @@ The units due at one position form a chain in flat int storage (position ->
 first unit, unit -> next unit), so the bank keeps no generator, tuple or
 container per unit.
 
+A bank may have a read horizon H > 1 (the default, 1, is the plain
+reservoir) when no draw reads it before its H-th position.  Its units then
+skip the reservoir's dense start: when the bank is built, each unit in
+ascending order takes a uniform position of 1 .. H with the bank
+generator's randrange, and a unit that takes position r draws its next one
+with skip(max(r, H)).  This is exact from H on: at H a reservoir holds a
+uniform position of 1 .. H, and its next replacement J after H satisfies
+Pr[J > t] = H/t whichever position it holds, so (uniform position,
+skip(H)) is the reservoir's joint law at H, and so is every later state.
+Before H the bank differs (a unit not yet placed is not live), but no
+draw reads it.  Up to position L >= H a unit then draws about
+2 + ln(L/H) times instead of H_L (sliding.py's checkpoint banks use H = W).
+
 A counter outlives the units that held its coordinate: c is read only for
 held coordinates, so a stale counter is never read, and one that is sampled
 again keeps counting from where it is, which the new offset absorbs.  The
@@ -42,24 +55,35 @@ class SamplerBank:
 
     All units draw from one generator, substream(seed, "bank"), the units due
     at a position in ascending order, so a bank is exactly R one-unit
-    reservoirs that share that generator and are updated in unit order (the
+    reservoirs that share that generator, draw their positions at the
+    horizon in unit order when built, and are updated in unit order (the
     tests keep such a unit as the bank's reference).
     """
 
-    def __init__(self, R, seed, start_time=1):
+    def __init__(self, R, seed, start_time=1, horizon=1):
         self.R = R
         self.seed = seed
         self.start_time = start_time  # stream time of this bank's first update
+        self.horizon = horizon  # the first position a draw may read
         self.r_seen = 0
         self.counters = {}  # coord -> occurrences since its counter was made
         self.unit_s = [None] * R
         self.unit_t = [0] * R
         self.unit_offset = [0] * R
-        self.rng = substream(seed, "bank")
+        self.rng = rng = substream(seed, "bank")
         # head[j]: first unit due at position j; nxt[i]: the unit after i on
-        # its chain, -1 at the end.  All units accept position 1 first.
-        self.head = {1: 0} if R else {}
-        self.nxt = [*range(1, R), -1]
+        # its chain, -1 at the end.  At horizon 1 all units accept position 1
+        # first; otherwise each, in ascending order, takes a uniform one of
+        # 1 .. horizon, the position it holds at the horizon.
+        if horizon == 1:
+            self.head = {1: 0} if R else {}
+            self.nxt = [*range(1, R), -1]
+        else:
+            head, nxt = self.head, self.nxt = {}, [-1] * R
+            for i in range(R):
+                j = rng.randrange(horizon) + 1
+                nxt[i] = head.get(j, -1)
+                head[j] = i
 
     # Kept for perfbench's layer tracer, which wraps this method by name.
     def update(self, coord):
@@ -75,7 +99,7 @@ class SamplerBank:
         r = r0 = self.r_seen
         counters, head, nxt = self.counters, self.head, self.nxt
         unit_s, unit_t, unit_offset = self.unit_s, self.unit_t, self.unit_offset
-        rng, cap = self.rng, 2 * self.R
+        rng, cap, horizon = self.rng, 2 * self.R, self.horizon
         shift = self.start_time - 1  # position r is stream time shift + r
         picks = []
         for coord in coords:
@@ -94,11 +118,12 @@ class SamplerBank:
             if offset is None:
                 offset = counters[coord] = 1  # the sampled occurrence itself
             when = shift + r
+            held = r if r >= horizon else horizon  # next draws skip from here
             for i in picked:
                 unit_s[i] = coord
                 unit_t[i] = when
                 unit_offset[i] = offset
-                j = skip(r, rng)
+                j = skip(held, rng)
                 nxt[i] = head.get(j, -1)
                 head[j] = i
             if len(counters) > cap:

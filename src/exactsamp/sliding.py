@@ -4,7 +4,13 @@ CheckpointedSampler: a fresh SamplerBank starts every W updates and the two
 most recent banks are kept, so at any time the older live bank started at or
 before the window start and within 2W of it.  A repetition succeeds only if
 its reservoir sample is still active (t_s > t - W); conditioned on success
-the law telescopes to G(f_i)/F_G over the active window.
+the law telescopes to G(f_i)/F_G over the active window.  A bank started at
+b > 1 is first read at b + W - 1, its W-th position (active_bank_start), so
+it is built with read horizon W (reservoir.SamplerBank): each unit takes its
+position at W with one uniform draw and skips from W, about R(2 + ln 2)
+draws over the bank's 2W updates instead of R H_{2W}, and from W on the bank
+has the reservoir's law, so every draw reads that law.  The first bank is
+read from t = 1 and keeps horizon 1.
 
 SlidingLpSampler: the same checkpoint banks over G = x^p, with zeta read at
 each draw by the one L_p rule, gsampler.lp_zeta's p Z^{p-1}, as GSampler
@@ -62,7 +68,8 @@ class CheckpointedSampler(UnitUpdates):
             t = self.t + 1  # the time of coords[k]
             if (t - 1) % W == 0:
                 seed = subseed(self.seed, "bank", t)
-                self.banks.append((t, SamplerBank(self.R, seed, start_time=t)))
+                horizon = 1 if t == 1 else W  # the first position a draw reads
+                self.banks.append((t, SamplerBank(self.R, seed, start_time=t, horizon=horizon)))
                 if len(self.banks) > 2:
                     self.banks.pop(0)
             stop = min(end, k + W - (t - 1) % W)
@@ -77,7 +84,8 @@ class CheckpointedSampler(UnitUpdates):
         for start, bank in self.banks:
             if start == want:
                 return bank
-        return self.banks[0][1]
+        raise RuntimeError("no live bank starts at %d (time %d, W = %d)"
+                           % (want, self.t, self.W))
 
     def draw(self):
         if self.t == 0:

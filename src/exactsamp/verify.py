@@ -7,12 +7,14 @@ returns a VerifyReport that compares the law against its target:
 
 * exact rationals (oracle.sampler_law, order_law, enumerate_law) where the
   acceptance coin is rational: the conditional law must equal the target,
-  and where a fail-mass rule is known (GSampler, F0, Tukey, the first
-  pair's harvest) the fail mass must meet it and the bottom mass be 0;
+  and where a fail-mass rule is known (GSampler, the checkpointed and
+  sliding L_p samplers, F0, Tukey, the first pair's harvest) the fail mass
+  must meet it and the bottom mass be 0;
 * the coin kept symbolic (oracle.symbolic_sampler_law, symbolic_law) where
   it is not: index i's form, times zeta over the basis {G(x)}, must be
-  kappa G(f_i), with kappa = 1/m where the sampler fixes it and one
-  kappa > 0 for every i elsewhere.
+  kappa G(f_i), with kappa = 1/m (1/L over a window's bank of L
+  positions) where the sampler fixes it and one kappa > 0 for every i
+  elsewhere.
 
 QUICK is the battery `exactsamp verify` runs: (report name, input id,
 checker, input) rows, mapped through the checkers.  The Tier-1 exact-law
@@ -33,7 +35,7 @@ from .matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
 from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
 from .oracle import target_distribution
 from .randomorder import PairL2Sampler
-from .sliding import CheckpointedSampler, SlidingLpSampler
+from .sliding import CheckpointedSampler, SlidingLpSampler, active_bank_start
 
 N = 3  # the tiny streams' coordinates are 1..N
 
@@ -93,20 +95,28 @@ def _window(coords, W=None):
     return Counter(coords[max(0, len(coords) - W):] if W else coords)
 
 
-def gsampler(measure, coords, n=N):
-    """GSampler at rational G, its fail mass 1 - F_G/(zeta m) at the zeta
-    the sampler reads for its draw."""
+def _with_fail_mass(make, measure, coords, freqs, length):
+    """verify_exact of one draw of the sampler make() builds, after coords,
+    against G over freqs, with fail mass 1 - F_G/(zeta length) at the zeta
+    the sampler reads for its draw: at R = 1 its unit holds a uniform one
+    of length positions, and the acceptance probabilities of i's live
+    positions telescope to G(f_i)/zeta."""
     built = []
 
-    def make():
-        built[:] = [GSampler(measure, n, len(coords), repetitions=1)]
+    def build():
+        built[:] = [make()]
         return built[0]
 
-    law = oracle.sampler_law(make, coords)
-    freqs = Counter(coords)
+    law = oracle.sampler_law(build, coords)
     zeta, _ = built[0]._zeta_at_draw()
     fg = sum(measure.g_exact(f) for f in freqs.values())
-    return verify_exact(law, target_distribution(freqs, measure), 1 - fg / (zeta * len(coords)))
+    return verify_exact(law, target_distribution(freqs, measure), 1 - fg / (zeta * length))
+
+
+def gsampler(measure, coords, n=N):
+    """GSampler at rational G, its fail mass 1 - F_G/(zeta m)."""
+    return _with_fail_mass(lambda: GSampler(measure, n, len(coords), repetitions=1), measure,
+                           coords, Counter(coords), len(coords))
 
 
 def gsampler_symbolic(measure, coords, n=N):
@@ -138,27 +148,43 @@ def matrix_symbolic(cells, n=N, d=N):
                            Fraction(1, len(cells)))
 
 
+def _bank_length(coords, W):
+    """L = t - b + 1, the positions seen by the bank a draw at t =
+    len(coords) reads, the one started at b = active_bank_start(t, W).  Its
+    unit holds a uniform one of them only if the bank's horizon is at most
+    L: a later horizon leaves the unit unplaced with positive probability,
+    which raises the fail mass and leaves the conditional law exact."""
+    t = len(coords)
+    return t - active_bank_start(t, W) + 1
+
+
 def checkpointed(measure, coords, W):
-    law = oracle.sampler_law(lambda: CheckpointedSampler(measure, W, N, repetitions=1), coords)
-    return verify_exact(law, target_distribution(_window(coords, W), measure))
+    """CheckpointedSampler at rational G, its fail mass 1 - F_G(window)/(zeta L)."""
+    return _with_fail_mass(lambda: CheckpointedSampler(measure, W, N, repetitions=1), measure,
+                           coords, _window(coords, W), _bank_length(coords, W))
 
 
 def checkpointed_symbolic(measure, coords, W):
+    """CheckpointedSampler at any G: index i's form is G(f_i(window))/L."""
     forms = oracle.symbolic_sampler_law(
         lambda: CheckpointedSampler(measure, W, N, repetitions=1), coords)
-    return verify_symbolic(forms, measure, _window(coords, W))
+    return verify_symbolic(forms, measure, _window(coords, W),
+                           Fraction(1, _bank_length(coords, W)))
 
 
 def sliding_lp(p, coords, W):
-    """SlidingLpSampler at integer p, where zeta = p max_f^{p-1} is rational."""
-    law = oracle.sampler_law(lambda: SlidingLpSampler(p, W, N, repetitions=1), coords)
-    return verify_exact(law, target_distribution(_window(coords, W), lp_measure(p)))
+    """SlidingLpSampler at integer p, where zeta = p max_f^{p-1} is rational,
+    its fail mass 1 - F_p(window)/(zeta L)."""
+    return _with_fail_mass(lambda: SlidingLpSampler(p, W, N, repetitions=1), lp_measure(p),
+                           coords, _window(coords, W), _bank_length(coords, W))
 
 
 def sliding_lp_symbolic(p, coords, W):
+    """SlidingLpSampler at any p: index i's form is f_i(window)^p/L."""
     forms = oracle.symbolic_sampler_law(
         lambda: SlidingLpSampler(p, W, N, repetitions=1), coords)
-    return verify_symbolic(forms, lp_measure(p), _window(coords, W))
+    return verify_symbolic(forms, lp_measure(p), _window(coords, W),
+                           Fraction(1, _bank_length(coords, W)))
 
 
 def pair_l2(window, n):

@@ -26,7 +26,8 @@ Each test pins one headline guarantee at its stated tolerance:
  9. duplicated-exponential sampler TV <= 0.05;
 10. the inclusive-counter mutant, injected into the real reservoir bank, is
     rejected by the exactness battery at the shipped zeta and by the
-    symbolic sweep.
+    symbolic sweep; checkpoint banks with too late a horizon are rejected
+    by the fail mass of the sliding sweep and of the battery.
 """
 
 import itertools
@@ -36,6 +37,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from statcheck import np_substream
 
 from exactsamp import oracle, verify
@@ -150,10 +152,12 @@ def test_exact_laws_matrix():
 def test_exact_laws_sliding_window():
     # One draw of the real CheckpointedSampler at R = 1, every branch, for
     # every stream with m <= 4 and W <= 6; at Fair its coin is kept symbolic,
-    # and index i's form must be kappa G(f_i) over the window, with one
-    # kappa > 0 for every i.  The real SlidingLpSampler at R = 1 on the same
-    # streams, at p = 1, 2 and 3, whose zeta = p max_f^{p-1} of the bracket
-    # row is rational, and symbolically at p = 3/2, where it is not.
+    # and index i's form must be G(f_i) over the window times 1/L, L the
+    # positions the draw's bank has seen.  The real SlidingLpSampler at R = 1
+    # on the same streams, at p = 1, 2 and 3, whose zeta = p max_f^{p-1} of
+    # the bracket row is rational, and symbolically at p = 3/2, where it is
+    # not.  The rational checks pin the fail mass 1 - F_G(window)/(zeta L)
+    # too, which a bank read before its horizon would raise.
     l1, hub, fair = lp_measure(1), huber_measure(2), fair_measure(2)
     checked = Counter()
     for m in range(1, 5):
@@ -567,7 +571,8 @@ def test_smallp_tv_bound():
 
 
 # ---------------------------------------------------------------------------
-# 10. mutation sensitivity: the inclusive-counter variant must be rejected
+# 10. mutation sensitivity: the inclusive-counter and late-horizon variants
+# must be rejected
 
 
 def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
@@ -605,3 +610,28 @@ def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
         assert got != want, coords
     got, _ = laws(verify.gsampler_symbolic, fair, [1, 1, 2])
     assert got[1] == {3: Fraction(1, 3), 1: Fraction(-1, 3)}
+
+
+def test_late_horizon_mutant_fails_exactness(monkeypatch):
+    # Checkpoint banks built with horizon W + 1 instead of W: a draw at the
+    # W-th position of such a bank finds a unit still unplaced with
+    # probability 1/(W + 1).  The conditional law stays exact, since an
+    # unplaced unit is only not live, so the fail mass alone must reject it:
+    # in the sliding sweep and in a row of the battery `exactsamp verify`
+    # runs.
+    init = SamplerBank.__init__
+
+    def late(self, R, seed, start_time=1, horizon=1):
+        init(self, R, seed, start_time, horizon + 1 if start_time > 1 else horizon)
+
+    monkeypatch.setattr(SamplerBank, "__init__", late)
+    # The sweep stops at the first case that reads a warm bank: t = 2 at
+    # W = 1, the bank started at 2.
+    with pytest.raises(AssertionError, match=r"^\(\(1, 1\), 1, 'lp\(1\)'\)"):
+        test_exact_laws_sliding_window()
+    rows = [(name, sid, check(*args)) for name, sid, check, args in verify.QUICK]
+    bad = {(name, sid): rep for name, sid, rep in rows if not rep.ok}
+    assert ("sw-gsampler/l1", "s2/W=2") in bad, sorted(bad)
+    rep = bad["sw-gsampler/l1", "s2/W=2"]
+    assert rep.conditional_law == rep.target_law
+    assert rep.mass_fail > rep.mass_fail_target

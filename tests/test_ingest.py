@@ -114,14 +114,16 @@ def test_batch_splits_match_one_call_per_coordinate(pairs, cuts):
             s = make()
             # Bare coordinates for the random split, Update objects otherwise.
             feed = bare if sizes is cuts and not matrix else updates
+            fed = 0
             for batch in _batches(feed, sizes):
                 s.process(batch)
-                for _, bank in _banks(s):
+                fed += len(batch)
+                # Each bank against its reference, at its own horizon.
+                for start, bank in _banks(s):
                     assert len(bank.counters) <= 2 * bank.R + 1, (name, sizes)
+                    assert bank.snapshot() == _naive_units(
+                        bank.R, bank.seed, bare[start - 1:fed], start, bank.horizon), (name, fed)
             assert _fingerprint(s) == want, (name, sizes)
-            for start, bank in _banks(s):
-                assert bank.snapshot() == _naive_units(bank.R, bank.seed, bare[start - 1:],
-                                                       start), (name, start)
             assert _draws(s) == want_draws, (name, sizes)
 
 

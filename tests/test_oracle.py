@@ -19,6 +19,7 @@ from exactsamp.oracle import (
     sampler_law,
     target_distribution,
 )
+from exactsamp.reservoir import SamplerBank
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 
 
@@ -252,6 +253,26 @@ def test_skip_forks_over_the_rest_of_the_stream_only():
         untold = enumerate_law(whole_stream, len(coords))
     assert told == untold and told.conditional() == {3: Fraction(1)}
     assert leaves == [48, 864]
+
+
+def test_skip_from_the_horizon_forks_only_within_the_stream():
+    # A one-unit bank with horizon 3, fed 2 updates: its unit takes position
+    # 1, 2 or 3, and at 1 or 2 it skips from 3, past the stream's last
+    # position, so no skip forks: 3 leaves, with the unit at 1, at 2, or
+    # not yet placed.
+    leaves = []
+
+    def run():
+        leaves.append(0)
+        bank = SamplerBank(1, 0, horizon=3)
+        bank.extend([5, 6])
+        s = bank.unit_s[0]
+        return SampleResult.fail() if s is None else SampleResult.of(s)
+
+    law = enumerate_law(run, 2)
+    assert len(leaves) == 3
+    third = Fraction(1, 3)
+    assert (law.probs, law.mass_fail) == ({5: third, 6: third}, third)
 
 
 def test_pair_law_example():

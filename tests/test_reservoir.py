@@ -10,24 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from statcheck import gof_test
 
+from exactsamp.core import SampleResult
 from exactsamp.exactrand import skip, substream
+from exactsamp.oracle import enumerate_law
 from exactsamp.reservoir import SamplerBank
 
 
 class ReservoirUnit:
     """One reservoir unit on its own, the reference the bank is checked
     against: it holds the sampled occurrence s, its time t_s and the count c
-    of later occurrences of s."""
+    of later occurrences of s.  With horizon H > 1 it first accepts a
+    uniform position of 1 .. H, drawn when it is built, and skips from
+    max(r, H)."""
 
-    __slots__ = ("rng", "s", "t_s", "c", "r_seen", "next_accept")
+    __slots__ = ("rng", "horizon", "s", "t_s", "c", "r_seen", "next_accept")
 
-    def __init__(self, rng):
+    def __init__(self, rng, horizon=1):
         self.rng = rng
+        self.horizon = horizon
         self.s = None
         self.t_s = 0
         self.c = 0
         self.r_seen = 0
-        self.next_accept = 1
+        self.next_accept = 1 if horizon == 1 else rng.randrange(horizon) + 1
 
     def update(self, coord, time=None):
         r = self.r_seen + 1
@@ -36,7 +41,7 @@ class ReservoirUnit:
             self.s = coord
             self.t_s = time if time is not None else r
             self.c = 0
-            self.next_accept = skip(r, self.rng)
+            self.next_accept = skip(max(r, self.horizon), self.rng)
         elif coord == self.s:
             self.c += 1
 
@@ -86,11 +91,12 @@ def test_reservoir_uniformity():
         assert abs(hits[pos] - expect) < 4.5 * sigma
 
 
-def _naive_units(R, seed, coords, start_time=1):
-    # The bank's reference: R units sharing the bank's one generator, updated
-    # in unit order at every position.
+def _naive_units(R, seed, coords, start_time=1, horizon=1):
+    # The bank's reference: R units sharing the bank's one generator, which
+    # draw their positions at the horizon in unit order when built and are
+    # updated in unit order at every position.
     rng = substream(seed, "bank")
-    units = [ReservoirUnit(rng) for _ in range(R)]
+    units = [ReservoirUnit(rng, horizon) for _ in range(R)]
     for t, c in enumerate(coords, start=start_time):
         for u in units:
             u.update(c, t)
@@ -105,6 +111,38 @@ def test_bank_matches_naive_units(coords, R, seed):
     for c in coords:
         bank.update(c)
     assert bank.snapshot() == _naive_units(R, seed, coords)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=50),
+       st.integers(1, 8), st.integers(0, 10 ** 6), st.integers(2, 12))
+@settings(max_examples=120, deadline=None)
+def test_horizon_bank_matches_naive_units(coords, R, seed, horizon):
+    bank = SamplerBank(R, seed, horizon=horizon)
+    for k, c in enumerate(coords, 1):
+        bank.update(c)
+        assert bank.snapshot() == _naive_units(R, seed, coords[:k], horizon=horizon), k
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_horizon_bank_has_the_plain_law_from_its_horizon(R):
+    # The joint law of the R units' (coordinate, time, count), enumerated
+    # over every branch: a bank with horizon 3 read at position r >= 3 has
+    # the plain bank's law.  The stream's coordinates repeat, so the counts
+    # are read too.
+    coords = [1, 2, 1, 1, 2, 1]
+
+    def snapshot_law(horizon, r):
+        def run():
+            bank = SamplerBank(R, 0, horizon=horizon)
+            bank.extend(coords[:r])
+            return SampleResult.of(tuple(bank.snapshot()))
+
+        return enumerate_law(run, r)
+
+    for r in (3, 4, 6):
+        plain = snapshot_law(1, r)
+        assert snapshot_law(3, r) == plain, r
+        assert len(plain.probs) > 1
 
 
 def test_bank_counters_rebuilt_from_the_held_coordinates():

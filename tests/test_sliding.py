@@ -1,8 +1,10 @@
 import time
 from collections import Counter
 
+import pytest
 from statcheck import gof_test
 
+from exactsamp import reservoir
 from exactsamp.core import huber_measure, lp_measure
 from exactsamp.exactrand import substream
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler, active_bank_start
@@ -48,6 +50,55 @@ def test_active_bank_start_flat_in_t():
 
     small, large = best(10 ** 3), best(10 ** 7)
     assert large <= 3 * small, (large, small)
+
+
+def test_draw_bank_starts_where_the_window_needs_and_is_past_its_horizon():
+    # Fed one update at a time, at every t the draw reads the live bank that
+    # starts at active_bank_start(t, W), and that bank has seen at least
+    # its horizon (1 for the first bank, W for the others).
+    for W in range(1, 6):
+        s = CheckpointedSampler(lp_measure(1), W, repetitions=2)
+        for t in range(1, 6 * W + 1):
+            s.process([t % 3 + 1])
+            bank = s._draw_bank()
+            (start,) = [b for b, live in s.banks if live is bank]
+            assert start == active_bank_start(t, W), (W, t)
+            assert bank.horizon == (1 if start == 1 else W)
+            assert bank.r_seen >= bank.horizon, (W, t)
+
+
+def test_draw_bank_raises_without_the_active_bank():
+    s = CheckpointedSampler(lp_measure(1), W=3, repetitions=2)
+    s.process([1, 2, 3, 1, 2, 3])
+    s.banks.pop()  # the bank started at 4, which a draw at t = 6 reads
+    with pytest.raises(RuntimeError, match="no live bank starts at 4"):
+        s.draw()
+
+
+def test_warm_banks_skip_about_once_per_unit(monkeypatch):
+    # Every bank after the first has horizon W: each unit takes a uniform
+    # position of 1 .. W with one randrange, skips from W there, and expects
+    # ln 2 more skips over the rest of the bank's 2W updates, 1 + ln 2 ~
+    # 1.69 per unit at any W.  Replaying the reservoir's dense start took
+    # H_{2W} per unit (5.4 at W = 64, 9.6 at W = 4096, over these six banks).
+    R, real = 256, reservoir.skip
+    draws = Counter()
+
+    def counting(r, rng):
+        draws[rng] += 1
+        return real(r, rng)
+
+    monkeypatch.setattr(reservoir, "skip", counting)
+    for W in (64, 4096):
+        s = CheckpointedSampler(lp_measure(1), W, repetitions=R)
+        banks = []
+        for _ in range(8):
+            s.process([1] * W)
+            banks.append(s.banks[-1][1])
+        # Banks 2 .. 7 (started at W + 1 .. 6W + 1) have seen all 2W updates.
+        for bank in banks[1:7]:
+            assert bank.r_seen == 2 * W
+            assert 1 <= draws[bank.rng] / R <= 2, (W, bank.start_time, draws[bank.rng] / R)
 
 
 def test_bottom_on_empty():
@@ -169,9 +220,10 @@ def test_sliding_lp_draw_reads_units_lazily(monkeypatch):
 
 def test_sliding_lp_ingest_within_ratio_of_bare_histogram():
     # Scaling guard as a ratio on one stream: all R units run in the two
-    # checkpoint banks, O(R log W / W) expected skips per update, so ingest
-    # stays within a constant factor of the histogram alone (per-row banks
-    # made it ~350x at R=512).
+    # checkpoint banks, and every bank after the first places its units with
+    # R draws and skips about R(1 + ln 2) times over its 2W updates, O(R/W)
+    # expected draws per update, so ingest stays within a constant factor of
+    # the histogram alone (per-row banks made it ~350x at R=512).
     coords = [c % 100 + 1 for c in range(400)]
     substream(21, "ratio").shuffle(coords)
 
