@@ -68,12 +68,28 @@ class Record:
         return type(self), self._values(self)
 
 
+def integral(v):
+    """Whether v is an integer: an int, or of a type with __index__ (bool,
+    numpy's integers).  A float is not, even an integral one."""
+    return type(v) is int or hasattr(type(v), "__index__")
+
+
+def not_integer(what, v):
+    """The error for a coordinate or column that is not an integer."""
+    return ValueError("%s %r is not an integer" % (what, v))
+
+
 class Update(Record):
-    """One stream update; col is set in matrix mode, where coord is the row."""
+    """One stream update; col is set in matrix mode, where coord is the row.
+    A coordinate or column that is not an integer raises ValueError."""
 
     __slots__ = ("coord", "delta", "time", "col")
 
     def __init__(self, coord, delta=1, time=0, col=None):
+        if not integral(coord):
+            raise not_integer("coordinate", coord)
+        if col is not None and not integral(col):
+            raise not_integer("column", col)
         _set(self, "coord", coord)
         _set(self, "delta", delta)
         _set(self, "time", time)
@@ -128,9 +144,9 @@ class UnitUpdates:
 
     process checks a whole batch, then hands its coordinates to the class's
     ingest(coords), the one loop over each state structure it keeps; a
-    per-call update(coord) is a batch of one.  A sampler with a universe
-    size n (None: coordinates are not checked) rejects coordinates outside
-    [1, n]."""
+    per-call update(coord) is a batch of one.  A coordinate that is not an
+    integer is rejected, and a sampler with a universe size n (None: any
+    integer) rejects coordinates outside [1, n]."""
 
     n = None
 
@@ -150,8 +166,11 @@ class UnitUpdates:
                 # All bare ints: checked by min and max, and fed as they are.
                 coords, deltas = updates, set()
             else:
+                # An Update's coordinate was checked when it was built.
                 coords = [getattr(u, "coord", u) for u in updates]
                 deltas = {getattr(u, "delta", 1) for u in updates}
+                if not all(map(integral, coords)):
+                    raise self._rejection(updates)
         n = self.n
         if (deltas - {1}
                 or (n is not None and coords and not (1 <= min(coords) and max(coords) <= n))):
@@ -161,8 +180,8 @@ class UnitUpdates:
     def update(self, coord):
         """Feed one coordinate."""
         n = self.n
-        if n is not None and not 1 <= coord <= n:
-            raise outside(coord, n)
+        if not integral(coord) or n is not None and not 1 <= coord <= n:
+            raise self._rejection((coord,))
         self.ingest((coord,))
 
     def _rejection(self, updates):
@@ -173,6 +192,8 @@ class UnitUpdates:
                 return ValueError("%s takes unit insertions, got delta %d"
                                   % (type(self).__name__, u.delta))
             c = getattr(u, "coord", u)
+            if not integral(c):
+                return not_integer("coordinate", c)
             if n is not None and not 1 <= c <= n:
                 return outside(c, n)
 
@@ -213,7 +234,7 @@ class MeasureFunction:
     zeta is None when the increment bound is not static: L_p with p > 1
     takes gsampler.lp_zeta's zeta = p Z^{p-1} at draw time, from a bound Z
     on the largest frequency (Misra-Gries, the multipass Z narrowing, or a
-    sliding window's smooth histogram).
+    sliding window's exact largest frequency).
     """
 
     name = "abstract"

@@ -14,13 +14,20 @@ read from t = 1 and keeps horizon 1.
 
 SlidingLpSampler: the same checkpoint banks over G = x^p, with zeta read at
 each draw by the one L_p rule, gsampler.lp_zeta's p Z^{p-1}, as GSampler
-reads it from Misra-Gries.  Here Z = max_f, the exact largest frequency of
-the smooth histogram's bracket row (smoothhist).  That row's suffix contains
-the window, so a live repetition's state c has c + 1 <= f(window) <= max_f
-and its increment (c+1)^p - c^p <= p (c+1)^{p-1} <= zeta; the histogram is
-a function of the stream alone, so zeta is too, and the law telescopes to
-f_i^p / F_p(window) as above.  R is sized for the factor-2 invariant:
-max_f <= L_p(suffix) <= 2 L_p(window), so zeta <= p 2^{p-1} L_p(window)^{p-1}.
+reads it from Misra-Gries.  Here Z = max_f, the window's exact largest
+frequency, which a WindowCounter beside the banks keeps in O(1) per update
+(smoothhist).  A live repetition's state c has c + 1 <= f(window) <= max_f,
+so its increment (c+1)^p - c^p <= p (c+1)^{p-1} <= zeta; the counter is a
+function of the stream alone, so zeta is too, and the law telescopes to
+f_i^p / F_p(window) as above.  R: the window holds m = min(t, W) updates
+and the draw's bank has seen L positions, m <= L < 2m, so its unit is live
+with probability m/L > 1/2, and a live one succeeds with
+F_p(window)/(zeta m).  Since max_f <= L_p(window), zeta <= p L_p^{p-1}, and
+Hoelder over the window's at most m coordinates gives m = F_1 <=
+m^{1-1/p} L_p, so F_p/(zeta m) >= L_p/(p m) >= 1/(p W^{1-1/p}).  A
+repetition succeeds with probability at least 1/(2p W^{1-1/p}), and
+R = repetitions_for(2p W^{1-1/p}, delta), without the 2^{p-1} that a Z up to
+2 L_p(window) would cost.
 """
 
 from .core import SampleResult, UnitUpdates, check_window, exponent, lp_measure
@@ -28,7 +35,7 @@ from .exactrand import subseed, substream
 from .gsampler import (DrawState, accept_and_pick, fraction_zeta, lp_zeta, repetition_result,
                        repetitions_for)
 from .reservoir import SamplerBank
-from .smoothhist import SmoothHistogram
+from .smoothhist import WindowCounter
 
 
 def active_bank_start(t, W):
@@ -117,17 +124,15 @@ class SlidingLpSampler(CheckpointedSampler):
         check_window(W)
         if repetitions is None:
             pf = float(p)
-            bound = pf * 2.0 ** (pf - 1.0) * W ** (1.0 - 1.0 / pf)
-            repetitions = repetitions_for(2 * bound, delta)
+            repetitions = repetitions_for(2 * pf * W ** (1.0 - 1.0 / pf), delta)
         super().__init__(lp_measure(p), W, n, delta, seed, repetitions=repetitions)
         self.p = p
-        self.hist = SmoothHistogram(p, W)
+        self.counter = WindowCounter(W)
 
     def ingest(self, coords):
         super().ingest(coords)
-        self.hist.ingest(coords)
+        self.counter.ingest(coords)
 
     def _draw_zeta(self):
-        """lp_zeta at Z = the bracket row's largest frequency: 2 max_f at
-        p = 2."""
-        return lp_zeta((self.hist.bracket().est.max_f, 1), self.p)
+        """lp_zeta at Z = the window's largest frequency: 2 max_f at p = 2."""
+        return lp_zeta((self.counter.max_f, 1), self.p)

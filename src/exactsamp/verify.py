@@ -95,12 +95,13 @@ def _window(coords, W=None):
     return Counter(coords[max(0, len(coords) - W):] if W else coords)
 
 
-def _with_fail_mass(make, measure, coords, freqs, length):
+def _with_fail_mass(make, measure, coords, freqs, length, zeta=None):
     """verify_exact of one draw of the sampler make() builds, after coords,
-    against G over freqs, with fail mass 1 - F_G/(zeta length) at the zeta
-    the sampler reads for its draw: at R = 1 its unit holds a uniform one
-    of length positions, and the acceptance probabilities of i's live
-    positions telescope to G(f_i)/zeta."""
+    against G over freqs, with fail mass 1 - F_G/(zeta length): at R = 1 its
+    unit holds a uniform one of length positions, and the acceptance
+    probabilities of i's live positions telescope to G(f_i)/zeta.  zeta is
+    the one the checker derives from the input, or, where None, the one the
+    sampler reads for its draw."""
     built = []
 
     def build():
@@ -108,7 +109,8 @@ def _with_fail_mass(make, measure, coords, freqs, length):
         return built[0]
 
     law = oracle.sampler_law(build, coords)
-    zeta, _ = built[0]._zeta_at_draw()
+    if zeta is None:
+        zeta, _ = built[0]._zeta_at_draw()
     fg = sum(measure.g_exact(f) for f in freqs.values())
     return verify_exact(law, target_distribution(freqs, measure), 1 - fg / (zeta * length))
 
@@ -159,9 +161,10 @@ def _bank_length(coords, W):
 
 
 def checkpointed(measure, coords, W):
-    """CheckpointedSampler at rational G, its fail mass 1 - F_G(window)/(zeta L)."""
+    """CheckpointedSampler at rational G, its fail mass 1 - F_G(window)/(zeta L)
+    at the measure's static zeta."""
     return _with_fail_mass(lambda: CheckpointedSampler(measure, W, N, repetitions=1), measure,
-                           coords, _window(coords, W), _bank_length(coords, W))
+                           coords, _window(coords, W), _bank_length(coords, W), measure.zeta)
 
 
 def checkpointed_symbolic(measure, coords, W):
@@ -173,10 +176,12 @@ def checkpointed_symbolic(measure, coords, W):
 
 
 def sliding_lp(p, coords, W):
-    """SlidingLpSampler at integer p, where zeta = p max_f^{p-1} is rational,
-    its fail mass 1 - F_p(window)/(zeta L)."""
+    """SlidingLpSampler at integer p, its fail mass 1 - F_p(window)/(zeta L) at
+    zeta = p max_f^{p-1}, max_f the window's largest frequency."""
+    window = _window(coords, W)
     return _with_fail_mass(lambda: SlidingLpSampler(p, W, N, repetitions=1), lp_measure(p),
-                           coords, _window(coords, W), _bank_length(coords, W))
+                           coords, window, _bank_length(coords, W),
+                           p * max(window.values()) ** (p - 1))
 
 
 def sliding_lp_symbolic(p, coords, W):

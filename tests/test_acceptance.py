@@ -12,7 +12,7 @@ Each test pins one headline guarantee at its stated tolerance:
     irrational;
  2. per-repetition success probability: exactly F_G/(zeta m) at the
     sampler's own zeta on every tiny stream of item 1, and exact lower
-    bounds on the shipped Misra-Gries and smooth-histogram zeta;
+    bounds on the shipped Misra-Gries and window-counter zeta;
  3. fidelity at scale: at the zeta each measure ships with, every increment
     of a 100-coordinate Zipf(1.2) stream is accepted with probability at
     most 1, which is all the telescoping law needs beyond item 1; and the
@@ -26,8 +26,9 @@ Each test pins one headline guarantee at its stated tolerance:
  9. duplicated-exponential sampler TV <= 0.05;
 10. the inclusive-counter mutant, injected into the real reservoir bank, is
     rejected by the exactness battery at the shipped zeta and by the
-    symbolic sweep; checkpoint banks with too late a horizon are rejected
-    by the fail mass of the sliding sweep and of the battery.
+    symbolic sweep; checkpoint banks with too late a horizon, and window
+    samplers that read twice their zeta, are rejected by the fail mass of
+    the sliding sweep and of the battery.
 """
 
 import itertools
@@ -57,7 +58,7 @@ from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_l
 from exactsamp.randomorder import PairL2Sampler, alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
 from exactsamp.smallp import DuplicatedExpState
-from exactsamp.smoothhist import SmoothHistogram
+from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,10 @@ def test_exact_laws_sliding_window():
     # and index i's form must be G(f_i) over the window times 1/L, L the
     # positions the draw's bank has seen.  The real SlidingLpSampler at R = 1
     # on the same streams, at p = 1, 2 and 3, whose zeta = p max_f^{p-1} of
-    # the bracket row is rational, and symbolically at p = 3/2, where it is
-    # not.  The rational checks pin the fail mass 1 - F_G(window)/(zeta L)
-    # too, which a bank read before its horizon would raise.
+    # the window is rational, and symbolically at p = 3/2, where it is not.
+    # The rational checks pin the fail mass 1 - F_G(window)/(zeta L) too, at
+    # the zeta derived from the input, which a bank read before its horizon,
+    # or a sampler reading a larger zeta, would raise.
     l1, hub, fair = lp_measure(1), huber_measure(2), fair_measure(2)
     checked = Counter()
     for m in range(1, 5):
@@ -265,23 +267,25 @@ def test_success_bound_lp_above_one():
 
 
 def test_success_bound_sliding_lp():
-    # Sliding L_p with the shipped zeta = p max_f^{p-1} of the bracket row:
-    # every state c < f of the window is accepted with probability at most
-    # 1, and a live repetition succeeds with probability
-    # F_p(window)/(zeta W) >= 1/(p 2^{p-1} W^{1-1/p}), i.e.
-    # p 2^{p-1} W^{1-1/p} F_p(window) >= zeta W.
+    # Sliding L_p with the shipped zeta = p max_f^{p-1}, max_f the window's
+    # largest frequency as the sampler's window counter keeps it: every
+    # state c < f of the window is accepted with probability at most 1, and
+    # a live repetition succeeds with probability
+    # F_p(window)/(zeta W) >= 1/(p W^{1-1/p}), i.e.
+    # p W^{1-1/p} F_p(window) >= zeta W.
     W = 64
     freqs = zipf_freqs(10, 60)
     coords = freq_stream(freqs, seed=3) * 3  # length 3x window-ish suffixes
     window = Counter(coords[-W:])
     for p in (Fraction(3, 2), Fraction(2)):
-        hist = SmoothHistogram(p, W)
-        hist.ingest(coords)
-        zeta = lp_zeta(Fraction(hist.bracket().est.max_f), p)
+        s = SlidingLpSampler(p, W, repetitions=1)
+        s.process(coords)
+        assert s.counter.max_f == max(window.values())
+        zeta = lp_zeta(Fraction(s.counter.max_f), p)
         meas = lp_measure(p)
         assert all(_accepts_at_most_one(meas, c, *zeta) for c in range(max(window.values())))
         zeta_hi = _zeta_upper(*zeta)
-        lhs = p * _lower(2, p - 1) * _lower(W, 1 - 1 / p) * _fp_lower(window, p)
+        lhs = p * _lower(W, 1 - 1 / p) * _fp_lower(window, p)
         assert lhs >= zeta_hi * W, (p, float(lhs), float(zeta_hi * W))
 
 
@@ -571,8 +575,8 @@ def test_smallp_tv_bound():
 
 
 # ---------------------------------------------------------------------------
-# 10. mutation sensitivity: the inclusive-counter and late-horizon variants
-# must be rejected
+# 10. mutation sensitivity: the inclusive-counter, late-horizon and
+# doubled-zeta variants must be rejected
 
 
 def test_inclusive_counter_mutant_fails_exactness(monkeypatch):
@@ -635,3 +639,36 @@ def test_late_horizon_mutant_fails_exactness(monkeypatch):
     rep = bad["sw-gsampler/l1", "s2/W=2"]
     assert rep.conditional_law == rep.target_law
     assert rep.mass_fail > rep.mass_fail_target
+
+
+def _doubled(draw_zeta):
+    """draw_zeta with its zeta doubled, an integer pair or a bracket."""
+    def doubled(self):
+        exact, bounds = draw_zeta(self)
+        if exact is not None:
+            return (2 * exact[0], exact[1]), None
+        return None, lambda k: tuple(2 * v for v in bounds(k))
+    return doubled
+
+
+@pytest.mark.parametrize("cls, first_case, rows", [
+    (CheckpointedSampler, r"^\(\(1,\), 1, 'lp\(1\)'\)", ("sw-gsampler/l1",)),
+    (SlidingLpSampler, r"^\(\(1,\), 1, 1\)", ("sliding-lp/l1", "sliding-lp/l2")),
+], ids=["checkpointed", "sliding_lp"])
+def test_doubled_zeta_mutant_fails_exactness(monkeypatch, cls, first_case, rows):
+    # A window sampler that reads twice its zeta keeps the conditional law
+    # and fails twice as often.  The fail-mass targets take zeta from the
+    # input (the measure's static zeta; p max_f^{p-1} of the window), not
+    # from the sampler, so the sliding sweep rejects it at its first case
+    # and the battery `exactsamp verify` runs rejects every row of its
+    # rational checker.
+    monkeypatch.setattr(cls, "_draw_zeta", _doubled(cls._draw_zeta))
+    with pytest.raises(AssertionError, match=first_case):
+        test_exact_laws_sliding_window()
+    mutant = [(name, sid, check(*args)) for name, sid, check, args in verify.QUICK
+              if name in rows]
+    assert len(mutant) == 6 * len(rows)
+    for name, sid, rep in mutant:
+        assert not rep.ok, (name, sid)
+        assert rep.conditional_law == rep.target_law, (name, sid)
+        assert rep.mass_fail > rep.mass_fail_target, (name, sid)

@@ -28,6 +28,7 @@ from exactsamp.core import (
 )
 from exactsamp.exactrand import log_scaled, scaled
 from exactsamp.f0sampler import F0Sampler, TukeySampler
+from exactsamp.gsampler import GSampler
 from exactsamp.randomorder import BlockLpSampler, PairL2Sampler
 from exactsamp.sliding import CheckpointedSampler, SlidingLpSampler
 from exactsamp import gsampler
@@ -302,6 +303,35 @@ def test_process_rejects_coordinates_outside_universe(family):
         s.process([bad])
 
 
+@pytest.mark.parametrize("args, kwargs, text", [
+    ((1.5,), {}, "coordinate 1.5 is not an integer"),
+    ((2.0,), {}, "coordinate 2.0 is not an integer"),
+    (("a",), {}, "coordinate 'a' is not an integer"),
+    ((1,), {"col": 2.5}, "column 2.5 is not an integer"),
+    ((1,), {"col": "b"}, "column 'b' is not an integer"),
+])
+def test_update_rejects_a_non_integer_coordinate_or_column(args, kwargs, text):
+    with pytest.raises(ValueError, match="^%s$" % text):
+        Update(*args, **kwargs)
+
+
+def test_non_integer_coordinates_are_rejected_not_sampled():
+    # A bare float or str is refused by process and by update, as an Update
+    # holding one is refused when built; the sampler is left as it was.
+    np = pytest.importorskip("numpy")
+    s = GSampler(huber_measure(2), 5, 8, seed=1)
+    for bad in ([1.5, 2], [2, "a"]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            s.process(bad)
+    for bad in (1.5, "a"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            s.update(bad)
+    assert s.bank.r_seen == 0
+    # An integer of another type (bool, numpy's) is still a coordinate.
+    s.process([np.int64(2), True, Update(np.int64(3), col=np.int64(1))])
+    assert s.bank.r_seen == 3
+
+
 def _dec(x):
     return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
 
@@ -360,7 +390,7 @@ def _bracket_cases():
     for p in (Fraction(3, 2), Fraction(5, 2)):
         s = SlidingLpSampler(p, W=15, seed=1, repetitions=4)
         s.process([1, 2, 2, 3, 3, 3, 4, 1, 2, 2] * 3)
-        max_f = s.hist.bracket().est.max_f
+        max_f = s.counter.max_f
         exact, bounds = s._zeta_at_draw()
         assert bounds is not None, (p, max_f)  # max_f is no perfect square here
         yield "sliding zeta p=%s" % p, bounds, _dec(p) * _dec(max_f) ** _dec(p - 1)

@@ -302,7 +302,7 @@ def test_draws_on_an_unchanged_state_share_one_table(monkeypatch, name):
 
 def test_irrational_zeta_keeps_its_table_while_z_is_unchanged(monkeypatch):
     # Sliding L_{3/2}: zeta = (3/2) sqrt(max_f) is irrational unless the
-    # bracket row's max_f is a perfect square.  lp_zeta returns one bounds
+    # window's max_f is a perfect square.  lp_zeta returns one bounds
     # function per (Z, p), so the draws at an unchanged Z share one table
     # and no state c is computed twice among them.
     computed = _counting(monkeypatch)
@@ -311,7 +311,7 @@ def test_irrational_zeta_keeps_its_table_while_z_is_unchanged(monkeypatch):
     last_z, seen, repeats = None, set(), 0
     for _ in range(50):
         s.process([rng.randrange(1, 51) for _ in range(8)])
-        z = s.hist.bracket().est.max_f
+        z = s.counter.max_f
         if z != last_z:
             last_z, seen = z, set()
         elif math.isqrt(z) ** 2 != z:
@@ -388,7 +388,7 @@ def _skewed(seed, m):
 def test_rational_draws_build_no_fraction_and_no_table(name):
     # Skewed updates over 100 coordinates, three draws after every 10: the
     # frequencies, so the tests' states c, keep growing, and the L2
-    # samplers' Z (Misra-Gries or the bracket row's max_f), hence zeta,
+    # samplers' Z (Misra-Gries or the window's max_f), hence zeta,
     # changes between draws.  The draws build no Fraction and no table.
     coords = _skewed(11, 300)
     s = RATIONAL_SAMPLERS[name]()

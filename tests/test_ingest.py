@@ -59,8 +59,9 @@ def _fingerprint(s):
                         for i, row in enumerate(s.bank.unit_s)]
     if getattr(s, "mg", None) is not None:
         out["mg"] = (s.mg.counts, s.mg.offset, s.mg.m_seen, s.mg.top)
-    if hasattr(s, "hist"):
-        out["hist"] = [(r.t_start, r.est.counts, r.est.value) for r in s.hist.rows]
+    if hasattr(s, "counter"):
+        c = s.counter
+        out["counter"] = (c.t, list(c.ring), c.counts, c.tally, c.max_f)
     if hasattr(s, "state"):
         st_ = s.state
         out["f0"] = (st_.t, st_._freq, st_.T, list(st_._ring or ()), st_.U)
@@ -171,12 +172,14 @@ def test_rejection_names_the_first_bad_update(name):
 
 def _first_rejection(s, batch):
     """The message of the first update of batch out of the sampler's model,
-    None when there is none: a delta other than 1, or a coordinate outside
-    [1, n] when the sampler has an n."""
+    None when there is none: a delta other than 1, a coordinate that is not
+    an int, or one outside [1, n] when the sampler has an n."""
     for u in batch:
         delta, coord = getattr(u, "delta", 1), getattr(u, "coord", u)
         if delta != 1:
             return "%s takes unit insertions, got delta %d" % (type(s).__name__, delta)
+        if not isinstance(coord, int):
+            return "coordinate %r is not an integer" % (coord,)
         if s.n is not None and not 1 <= coord <= s.n:
             return "coordinate %r outside [1, %d]" % (coord, s.n)
     return None
@@ -193,14 +196,20 @@ BATCHES = {
     "mixed_delta": [1, Update(5, delta=-1), N + 1],
     "mixed_outside": [Update(1), 0, Update(5, delta=2)],
     "mixed_outside_update": [4, Update(N + 1), Update(5, delta=2)],
+    "float": [1, 1.5, 2],
+    "float_integral": [1, 2.0],
+    "str": ["a"],
+    "mixed_float": [Update(1), 2.5, Update(N + 1)],
+    "mixed_str_after_delta": [Update(2), Update(5, delta=2), "a"],
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BATCHES))
 def test_every_batch_kind_is_checked_alike(kind):
-    # Bare ints, Update objects and batches that mix them: an accepted batch
-    # leaves the sampler as one update(coord) per item does, and a rejected
-    # one raises the message of its first bad update and changes nothing.
+    # Bare ints, Update objects and batches that mix them, bare non-integers
+    # among them: an accepted batch leaves the sampler as one update(coord)
+    # per item does, and a rejected one raises the message of its first bad
+    # update (a float or a str is one) and changes nothing.
     batch = BATCHES[kind]
     for name, make in SAMPLERS.items():
         if name == "matrix":

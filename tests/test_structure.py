@@ -102,7 +102,7 @@ def test_per_coordinate_updates_feed_the_batch_loops():
     trees = _trees()
     for module, cls, loop in (("reservoir.py", "SamplerBank", "extend"),
                               ("f0sampler.py", "F0State", "extend"),
-                              ("smoothhist.py", "SmoothHistogram", "ingest"),
+                              ("smoothhist.py", "WindowCounter", "ingest"),
                               ("heavyhitters.py", "MGSummary", "extend")):
         node = next(n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls)
         assert loop in set(_called(_function(node, "update"))), (cls, loop)
@@ -110,8 +110,8 @@ def test_per_coordinate_updates_feed_the_batch_loops():
                 if isinstance(node, ast.ClassDef)
                 and any(isinstance(f, ast.FunctionDef) and f.name == "update" for f in node.body)}
     assert updaters == {("core.py", "UnitUpdates"), ("reservoir.py", "SamplerBank"),
-                        ("f0sampler.py", "F0State"), ("smoothhist.py", "SmoothHistogram"),
-                        ("smoothhist.py", "ExactSuffixFp"), ("heavyhitters.py", "MGSummary"),
+                        ("f0sampler.py", "F0State"), ("smoothhist.py", "WindowCounter"),
+                        ("heavyhitters.py", "MGSummary"),
                         ("matrixsampler.py", "MatrixSampler")}, updaters
 
 
