@@ -19,8 +19,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .exactrand import (integer_nthroot, log_scaled, pow_bounds, pow_exact, pow_scaled,
-                        root_scaled, scaled)
+from .exactrand import integer_nthroot, log_scaled, pow_exact, pow_scaled, root_scaled, scaled
 
 MODELS = ("insertion_only", "sliding_window", "strict_turnstile", "random_order", "matrix")
 INCREMENT_MEMO = 1 << 12  # states whose increment_ratio a measure keeps
@@ -337,7 +336,7 @@ class LpMeasure(MeasureFunction):
             return Fraction(0)
         if self.p <= 1:
             # F_p >= m^p when p <= 1 (subadditivity of x^p).
-            return pow_bounds(Fraction(m), self.p, 32)[0]
+            return Fraction(pow_scaled(m, self.p, 32)[0], 1 << 32)
         # F_p >= m for p >= 1 on unit-delta streams (every f_i >= 1 on support).
         return Fraction(m)
 

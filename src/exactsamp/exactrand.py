@@ -37,8 +37,7 @@ hashlib.blake2b's.
 
 The scaled-integer cores give such brackets: root_scaled and pow_scaled for
 x**(1/n) and base**exp with one integer root, log_scaled for ln(y) by a
-fixed-point series.  root_bounds and pow_bounds are the rational forms of the
-first two, for callers off the draw path.
+fixed-point series.
 """
 
 import functools
@@ -450,23 +449,6 @@ def pow_scaled(base, exp, k):
 def scaled(lo, hi, k):
     """(floor(lo 2^k), ceil(hi 2^k)) for rationals lo <= hi."""
     return (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator)
-
-
-def _rational(bounds, k):
-    lo, hi = bounds
-    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
-
-
-def root_bounds(x, n, prec):
-    """Rational (lo, hi) with lo <= x**(1/n) <= hi and hi - lo <= 2**-prec,
-    for a nonnegative rational x and a positive integer n."""
-    return _rational(root_scaled(Fraction(x), n, prec), prec)
-
-
-def pow_bounds(base, exp, prec):
-    """Rational bounds on base**exp for Fraction base >= 0, Fraction exp >= 0,
-    with hi - lo <= 2**-prec."""
-    return _rational(pow_scaled(Fraction(base), Fraction(exp), prec), prec)
 
 
 def pow_exact(base, exp):

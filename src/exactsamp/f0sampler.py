@@ -112,7 +112,7 @@ class F0State:
         if not pool:
             return SampleResult.fail()
         i = pool[rng.randrange(len(pool))]
-        return SampleResult.of(i, frequency=self._freq[i])
+        return SampleResult.of(i, frequency=self._freq[i], repetition=k)
 
 
 class F0Sampler(UnitUpdates):

@@ -26,6 +26,9 @@ a sampler share is one DrawState, built with the sampler: a single draw
 generator, substream(seed, "draws"), that every draw continues, so repeated
 draws take fresh bits and no draw seeds a generator.
 
+A draw's zeta is one value from the sampler (_draw_zeta) to the coin
+(DrawState.accept, acceptance): an integer pair (num, den) when rational,
+else a bracket zeta(k) -> integers (lo, hi) with lo <= zeta 2^k <= hi.
 A rational test runs on integers: zeta is an integer pair (the static zeta
 read once, or lp_zeta at Z as a pair), the measure's increment is one
 (increment_ratio, memoized per measure), and their quotient, unreduced, is
@@ -69,59 +72,56 @@ def repetitions_for(ratio, delta):
     return max(1, math.ceil(R_SIZING_CONSTANT * float(ratio) * math.log(1.0 / delta)))
 
 
-def accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table=None):
+def accept_increment(measure, c, zeta, rng, table=None):
     """Accept with probability exactly (G(c+1) - G(c)) / zeta.
 
-    zeta_exact is a rational zeta, an integer pair (num, den) or a Fraction,
-    or None; zeta_bounds(k) supplies integers (lo, hi) with
-    0 < lo <= zeta 2^k <= hi when zeta is irrational.  The probability is
-    acceptance's: an integer pair, decided by bernoulli_ratio, or a refine
-    of scaled-integer brackets, decided by bernoulli_bounds.
+    zeta is an integer pair (num, den) when rational, else a bracket
+    zeta(k) -> integers (lo, hi) with 0 < lo <= zeta 2^k <= hi.  The
+    probability is acceptance's: an integer pair, decided by
+    bernoulli_ratio, or a refine of scaled-integer brackets, decided by
+    bernoulli_bounds.
 
     table, an AcceptanceTable of these probabilities for this measure and
     zeta (see DrawState.accept), computes each distinct state c's
     probability once for all the tests that read it; the test itself draws
     the same bits either way.
     """
-    q = acceptance(measure, c, zeta_exact, zeta_bounds) if table is None else table[c]
+    q = acceptance(measure, c, zeta) if table is None else table[c]
     if q.__class__ is tuple:
         num, den = q
         return bernoulli_ratio(num, den, rng)
     return bernoulli_bounds(q, rng)
 
 
-def acceptance(measure, c, zeta_exact, zeta_bounds):
+def acceptance(measure, c, zeta):
     """The probability (G(c+1) - G(c)) / zeta: the integer pair
     (inc_num zeta_den, inc_den zeta_num), unreduced, when both are rational,
     else its refine(k), which keeps each bracket it computes.  The increment
     is the measure's increment_ratio, or its scaled bracket over 2^k; zeta
-    likewise.  Dividing the two with integer floor and ceil brackets the
-    probability at 2^k.
+    is an integer pair, or its bracket over 2^k likewise.  Dividing the two
+    with integer floor and ceil brackets the probability at 2^k.
 
     zeta must bound the increment.  A rational quotient above 1 raises
     ValueError here, and a bracket whose lower end is above 1 raises it in
     bernoulli_bounds: the test would accept with probability 1 instead, and
     the telescoping law would be biased."""
     inc = measure.increment_ratio(c)
-    if zeta_exact is not None:
-        if zeta_exact.__class__ is not tuple:
-            zeta_exact = zeta_exact.numerator, zeta_exact.denominator
-        if inc is not None:
-            zn, zd = zeta_exact
-            num, den = inc
-            num *= zd
-            den *= zn
-            if num > den:
-                raise ValueError("zeta %s is below the increment %s of %s at c = %d"
-                                 % (Fraction(zn, zd), Fraction(*inc), measure.name, c))
-            return num, den
-    return functools.partial(_bracket, measure, c, inc, zeta_exact, zeta_bounds, {})
+    if inc is not None and zeta.__class__ is tuple:
+        zn, zd = zeta
+        num, den = inc
+        num *= zd
+        den *= zn
+        if num > den:
+            raise ValueError("zeta %s is below the increment %s of %s at c = %d"
+                             % (Fraction(zn, zd), Fraction(*inc), measure.name, c))
+        return num, den
+    return functools.partial(_bracket, measure, c, inc, zeta, {})
 
 
-def _bracket(measure, c, inc, zeta_exact, zeta_bounds, brackets, k):
-    """acceptance's refine(k), with the first six arguments bound: the
-    increment inc and zeta_exact are integer pairs, or None when
-    irrational, and brackets keeps each bracket computed."""
+def _bracket(measure, c, inc, zeta, brackets, k):
+    """acceptance's refine(k), with the first five arguments bound: the
+    increment inc is an integer pair, or None when irrational, zeta an
+    integer pair or a bracket, and brackets keeps each bracket computed."""
     got = brackets.get(k)
     if got is not None:
         return got
@@ -132,12 +132,12 @@ def _bracket(measure, c, inc, zeta_exact, zeta_bounds, brackets, k):
     else:
         ilo = ihi = inc[0]
         iden = inc[1]
-    if zeta_exact is None:
-        zlo, zhi = zeta_bounds(k)
-        zden = 1 << k
+    if zeta.__class__ is tuple:
+        zlo = zhi = zeta[0]
+        zden = zeta[1]
     else:
-        zlo = zhi = zeta_exact[0]
-        zden = zeta_exact[1]
+        zlo, zhi = zeta(k)
+        zden = 1 << k
     num = zden << k
     got = brackets[k] = ilo * num // (iden * zhi), -(-ihi * num // (iden * zlo))
     return got
@@ -150,17 +150,13 @@ def lp_zeta(Z, p):
     state c < f reads, so G(c+1) - G(c) = (c+1)^p - c^p <= p (c+1)^{p-1}
     <= p Z^{p-1}.
 
-    Z is rational, an integer pair (num, den) or a Fraction.  Returned as
-    (zeta_exact, None) when zeta is rational, zeta_exact in the form Z came
-    in (an unreduced pair for a pair: at integer p it is
-    (p num^{p-1}, den^{p-1})), and (None, zeta_bounds) otherwise, the
-    arguments that accept_increment takes; zeta_bounds(k) is the
-    scaled-integer bracket, computed once per precision k for all the tests
-    that read it.  The result is memoized per (Z, p), so the draws at an
-    unchanged Z get the same zeta_bounds, and DrawState keeps their
-    acceptance table."""
-    pair = Z.__class__ is tuple
-    zn, zd = Z if pair else (Z.numerator, Z.denominator)
+    Z is an integer pair (num, den).  zeta comes back as accept_increment
+    takes it: an unreduced integer pair when rational (at integer p,
+    (p num^{p-1}, den^{p-1})), else the bracket zeta(k), computed once per
+    precision k for all the tests that read it.  The result is memoized
+    per (Z, p), so the draws at an unchanged Z get the same bracket, and
+    DrawState keeps their acceptance table."""
+    zn, zd = Z
     # p - 1 = e/b in lowest terms, so Z^{p-1} is rational exactly when both
     # zn^e and zd^e are perfect b-th powers.
     a, b = p.numerator, p.denominator
@@ -168,24 +164,18 @@ def lp_zeta(Z, p):
     rn, n_exact = integer_nthroot(zn ** e, b)
     rd, d_exact = integer_nthroot(zd ** e, b)
     if n_exact and d_exact:
-        return ((a * rn, b * rd) if pair else Fraction(a * rn, b * rd)), None
+        return a * rn, b * rd
     base, exp = Fraction(zn, zd), p - 1
     memo = {}
 
-    def bounds(k):
+    def bracket(k):
         got = memo.get(k)
         if got is None:
             lo, hi = pow_scaled(base, exp, k)
             got = memo[k] = a * lo // b, -(-a * hi // b)
         return got
 
-    return None, bounds
-
-
-def fraction_zeta(zeta_exact, zeta_bounds):
-    """A draw's (zeta_exact, zeta_bounds) with a rational zeta as a
-    Fraction, as verify and the reference draws read it."""
-    return (None if zeta_exact is None else Fraction(*zeta_exact)), zeta_bounds
+    return bracket
 
 
 class AcceptanceTable(dict):
@@ -214,13 +204,13 @@ class DrawState:
     draw's law is that of a fresh generator's, since it takes only bits no
     earlier draw read.
 
-    accept(zeta_exact, zeta_bounds) is a draw's exact increment test.  When
-    zeta is rational and so is every increment of the measure
-    (measure.rational_increments), each test computes its integer pair
-    afresh, a few multiplications, and no table is built.  Otherwise the
-    tests read table, from each distinct state c to its probability: the
-    last draw's while zeta is the same (an equal rational, or the same
-    bounds function, which lp_zeta returns once per (Z, p)), a new one
+    accept(zeta) is a draw's exact increment test at its zeta, an integer
+    pair or a bracket.  When zeta is rational and so is every increment of
+    the measure (measure.rational_increments), each test computes its
+    integer pair afresh, a few multiplications, and no table is built.
+    Otherwise the tests read table, from each distinct state c to its
+    probability: the last draw's while zeta is the same (an equal pair, or
+    the same bracket, which lp_zeta returns once per (Z, p)), a new one
     otherwise, holding at most limit entries (a sampler's R).
     """
 
@@ -230,17 +220,16 @@ class DrawState:
         self.measure = measure
         self.key = self.table = None
 
-    def accept(self, zeta_exact, zeta_bounds):
+    def accept(self, zeta):
         """accept(c), the test (G(c+1) - G(c))/zeta on the draw generator."""
         measure, rng = self.measure, self.rng
         table = None
-        if zeta_bounds is not None or not measure.rational_increments:
-            key = zeta_exact, zeta_bounds
-            if self.table is None or key != self.key:
-                self.key, self.table = key, AcceptanceTable(
-                    lambda c: acceptance(measure, c, zeta_exact, zeta_bounds), self.limit)
+        if zeta.__class__ is not tuple or not measure.rational_increments:
+            if self.table is None or zeta != self.key:
+                self.key, self.table = zeta, AcceptanceTable(
+                    lambda c: acceptance(measure, c, zeta), self.limit)
             table = self.table
-        return lambda c: accept_increment(measure, c, zeta_exact, zeta_bounds, rng, table)
+        return lambda c: accept_increment(measure, c, zeta, rng, table)
 
 
 def accept_and_pick(R, state, accept):
@@ -259,16 +248,6 @@ def accept_and_pick(R, state, accept):
         if c is not None and accept(c):
             return i, c
     return None
-
-
-def first_accepted(candidates, accept):
-    """The result of the first of candidates, (result, *args) tuples in
-    index order, whose test accept(*args) passes, or None: accept_and_pick
-    over candidates built in advance, as the reference draws of the tests
-    build them."""
-    candidates = list(candidates)
-    hit = accept_and_pick(len(candidates), lambda i: candidates[i][1:], lambda a: accept(*a))
-    return None if hit is None else candidates[hit[0]][0]
 
 
 def repetition_result(hit, index):
@@ -328,15 +307,12 @@ class GSampler(UnitUpdates):
             self.mg.extend(zip(coords, repeat(1)))
 
     def _draw_zeta(self):
-        """(zeta_exact or None, zeta_bounds or None) of a draw now, a
-        rational zeta as an integer pair: the static one, or lp_zeta at the
-        Misra-Gries Z as a pair (z_ratio)."""
+        """The zeta of a draw now, as accept_increment takes it: the static
+        one as an integer pair, or lp_zeta at the Misra-Gries Z as a pair
+        (z_ratio)."""
         if self.zeta is not None:
-            return (self.zeta.numerator, self.zeta.denominator), None
+            return self.zeta.numerator, self.zeta.denominator
         return lp_zeta(z_ratio(self.mg), self.p)
-
-    def _zeta_at_draw(self):
-        return fraction_zeta(*self._draw_zeta())
 
     def draw(self):
         bank = self.bank
@@ -348,7 +324,7 @@ class GSampler(UnitUpdates):
             s, _, c = effective(i)
             return None if s is None else c
 
-        hit = accept_and_pick(self.R, state, self.draw_state.accept(*self._draw_zeta()))
+        hit = accept_and_pick(self.R, state, self.draw_state.accept(self._draw_zeta()))
         return repetition_result(hit, bank.unit_s.__getitem__)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import sub
 
 from .core import MeasureFunction, SampleResult, Update
-from .exactrand import root_bounds, root_scaled, substream
+from .exactrand import root_scaled, substream
 from .gsampler import DrawState, accept_and_pick, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 
@@ -72,7 +72,7 @@ class L2RowMeasure(RowMeasure):
         # ||x||_2 >= ||x||_1 / sqrt(d) would need d; the safe stream-length
         # bound ||x||_2 >= ||x||_1^{1/2} ... simplest valid: each row's norm is
         # at least sqrt of its mass, and sum_i sqrt(m_i) >= sqrt(m).
-        return root_bounds(Fraction(m), 2, 32)[0]
+        return Fraction(root_scaled(m, 2, 32)[0], 1 << 32)
 
 
 ROW_MEASURES = {"l1_row": L1RowMeasure, "l2_row": L2RowMeasure}
@@ -165,11 +165,15 @@ class MatrixSampler:
         if self.bank.r_seen == 0:
             return SampleResult.bottom()
         unit_s, unit_col, after = self.bank.unit_s, self.unit_col, self.after
-        zeta = self.measure.zeta
 
         def state(i):
             return None if unit_s[i] is None else (after(i), unit_col[i])
 
-        accept = self.draw_state.accept((zeta.numerator, zeta.denominator), None)
-        hit = accept_and_pick(self.R, state, accept)
+        hit = accept_and_pick(self.R, state, self.draw_state.accept(self._draw_zeta()))
         return repetition_result(hit, unit_s.__getitem__)
+
+    def _draw_zeta(self):
+        """The zeta of a draw, as accept_increment takes it: the row
+        measure's static one as an integer pair."""
+        zeta = self.measure.zeta
+        return zeta.numerator, zeta.denominator

@@ -178,7 +178,8 @@ def multipass_l1_draw(stream, gamma, n, seed=0):
     return SampleResult.of(coord, frequency=f), f
 
 
-# No draw calls this; perfbench's layer tracer wraps it by name.
+# No draw calls this: verify.multipass_lp derives its fail-mass zeta from it,
+# and perfbench's layer tracer wraps it by name.
 def narrow_z(stream, gamma, p, n):
     """Deterministic Z with max f <= Z <= max f + m/ceil(n^{1-1/p}),
     in ceil(1/gamma) passes of heavy-chunk narrowing."""
@@ -204,6 +205,6 @@ def multipass_lp_draw(stream, gamma, p, n, delta=0.1, seed=0, repetitions=None):
         f = chains[i][1]
         return f - (rng.randrange(f) + 1)  # occurrences after a uniform one of the f
 
-    accept = draws.accept(*lp_zeta((Z.numerator, Z.denominator), p))
+    accept = draws.accept(lp_zeta((Z.numerator, Z.denominator), p))
     return repetition_result(accept_and_pick(len(chains), state, accept),
                              lambda i: chains[i][0])

@@ -59,9 +59,11 @@ with (before, after) = measure.step(c), left unevaluated; bernoulli_bounds
 forks that coin into accept and reject, weighted x_c and 1 - x_c.  At R = 1
 a leaf meets at most one coin (a second one raises UnforkedDraw), so the law
 of each outcome is a linear form over the x_c, and in_g_basis writes zeta
-times it over the basis {G(x)}.  Every leaf must read one zeta.  A sampler
-reads G only through its coins, so one enumeration per stream certifies
-every measure whose zeta comes from the same source: GSampler's index i is
+times it over the basis {G(x)}.  Every leaf must read one zeta, the one
+value the draw hands its coins (an equal integer pair, or the same
+bracket).  A sampler reads G only through its coins, so one enumeration per
+stream certifies every measure whose zeta comes from the same source:
+GSampler's index i is
 {f_i: 1/m} for Fair (a static zeta) and for L_{3/2} (Misra-Gries) alike.
 That zeta bounds every increment is a separate condition, which the
 stand-in does not check.
@@ -162,8 +164,8 @@ ONE = "1"  # the constant term of a linear form over the acceptance coins
 
 class _Coin:
     """What symbolic acceptance returns in place of a refine: the coin x_c of
-    state c at zeta = (zeta_exact, zeta_bounds), which the enumerator's
-    bernoulli_bounds forks.  It has no bracket to give."""
+    state c at the draw's zeta, an integer pair or a bracket, which the
+    enumerator's bernoulli_bounds forks.  It has no bracket to give."""
 
     __slots__ = ("c", "zeta")
 
@@ -262,8 +264,8 @@ class _Tree:
             rng = self.rngs[start] = _ForkingRandom(self, start)
         return rng
 
-    def acceptance(self, measure, c, zeta_exact, zeta_bounds):
-        return _Coin(c, (zeta_exact, zeta_bounds))
+    def acceptance(self, measure, c, zeta):
+        return _Coin(c, zeta)
 
     def bernoulli_bounds(self, refine, rng):
         """The symbolic coin forks into accept and reject at weight 1 each:

@@ -32,8 +32,7 @@ R = repetitions_for(2p W^{1-1/p}, delta), without the 2^{p-1} that a Z up to
 
 from .core import SampleResult, UnitUpdates, check_window, exponent, lp_measure
 from .exactrand import subseed, substream
-from .gsampler import (DrawState, accept_and_pick, fraction_zeta, lp_zeta, repetition_result,
-                       repetitions_for)
+from .gsampler import DrawState, accept_and_pick, lp_zeta, repetition_result, repetitions_for
 from .reservoir import SamplerBank
 from .smoothhist import WindowCounter
 
@@ -104,16 +103,13 @@ class CheckpointedSampler(UnitUpdates):
             s, t_s, c = effective(i)
             return c if s is not None and t_s > cutoff else None
 
-        hit = accept_and_pick(self.R, state, self.draw_state.accept(*self._draw_zeta()))
+        hit = accept_and_pick(self.R, state, self.draw_state.accept(self._draw_zeta()))
         return repetition_result(hit, bank.unit_s.__getitem__)
 
     def _draw_zeta(self):
-        """(zeta_exact or None, zeta_bounds or None) of a draw now, as
-        accept_increment takes them, a rational zeta as an integer pair."""
-        return (self.zeta.numerator, self.zeta.denominator), None
-
-    def _zeta_at_draw(self):
-        return fraction_zeta(*self._draw_zeta())
+        """The zeta of a draw now, as accept_increment takes it: the static
+        one as an integer pair."""
+        return self.zeta.numerator, self.zeta.denominator
 
 
 class SlidingLpSampler(CheckpointedSampler):

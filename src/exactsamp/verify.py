@@ -7,9 +7,12 @@ returns a VerifyReport that compares the law against its target:
 
 * exact rationals (oracle.sampler_law, order_law, enumerate_law) where the
   acceptance coin is rational: the conditional law must equal the target,
-  and where a fail-mass rule is known (GSampler, the checkpointed and
-  sliding L_p samplers, F0, Tukey, the first pair's harvest) the fail mass
-  must meet it and the bottom mass be 0;
+  and where a fail-mass rule is known (GSampler, MatrixSampler, the
+  checkpointed and sliding L_p samplers, multipass L_p, F0, Tukey, the
+  first pair's harvest) the fail mass must meet it and the bottom mass be
+  0.  A rule's zeta is derived from the input, never read back from the
+  sampler: a sampler that reads a larger zeta keeps its conditional law
+  and fails more often, which only the fail mass shows;
 * the coin kept symbolic (oracle.symbolic_sampler_law, symbolic_law) where
   it is not: index i's form, times zeta over the basis {G(x)}, must be
   kappa G(f_i), with kappa = 1/m (1/L over a window's bank of L
@@ -30,9 +33,10 @@ from fractions import Fraction
 from . import oracle
 from .core import BOTTOM, FAIL, Update, fair_measure, huber_measure, lp_measure, tukey_measure
 from .f0sampler import F0Sampler, F0State, TukeySampler
-from .gsampler import GSampler
+from .gsampler import GSampler, lp_zeta
+from .heavyhitters import MGSummary, mg_budget, z_ratio
 from .matrixsampler import L1RowMeasure, L2RowMeasure, MatrixSampler
-from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw
+from .multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, narrow_z
 from .oracle import target_distribution
 from .randomorder import PairL2Sampler
 from .sliding import CheckpointedSampler, SlidingLpSampler, active_bank_start
@@ -95,30 +99,34 @@ def _window(coords, W=None):
     return Counter(coords[max(0, len(coords) - W):] if W else coords)
 
 
-def _with_fail_mass(make, measure, coords, freqs, length, zeta=None):
-    """verify_exact of one draw of the sampler make() builds, after coords,
-    against G over freqs, with fail mass 1 - F_G/(zeta length): at R = 1 its
-    unit holds a uniform one of length positions, and the acceptance
-    probabilities of i's live positions telescope to G(f_i)/zeta.  zeta is
-    the one the checker derives from the input, or, where None, the one the
-    sampler reads for its draw."""
-    built = []
+def _fail_mass(measure, freqs, zeta, length):
+    """1 - F_G/(zeta length), F_G over freqs: the fail mass of one
+    repetition whose sample is a uniform one of length positions, when the
+    acceptance probabilities of i's live positions telescope to
+    G(f_i)/zeta."""
+    return 1 - sum(measure.g_exact(f) for f in freqs.values()) / (zeta * length)
 
-    def build():
-        built[:] = [make()]
-        return built[0]
 
-    law = oracle.sampler_law(build, coords)
-    if zeta is None:
-        zeta, _ = built[0]._zeta_at_draw()
-    fg = sum(measure.g_exact(f) for f in freqs.values())
-    return verify_exact(law, target_distribution(freqs, measure), 1 - fg / (zeta * length))
+def _with_fail_mass(make, measure, updates, freqs, length, zeta):
+    """verify_exact of one draw of the sampler make() builds, after updates,
+    against G over freqs, with fail mass _fail_mass at R = 1, zeta the one
+    the checker derives from the input."""
+    return verify_exact(oracle.sampler_law(make, updates), target_distribution(freqs, measure),
+                        _fail_mass(measure, freqs, zeta, length))
 
 
 def gsampler(measure, coords, n=N):
-    """GSampler at rational G, its fail mass 1 - F_G/(zeta m)."""
+    """GSampler at rational G, its fail mass 1 - F_G/(zeta m) at the zeta of
+    the input: the measure's static zeta, or for L_p with p > 1, p Z^{p-1}
+    at the Z of a Misra-Gries summary of the sampler's budget fed the
+    stream, a function of the stream alone."""
+    zeta = measure.zeta
+    if zeta is None:
+        mg = MGSummary(mg_budget(measure.p, n))
+        mg.extend((c, 1) for c in coords)
+        zeta = Fraction(*lp_zeta(z_ratio(mg), measure.p))
     return _with_fail_mass(lambda: GSampler(measure, n, len(coords), repetitions=1), measure,
-                           coords, Counter(coords), len(coords))
+                           coords, Counter(coords), len(coords), zeta)
 
 
 def gsampler_symbolic(measure, coords, n=N):
@@ -133,10 +141,13 @@ def _cells(cells):
 
 
 def matrix(cells, n=N, d=N):
-    """MatrixSampler with L1 rows: row r with its share of the updates."""
-    law = oracle.sampler_law(
-        lambda: MatrixSampler(L1RowMeasure(), n, d, len(cells), repetitions=1), _cells(cells))
-    return verify_exact(law, target_distribution(Counter(r for r, _ in cells), lp_measure(1)))
+    """MatrixSampler with L1 rows: row r with its share of the updates, and
+    fail mass 1 - F_G(rows)/(zeta m) at the row measure's zeta, 0 for L1
+    rows, whose G(row vector) is the row's count."""
+    measure = L1RowMeasure()
+    return _with_fail_mass(lambda: MatrixSampler(measure, n, d, len(cells), repetitions=1),
+                           lp_measure(1), _cells(cells), Counter(r for r, _ in cells),
+                           len(cells), measure.zeta)
 
 
 def matrix_symbolic(cells, n=N, d=N):
@@ -214,10 +225,17 @@ def multipass_l1(fv, n, gamma):
 
 
 def multipass_lp(p, fv, n, gamma):
-    stream = _replayable(fv)
+    """One chain of multipass_lp_draw at integer p, its fail mass
+    1 - F_p/(zeta m) at zeta = p Z^{p-1}, Z = narrow_z of the input: the
+    chain's sample is a uniform one of the m updates, and its test
+    telescopes over the f_i occurrences of i to f_i^p/zeta."""
+    stream, measure = _replayable(fv), lp_measure(p)
     law = oracle.enumerate_law(
         lambda: multipass_lp_draw(stream, gamma, p, n, repetitions=1))
-    return verify_exact(law, target_distribution(fv, lp_measure(p)))
+    Z = narrow_z(stream, gamma, p, n)
+    zeta = Fraction(*lp_zeta((Z.numerator, Z.denominator), p))
+    return verify_exact(law, target_distribution(fv, measure),
+                        _fail_mass(measure, fv, zeta, sum(fv.values())))
 
 
 def multipass_lp_symbolic(p, fv, n, gamma):

@@ -26,9 +26,11 @@ Each test pins one headline guarantee at its stated tolerance:
  9. duplicated-exponential sampler TV <= 0.05;
 10. the inclusive-counter mutant, injected into the real reservoir bank, is
     rejected by the exactness battery at the shipped zeta and by the
-    symbolic sweep; checkpoint banks with too late a horizon, and window
-    samplers that read twice their zeta, are rejected by the fail mass of
-    the sliding sweep and of the battery.
+    symbolic sweep; checkpoint banks with too late a horizon are rejected
+    by the fail mass of the sliding sweep and of the battery, and so is
+    every zeta-reading sampler (GSampler, the window samplers,
+    MatrixSampler, multipass L_p) that reads twice its zeta, by the fail
+    mass of its own sweep and battery rows.
 """
 
 import itertools
@@ -41,7 +43,7 @@ import numpy as np
 import pytest
 from statcheck import np_substream
 
-from exactsamp import oracle, verify
+from exactsamp import multipass, oracle, verify
 from exactsamp.core import (
     Update,
     huber_measure,
@@ -50,10 +52,11 @@ from exactsamp.core import (
     lp_measure,
     tukey_measure,
 )
-from exactsamp.exactrand import pow_bounds, substream
+from exactsamp.exactrand import pow_scaled, substream
 from exactsamp.f0sampler import F0State
-from exactsamp.gsampler import acceptance, lp_zeta
-from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound
+from exactsamp.gsampler import GSampler, acceptance, lp_zeta
+from exactsamp.heavyhitters import MGSummary, mg_budget, z_bound, z_ratio
+from exactsamp.matrixsampler import MatrixSampler
 from exactsamp.multipass import ReplayableStream, multipass_l1_draw, multipass_lp_draw, passes_for
 from exactsamp.randomorder import PairL2Sampler, alpha_coeffs, falling
 from exactsamp.reservoir import SamplerBank
@@ -193,17 +196,19 @@ def test_exact_laws_random_order():
 
 
 def test_exact_laws_multipass():
-    # One draw of the real multipass samplers (one chain), every branch.
-    for n in (2, 3, 4, 6, 8):
-        for fv in freq_vectors(n, 6):
-            for gamma in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-                assert verify.multipass_l1(fv, n, gamma).ok, (fv, gamma)
-    # At p = 2, and symbolically at p = 3/2: index i's form must be
-    # kappa G(f_i), with one kappa > 0 for every i.
+    # One draw of the real multipass samplers (one chain), every branch.  At
+    # p = 2 the fail mass must be 1 - F_2/(zeta m) too, at zeta = 2Z of the
+    # input's narrowed Z, and symbolically at p = 3/2 index i's form must be
+    # kappa G(f_i), with one kappa > 0 for every i.  The L_p cases run
+    # first, so an L_p draw at the wrong zeta fails without the L1 ones.
     for n in (2, 4):
         for fv in freq_vectors(n, 5):
             assert verify.multipass_lp(2, fv, n, Fraction(1, 2)).ok, fv
             assert verify.multipass_lp_symbolic(Fraction(3, 2), fv, n, Fraction(1, 2)).ok, fv
+    for n in (2, 3, 4, 6, 8):
+        for fv in freq_vectors(n, 6):
+            for gamma in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                assert verify.multipass_l1(fv, n, gamma).ok, (fv, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +223,16 @@ def test_exact_laws_multipass():
 PRECISION = 64
 
 
-def _zeta_upper(zeta_exact, zeta_bounds):
+def _zeta_upper(zeta):
     """A rational upper bound on lp_zeta's zeta, equal to it when rational."""
-    if zeta_exact is not None:
-        return zeta_exact
-    return Fraction(zeta_bounds(PRECISION)[1], 1 << PRECISION)
+    if zeta.__class__ is tuple:
+        return Fraction(*zeta)
+    return Fraction(zeta(PRECISION)[1], 1 << PRECISION)
 
 
 def _lower(base, exp):
     """A rational lower bound on base**exp."""
-    return pow_bounds(base, exp, PRECISION)[0]
+    return Fraction(pow_scaled(base, exp, PRECISION)[0], 1 << PRECISION)
 
 
 def _fp_lower(freqs, p):
@@ -239,15 +244,15 @@ def _mg_zeta(coords, p, n):
     """lp_zeta at the Z of the Misra-Gries summary the sampler keeps."""
     mg = MGSummary(mg_budget(p, n))
     mg.extend((c, 1) for c in coords)
-    return lp_zeta(z_bound(mg, p, n), p)
+    return lp_zeta(z_ratio(mg), p)
 
 
-def _accepts_at_most_one(measure, c, zeta_exact, zeta_bounds):
+def _accepts_at_most_one(measure, c, zeta):
     """Whether acceptance gives state c a probability of at most 1: a
     rational one, an integer pair (num, den) (a quotient above 1 raises), or
     a bracket whose lower end at 2^-64 is at most 2^64."""
     try:
-        q = acceptance(measure, c, zeta_exact, zeta_bounds)
+        q = acceptance(measure, c, zeta)
     except ValueError:
         return False
     return q(PRECISION)[0] <= 1 << PRECISION if callable(q) else q[0] <= q[1]
@@ -261,7 +266,7 @@ def test_success_bound_lp_above_one():
     coords = freq_stream(freqs, seed=2)
     m = len(coords)
     for p in (Fraction(3, 2), Fraction(2)):
-        zeta_hi = _zeta_upper(*_mg_zeta(coords, p, n))
+        zeta_hi = _zeta_upper(_mg_zeta(coords, p, n))
         lhs = 4 * _fp_lower(freqs, p) * _lower(n, 1 - 1 / p)
         assert lhs >= zeta_hi * m, (p, float(lhs), float(zeta_hi * m))
 
@@ -281,10 +286,10 @@ def test_success_bound_sliding_lp():
         s = SlidingLpSampler(p, W, repetitions=1)
         s.process(coords)
         assert s.counter.max_f == max(window.values())
-        zeta = lp_zeta(Fraction(s.counter.max_f), p)
+        zeta = lp_zeta((s.counter.max_f, 1), p)
         meas = lp_measure(p)
-        assert all(_accepts_at_most_one(meas, c, *zeta) for c in range(max(window.values())))
-        zeta_hi = _zeta_upper(*zeta)
+        assert all(_accepts_at_most_one(meas, c, zeta) for c in range(max(window.values())))
+        zeta_hi = _zeta_upper(zeta)
         lhs = p * _lower(W, 1 - 1 / p) * _fp_lower(window, p)
         assert lhs >= zeta_hi * W, (p, float(lhs), float(zeta_hi * W))
 
@@ -316,8 +321,9 @@ def test_fidelity_zipf_battery():
         ("tukey-2", tukey_measure(2)),
     ]
     for tag, meas in cases:
-        zeta = (meas.zeta, None) if meas.zeta is not None else _mg_zeta(coords, meas.p, n)
-        above = [c for c in range(fmax) if not _accepts_at_most_one(meas, c, *zeta)]
+        zeta = (meas.zeta.numerator, meas.zeta.denominator) if meas.zeta is not None \
+            else _mg_zeta(coords, meas.p, n)
+        above = [c for c in range(fmax) if not _accepts_at_most_one(meas, c, zeta)]
         assert not above, (tag, above[:5])
 
 
@@ -641,34 +647,47 @@ def test_late_horizon_mutant_fails_exactness(monkeypatch):
     assert rep.mass_fail > rep.mass_fail_target
 
 
-def _doubled(draw_zeta):
-    """draw_zeta with its zeta doubled, an integer pair or a bracket."""
-    def doubled(self):
-        exact, bounds = draw_zeta(self)
-        if exact is not None:
-            return (2 * exact[0], exact[1]), None
-        return None, lambda k: tuple(2 * v for v in bounds(k))
-    return doubled
+def _double(zeta):
+    """Twice zeta, an integer pair or a bracket."""
+    if zeta.__class__ is tuple:
+        return 2 * zeta[0], zeta[1]
+    return lambda k: tuple(2 * v for v in zeta(k))
 
 
-@pytest.mark.parametrize("cls, first_case, rows", [
-    (CheckpointedSampler, r"^\(\(1,\), 1, 'lp\(1\)'\)", ("sw-gsampler/l1",)),
-    (SlidingLpSampler, r"^\(\(1,\), 1, 1\)", ("sliding-lp/l1", "sliding-lp/l2")),
-], ids=["checkpointed", "sliding_lp"])
-def test_doubled_zeta_mutant_fails_exactness(monkeypatch, cls, first_case, rows):
-    # A window sampler that reads twice its zeta keeps the conditional law
-    # and fails twice as often.  The fail-mass targets take zeta from the
-    # input (the measure's static zeta; p max_f^{p-1} of the window), not
-    # from the sampler, so the sliding sweep rejects it at its first case
-    # and the battery `exactsamp verify` runs rejects every row of its
-    # rational checker.
-    monkeypatch.setattr(cls, "_draw_zeta", _doubled(cls._draw_zeta))
+DOUBLED_ZETA = [
+    # (where the zeta is read, its name, the sweep, the sweep's first case,
+    # the battery rows of the rational checker, how many)
+    (GSampler, "_draw_zeta", test_exact_laws_insertion_only_exhaustive,
+     r"^\(\(1,\), 'lp\(1\)'\)", ("gsampler/l1", "gsampler/l2", "gsampler/huber"), 9),
+    (CheckpointedSampler, "_draw_zeta", test_exact_laws_sliding_window,
+     r"^\(\(1,\), 1, 'lp\(1\)'\)", ("sw-gsampler/l1",), 6),
+    (SlidingLpSampler, "_draw_zeta", test_exact_laws_sliding_window,
+     r"^\(\(1,\), 1, 1\)", ("sliding-lp/l1", "sliding-lp/l2"), 12),
+    (MatrixSampler, "_draw_zeta", test_exact_laws_matrix, r"^\(\(1, 1\),\)",
+     ("matrix/l1-row",), 1),
+    (multipass, "lp_zeta", test_exact_laws_multipass, r"^\{2: 1\}", ("multipass-l2",), 1),
+]
+
+
+@pytest.mark.parametrize("owner, name, sweep, first_case, rows, count", DOUBLED_ZETA,
+                         ids=["gsampler", "checkpointed", "sliding_lp", "matrix", "multipass_lp"])
+def test_doubled_zeta_mutant_fails_exactness(monkeypatch, owner, name, sweep, first_case, rows,
+                                             count):
+    # A sampler that reads twice its zeta keeps the conditional law and
+    # fails twice as often.  The fail-mass targets take zeta from the input
+    # (the measure's static zeta, p Z^{p-1} at a Misra-Gries summary fed the
+    # stream, at the window's max_f, or at the narrowed Z), not from the
+    # sampler, so its exact-law sweep rejects it at its first case and the
+    # battery `exactsamp verify` runs rejects every row of its rational
+    # checker.
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: _double(real(*args)))
     with pytest.raises(AssertionError, match=first_case):
-        test_exact_laws_sliding_window()
-    mutant = [(name, sid, check(*args)) for name, sid, check, args in verify.QUICK
-              if name in rows]
-    assert len(mutant) == 6 * len(rows)
-    for name, sid, rep in mutant:
-        assert not rep.ok, (name, sid)
-        assert rep.conditional_law == rep.target_law, (name, sid)
-        assert rep.mass_fail > rep.mass_fail_target, (name, sid)
+        sweep()
+    mutant = [(row, sid, check(*args)) for row, sid, check, args in verify.QUICK
+              if row in rows]
+    assert len(mutant) == count
+    for row, sid, rep in mutant:
+        assert not rep.ok, (row, sid)
+        assert rep.conditional_law == rep.target_law, (row, sid)
+        assert rep.mass_fail > rep.mass_fail_target, (row, sid)

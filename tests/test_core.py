@@ -381,27 +381,28 @@ def _bracket_cases():
                norm(plus) - norm(v))
     for Z in (Fraction(10 ** 6 + 3), Fraction(7, 3), Fraction(4)):
         for p in (Fraction(3, 2), Fraction(5, 4)):
-            exact, bounds = lp_zeta(Z, p)
+            zeta = lp_zeta((Z.numerator, Z.denominator), p)
             ref = _dec(p) * _dec(Z) ** _dec(p - 1)
-            if bounds is None:
-                yield "lp_zeta(%s, %s)" % (Z, p), lambda k, e=exact: scaled(e, e, k), ref
+            if zeta.__class__ is tuple:
+                e = Fraction(*zeta)
+                yield "lp_zeta(%s, %s)" % (Z, p), lambda k, e=e: scaled(e, e, k), ref
             else:
-                yield "lp_zeta(%s, %s)" % (Z, p), bounds, ref
+                yield "lp_zeta(%s, %s)" % (Z, p), zeta, ref
     for p in (Fraction(3, 2), Fraction(5, 2)):
         s = SlidingLpSampler(p, W=15, seed=1, repetitions=4)
         s.process([1, 2, 2, 3, 3, 3, 4, 1, 2, 2] * 3)
         max_f = s.counter.max_f
-        exact, bounds = s._zeta_at_draw()
-        assert bounds is not None, (p, max_f)  # max_f is no perfect square here
-        yield "sliding zeta p=%s" % p, bounds, _dec(p) * _dec(max_f) ** _dec(p - 1)
+        zeta = s._draw_zeta()
+        assert callable(zeta), (p, max_f)  # max_f is no perfect square here
+        yield "sliding zeta p=%s" % p, zeta, _dec(p) * _dec(max_f) ** _dec(p - 1)
 
 
-def _accept_refine(measure, c, zeta_exact, zeta_bounds):
+def _accept_refine(measure, c, zeta):
     """The refine(k) that accept_increment hands to bernoulli_bounds."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gsampler, "bernoulli_bounds", lambda refine, rng: seen.append(refine))
-        gsampler.accept_increment(measure, c, zeta_exact, zeta_bounds, None)
+        gsampler.accept_increment(measure, c, zeta, None)
     return seen[0]
 
 
@@ -410,19 +411,19 @@ def _accept_cases():
     with an irrational increment, an irrational zeta, or both."""
     d = decimal.Decimal
     F2 = 10 ** 6 + 3
-    yield ("accept lp(1/2)", _accept_refine(lp_measure(Fraction(1, 2)), 5, Fraction(1), None),
+    yield ("accept lp(1/2)", _accept_refine(lp_measure(Fraction(1, 2)), 5, (1, 1)),
            d(6).sqrt() - d(5).sqrt())
     yield ("accept lp(2), zeta 3/2 sqrt(F2)",
-           _accept_refine(lp_measure(2), 500, *lp_zeta(Fraction(F2), Fraction(3, 2))),
+           _accept_refine(lp_measure(2), 500, lp_zeta((F2, 1), Fraction(3, 2))),
            d(1001) / (d(1.5) * d(F2).sqrt()))
     yield ("accept lp(3/2), zeta 3/2 sqrt(7/3)",
-           _accept_refine(lp_measure(Fraction(3, 2)), 7, *lp_zeta(Fraction(7, 3), Fraction(3, 2))),
+           _accept_refine(lp_measure(Fraction(3, 2)), 7, lp_zeta((7, 3), Fraction(3, 2))),
            (d(8) ** d(1.5) - d(7) ** d(1.5)) / (d(1.5) * (d(7) / d(3)).sqrt()))
-    yield ("accept l1l2", _accept_refine(l1l2_measure(), 4, Fraction(3), None),
+    yield ("accept l1l2", _accept_refine(l1l2_measure(), 4, (3, 1)),
            (_l1l2_ref(5) - _l1l2_ref(4)) / 3)
-    yield ("accept fair(2)", _accept_refine(fair_measure(2), 3, Fraction(2), None),
+    yield ("accept fair(2)", _accept_refine(fair_measure(2), 3, (2, 1)),
            (_fair_ref(2)(4) - _fair_ref(2)(3)) / 2)
-    yield ("accept l2_row", _accept_refine(L2RowMeasure(), ([3, 5, 2], 3), Fraction(1), None),
+    yield ("accept l2_row", _accept_refine(L2RowMeasure(), ([3, 5, 2], 3), (1, 1)),
            d(43).sqrt() - d(38).sqrt())
 
 

@@ -32,7 +32,7 @@ from exactsamp.core import (SampleResult, fair_measure, huber_measure, l1l2_meas
                             tukey_measure, Update)
 from exactsamp.exactrand import bernoulli_bounds, bernoulli_fraction, substream
 from exactsamp.f0sampler import TukeySampler
-from exactsamp.gsampler import GSampler, first_accepted, lp_sampler, lp_zeta
+from exactsamp.gsampler import GSampler, accept_and_pick, lp_sampler, lp_zeta
 from exactsamp.heavyhitters import mg_budget
 from exactsamp.matrixsampler import L2RowMeasure, MatrixSampler
 from exactsamp.multipass import ReplayableStream, _narrow, multipass_lp_draw
@@ -53,11 +53,18 @@ def _increment(measure, c):
     return None if a is None or b is None else a - b
 
 
-def _accept_without_table(measure, c, zeta_exact, zeta_bounds, rng):
-    """The exact increment test computing its probability on every call."""
+def _pair(q):
+    """A static zeta as the integer pair a draw hands its tests."""
+    return q.numerator, q.denominator
+
+
+def _accept_without_table(measure, c, zeta, rng):
+    """The exact increment test computing its probability on every call, at
+    zeta, an integer pair or a bracket."""
     inc = _increment(measure, c)
-    if inc is not None and zeta_exact is not None:
-        return bernoulli_fraction(inc / zeta_exact, rng)
+    exact = Fraction(*zeta) if zeta.__class__ is tuple else None
+    if inc is not None and exact is not None:
+        return bernoulli_fraction(inc / exact, rng)
 
     def refine(k):
         if inc is None:
@@ -66,12 +73,12 @@ def _accept_without_table(measure, c, zeta_exact, zeta_bounds, rng):
         else:
             ilo = ihi = inc.numerator
             iden = inc.denominator
-        if zeta_exact is None:
-            zlo, zhi = zeta_bounds(k)
+        if exact is None:
+            zlo, zhi = zeta(k)
             zden = 1 << k
         else:
-            zlo = zhi = zeta_exact.numerator
-            zden = zeta_exact.denominator
+            zlo = zhi = exact.numerator
+            zden = exact.denominator
         num = zden << k
         return ilo * num // (iden * zhi), -(-ihi * num // (iden * zlo))
 
@@ -79,18 +86,22 @@ def _accept_without_table(measure, c, zeta_exact, zeta_bounds, rng):
 
 
 def _eager(candidates, accept):
-    """first_accepted over candidates whose SampleResults are all built."""
-    return first_accepted(list(candidates), accept) or SampleResult.fail()
+    """The result of the first of candidates, (SampleResult, c) pairs all
+    built in advance in index order, whose test accept(c) passes, or FAIL:
+    accept_and_pick over them."""
+    candidates = list(candidates)
+    hit = accept_and_pick(len(candidates), lambda i: candidates[i][1], accept)
+    return SampleResult.fail() if hit is None else candidates[hit[0]][0]
 
 
 def _gsampler_reference(s):
     if s.bank.r_seen == 0:
         return SampleResult.bottom()
     rng = _clone(s)
-    zeta_exact, zeta_bounds = s._zeta_at_draw()
+    zeta = s._draw_zeta()
     live = ((SampleResult.of(x, repetition=i), c)
             for i, (x, _, c) in enumerate(map(s.bank.effective, range(s.R))) if x is not None)
-    return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta_exact, zeta_bounds, rng))
+    return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta, rng))
 
 
 def _checkpointed_reference(s):
@@ -102,7 +113,7 @@ def _checkpointed_reference(s):
     live = ((SampleResult.of(x, repetition=i), c)
             for i, (x, t_x, c) in enumerate(map(bank.effective, range(s.R)))
             if x is not None and t_x > cutoff)
-    return _eager(live, lambda c: _accept_without_table(s.measure, c, s.zeta, None, rng))
+    return _eager(live, lambda c: _accept_without_table(s.measure, c, _pair(s.zeta), rng))
 
 
 def _sliding_lp_reference(s):
@@ -111,11 +122,11 @@ def _sliding_lp_reference(s):
     bank = s._draw_bank()
     rng = _clone(s)
     cutoff = s.t - s.W
-    zeta_exact, zeta_bounds = s._zeta_at_draw()
+    zeta = s._draw_zeta()
     live = ((SampleResult.of(x, repetition=i), c)
             for i, (x, t_x, c) in enumerate(map(bank.effective, range(s.R)))
             if x is not None and t_x > cutoff)
-    return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta_exact, zeta_bounds, rng))
+    return _eager(live, lambda c: _accept_without_table(s.measure, c, zeta, rng))
 
 
 def _matrix_reference(s):
@@ -124,7 +135,7 @@ def _matrix_reference(s):
     rng = _clone(s)
     live = ((SampleResult.of(row, repetition=i), (list(s.after(i)), s.unit_col[i]))
             for i, row in enumerate(s.bank.unit_s) if row is not None)
-    return _eager(live, lambda c: _accept_without_table(s.measure, c, s.measure.zeta, None, rng))
+    return _eager(live, lambda c: _accept_without_table(s.measure, c, _pair(s.measure.zeta), rng))
 
 
 def _tukey_reference(s):
@@ -206,13 +217,13 @@ def _multipass_lp_reference(updates, gamma, p, n, seed, R):
     chains, m, Z = _narrow(stream, gamma, n, R, substream(seed, "chains"), mg_budget(p, n))
     if m == 0:
         return SampleResult.bottom()
-    zeta_exact, zeta_bounds = lp_zeta(Z, p)
+    zeta = lp_zeta((Z.numerator, Z.denominator), p)
     measure = lp_measure(p)
     rng = substream(seed, "accept")
 
     def accept(f):
         c = f - (rng.randrange(f) + 1)
-        return _accept_without_table(measure, c, zeta_exact, zeta_bounds, rng)
+        return _accept_without_table(measure, c, zeta, rng)
 
     live = ((SampleResult.of(coord, repetition=i), f) for i, (coord, f) in enumerate(chains))
     return _eager(live, accept)

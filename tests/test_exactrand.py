@@ -18,11 +18,9 @@ from exactsamp.exactrand import (
     binomial,
     integer_nthroot,
     log_scaled,
-    pow_bounds,
     pow_exact,
     pow_fixed,
     pow_scaled,
-    root_bounds,
     root_scaled,
     scaled,
     skip,
@@ -526,7 +524,8 @@ def test_integer_nthroot(x, n):
 @given(st.fractions(min_value=0, max_value=1000, max_denominator=50), st.integers(1, 4),
        st.integers(4, 40))
 def test_root_bounds_bracket(x, n, prec):
-    lo, hi = root_bounds(x, n, prec)
+    # root_scaled's integers over 2^prec bracket x**(1/n) as rationals.
+    lo, hi = (Fraction(v, 1 << prec) for v in root_scaled(x, n, prec))
     assert hi - lo <= Fraction(1, 1 << prec)
     assert lo ** n <= x or lo == hi
     assert hi ** n >= x
@@ -544,7 +543,8 @@ def test_pow_exact():
        st.fractions(min_value=0, max_value=3, max_denominator=6))
 @settings(max_examples=60)
 def test_pow_bounds_bracket(base, exp):
-    lo, hi = pow_bounds(base, exp, 30)
+    # pow_scaled's integers over 2^30 bracket base**exp as rationals.
+    lo, hi = (Fraction(v, 1 << 30) for v in pow_scaled(base, exp, 30))
     v = float(base) ** float(exp)
     assert float(lo) <= v * (1 + 1e-9) + 1e-9
     assert float(hi) >= v * (1 - 1e-9) - 1e-9
@@ -565,4 +565,4 @@ def test_log_bounds_bracket(y, prec):
 
 def test_pow_bounds_rejects_negative():
     with pytest.raises(ValueError):
-        pow_bounds(Fraction(-1), Fraction(1, 2), 8)
+        pow_scaled(Fraction(-1), Fraction(1, 2), 8)

@@ -73,16 +73,16 @@ def _subset(n, seed):
     return {c + 1 for c in uniform_subset(n, F0State(n, ()).size, substream(seed, "subset"))}
 
 
-def _draw_scanning_support(freq, cap, S, rng):
-    """F0State.draw as it was written with S & support taken by scanning the
-    whole support, whose counts are freq."""
+def _draw_scanning_support(freq, cap, S, rng, k):
+    """F0State.draw(k, rng) as it was written with S & support taken by
+    scanning the whole support, whose counts are freq."""
     if not freq:
         return SampleResult.bottom()
     members = sorted(freq if len(freq) < cap else (c for c in freq if c in S))
     if not members:
         return SampleResult.fail()
     i = members[rng.randrange(len(members))]
-    return SampleResult.of(i, frequency=freq[i])
+    return SampleResult.of(i, frequency=freq[i], repetition=k)
 
 
 def test_draw_matches_support_scan_fuzzed():
@@ -110,7 +110,7 @@ def test_draw_matches_support_scan_fuzzed():
             for k, S in enumerate(subsets):
                 number += 1
                 got = st.draw(k, substream(t, "d", number))
-                assert got == _draw_scanning_support(freq, st.cap, S, substream(t, "d", number))
+                assert got == _draw_scanning_support(freq, st.cap, S, substream(t, "d", number), k)
                 if freq:
                     branch = "small" if len(freq) < st.cap else "large"
                     seen[mode, branch, len(S) < len(freq)] += 1
@@ -205,13 +205,13 @@ def test_tukey_single_support():
 def _independent_draw(states, rng, keep):
     """A draw over R separately built and separately fed instances, on rng, a
     clone of the sampler's draw generator taken before its draw: the first
-    instance that hits and passes keep(f, rng)."""
+    instance that hits and passes keep(f, rng), named as the repetition."""
     if not states[0].t:
         return SampleResult.bottom()
-    for state in states:
+    for i, state in enumerate(states):
         res = state.draw(0, rng)
         if res.outcome == "index" and keep(res.frequency, rng):
-            return res
+            return SampleResult.of(res.index, frequency=res.frequency, repetition=i)
     return SampleResult.fail()
 
 

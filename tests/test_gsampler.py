@@ -15,7 +15,7 @@ from exactsamp.core import (
 )
 from exactsamp.f0sampler import F0Sampler, TukeySampler
 from exactsamp.gsampler import (
-    GSampler, accept_increment, first_accepted, lp_sampler, lp_zeta, repetitions_for,
+    GSampler, accept_and_pick, accept_increment, lp_sampler, lp_zeta, repetitions_for,
 )
 from exactsamp.heavyhitters import mg_budget
 from exactsamp.matrixsampler import L2RowMeasure, MatrixSampler
@@ -175,8 +175,8 @@ def test_z_derived_zeta_attached():
     s = lp_sampler(2, n=16, m=20, seed=0)
     assert s.mg is not None
     s.process([1] * 10 + [2] * 10)
-    z_exact, _ = s._zeta_at_draw()
-    assert z_exact is not None and z_exact >= 2 * 10  # 2 Z with Z >= max f
+    zeta = s._draw_zeta()
+    assert zeta.__class__ is tuple and Fraction(*zeta) >= 2 * 10  # 2 Z with Z >= max f
 
 
 def test_z_derived_gsampler_builds_its_own_summary():
@@ -210,6 +210,15 @@ UNIT_LAWS = [
     {(1, True): Fraction(1, 2), (2, True): Fraction(1, 2)},
     {(1, False): Fraction(2, 3), (None, False): Fraction(1, 3)},
 ]
+
+
+def first_accepted(candidates, accept):
+    """The result of the first of candidates, (result, *args) tuples in
+    index order, whose test accept(*args) passes, or None: accept_and_pick
+    over candidates built in advance."""
+    candidates = list(candidates)
+    hit = accept_and_pick(len(candidates), lambda i: candidates[i][1:], lambda a: accept(*a))
+    return None if hit is None else candidates[hit[0]][0]
 
 
 def test_first_accepted_law_equals_uniform_pick_exactly():
@@ -308,13 +317,12 @@ def test_bracket_above_one_is_rejected():
     # (8^{3/2} - 7^{3/2}) / (3/2 sqrt(7/3)) is about 1.79: the irrational test
     # raises on the first bracket, whose lower end is above 2^k.
     meas = lp_measure(Fraction(3, 2))
-    zeta_exact, zeta_bounds = lp_zeta(Fraction(7, 3), Fraction(3, 2))
+    zeta = lp_zeta((7, 3), Fraction(3, 2))
     with pytest.raises(ValueError, match="above 1"):
-        accept_increment(meas, 7, zeta_exact, zeta_bounds, random.Random(0))
+        accept_increment(meas, 7, zeta, random.Random(0))
     # c = 1: (2^{3/2} - 1) / (3/2 sqrt(7/3)) is about 0.80, a fair test.
     rng = random.Random(0)
-    assert {accept_increment(meas, 1, zeta_exact, zeta_bounds, rng) for _ in range(64)} \
-        == {True, False}
+    assert {accept_increment(meas, 1, zeta, rng) for _ in range(64)} == {True, False}
 
 
 def test_irrational_zeta_accept_within_3x_of_rational():
@@ -322,21 +330,21 @@ def test_irrational_zeta_accept_within_3x_of_rational():
     # (lp_zeta's p Z^{p-1} at p = 3/2 and Z = 16 F_2 / 9); zeta = 2Z with
     # Z = 1000 is rational.  Same increments 2c + 1 < zeta.
     meas = lp_measure(2)
-    irrational = lp_zeta(Fraction(16 * (10 ** 6 + 3), 9), Fraction(3, 2))
-    rational = lp_zeta(Fraction(1000), Fraction(2))
-    assert irrational[0] is None and rational[1] is None
+    irrational = lp_zeta((16 * (10 ** 6 + 3), 9), Fraction(3, 2))
+    rational = lp_zeta((1000, 1), Fraction(2))
+    assert callable(irrational) and rational.__class__ is tuple
     rng = random.Random(3)
 
-    def per_call(zeta_exact, zeta_bounds):
+    def per_call(zeta):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
             for c in range(1000):
-                accept_increment(meas, c, zeta_exact, zeta_bounds, rng)
+                accept_increment(meas, c, zeta, rng)
             best = min(best, time.perf_counter() - t0)
         return best / 1000
 
-    t_irr, t_rat = per_call(*irrational), per_call(*rational)
+    t_irr, t_rat = per_call(irrational), per_call(rational)
     print("accept: irrational %.2e s, rational %.2e s (ratio %.2f)" % (t_irr, t_rat, t_irr / t_rat))
     assert t_irr <= 3.0 * t_rat, (t_irr, t_rat)
 

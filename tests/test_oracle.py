@@ -171,8 +171,8 @@ def test_symbolic_coins_read_one_zeta():
 
     def run():
         rng = exactrand.substream(0)
-        zeta = Fraction(2 + rng.randrange(2))
-        accepted = gsampler.accept_increment(fair, 0, zeta, None, rng)
+        zeta = (2 + rng.randrange(2), 1)
+        accepted = gsampler.accept_increment(fair, 0, zeta, rng)
         return SampleResult.of(1) if accepted else SampleResult.fail()
 
     with pytest.raises(AssertionError, match="coins at zeta"):

@@ -25,7 +25,10 @@ module-level import it does not use.  Importing the package loads neither
 hashlib's OpenSSL module, nor dataclasses, nor the enumerator, which loads
 on first use of its names.  No sampler constructor takes a zeta, exponent or
 cap-constant override, so the exact-law checks run the zeta that ships, and
-no hand-written random-order law or telescoping coefficients are left.  The sliding L_p sampler runs on
+no hand-written random-order law or telescoping coefficients are left.
+The verifier reads no private attribute of a sampler: it derives each
+zeta from the input, and a draw's zeta is one value, with no read-back or
+two-slot form of it left.  The sliding L_p sampler runs on
 the checkpoint banks, with no suffix-minimum structure.  Every
 L_p sampler takes its zeta from one rule, gsampler.lp_zeta, and no
 degraded-estimate path or hand-written sliding law is left.  The multipass samplers read
@@ -199,6 +202,16 @@ def test_override_knobs_and_law_mirrors_stay_removed():
                                ("randomorder.py", "PairL2Sampler", {"zeta", "C"}),
                                ("randomorder.py", "BlockLpSampler", {"zeta", "C"})):
         assert not _init_params(trees[module], cls) & knobs, cls
+    # The verifier derives every zeta from the input and reads nothing
+    # private of a sampler, and a draw's zeta is one value, an integer pair
+    # or a bracket, with no read-back or two-slot form left for it.
+    private = {node.attr for node in ast.walk(trees["verify.py"])
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")}
+    assert not private, private
+    gone = {"fraction_zeta", "_zeta_at_draw", "first_accepted", "root_bounds", "pow_bounds",
+            "zeta_exact", "zeta_bounds"}
+    named = {name: gone & set(_identifiers(tree)) for name, tree in trees.items()}
+    assert not any(named.values()), named
 
 
 def test_float_uniforms_only_outside_the_samplers():

@@ -41,6 +41,10 @@ def test_default_battery_all_ok():
     sliding = {(r.sampler, r.stream_id) for r in reports}
     assert {(name, "%s/W=%d" % (sid, W)) for name in ("sliding-lp/l1", "sliding-lp/l2")
             for sid in ("s1", "s2", "s3") for W in (2, 4)} <= sliding
+    # Every rational report but multipass L1's is held to a fail-mass rule.
+    untargeted = {r.sampler for r in reports
+                  if r.mass_fail is not None and r.mass_fail_target is None}
+    assert untargeted == {"multipass-l1"}, untargeted
     buf = io.StringIO()
     verify.dump_reports(reports, buf)
     assert json.loads(buf.getvalue())
